@@ -1,10 +1,11 @@
 // Ablation — DATA-port polling granularity (DESIGN.md §4): the paper's
-// driver_simulate checks the data port every simulation cycle; that
-// non-blocking socket check is the dominant per-cycle cost of an otherwise
-// idle co-simulation. Amortizing it over k cycles trades delivery
-// granularity for speed. This bench measures the wall time of a fixed-work
-// run vs the polling interval, and reports the accuracy of the run-to-
-// completion variant to show the fidelity cost.
+// driver_simulate checks the data port every simulation cycle. Over TCP,
+// the transport this bench runs, that check is a poll(2) and the dominant
+// per-cycle cost of an otherwise idle co-simulation; on inproc and shm it
+// is one atomic load and amortizing it buys next to nothing. Amortizing it
+// over k cycles trades delivery granularity for speed. This bench measures
+// the wall time of a fixed-work run vs the polling interval, and reports
+// the accuracy of the run-to-completion variant to show the fidelity cost.
 #include <cstdio>
 #include <vector>
 

@@ -9,12 +9,14 @@
 //   parity    — folded digest and delta count bit-identical at every
 //               worker count (the tentpole contract, measured on the bench
 //               workload itself);
-//   disarmed  — set_parallel(4) then set_parallel(0) must cost under 1%
-//               against a never-armed kernel (min over reps, with a small
-//               absolute floor for sub-millisecond noise);
+//   disarmed  — set_parallel(4) then set_parallel(0) against a never-armed
+//               kernel, in interleaved repetitions on the 32-port netlist:
+//               the disarmed median may exceed the serial median by no
+//               more than the serial runs' own quartile spread;
 //   speedup   — >= 1.5x at 4 workers on the 32-port netlist, checked only
-//               when the host actually has >= 4 CPUs (a 1-core container
-//               cannot speed anything up; the row is still reported).
+//               on the full sweep (the --quick netlist is too small to
+//               amortize pool dispatch) and only when the host actually
+//               has >= 4 CPUs (the row is still reported).
 //
 // Output: BENCH_kernel_parallel.metrics.json.
 #include "bench_util.hpp"
@@ -140,19 +142,23 @@ RunOutcome run_netlist(std::size_t ports, unsigned workers, int rounds,
   return r;
 }
 
+/// Linear-interpolated quantile `q` of `samples` (sorted in place).
+double quantile(std::vector<double>& samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (pos - static_cast<double>(lo)) *
+                           (samples[hi] - samples[lo]);
+}
+
 RunOutcome min_of(std::size_t ports, unsigned workers, int rounds,
-                  sim::SimTime run_time, int reps,
-                  bool arm_then_disarm = false) {
+                  sim::SimTime run_time, int reps) {
   RunOutcome best;
   best.wall_s = 1e100;
   for (int i = 0; i < reps; ++i) {
-    RunOutcome one = run_netlist(ports, workers, rounds, run_time,
-                                 arm_then_disarm);
-    if (one.wall_s < best.wall_s) {
-      const double w = one.wall_s;
-      best = std::move(one);
-      best.wall_s = w;
-    }
+    RunOutcome one = run_netlist(ports, workers, rounds, run_time);
+    if (one.wall_s < best.wall_s) best = std::move(one);
   }
   return best;
 }
@@ -219,26 +225,45 @@ int main(int argc, char** argv) {
   }
 
   // Disarmed overhead on the 32-port netlist: armed-then-disarmed vs a
-  // never-armed kernel, min over reps, 1% budget with an absolute floor.
-  const RunOutcome base = min_of(32, 0, rounds, run_time, reps);
-  const RunOutcome disarmed =
-      min_of(32, 0, rounds, run_time, reps, /*arm_then_disarm=*/true);
+  // never-armed kernel, run as interleaved pairs (alternating which goes
+  // first) so drift in the host hits both sides alike.
+  const int pairs = quick ? 5 : 7;
+  std::vector<double> serial_s;
+  std::vector<double> disarmed_s;
+  RunOutcome base;
+  RunOutcome disarmed;
+  bool disarmed_parity = true;
+  for (int i = 0; i < pairs; ++i) {
+    for (const bool arm_then_disarm : {i % 2 == 1, i % 2 == 0}) {
+      RunOutcome one = run_netlist(32, 0, rounds, run_time, arm_then_disarm);
+      (arm_then_disarm ? disarmed_s : serial_s).push_back(one.wall_s);
+      (arm_then_disarm ? disarmed : base) = std::move(one);
+    }
+    disarmed_parity = disarmed_parity && disarmed.folded == base.folded &&
+                      disarmed.delta_count == base.delta_count;
+  }
+  const double serial_q1 = quantile(serial_s, 0.25);
+  const double serial_median = quantile(serial_s, 0.5);
+  const double serial_spread = quantile(serial_s, 0.75) - serial_q1;
+  const double disarmed_median = quantile(disarmed_s, 0.5);
   const double disarmed_pct =
-      base.wall_s > 0 ? (disarmed.wall_s / base.wall_s - 1.0) * 100.0 : 0.0;
+      serial_median > 0 ? (disarmed_median / serial_median - 1.0) * 100.0
+                        : 0.0;
   const bool disarmed_ok =
-      disarmed.wall_s <= base.wall_s * 1.01 + 0.005 &&
-      disarmed.folded == base.folded &&
-      disarmed.delta_count == base.delta_count;
-  std::printf("\ndisarmed overhead (armed at 4, then workers=0): %+.2f%%\n",
-              disarmed_pct);
+      disarmed_parity && disarmed_median <= serial_median + serial_spread;
+  std::printf(
+      "\ndisarmed overhead (armed at 4, then workers=0), %d interleaved "
+      "pairs: median %+.2f%% (serial median %.4f s, quartile spread %.4f s)\n",
+      pairs, disarmed_pct, serial_median, serial_spread);
 
   {
     bench::JsonRow row;
     row.params = strformat(
-        "\"config\":\"disarmed\",\"ports\":32,\"overhead_pct\":{},"
-        "\"baseline_wall_s\":{},\"disarmed_wall_s\":{}",
-        disarmed_pct, base.wall_s, disarmed.wall_s);
-    row.wall_seconds = disarmed.wall_s;
+        "\"config\":\"disarmed\",\"ports\":32,\"pairs\":{},"
+        "\"overhead_pct\":{},\"serial_median_s\":{},"
+        "\"serial_spread_s\":{},\"disarmed_median_s\":{}",
+        pairs, disarmed_pct, serial_median, serial_spread, disarmed_median);
+    row.wall_seconds = disarmed_median;
     row.metrics_json = disarmed.metrics;
     rows.push_back(std::move(row));
   }
@@ -259,11 +284,19 @@ int main(int argc, char** argv) {
   }
   if (!disarmed_ok) {
     std::fprintf(stderr,
-                 "FAIL: disarmed parallel config costs %.2f%% (budget 1%%)\n",
+                 disarmed_parity
+                     ? "FAIL: disarmed parallel config costs %.2f%%, beyond "
+                       "the serial runs' quartile spread\n"
+                     : "FAIL: disarmed parallel config diverged from serial "
+                       "(%.2f%%)\n",
                  disarmed_pct);
     ++failures;
   }
-  if (cores >= 4) {
+  if (quick) {
+    std::printf("speedup gate skipped: needs the full sweep (%.2fx measured "
+                "at 4 workers on the quick 32-port netlist)\n",
+                speedup_at_4_on_32);
+  } else if (cores >= 4) {
     if (speedup_at_4_on_32 < 1.5) {
       std::fprintf(stderr,
                    "FAIL: %.2fx at 4 workers on 32 ports (need >= 1.5x)\n",

@@ -137,9 +137,10 @@ Bytes encode_window_write(u32 addr, std::span<const u8> data) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  examples::ArgList args{argc, argv};
+  examples::ArgList args{argc, argv, "[--obs] [--metrics-json path]"};
   const bool obs_on = args.take_flag("--obs");
   const auto metrics_path = args.take_value("--metrics-json");
+  args.reject_unknown_flags();
 
   const auto cfg = cosim::SessionConfigBuilder{}
                        .tcp()

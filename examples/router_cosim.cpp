@@ -134,31 +134,36 @@ int run_replay(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  examples::ArgList args{argc, argv};
-  if (const auto replay_path = args.take_value("--replay")) {
-    return run_replay(*replay_path);
-  }
+  examples::ArgList args{
+      argc, argv,
+      "[t_sync] [n_packets] [--no-obs] [--metrics-json path] "
+      "[--trace-json path] [--record prefix] [--replay recording.hw.vhprec]"};
+  const auto replay_path = args.take_value("--replay");
   const bool obs_on = !args.take_flag("--no-obs");
   const std::string metrics_path =
       args.take_value("--metrics-json").value_or("router_cosim.metrics.json");
   const std::string trace_path =
       args.take_value("--trace-json").value_or("router_cosim.trace.json");
   const auto record_prefix = args.take_value("--record");
+  args.reject_unknown_flags();
+  if (replay_path.has_value()) return run_replay(*replay_path);
   const u64 t_sync = args.positional_u64(0, 1000);
   const u64 n_packets = args.positional_u64(1, 100);
+
+  auto built = cosim::SessionConfigBuilder{}
+                   .tcp()
+                   .t_sync(t_sync)
+                   .cycles_per_tick(10)
+                   .observability(obs_on)
+                   .record(record_prefix.has_value())
+                   .postmortem_prefix("router_cosim.postmortem")
+                   .build();
+  if (!built.ok()) args.usage_error(built.status().message());
 
   std::printf("router co-simulation: T_sync=%llu, N=%llu packets\n\n",
               (unsigned long long)t_sync, (unsigned long long)n_packets);
 
-  const auto cfg = cosim::SessionConfigBuilder{}
-                       .tcp()
-                       .t_sync(t_sync)
-                       .cycles_per_tick(10)
-                       .observability(obs_on)
-                       .record(record_prefix.has_value())
-                       .postmortem_prefix("router_cosim.postmortem")
-                       .build_or_throw();
-  cosim::CosimSession session{cfg};
+  cosim::CosimSession session{built.value()};
   cosim::CosimSession::install_postmortem_signal_handler();
 
   router::RouterTestbench tb{session.hw().kernel(),

@@ -95,19 +95,17 @@ Counts run_baseline(u64 t_sync, u64 n_packets, bool inproc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  examples::ArgList args{argc, argv};
+  examples::ArgList args{argc, argv,
+                         "[t_sync] [n_packets] [--inproc] [--no-baseline] "
+                         "[--metrics-json path] [--record prefix]"};
   const bool inproc = args.take_flag("--inproc");
   const bool baseline = !args.take_flag("--no-baseline");
   const std::string metrics_path =
       args.take_value("--metrics-json").value_or("router_fabric.metrics.json");
   const auto record_prefix = args.take_value("--record");
+  args.reject_unknown_flags();
   const u64 t_sync = args.positional_u64(0, 1000);
   const u64 n_packets = args.positional_u64(1, 100);
-
-  std::printf("router fabric: %zu boards (one per port), T_sync=%llu, "
-              "N=%llu packets, %s links\n\n",
-              kPorts, (unsigned long long)t_sync,
-              (unsigned long long)n_packets, inproc ? "inproc" : "TCP");
 
   fabric::FabricConfigBuilder builder;
   builder.t_sync(t_sync).watchdog(std::chrono::milliseconds{30000});
@@ -117,7 +115,14 @@ int main(int argc, char** argv) {
     builder.add_node("port" + std::to_string(p));
     builder.last_board().rtos.cycles_per_tick = 10;
   }
-  fabric::Fabric fab{builder.build_or_throw()};
+  auto built = builder.build();
+  if (!built.ok()) args.usage_error(built.status().message());
+
+  std::printf("router fabric: %zu boards (one per port), T_sync=%llu, "
+              "N=%llu packets, %s links\n\n",
+              kPorts, (unsigned long long)t_sync,
+              (unsigned long long)n_packets, inproc ? "inproc" : "TCP");
+  fabric::Fabric fab{std::move(built).value()};
 
   // The router verifies the packet of input port p on board p: hand the
   // testbench all four per-node registries and wire each verifier's

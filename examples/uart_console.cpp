@@ -15,9 +15,10 @@
 using namespace vhp;
 
 int main(int argc, char** argv) {
-  examples::ArgList args{argc, argv};
+  examples::ArgList args{argc, argv, "[--obs] [--metrics-json path]"};
   const bool obs_on = args.take_flag("--obs");
   const auto metrics_path = args.take_value("--metrics-json");
+  args.reject_unknown_flags();
 
   const auto cfg = cosim::SessionConfigBuilder{}
                        .tcp()

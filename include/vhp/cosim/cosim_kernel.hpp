@@ -46,10 +46,11 @@ struct CosimConfig {
   bool shutdown_on_finish = true;
   /// Poll the DATA port every this many cycles (1 = the paper's
   /// driver_simulate, which checks for data each simulation cycle).
-  /// Larger values amortize the non-blocking socket check — the dominant
-  /// per-cycle cost of an otherwise idle co-simulation — at the price of
-  /// coarser driver-write delivery (an ablation knob; see
-  /// bench/abl_data_poll).
+  /// Larger values amortize the empty check at the price of coarser
+  /// driver-write delivery (an ablation knob; see bench/abl_data_poll).
+  /// Only TCP gains much: there the check is a poll(2), the dominant
+  /// per-cycle cost of an otherwise idle co-simulation, while on inproc
+  /// and shm it is one atomic load.
   u64 data_poll_interval = 1;
   /// Evaluation lanes of the deterministic parallel kernel (including the
   /// calling thread); 0 = serial (default, byte-identical legacy path).

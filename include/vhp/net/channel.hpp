@@ -33,7 +33,10 @@ class Channel {
   virtual Result<Bytes> recv(
       std::optional<std::chrono::milliseconds> timeout = std::nullopt) = 0;
 
-  /// Non-blocking receive; ok()+nullopt when no frame is pending.
+  /// Non-blocking receive; ok()+nullopt when no frame is pending. This is
+  /// also the readiness check of every per-cycle poller, so an empty poll
+  /// is cheap: one acquire load on inproc and shm (no lock, no system
+  /// call), one zero-timeout poll(2) on TCP.
   virtual Result<std::optional<Bytes>> try_recv() = 0;
 
   /// Closes this endpoint; pending and future receives on the peer fail
@@ -58,8 +61,14 @@ class Channel {
   /// A pollable fd that becomes readable when a frame may be pending, or
   /// -1 when the transport has none (callers must then poll try_recv()).
   /// Calling this may arm a doorbell: in-process queues lazily create an
-  /// eventfd the first time an event loop asks. Readiness is advisory —
-  /// level-triggered and possibly stale; always confirm with try_recv().
+  /// eventfd the first time an event loop asks. Readiness is advisory and
+  /// level-triggered; always confirm with try_recv(), and drain with it
+  /// until it reports nothing pending before waiting on the fd again. The
+  /// in-memory doorbells follow one drain rule: the consumer drains its
+  /// bell when a pop empties the queue or a ring is outstanding, never on
+  /// a poll that merely finds the queue empty. So after a try_recv() that
+  /// found nothing, the fd turns readable as soon as a frame is pending,
+  /// and a fully drained channel leaves it quiet.
   virtual int readable_fd() { return -1; }
 };
 

@@ -14,8 +14,11 @@
 // is (or may be) waiting: the consumer's doorbell doubles as the
 // channel's readable_fd() for event-loop integration, and arming it (by
 // a blocking recv, or permanently by the first readable_fd() call) makes
-// every publish ring it. The producer's "space" doorbell is rung by the
-// consumer only while a writer is blocked on a full ring.
+// every publish ring it and then raise a `rung` flag in the mapping. The
+// consumer drains the bell only while that flag is up, so a pop of an
+// empty ring is loads only — no system call, armed or not. The
+// producer's "space" doorbell is rung by the consumer only while a writer
+// is blocked on a full ring.
 //
 // The ring lives in MAP_SHARED|MAP_ANONYMOUS memory: both endpoints of a
 // pair are in-process today (the svc session server's fast path), but

@@ -133,7 +133,11 @@ class Kernel {
   void co_locate(Process& process, SignalBase& signal);
 
   /// Invalidate the island partition (new sensitivity edge, new entity).
-  void mark_partition_dirty() { partition_dirty_ = true; }
+  /// Parallel evaluation lanes may call this concurrently (a process
+  /// spawned mid-evaluation gains sensitivity), hence the atomic flag.
+  void mark_partition_dirty() {
+    partition_dirty_.store(true, std::memory_order_relaxed);
+  }
 
   /// Throws std::logic_error if called from a parallel evaluation worker
   /// whose island does not own `event` (cross-island eval-phase mutation).
@@ -219,7 +223,7 @@ class Kernel {
 
   /// --- parallel engine state ---
   unsigned parallel_lanes_ = 0;
-  bool partition_dirty_ = true;
+  std::atomic<bool> partition_dirty_{true};
   std::uint64_t parallel_deltas_ = 0;
   std::uint64_t repartitions_ = 0;
   std::unique_ptr<Partition> partition_;

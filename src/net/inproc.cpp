@@ -1,40 +1,38 @@
 #include "vhp/net/inproc.hpp"
 
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
+
+#include "doorbell.hpp"
 
 namespace vhp::net {
 namespace {
 
 /// One direction of the in-process pipe: a bounded deque of frames.
 ///
+/// Empty polls: the queue length and the closed state are mirrored into one
+/// atomic word under the mutex, so try_pop on an open, empty queue is a
+/// single acquire load — no lock, no system call.
+///
 /// Doorbell: an event loop that wants fd-readiness instead of condvar
 /// blocking calls readable_fd(), which lazily creates an eventfd. From
-/// then on every push rings it (push is already a lock + notify; one more
-/// write(2) only happens in event-loop mode). The bell is drained under
-/// the queue mutex whenever the queue is observed empty, so "bell
-/// readable" is level-equivalent to "a frame may be pending" with no
-/// missed-wakeup window: a push either happens before the empty check
-/// (the frame is seen) or after (it re-rings the drained bell).
+/// then on every push rings it, and the pop that empties the queue drains
+/// it (doorbell.hpp's drain rule). Both happen under the mutex, so "bell
+/// readable" is exactly "queue non-empty or closed".
 class FrameQueue {
  public:
   explicit FrameQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  ~FrameQueue() {
-    if (doorbell_ >= 0) ::close(doorbell_);
-  }
 
   Status push(Bytes frame) {
     std::unique_lock lock(mu_);
     not_full_.wait(lock, [&] { return queue_.size() < capacity_ || closed_; });
     if (closed_) return Status{StatusCode::kAborted, "channel closed"};
     queue_.push_back(std::move(frame));
-    ring_doorbell();
+    publish_level();
+    doorbell_.ring();
     not_empty_.notify_one();
     return Status::Ok();
   }
@@ -49,36 +47,27 @@ class FrameQueue {
     } else {
       not_empty_.wait(lock, ready);
     }
-    if (queue_.empty()) {
-      // closed_ and drained
-      drain_doorbell();
-      return Status{StatusCode::kAborted, "channel closed"};
-    }
-    Bytes frame = std::move(queue_.front());
-    queue_.pop_front();
-    if (queue_.empty()) drain_doorbell();
-    not_full_.notify_one();
-    return frame;
+    if (queue_.empty()) return Status{StatusCode::kAborted, "channel closed"};
+    return take_front();
   }
 
   Result<std::optional<Bytes>> try_pop() {
+    if (level_.load(std::memory_order_acquire) == 0) {
+      return std::optional<Bytes>{};
+    }
     std::scoped_lock lock(mu_);
     if (queue_.empty()) {
       if (closed_) return Status{StatusCode::kAborted, "channel closed"};
-      drain_doorbell();
       return std::optional<Bytes>{};
     }
-    Bytes frame = std::move(queue_.front());
-    queue_.pop_front();
-    if (queue_.empty()) drain_doorbell();
-    not_full_.notify_one();
-    return std::optional<Bytes>{std::move(frame)};
+    return std::optional<Bytes>{take_front()};
   }
 
   void close() {
     std::scoped_lock lock(mu_);
     closed_ = true;
-    ring_doorbell();  // wake a poller so it observes kAborted
+    publish_level();
+    doorbell_.ring();  // wake a poller so it observes kAborted
     not_empty_.notify_all();
     not_full_.notify_all();
   }
@@ -87,24 +76,32 @@ class FrameQueue {
   /// queued so a level-triggered poller doesn't sleep over them.
   int readable_fd() {
     std::scoped_lock lock(mu_);
-    if (doorbell_ < 0) {
-      doorbell_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-      if (doorbell_ >= 0 && (!queue_.empty() || closed_)) ring_doorbell();
+    if (doorbell_.fd() < 0 && doorbell_.open() >= 0 &&
+        (!queue_.empty() || closed_)) {
+      doorbell_.ring();
     }
-    return doorbell_;
+    return doorbell_.fd();
   }
 
  private:
-  // Both run under mu_.
-  void ring_doorbell() {
-    if (doorbell_ < 0) return;
-    const u64 one = 1;
-    [[maybe_unused]] ssize_t n = ::write(doorbell_, &one, sizeof one);
+  static constexpr std::size_t kClosed =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+
+  // The rest run under mu_.
+  void publish_level() {
+    level_.store(queue_.size() | (closed_ ? kClosed : 0),
+                 std::memory_order_release);
   }
-  void drain_doorbell() {
-    if (doorbell_ < 0 || closed_) return;  // keep it readable once closed
-    u64 value = 0;
-    [[maybe_unused]] ssize_t n = ::read(doorbell_, &value, sizeof value);
+
+  /// Pops the head frame; the pop that empties an open queue drains the
+  /// bell (a closed queue keeps it readable so a poller sees kAborted).
+  Bytes take_front() {
+    Bytes frame = std::move(queue_.front());
+    queue_.pop_front();
+    publish_level();
+    if (queue_.empty() && !closed_) doorbell_.drain();
+    not_full_.notify_one();
+    return frame;
   }
 
   std::mutex mu_;
@@ -113,7 +110,9 @@ class FrameQueue {
   std::deque<Bytes> queue_;
   std::size_t capacity_;
   bool closed_ = false;
-  int doorbell_ = -1;
+  // queue_.size(), plus kClosed once closed: 0 means open and empty.
+  std::atomic<std::size_t> level_{0};
+  Doorbell doorbell_;
 };
 
 /// An endpoint owns a tx queue (shared with the peer's rx) and vice versa.

@@ -1,9 +1,6 @@
 #include "vhp/net/shm_ring.hpp"
 
-#include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <bit>
@@ -11,6 +8,7 @@
 #include <cstring>
 #include <new>
 
+#include "doorbell.hpp"
 #include "vhp/common/log.hpp"
 
 namespace vhp::net {
@@ -30,36 +28,8 @@ struct RingCtl {
   alignas(kCacheLine) std::atomic<u64> tail{0};   // consumer cursor
   alignas(kCacheLine) std::atomic<u32> closed{0};
   std::atomic<u32> reader_armed{0};    // consumer wants publish doorbells
+  std::atomic<u32> rung{0};            // a publish ring may be outstanding
   std::atomic<u32> writer_waiting{0};  // producer blocked on a full ring
-};
-
-struct Doorbell {
-  Doorbell() : fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
-  ~Doorbell() {
-    if (fd >= 0) ::close(fd);
-  }
-  Doorbell(const Doorbell&) = delete;
-  Doorbell& operator=(const Doorbell&) = delete;
-
-  void ring() const {
-    if (fd < 0) return;
-    const u64 one = 1;
-    [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof one);
-  }
-  void drain() const {
-    if (fd < 0) return;
-    u64 value = 0;
-    [[maybe_unused]] ssize_t n = ::read(fd, &value, sizeof value);
-  }
-  /// Waits up to wait_ms (-1 = forever) for a ring. EINTR counts as a
-  /// wakeup (callers loop and re-check state anyway).
-  void wait(int wait_ms) const {
-    if (fd < 0) return;
-    pollfd pfd{fd, POLLIN, 0};
-    (void)::poll(&pfd, 1, wait_ms);
-  }
-
-  int fd;
 };
 
 /// One direction: control block + data window inside the mapping, plus
@@ -72,6 +42,14 @@ struct RingDir {
   u64 cap = 0;
   Doorbell publish_bell;  // producer -> consumer: frames available
   Doorbell space_bell;    // consumer -> producer: space reclaimed
+
+  /// Rings the consumer, then flags the ring for its next empty pop to
+  /// drain. The flag goes up after the ring: a consumer that clears it and
+  /// drains before this ring lands re-checks head and sees the frame.
+  void ring_publish() {
+    publish_bell.ring();
+    ctl->rung.store(1, std::memory_order_seq_cst);
+  }
 };
 
 /// The shared mapping and both directions; kept alive by shared_ptr from
@@ -108,6 +86,8 @@ std::shared_ptr<ShmRegion> make_region(std::size_t capacity_bytes) {
     dir.ctl = new (p) RingCtl{};
     dir.data = p + ctl_bytes;
     dir.cap = cap;
+    dir.publish_bell.open();
+    dir.space_bell.open();
     p += ctl_bytes + cap;
   };
   init_dir(region->a2b);
@@ -220,9 +200,9 @@ class ShmRingChannel final : public Channel {
     if (rx_->ctl->head.load(std::memory_order_seq_cst) !=
             rx_->ctl->tail.load(std::memory_order_relaxed) ||
         rx_->ctl->closed.load(std::memory_order_relaxed) != 0) {
-      rx_->publish_bell.ring();
+      rx_->ring_publish();
     }
-    return rx_->publish_bell.fd;
+    return rx_->publish_bell.fd();
   }
 
  private:
@@ -281,14 +261,15 @@ class ShmRingChannel final : public Channel {
     if (staged_head_ == ctl.head.load(std::memory_order_relaxed)) return;
     ctl.head.store(staged_head_, std::memory_order_seq_cst);
     if (ctl.reader_armed.load(std::memory_order_seq_cst) != 0) {
-      tx_->publish_bell.ring();
+      tx_->ring_publish();
     }
   }
 
-  /// Non-blocking pop of one frame. Drain-then-recheck ordering makes
-  /// "bell readable" a reliable level signal: a publish either lands
-  /// before our head re-load (frame seen) or after (rings the drained
-  /// bell).
+  /// Non-blocking pop of one frame. An empty ring costs loads only: the
+  /// bell is drained only while a ring is flagged, and clear-drain-recheck
+  /// ordering keeps "bell readable" a reliable level signal — a publish
+  /// either lands before our head re-load (frame seen) or rings after the
+  /// flag was cleared (bell and flag go up again).
   Result<std::optional<Bytes>> pop() {
     RingCtl& ctl = *rx_->ctl;
     const u64 tail = ctl.tail.load(std::memory_order_relaxed);
@@ -298,6 +279,10 @@ class ShmRingChannel final : public Channel {
         if (ctl.closed.load(std::memory_order_relaxed) != 0) {
           return Status{StatusCode::kAborted, "channel closed"};
         }
+        if (ctl.rung.load(std::memory_order_relaxed) == 0) {
+          return std::optional<Bytes>{};
+        }
+        ctl.rung.store(0, std::memory_order_seq_cst);
         rx_->publish_bell.drain();
         cached_head_ = ctl.head.load(std::memory_order_seq_cst);
         if (cached_head_ == tail) {

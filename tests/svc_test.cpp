@@ -1,19 +1,23 @@
 // Fiber-free svc-layer tests: the shm ring transport (wraparound,
 // backpressure, doorbell ordering), per-quantum batching (buffer/flush
 // semantics, counters), the TCP send_many/backlog satellites, the inproc
-// doorbells, and the svc::EventLoop reactor. Everything here runs plain
+// doorbells, the empty-poll and doorbell-level contract both in-memory
+// transports share, and the svc::EventLoop reactor. Everything here runs plain
 // threads only, so the suite carries the composite "svc-tsan" label:
 // selected by -L svc (the scripts/check.sh gate) and -L tsan (the TSan
 // preset), where the Lamport ring's memory ordering actually gets checked.
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "vhp/common/rng.hpp"
 #include "vhp/net/batching.hpp"
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/shm_ring.hpp"
@@ -141,14 +145,23 @@ TEST(ShmRing, ReadableFdIsLevelAccurate) {
   auto [c, d] = net::make_shm_channel_pair();
   ASSERT_TRUE(c->send(Bytes{2}).ok());
   EXPECT_TRUE(fd_readable(d->readable_fd(), 1000));
-  // Draining the queue eventually quiesces the doorbell.
-  auto got = b->try_recv();
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(got.value().has_value());
-  got = b->try_recv();  // empty pop drains the bell
-  ASSERT_TRUE(got.ok());
-  EXPECT_FALSE(got.value().has_value());
+  // Draining the queue quiesces the doorbell: the empty pop drains the
+  // ring its publish (or the arming readable_fd() call) flagged.
+  for (auto* ch : {b.get(), d.get()}) {
+    auto got = ch->try_recv();
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(got.value().has_value());
+    got = ch->try_recv();
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got.value().has_value());
+  }
   EXPECT_FALSE(fd_readable(fd));
+  EXPECT_FALSE(fd_readable(d->readable_fd()));
+  // With nothing flagged an empty pop leaves the level alone, and the next
+  // publish raises it again.
+  ASSERT_TRUE(b->try_recv().ok());
+  ASSERT_TRUE(a->send(Bytes{3}).ok());
+  EXPECT_TRUE(fd_readable(fd, 1000));
 }
 
 TEST(ShmRing, SendManyArrivesInOrder) {
@@ -354,12 +367,145 @@ TEST(InprocDoorbell, TracksQueueLevel) {
   ASSERT_TRUE(a->send(Bytes{2}).ok());
   EXPECT_TRUE(fd_readable(fd, 1000));
   (void)b->try_recv();
-  (void)b->try_recv();
-  (void)b->try_recv();  // empty pop drains the bell
+  EXPECT_TRUE(fd_readable(fd));  // one frame still queued
+  (void)b->try_recv();           // the pop that empties the queue drains
   EXPECT_FALSE(fd_readable(fd));
+  (void)b->try_recv();
+  EXPECT_FALSE(fd_readable(fd));
+  // Frames queued BEFORE the first readable_fd() call must also show.
+  auto [c, d] = net::make_inproc_channel_pair();
+  ASSERT_TRUE(c->send(Bytes{3}).ok());
+  const int late_fd = d->readable_fd();
+  EXPECT_TRUE(fd_readable(late_fd, 1000));
+  (void)d->try_recv();
+  EXPECT_FALSE(fd_readable(late_fd));
   // Close keeps the bell readable so a poller notices the teardown.
   a->close();
   EXPECT_TRUE(fd_readable(fd, 1000));
+}
+
+// ---------- empty polls and doorbell levels, inproc and shm ----------
+
+/// System CPU time the calling thread has used so far.
+std::chrono::microseconds thread_system_time() {
+  rusage usage{};
+  ::getrusage(RUSAGE_THREAD, &usage);
+  return std::chrono::seconds{usage.ru_stime.tv_sec} +
+         std::chrono::microseconds{usage.ru_stime.tv_usec};
+}
+
+// Both in-memory transports, held to one contract. The small queue and
+// ring make the stress test's bursts run into backpressure.
+const struct {
+  const char* name;
+  std::pair<net::ChannelPtr, net::ChannelPtr> (*make)();
+} kInMemoryTransports[] = {
+    {"inproc", [] { return net::make_inproc_channel_pair(8); }},
+    {"shm", [] { return net::make_shm_channel_pair(1); }},
+};
+
+TEST(EmptyPoll, MakesNoSystemCall) {
+  // The per-cycle DATA check: a poll that finds nothing must not enter the
+  // kernel, even with the doorbell armed for an event loop and after the
+  // channel has carried (and the consumer drained) a frame. One read(2)
+  // per poll costs over 100 ms of system time per million polls.
+  constexpr int kPolls = 1'000'000;
+  for (const auto& transport : kInMemoryTransports) {
+    SCOPED_TRACE(transport.name);
+    auto [a, b] = transport.make();
+    ASSERT_GE(b->readable_fd(), 0);
+    ASSERT_TRUE(a->send(Bytes{1}).ok());
+    auto got = b->try_recv();
+    ASSERT_TRUE(got.ok() && got.value().has_value());
+    int frames = 0;
+    const auto before = thread_system_time();
+    for (int i = 0; i < kPolls; ++i) {
+      got = b->try_recv();
+      if (!got.ok() || got.value().has_value()) ++frames;
+    }
+    const auto spent = thread_system_time() - before;
+    EXPECT_EQ(frames, 0);
+    EXPECT_LT(spent, 20ms) << spent.count() << " us of system time";
+  }
+}
+
+TEST(DoorbellLevel, StaysAccurateUnderBursts) {
+  // A producer sends bursts while the consumer alternates between draining
+  // with try_recv() and waiting on readable_fd(). Frames arrive in order; a
+  // frame whose send() has returned makes the fd readable at once (no lost
+  // wakeup); and where the producer parks after a burst, a drained channel
+  // leaves the fd quiet (no stale level).
+  constexpr u32 kFrames = 20000;
+  constexpr u32 kRunning = ~u32{0};
+  for (const auto& transport : kInMemoryTransports) {
+    SCOPED_TRACE(transport.name);
+    auto [a, b] = transport.make();
+    const int fd = b->readable_fd();
+    ASSERT_GE(fd, 0);
+    std::atomic<u32> sent{0};
+    std::atomic<u32> parked_at{kRunning};  // frames sent when it parked
+    std::atomic<bool> stop{false};
+    std::thread producer([&, tx = a.get()] {
+      Rng rng{7};
+      for (u32 seq = 0; seq < kFrames && !stop.load();) {
+        const u64 burst = 1 + rng.below(24);
+        for (u64 i = 0; i < burst && seq < kFrames; ++i, ++seq) {
+          Bytes frame;
+          ByteWriter{frame}.u32v(seq);
+          frame.resize(frame.size() + rng.below(60), static_cast<u8>(seq));
+          if (!tx->send(frame).ok()) return;  // the consumer gave up
+          sent.store(seq + 1, std::memory_order_release);
+        }
+        if (rng.below(3) == 0) {
+          parked_at.store(seq, std::memory_order_release);
+          while (parked_at.load(std::memory_order_acquire) != kRunning &&
+                 !stop.load()) {
+            std::this_thread::yield();
+          }
+        } else if (rng.below(2) == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds{rng.below(200)});
+        }
+      }
+    });
+    u32 next = 0;
+    std::string failure;
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (next < kFrames && failure.empty()) {
+      for (;;) {
+        auto got = b->try_recv();
+        if (!got.ok() || !got.value().has_value()) break;
+        if (ByteReader{*got.value()}.u32v() != next) {
+          failure = "frame out of order";
+          break;
+        }
+        ++next;
+      }
+      if (!failure.empty()) break;
+      if (parked_at.load(std::memory_order_acquire) == next) {
+        // Everything sent has arrived and the producer is parked: one more
+        // empty poll drains what it rang last, and the fd goes quiet.
+        auto again = b->try_recv();
+        if (!again.ok() || again.value().has_value() || fd_readable(fd)) {
+          failure = "stale level";
+        }
+        parked_at.store(kRunning, std::memory_order_release);
+      } else if (sent.load(std::memory_order_acquire) > next) {
+        // This frame's send() returned, so its ring has landed.
+        if (!fd_readable(fd)) failure = "lost wakeup";
+      } else if (!fd_readable(fd, 1) &&
+                 std::chrono::steady_clock::now() > deadline) {
+        failure = "no progress";
+      }
+    }
+    stop = true;
+    if (!failure.empty()) b->close();  // unblock a producer on a full queue
+    producer.join();
+    ASSERT_TRUE(failure.empty()) << failure << " at frame " << next;
+    auto got = b->try_recv();
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got.value().has_value());
+    EXPECT_FALSE(fd_readable(fd)) << "stale level after the final drain";
+  }
 }
 
 // ---------- EventLoop ----------

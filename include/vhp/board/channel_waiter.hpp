@@ -33,6 +33,13 @@ class ChannelWaiter {
   /// frame. Returns nullopt once the channel is closed and drained.
   std::optional<Bytes> recv();
 
+  /// Like recv(), but never polls the channel itself: only poll() from
+  /// another thread delivers. On a timed board that is the idle thread,
+  /// which polls only while the board is frozen, so a frame taken this way
+  /// was never seen in the quantum that is running — however fast the peer
+  /// answered.
+  std::optional<Bytes> recv_deferred();
+
   /// Non-blocking variant.
   std::optional<Bytes> try_get();
 
@@ -40,6 +47,8 @@ class ChannelWaiter {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
+  std::optional<Bytes> wait_frame(bool self_poll);
+
   net::Channel& channel_;
   std::string name_;
   std::deque<Bytes> pending_;

@@ -151,7 +151,15 @@ bool Board::idle_poll() {
   bool any = false;
   any |= data_rx_->poll();
   any |= int_rx_->poll();
-  any |= clock_rx_->poll();
+  if (clock_rx_->poll()) {
+    // The master sends a quantum's DATA and INT frames before the
+    // CLOCK_TICK that grants it. Any that landed between the two polls
+    // above and this one belong before the grant too: take them now, not
+    // at the next freeze a whole quantum later.
+    (void)data_rx_->poll();
+    (void)int_rx_->poll();
+    any = true;
+  }
   // Cooperative stepping must never sleep the host thread: it is the
   // event loop's thread, shared by every session. The pacer only applies
   // to a board that owns its host thread.
@@ -175,8 +183,17 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
   // on the response (flush is a no-op on unbatched links).
   if (s.ok()) s = link_.data->flush();
   if (!s.ok()) return s;
+  // A timed board never completes a read in the quantum that issued it:
+  // the response is taken only from the idle thread's poll while frozen.
+  // A self-poll would catch a master that answered before this thread
+  // looked again (it was descheduled for a moment), and the read's
+  // completion — with everything the app does after it — would move one
+  // quantum earlier depending on host scheduling. A free-running board has
+  // no quantum, and its idle thread skips polling while alarms are pending,
+  // so it keeps looking for the response itself.
+  const bool timed = kernel_.budget_mode();
   for (;;) {
-    auto frame = data_rx_->recv();
+    auto frame = timed ? data_rx_->recv_deferred() : data_rx_->recv();
     if (!frame.has_value()) {
       return Status{StatusCode::kAborted, "DATA channel closed mid-read"};
     }

@@ -30,9 +30,16 @@ bool ChannelWaiter::poll() {
   return any;
 }
 
-std::optional<Bytes> ChannelWaiter::recv() {
+std::optional<Bytes> ChannelWaiter::recv() { return wait_frame(true); }
+
+std::optional<Bytes> ChannelWaiter::recv_deferred() {
+  return wait_frame(false);
+}
+
+std::optional<Bytes> ChannelWaiter::wait_frame(bool self_poll) {
   for (;;) {
-    poll();  // self-service: works even when the idle thread is not polling
+    // Self-service: works even when the idle thread is not polling.
+    if (self_poll) poll();
     if (!pending_.empty()) {
       Bytes frame = std::move(pending_.front());
       pending_.pop_front();

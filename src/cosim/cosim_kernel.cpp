@@ -235,7 +235,13 @@ Status CosimKernel::sync_with_board() {
   for (;;) {
     auto ack = net::try_recv_msg(*link_.clock);
     if (!ack.ok()) return ack.status();
-    if (ack.value().has_value()) return accept_ack(*ack.value());
+    if (ack.value().has_value()) {
+      s = accept_ack(*ack.value());
+      if (!s.ok()) return s;
+      // The board flushed its quantum's DATA before the ack; serve what
+      // arrived with it, so the sync always ends with that DATA handled.
+      return service_data_port();
+    }
     Status data = service_data_port();
     if (!data.ok()) return data;
     std::this_thread::yield();
@@ -314,6 +320,7 @@ Status CosimKernel::pump(u64 max_cycles, u64* ran, bool* blocked) {
         return Status::Ok();
       }
       Status s = accept_ack(*ack.value());
+      if (s.ok()) s = service_data_port();  // DATA that came with the ack
       if (!s.ok()) return s;
       awaiting_ack_ = false;
     }

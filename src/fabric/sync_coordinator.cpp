@@ -409,6 +409,11 @@ Status SyncCoordinator::gather(std::vector<std::size_t> pending,
       std::this_thread::sleep_for(std::chrono::microseconds{50});
     }
   }
+  // Each node flushed its quantum's DATA before its TIME_ACK, but an ack
+  // can be seen in the same pass that first sees that DATA. Serve it now,
+  // so the barrier always ends with the quantum's DATA handled — not, by
+  // host timing, at the next cycle or after run_cycles() has returned.
+  if (service) return service();
   return Status::Ok();
 }
 

@@ -254,6 +254,86 @@ TEST(CosimProtocol, DriverWriteLandsBeforeNextCycle) {
   EXPECT_EQ(hw.stats().data_writes, 1u);
 }
 
+/// Master-side DATA channel that shows nothing until the master has sent a
+/// CLOCK_TICK: the board's DATA then lands together with its TIME_ACK, as
+/// a batched board's does, and no per-cycle poll can take it early.
+struct TickGate {
+  bool tick_sent = false;
+};
+
+class GatedDataChannel final : public net::Channel {
+ public:
+  GatedDataChannel(net::ChannelPtr inner, TickGate& gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  Status send(std::span<const u8> frame) override {
+    return inner_->send(frame);
+  }
+  Result<Bytes> recv(
+      std::optional<std::chrono::milliseconds> timeout) override {
+    return inner_->recv(timeout);
+  }
+  Result<std::optional<Bytes>> try_recv() override {
+    if (!gate_.tick_sent) return std::optional<Bytes>{};
+    return inner_->try_recv();
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  net::ChannelPtr inner_;
+  TickGate& gate_;
+};
+
+class TickSpottingChannel final : public net::Channel {
+ public:
+  TickSpottingChannel(net::ChannelPtr inner, TickGate& gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  Status send(std::span<const u8> frame) override {
+    auto msg = net::decode(frame);
+    if (msg.ok() && std::holds_alternative<net::ClockTick>(msg.value())) {
+      gate_.tick_sent = true;
+    }
+    return inner_->send(frame);
+  }
+  Result<Bytes> recv(
+      std::optional<std::chrono::milliseconds> timeout) override {
+    return inner_->recv(timeout);
+  }
+  Result<std::optional<Bytes>> try_recv() override {
+    return inner_->try_recv();
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  net::ChannelPtr inner_;
+  TickGate& gate_;
+};
+
+TEST(CosimProtocol, SyncServesDataThatArrivedWithTheAck) {
+  auto pair = net::make_inproc_link_pair();
+  TickGate gate;
+  pair.hw.data =
+      std::make_unique<GatedDataChannel>(std::move(pair.hw.data), gate);
+  pair.hw.clock =
+      std::make_unique<TickSpottingChannel>(std::move(pair.hw.clock), gate);
+  CosimConfig cfg;
+  cfg.t_sync = 4;
+  CosimKernel hw{std::move(pair.hw), cfg};
+  DriverIn<u32> in{hw.kernel(), hw.registry(), "in", 0x0};
+  // The whole first quantum of the board, queued up front: its boot ack,
+  // one DATA write, and the ack that ends the quantum.
+  ScriptedPeer peer{std::move(pair.board)};
+  peer.send_initial_ack();
+  ASSERT_TRUE(net::send_msg(*peer.link.data,
+                            net::DataWrite{0x0, DriverCodec<u32>::encode(7)})
+                  .ok());
+  peer.ack(1);
+  ASSERT_TRUE(hw.run_cycles(4).ok());
+  // The first look for the ack already finds it; the write that came with
+  // it is served before the sync (and run_cycles) returns.
+  EXPECT_EQ(hw.stats().syncs, 1u);
+  EXPECT_EQ(hw.stats().data_writes, 1u);
+}
+
 TEST(CosimProtocol, FinishSendsShutdown) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;

@@ -12,6 +12,12 @@
 #include "vhp/net/tcp.hpp"
 
 namespace vhp::net {
+
+// Shutdown has no fields. gtest's default printer would dump its one
+// uninitialized byte, and that byte is part of the parameterized test's
+// name, which then changes from build to build.
+void PrintTo(const Shutdown&, std::ostream* os) { *os << "{}"; }
+
 namespace {
 
 using namespace std::chrono_literals;

@@ -318,9 +318,14 @@ TEST(PercentileTest, HistogramJsonCarriesP50P95P99) {
 
 class RecordingFileTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "vhp_timeline_rec_test.vhprec")
-                          .string();
+  // One file per test: ctest runs this fixture's tests as concurrent
+  // processes, which must not write or remove each other's file.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string("vhp_timeline_rec_test.") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".vhprec"))
+          .string();
   void TearDown() override { std::filesystem::remove(path_); }
 
   Recording small_recording() {

@@ -22,7 +22,7 @@ ExperimentResult run_with_poll_interval(u64 poll_interval, u64 t_sync,
                                         std::optional<u64> fixed_cycles) {
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kTcp;
-  cfg.cosim.t_sync = t_sync;
+  cfg.cosim.sync.quantum(t_sync);
   cfg.cosim.data_poll_interval = poll_interval;
   cfg.board.rtos.cycles_per_tick = 10;
   cosim::CosimSession session{cfg};

@@ -61,7 +61,7 @@ struct Outcome {
 Outcome run_annotated(u64 rounds, u64 t_sync) {
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kTcp;
-  cfg.cosim.t_sync = t_sync;
+  cfg.cosim.sync.quantum(t_sync);
   cfg.board.rtos.cycles_per_tick = 10;
   cosim::CosimSession session{cfg};
   EchoDevice echo{session.hw()};
@@ -94,7 +94,7 @@ Outcome run_annotated(u64 rounds, u64 t_sync) {
 Outcome run_firmware(u64 rounds, u64 t_sync) {
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kTcp;
-  cfg.cosim.t_sync = t_sync;
+  cfg.cosim.sync.quantum(t_sync);
   cfg.board.rtos.cycles_per_tick = 10;
   cosim::CosimSession session{cfg};
   EchoDevice echo{session.hw()};

@@ -4,6 +4,7 @@
 // runs it to completion and reports wall time + accuracy.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -94,7 +95,7 @@ inline ExperimentResult run_router_experiment(const ExperimentParams& p) {
   cosim::SessionConfig cfg;
   cfg.transport = p.transport;
   if (p.t_sync.has_value()) {
-    cfg.cosim.t_sync = *p.t_sync;
+    cfg.cosim.sync.quantum(*p.t_sync);
   } else {
     cfg.set_untimed();
   }
@@ -208,6 +209,82 @@ inline bool record_mode(int argc, char** argv) {
     if (std::string(argv[i]) == "--record") return true;
   }
   return false;
+}
+
+/// True when invoked with --gate (a failed check exits 1).
+inline bool gate_mode(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--gate") return true;
+  }
+  return false;
+}
+
+/// Linear-interpolated quantile `q` of `samples` (sorted in place).
+inline double quantile(std::vector<double>& samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] +
+         (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+}
+
+/// A candidate configuration's wall time judged against a baseline's own
+/// run-to-run spread: the candidate median may exceed the baseline median
+/// by no more than the baseline's quartile spread (Q3 - Q1).
+struct SpreadCheck {
+  int pairs = 0;
+  double baseline_median_s = 0;
+  double baseline_spread_s = 0;
+  double candidate_median_s = 0;
+
+  [[nodiscard]] double overhead_pct() const {
+    return baseline_median_s > 0
+               ? (candidate_median_s / baseline_median_s - 1.0) * 100.0
+               : 0.0;
+  }
+  [[nodiscard]] bool ok() const {
+    return candidate_median_s <= baseline_median_s + baseline_spread_s;
+  }
+  /// One line: "<what>: median +1.23% (baseline median ..., spread ...)".
+  void print(const char* what) const {
+    std::printf("%s: median %+.2f%% over %d interleaved pairs (baseline "
+                "median %.4f s, quartile spread %.4f s) — %s\n",
+                what, overhead_pct(), pairs, baseline_median_s,
+                baseline_spread_s,
+                ok() ? "within the spread" : "BEYOND the spread");
+  }
+  /// The check as JSON object members (no braces), for a JsonRow.
+  [[nodiscard]] std::string json_fields() const {
+    return strformat(
+        "\"pairs\":{},\"overhead_pct\":{},\"baseline_median_s\":{},"
+        "\"baseline_spread_s\":{},\"candidate_median_s\":{},\"ok\":{}",
+        pairs, overhead_pct(), baseline_median_s, baseline_spread_s,
+        candidate_median_s, ok() ? "true" : "false");
+  }
+};
+
+/// Times a candidate against a baseline in `pairs` interleaved repetitions
+/// — alternating which of the two runs first, so host drift hits both
+/// alike — and compares their medians against the baseline's spread.
+/// `run(candidate)` runs one repetition and returns its wall seconds.
+template <class Run>
+SpreadCheck interleaved_spread_check(int pairs, Run&& run) {
+  std::vector<double> baseline;
+  std::vector<double> candidate;
+  for (int i = 0; i < pairs; ++i) {
+    for (const bool is_candidate : {i % 2 == 1, i % 2 == 0}) {
+      (is_candidate ? candidate : baseline).push_back(run(is_candidate));
+    }
+  }
+  SpreadCheck check;
+  check.pairs = pairs;
+  check.baseline_median_s = quantile(baseline, 0.5);
+  check.baseline_spread_s =
+      quantile(baseline, 0.75) - quantile(baseline, 0.25);
+  check.candidate_median_s = quantile(candidate, 0.5);
+  return check;
 }
 
 /// True when invoked with --quick (CI-friendly reduced sweeps).

@@ -63,16 +63,13 @@ ScaleResult run_scale_point(std::size_t n_nodes, bool adaptive,
                             u64 packets_per_port, bool inproc,
                             const std::string& record_prefix = {}) {
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(kTsync).watchdog(std::chrono::milliseconds{30000});
-  if (!record_prefix.empty()) builder.record().timeline();
+  cosim::SyncPolicy policy = cosim::SyncPolicy{}.quantum(kTsync).watchdog(
+      std::chrono::milliseconds{30000});
   if (adaptive) {
-    builder.sync(cosim::SyncPolicy{}
-                     .quantum(kTsync)
-                     .adaptive()
-                     .min_quantum(kMinQuantum)
-                     .max_quantum(kMaxQuantum)
-                     .watchdog(std::chrono::milliseconds{30000}));
+    policy.adaptive().min_quantum(kMinQuantum).max_quantum(kMaxQuantum);
   }
+  builder.sync(policy);
+  if (!record_prefix.empty()) builder.record().timeline();
   if (!inproc) builder.tcp();
   for (std::size_t p = 0; p < n_nodes; ++p) {
     builder.add_node(strformat("node{}", p));

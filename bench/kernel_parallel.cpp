@@ -142,16 +142,6 @@ RunOutcome run_netlist(std::size_t ports, unsigned workers, int rounds,
   return r;
 }
 
-/// Linear-interpolated quantile `q` of `samples` (sorted in place).
-double quantile(std::vector<double>& samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  return samples[lo] + (pos - static_cast<double>(lo)) *
-                           (samples[hi] - samples[lo]);
-}
-
 RunOutcome min_of(std::size_t ports, unsigned workers, int rounds,
                   sim::SimTime run_time, int reps) {
   RunOutcome best;
@@ -170,10 +160,7 @@ int main(int argc, char** argv) {
       "parallel kernel scaling: per-port pipelines x evaluation lanes",
       "deterministic parallel delta-cycle kernel (tentpole acceptance)");
   const bool quick = bench::quick_mode(argc, argv);
-  bool gate = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--gate") gate = true;
-  }
+  const bool gate = bench::gate_mode(argc, argv);
 
   const int reps = quick ? 2 : 3;
   const int rounds = quick ? 400 : 1500;
@@ -228,42 +215,31 @@ int main(int argc, char** argv) {
   // never-armed kernel, run as interleaved pairs (alternating which goes
   // first) so drift in the host hits both sides alike.
   const int pairs = quick ? 5 : 7;
-  std::vector<double> serial_s;
-  std::vector<double> disarmed_s;
   RunOutcome base;
   RunOutcome disarmed;
   bool disarmed_parity = true;
-  for (int i = 0; i < pairs; ++i) {
-    for (const bool arm_then_disarm : {i % 2 == 1, i % 2 == 0}) {
-      RunOutcome one = run_netlist(32, 0, rounds, run_time, arm_then_disarm);
-      (arm_then_disarm ? disarmed_s : serial_s).push_back(one.wall_s);
-      (arm_then_disarm ? disarmed : base) = std::move(one);
-    }
-    disarmed_parity = disarmed_parity && disarmed.folded == base.folded &&
-                      disarmed.delta_count == base.delta_count;
-  }
-  const double serial_q1 = quantile(serial_s, 0.25);
-  const double serial_median = quantile(serial_s, 0.5);
-  const double serial_spread = quantile(serial_s, 0.75) - serial_q1;
-  const double disarmed_median = quantile(disarmed_s, 0.5);
-  const double disarmed_pct =
-      serial_median > 0 ? (disarmed_median / serial_median - 1.0) * 100.0
-                        : 0.0;
-  const bool disarmed_ok =
-      disarmed_parity && disarmed_median <= serial_median + serial_spread;
-  std::printf(
-      "\ndisarmed overhead (armed at 4, then workers=0), %d interleaved "
-      "pairs: median %+.2f%% (serial median %.4f s, quartile spread %.4f s)\n",
-      pairs, disarmed_pct, serial_median, serial_spread);
+  const bench::SpreadCheck check =
+      bench::interleaved_spread_check(pairs, [&](bool arm_then_disarm) {
+        RunOutcome one =
+            run_netlist(32, 0, rounds, run_time, arm_then_disarm);
+        const double wall = one.wall_s;
+        (arm_then_disarm ? disarmed : base) = std::move(one);
+        if (arm_then_disarm) {
+          disarmed_parity = disarmed_parity &&
+                            disarmed.folded == base.folded &&
+                            disarmed.delta_count == base.delta_count;
+        }
+        return wall;
+      });
+  const bool disarmed_ok = disarmed_parity && check.ok();
+  std::printf("\n");
+  check.print("disarmed overhead (armed at 4, then workers=0)");
 
   {
     bench::JsonRow row;
-    row.params = strformat(
-        "\"config\":\"disarmed\",\"ports\":32,\"pairs\":{},"
-        "\"overhead_pct\":{},\"serial_median_s\":{},"
-        "\"serial_spread_s\":{},\"disarmed_median_s\":{}",
-        pairs, disarmed_pct, serial_median, serial_spread, disarmed_median);
-    row.wall_seconds = disarmed_median;
+    row.params = "\"config\":\"disarmed\",\"ports\":32," +
+                 check.json_fields();
+    row.wall_seconds = check.candidate_median_s;
     row.metrics_json = disarmed.metrics;
     rows.push_back(std::move(row));
   }
@@ -289,7 +265,7 @@ int main(int argc, char** argv) {
                        "the serial runs' quartile spread\n"
                      : "FAIL: disarmed parallel config diverged from serial "
                        "(%.2f%%)\n",
-                 disarmed_pct);
+                 check.overhead_pct());
     ++failures;
   }
   if (quick) {

@@ -16,8 +16,9 @@
 // before vhp::mem existed. "legacy" is the pre-hierarchy firmware loop —
 // the Cpu stepping straight on the MemoryBus with batched consume() —
 // reproduced here verbatim; "disarmed" is today's IssRunner, whose bus
-// carries the TimedBus decorator and the null-port branch. Budget: the
-// disarmed run stays within 1% wall time of legacy (min over reps).
+// carries the TimedBus decorator and the null-port branch. The check: in
+// interleaved repetitions, the disarmed median stays within the legacy
+// runs' own quartile spread (bench::interleaved_spread_check).
 //
 // Output: BENCH_mem_contention.metrics.json.
 #include "bench_util.hpp"
@@ -164,7 +165,7 @@ iss::Asm gate_program() {
 }
 
 struct GateResult {
-  double wall_min_s = 1e100;
+  double wall_s = 0;
   u64 instructions = 0;
   std::string metrics_json;
 };
@@ -173,7 +174,7 @@ struct GateResult {
 /// pre-hierarchy ISS integration: Cpu straight on the MemoryBus, batching
 /// flat StepResult cycles into consume() — no TimedBus, no null-port
 /// branch. Otherwise the regular (disarmed) IssRunner drives the firmware.
-void run_gate_rep(bool legacy, u64 fixed_cycles, GateResult& acc) {
+GateResult run_gate_rep(bool legacy, u64 fixed_cycles) {
   auto cfg = cosim::SessionConfigBuilder{}
                  .inproc()
                  .t_sync(500)
@@ -219,77 +220,59 @@ void run_gate_rep(bool legacy, u64 fixed_cycles, GateResult& acc) {
   const auto end = std::chrono::steady_clock::now();
   session.finish();
 
-  const double wall = std::chrono::duration<double>(end - start).count();
-  acc.wall_min_s = std::min(acc.wall_min_s, wall);
-  acc.instructions =
+  GateResult r;
+  r.wall_s = std::chrono::duration<double>(end - start).count();
+  r.instructions =
       legacy ? flat_cpu->instructions_retired() : runner->instructions();
-  acc.metrics_json = session.obs().metrics_json();
+  r.metrics_json = session.obs().metrics_json();
+  return r;
 }
 
 int run_gate(int argc, char** argv) {
   const bool quick = bench::quick_mode(argc, argv);
-  const int reps = quick ? 3 : 5;
+  const int pairs = quick ? 11 : 15;
   const u64 fixed_cycles = quick ? 60'000 : 120'000;
 
+  (void)run_gate_rep(true, fixed_cycles);  // warm-up, not timed
   GateResult legacy, disarmed;
-  for (int i = 0; i < reps; ++i) run_gate_rep(true, fixed_cycles, legacy);
-  for (int i = 0; i < reps; ++i) run_gate_rep(false, fixed_cycles, disarmed);
+  const bench::SpreadCheck check =
+      bench::interleaved_spread_check(pairs, [&](bool candidate) {
+        GateResult one = run_gate_rep(!candidate, fixed_cycles);
+        const double wall = one.wall_s;
+        (candidate ? disarmed : legacy) = std::move(one);
+        return wall;
+      });
+  std::printf("%10s %14s\n", "config", "instructions");
+  std::printf("%10s %14llu\n", "legacy",
+              static_cast<unsigned long long>(legacy.instructions));
+  std::printf("%10s %14llu\n", "disarmed",
+              static_cast<unsigned long long>(disarmed.instructions));
+  check.print("disarmed single-core board vs the legacy flat loop");
 
-  const double overhead_pct =
-      legacy.wall_min_s > 0
-          ? (disarmed.wall_min_s / legacy.wall_min_s - 1.0) * 100.0
-          : 0.0;
-  std::printf("%10s %12s %14s %10s\n", "config", "wall_min_s", "instructions",
-              "vs_legacy");
-  std::printf("%10s %12.4f %14llu %9s\n", "legacy", legacy.wall_min_s,
-              static_cast<unsigned long long>(legacy.instructions), "-");
-  std::printf("%10s %12.4f %14llu %+9.2f%%\n", "disarmed",
-              disarmed.wall_min_s,
-              static_cast<unsigned long long>(disarmed.instructions),
-              overhead_pct);
-
-  std::vector<bench::JsonRow> rows;
-  const struct {
-    const char* name;
-    const GateResult* r;
-    double pct;
-  } table[] = {{"legacy", &legacy, 0.0}, {"disarmed", &disarmed,
-                                          overhead_pct}};
-  for (const auto& entry : table) {
-    bench::JsonRow row;
-    row.params = strformat(
-        "\"config\":\"{}\",\"reps\":{},\"fixed_cycles\":{},"
-        "\"instructions\":{},\"overhead_pct\":{}",
-        entry.name, reps, fixed_cycles, entry.r->instructions, entry.pct);
-    row.wall_seconds = entry.r->wall_min_s;
-    row.metrics_json = entry.r->metrics_json;
-    rows.push_back(std::move(row));
-  }
+  bench::JsonRow row;
+  row.params = strformat("\"config\":\"disarmed\",\"fixed_cycles\":{},"
+                         "\"instructions\":{},\"legacy_instructions\":{},",
+                         fixed_cycles, disarmed.instructions,
+                         legacy.instructions) +
+               check.json_fields();
+  row.wall_seconds = check.candidate_median_s;
+  row.metrics_json = disarmed.metrics_json;
   const std::string path = bench::json_output_path(
       argc, argv, "BENCH_mem_contention.metrics.json");
-  if (!bench::write_bench_json(path, "mem_contention", rows)) {
+  if (!bench::write_bench_json(path, "mem_contention", {row})) {
     std::fprintf(stderr, "\nfailed to write %s\n", path.c_str());
     return 2;
   }
   std::printf("wrote %s\n", path.c_str());
 
-  if (overhead_pct > 1.0) {
+  if (!check.ok()) {
     std::fprintf(stderr,
-                 "FAIL: disarmed single-core board costs %.2f%% over the "
-                 "legacy flat loop (budget 1%%)\n",
-                 overhead_pct);
+                 "FAIL: disarmed single-core board costs %+.2f%% over the "
+                 "legacy flat loop, beyond its quartile spread\n",
+                 check.overhead_pct());
     return 1;
   }
-  std::printf("disarmed overhead %.2f%% — within the 1%% budget\n",
-              overhead_pct);
   return 0;
-}
-
-bool gate_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--gate") return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -299,7 +282,7 @@ int main(int argc, char** argv) {
       "many-core shared-memory contention: cores x banks, fixed vs adaptive",
       "vhp::mem acceptance: bank conflicts scale with cores/banks; a "
       "disarmed single-core board costs under 1%");
-  if (gate_mode(argc, argv)) return run_gate(argc, argv);
+  if (bench::gate_mode(argc, argv)) return run_gate(argc, argv);
 
   const bool quick = bench::quick_mode(argc, argv);
   const u32 iters = quick ? 300 : 1000;

@@ -192,7 +192,8 @@ BatchingResult run_batching_fabric(u64 packets_per_port) {
   app_cfg.cost_per_byte = 1;
 
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(1000).watchdog(std::chrono::milliseconds{15000});
+  builder.sync(cosim::SyncPolicy{}.quantum(1000).watchdog(
+      std::chrono::milliseconds{15000}));
   builder.tcp().batching();
   for (std::size_t p = 0; p < kPorts; ++p) {
     builder.add_node("port" + std::to_string(p));

@@ -88,7 +88,7 @@ iss::Asm make_firmware() {
 int main() {
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kTcp;
-  cfg.cosim.t_sync = 100;
+  cfg.cosim.sync.quantum(100);
   cfg.board.rtos.cycles_per_tick = 10;
   cosim::CosimSession session{cfg};
 

@@ -80,12 +80,12 @@ int run_replay(const std::string& path) {
   }
   const u64 n_packets = tag_u64(recording, "n_packets", 100);
   cosim::CosimConfig cc;
-  cc.t_sync = tag_u64(recording, "t_sync", cc.t_sync);
+  cc.sync.quantum(tag_u64(recording, "t_sync", cc.sync.quantum()));
   cc.data_poll_interval =
       tag_u64(recording, "data_poll_interval", cc.data_poll_interval);
   cc.timed = tag_u64(recording, "timed", 1) != 0;
   std::printf("replaying %s: T_sync=%llu, N=%llu packets, %zu frames\n\n",
-              path.c_str(), (unsigned long long)cc.t_sync,
+              path.c_str(), (unsigned long long)cc.sync.quantum(),
               (unsigned long long)n_packets, recording.frames.size());
 
   auto opened = net::ReplaySession::open(std::move(recording));

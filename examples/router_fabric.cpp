@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   const u64 n_packets = args.positional_u64(1, 100);
 
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(t_sync).watchdog(std::chrono::milliseconds{30000});
+  builder.sync(cosim::SyncPolicy{}.quantum(t_sync).watchdog(
+      std::chrono::milliseconds{30000}));
   if (!inproc) builder.tcp();
   if (record_prefix.has_value()) builder.record();
   for (std::size_t p = 0; p < kPorts; ++p) {

@@ -56,6 +56,11 @@ struct BoardConfig {
   /// Unset (default) keeps the flat cycle-budget board, bit-compatible with
   /// every existing recording. Required whenever rtos.cores > 1.
   std::optional<mem::MemConfig> memory;
+
+  /// Nonzero RTOS timing divisors, at least one core, and a valid memory
+  /// hierarchy wherever there is one (it is required for more than one
+  /// core). Sessions and fabrics check every board they build with this.
+  [[nodiscard]] Status validate() const;
 };
 
 class Board {

@@ -1,24 +1,31 @@
 // The modified simulation engine: the paper's driver_simulate() (Section 5.2).
 //
 // Wraps a sim::Kernel and drives it cycle by cycle while servicing the three
-// co-simulation channels:
-//   * before each clock cycle, the DATA port is drained (driver writes are
+// co-simulation channels of each of its 1..N board links:
+//   * before each clock cycle, every DATA port is drained (driver writes are
 //     delivered to DriverIn ports, read requests answered from DriverOut);
 //   * after each cycle, watched interrupt lines are edge-sampled and
-//     INT_RAISE packets emitted;
-//   * every T_sync cycles, a CLOCK_TICK packet grants the board T_sync
-//     cycles of execution and the kernel blocks until the TIME_ACK — while
-//     still answering DATA traffic, so a board thread blocked mid-quantum on
-//     a device read can never deadlock the session.
+//     INT_RAISE packets emitted on the watching link;
+//   * whenever a board's grant expires, the SyncCoordinator barrier grants
+//     the due boards their next quantum with CLOCK_TICKs and gathers the
+//     TIME_ACKs — while still answering DATA traffic, so a board thread
+//     blocked mid-quantum on a device read can never deadlock the run.
+//
+// One loop body (pump) serves both drives: run_cycles() is pump() plus a
+// blocking wait, and an event loop calls pump() directly. A two-party
+// session is the N=1 case of a fabric.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "vhp/common/log.hpp"
 #include "vhp/common/status.hpp"
 #include "vhp/cosim/driver_port.hpp"
+#include "vhp/cosim/sync_coordinator.hpp"
 #include "vhp/cosim/sync_policy.hpp"
 #include "vhp/net/channel.hpp"
 #include "vhp/obs/hub.hpp"
@@ -28,23 +35,18 @@
 namespace vhp::cosim {
 
 struct CosimConfig {
-  /// Synchronization interval in HW clock cycles (the paper's T_sync).
-  /// Deprecated shim: honored only while `sync` is unset.
-  u64 t_sync = 1000;
-  /// The unified synchronization policy (ISSUE 6). When set it wins
-  /// wholesale over the legacy `t_sync` field and may enable adaptive
-  /// lookahead mode (pair with board::BoardConfig::advertise_lookahead;
-  /// CosimSession wires that automatically).
-  std::optional<SyncPolicy> sync;
+  /// The synchronization policy: quantum (the paper's T_sync), per-node
+  /// quanta, adaptive lookahead mode (pair with
+  /// board::BoardConfig::advertise_lookahead; CosimSession and Fabric wire
+  /// that automatically), and the watchdog bounding every gather.
+  SyncPolicy sync{};
   /// Simulation time units per clock cycle (posedge every period).
   sim::SimTime clock_period = 2;
   /// When true, run timed: exchange CLOCK_TICK/TIME_ACK. When false the
   /// simulation free-runs (the paper's untimed baseline, the denominator of
   /// Figure 6's overhead ratio) — the board then runs unsynchronized.
   bool timed = true;
-  /// Send SHUTDOWN on finish() so the board's run() returns.
-  bool shutdown_on_finish = true;
-  /// Poll the DATA port every this many cycles (1 = the paper's
+  /// Poll the DATA ports every this many cycles (1 = the paper's
   /// driver_simulate, which checks for data each simulation cycle).
   /// Larger values amortize the empty check at the price of coarser
   /// driver-write delivery (an ablation knob; see bench/abl_data_poll).
@@ -59,17 +61,19 @@ struct CosimConfig {
   /// contract.
   u64 parallel_workers = 0;
 
-  /// The policy in effect: `sync` when set, else the legacy fields
-  /// repackaged (fixed mode at `t_sync`).
-  [[nodiscard]] SyncPolicy resolved_sync() const {
-    if (sync.has_value()) return *sync;
-    return SyncPolicy{}.quantum(t_sync);
-  }
-
   /// Rejects configurations that would divide by zero or stall the protocol
-  /// (t_sync == 0 in timed mode, zero clock_period / data_poll_interval,
-  /// an invalid `sync` policy).
+  /// (an invalid `sync` policy in timed mode, zero clock_period /
+  /// data_poll_interval).
   [[nodiscard]] Status validate() const;
+};
+
+/// One board-facing link of the master. `name` labels the board in the
+/// coordinator's errors and metrics ("fabric.<name>.*", and the link's own
+/// DATA/INT counters there too); an unnamed link is a session's board,
+/// which books its DATA/INT counters under "cosim.*" and syncs as "node0".
+struct MasterLink {
+  std::string name;
+  net::CosimLink link;
 };
 
 class CosimKernel {
@@ -79,6 +83,10 @@ class CosimKernel {
   /// metric counters still run, they back stats().
   CosimKernel(net::CosimLink link, CosimConfig config,
               obs::Hub* hub = nullptr);
+  /// The N-board master (a fabric): one slot per link, each with its own
+  /// device address space and interrupt watches.
+  CosimKernel(std::vector<MasterLink> links, CosimConfig config,
+              obs::Hub* hub = nullptr);
   ~CosimKernel();
 
   CosimKernel(const CosimKernel&) = delete;
@@ -86,63 +94,75 @@ class CosimKernel {
 
   [[nodiscard]] sim::Kernel& kernel() { return kernel_; }
   [[nodiscard]] sim::Clock& clock() { return clock_; }
-  [[nodiscard]] DriverRegistry& registry() { return registry_; }
   [[nodiscard]] const CosimConfig& config() const { return config_; }
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
 
-  /// Registers `line` as a device interrupt source: a rising edge sampled
-  /// at a cycle boundary sends INT_RAISE(vector) to the board.
-  void watch_interrupt(sim::BoolSignal& line, u32 vector);
+  /// Link i's device address space (its DATA traffic consults only this
+  /// registry). The no-argument form is link 0 — a session's board.
+  [[nodiscard]] DriverRegistry& registry(std::size_t link = 0);
 
-  /// Waits for the board's initial "frozen" TIME_ACK (timed mode only).
-  /// Must be called once before the first run_cycles().
-  Status handshake(std::optional<std::chrono::milliseconds> timeout =
-                       std::chrono::milliseconds{10000});
+  /// Registers `line` as a device interrupt source of link i: a rising edge
+  /// sampled at a cycle boundary sends INT_RAISE(vector) to that board.
+  void watch_interrupt(sim::BoolSignal& line, u32 vector) {
+    watch_interrupt(0, line, vector);
+  }
+  void watch_interrupt(std::size_t link, sim::BoolSignal& line, u32 vector);
+
+  /// The grant/gather engine; its watchdog (SyncPolicy::watchdog) bounds
+  /// the handshake and every barrier.
+  [[nodiscard]] SyncCoordinator& coordinator() { return *coordinator_; }
+
+  /// Waits for every board's initial "frozen" TIME_ACK (timed mode only).
+  /// Implied by the first run_cycles()/pump().
+  Status handshake();
 
   /// The paper's driver_simulate(): runs `cycles` HW clock cycles of the
   /// model with data service, interrupt propagation and timing sync.
-  /// Fails with kInvalidArgument if the config did not validate.
+  /// Fails with kInvalidArgument if the config did not validate, and with
+  /// kDeadlineExceeded naming the board when a gather outlives the watchdog.
   Status run_cycles(u64 cycles);
 
   /// Non-blocking variant for event-loop hosting (svc::SessionHost): runs
-  /// up to `max_cycles`, but instead of spinning for the TIME_ACK (or the
-  /// handshake) it returns with *blocked=true when the board owes a frame
-  /// that has not arrived. *ran reports cycles completed this call. The
-  /// protocol state (mid-sync vs running) persists across calls — resume
-  /// by calling pump() again once the link shows readiness. A session
-  /// uses either run_cycles() or pump(), not both.
+  /// up to `max_cycles`, but instead of waiting for a TIME_ACK (or the
+  /// handshake) it returns with *blocked=true when a board owes a frame
+  /// that has not arrived. *ran reports cycles completed this
+  /// call. The protocol state (mid-sync vs running) persists across calls —
+  /// resume by calling pump() again once the link shows readiness.
   Status pump(u64 max_cycles, u64* ran, bool* blocked);
 
-  /// True while a CLOCK_TICK is out and its TIME_ACK has not arrived
-  /// (pump() mode only — the blocking path never exposes this state).
-  [[nodiscard]] bool awaiting_ack() const { return awaiting_ack_; }
+  /// True while CLOCK_TICKs are out and TIME_ACKs still owed (only pump()
+  /// returns in that state; run_cycles() never does).
+  [[nodiscard]] bool awaiting_ack() const {
+    return coordinator_->gathering();
+  }
 
-  /// Readiness fds of the hw side of the link (DATA/INT/CLOCK rx), for
+  /// Readiness fds of the hw side of every link (DATA/INT/CLOCK rx), for
   /// event-loop registration; channels without one are omitted.
   [[nodiscard]] std::vector<int> readable_fds();
 
   /// Current cycle count (completed cycles).
   [[nodiscard]] u64 cycle() const { return cycle_; }
 
-  /// The policy in effect and the adaptive state: the cycle of the next
-  /// CLOCK_TICK and the lookahead from the board's latest TIME_ACK
-  /// (nullopt before the handshake or against a v1 board).
-  [[nodiscard]] const SyncPolicy& sync_policy() const { return policy_; }
-  [[nodiscard]] u64 next_sync() const { return next_sync_; }
+  /// The adaptive state of link 0: the cycle of the next CLOCK_TICK and
+  /// the lookahead from the board's latest TIME_ACK (nullopt before the
+  /// handshake or against a v1 board).
+  [[nodiscard]] u64 next_sync() const { return coordinator_->next_due(); }
   [[nodiscard]] std::optional<u64> board_lookahead() const {
-    return board_lookahead_;
+    return coordinator_->node_lookahead(0);
   }
 
   /// Barrier rounds stamped so far (wire v3; 0 unless the hub's timeline is
   /// enabled — round stamping is what grows the CLOCK/TIME_ACK frames, so
   /// it is gated on the timeline switch to keep default runs byte-exact).
-  [[nodiscard]] u64 rounds() const { return round_; }
+  [[nodiscard]] u64 rounds() const { return coordinator_->rounds(); }
 
-  /// Ends the co-simulation (sends SHUTDOWN if configured).
+  /// Ends the co-simulation: flushes every link and sends SHUTDOWN to every
+  /// board. An evicted board's link is closed as well, so a peer still
+  /// blocked on it wakes.
   void finish();
 
-  /// Compatibility view over the metrics registry (the counters live under
-  /// "cosim.*"); returned by value as a snapshot.
+  /// Totals over all links: ticks sent, DATA writes/reads served,
+  /// interrupts raised, and TIME_ACKs of ticks (the boot acks excluded).
   struct Stats {
     u64 syncs = 0;
     u64 data_writes = 0;
@@ -150,10 +170,7 @@ class CosimKernel {
     u64 interrupts_sent = 0;
     u64 acks_received = 0;
   };
-  [[nodiscard]] Stats stats() const {
-    return Stats{syncs_.value(), data_writes_.value(), data_reads_.value(),
-                 interrupts_sent_.value(), acks_received_.value()};
-  }
+  [[nodiscard]] Stats stats() const;
 
  private:
   struct IntWatch {
@@ -162,57 +179,52 @@ class CosimKernel {
     bool prev = false;
   };
 
-  /// Drains pending DATA frames; returns first hard error.
-  Status service_data_port();
-  Status handle_data_msg(const net::Message& msg);
-  /// Sends CLOCK_TICK and blocks for TIME_ACK, servicing DATA meanwhile.
-  Status sync_with_board();
-  /// Flushes DATA/INT and emits the CLOCK_TICK (shared by the blocking
-  /// and pump() paths; spans bookkeeping lands in accept_ack).
-  Status send_tick();
-  /// Validates and applies a received TIME_ACK (grant policy, spans).
-  Status accept_ack(const net::Message& msg);
-  Status sample_interrupts();
-  /// Captures a TIME_ACK's lookahead (adaptive state + cosim.lookahead_acks).
-  void note_ack(const net::TimeAck& ack);
+  /// Per-link state: the hw side of the link, its device address space,
+  /// its interrupt watches and its DATA/INT counters.
+  struct Slot {
+    net::CosimLink link;
+    DriverRegistry registry;
+    std::vector<IntWatch> watches;
+    obs::Counter& data_writes;
+    obs::Counter& data_reads;
+    obs::Counter& interrupts_sent;
+  };
 
-  net::CosimLink link_;
+  [[nodiscard]] Slot& slot_at(std::size_t link);
+  /// Drains every live link's DATA port; returns the first hard error.
+  Status service_links();
+  Status handle_data_msg(Slot& slot, const net::Message& msg);
+  Status sample_interrupts();
+  /// One non-blocking step of the barrier due at cycle_: the first step
+  /// flushes the batched links and scatters; *done once every ack is in.
+  Status barrier_step(bool* done);
+  /// pump()'s loop: runs cycles until cycle_ reaches `until` or a board
+  /// owes a frame (*blocked).
+  Status advance(u64 until, bool* blocked);
+
   CosimConfig config_;
   Status config_status_;
   Logger log_{"cosim"};
 
-  // Declared before the counter references: init order matters.
+  // Declared before the references into it: init order matters.
   std::unique_ptr<obs::Hub> owned_hub_;
   obs::Hub* hub_;
-  obs::Counter& syncs_;
-  obs::Counter& data_writes_;
-  obs::Counter& data_reads_;
-  obs::Counter& interrupts_sent_;
-  obs::Counter& acks_received_;
-  obs::Counter& lookahead_acks_;
   obs::LatencyHistogram& sync_rtt_ns_;
-  obs::LatencyHistogram& grant_cycles_;
-  obs::SpanSink& spans_;  // timeline ring "cosim" (two-party spans)
 
   sim::Kernel kernel_;
   sim::Clock clock_;
-  DriverRegistry registry_;
-  std::vector<IntWatch> watches_;
-
-  SyncPolicy policy_;           // config_.resolved_sync()
-  u64 last_granted_ = 0;        // cycle of the previous CLOCK_TICK
-  u64 next_sync_ = 0;           // cycle of the next CLOCK_TICK
-  std::optional<u64> board_lookahead_;  // from the latest TIME_ACK
+  std::vector<Slot> slots_;  // sized once: registry() references stay valid
+  std::unique_ptr<SyncCoordinator> coordinator_;
+  /// service_links() bound once, handed to every gather pass.
+  std::function<Status()> service_;
 
   u64 cycle_ = 0;
-  u64 round_ = 0;  // wire-v3 round id of the latest CLOCK_TICK
-  bool handshaken_ = false;
+  /// The coordinator's ack count after the handshake: stats() reports the
+  /// acks of ticks only.
+  u64 boot_acks_ = 0;
   bool finished_ = false;
-  /// pump() protocol state: a CLOCK_TICK is in flight, TIME_ACK pending.
-  bool awaiting_ack_ = false;
-  /// Span bookkeeping across the send_tick/accept_ack split.
+  /// Tracer start of the barrier in flight (cosim.sync / sync_rtt_ns).
   u64 sync_span_start_ = 0;
-  u64 tick_sent_ns_ = 0;
   /// Per-lane busy_ns already folded into the sim.worker*.busy_ns
   /// histograms (the collector records deltas between metric dumps).
   std::vector<u64> lane_busy_collected_;

@@ -10,53 +10,29 @@
 
 #include "vhp/board/board.hpp"
 #include "vhp/cosim/cosim_kernel.hpp"
-#include "vhp/fault/plan.hpp"
-#include "vhp/fault/reliable.hpp"
-#include "vhp/net/batching.hpp"
+#include "vhp/cosim/links.hpp"
 #include "vhp/net/latency.hpp"
 #include "vhp/obs/hub.hpp"
 
 namespace vhp::cosim {
 
-enum class TransportKind {
-  kInProc,
-  kTcp,
-  /// Shared-memory SPSC rings (net/shm_ring.hpp): no syscall on the data
-  /// path, eventfd doorbells for readiness — the svc session server's
-  /// fast path (DESIGN.md §14).
-  kShm,
-};
-
-struct SessionConfig {
+/// The session's link knobs (transport, batching, fault plan, recovery)
+/// come from LinkConfig, shared with the fabric.
+struct SessionConfig : LinkConfig {
   CosimConfig cosim{};
   board::BoardConfig board{};
-  TransportKind transport = TransportKind::kInProc;
-  /// Per-quantum frame batching (net/batching.hpp, DESIGN.md §14): DATA
-  /// and INT frames coalesce into one vectored send flushed at the
-  /// CLOCK boundary. Timed mode only; incompatible with recovery
-  /// (validate() enforces both). Recordings stay bit-identical — the
-  /// batcher sits below every decorator.
-  bool batch_frames = false;
-  net::BatchingConfig batching{};
   /// Optional emulated link latency on every channel (see net/latency.hpp).
   /// The paper's physical medium (Ethernet + eCos IP stack) is much slower
   /// than loopback; absolute-overhead experiments emulate that here.
   net::LinkEmulationConfig link_emulation{};
-  /// Deterministic fault injection on the hw side of the link (see
-  /// vhp/fault/plan.hpp); an empty plan is zero-hop. A plan that can lose
-  /// or mutate frames requires recovery.enabled.
-  fault::FaultPlan fault_plan{};
-  /// Link-level recovery (sequence numbers, ack/retransmit, reconnect) on
-  /// both sides of the link — see vhp/fault/reliable.hpp.
-  fault::RecoveryConfig recovery{};
   /// Observability (vhp::obs): off by default — the costly instruments
   /// (timeline tracing, stall profiling, per-frame link accounting) are
   /// opt-in; plain metric counters always run.
   obs::ObsConfig obs{};
   /// Where post-mortem flight-recorder dumps land when obs.record is on:
-  /// "<prefix>.{hw,board}.jsonl" on an error Status from run_cycles(), a
-  /// deadline timeout, or a fatal signal (install_postmortem_signal_handler).
-  /// Empty disables automatic dumping.
+  /// "<prefix>.{hw,board}.jsonl" on an error Status from run_cycles() —
+  /// a watchdog expiry (SyncPolicy::watchdog) included — or a fatal signal
+  /// (install_postmortem_signal_handler). Empty disables automatic dumping.
   std::string postmortem_prefix = "vhp-postmortem";
 
   /// Convenience: configure the matching untimed baseline (no sync traffic,
@@ -66,8 +42,10 @@ struct SessionConfig {
     board.free_running = true;
   }
 
-  /// Full consistency check: CosimConfig::validate() plus the cross-layer
-  /// rules (timed kernel <-> budgeted board, nonzero RTOS timing divisors).
+  /// Full consistency check: CosimConfig::validate(),
+  /// BoardConfig::validate() and LinkConfig::validate(), plus the
+  /// cross-layer rules (timed kernel <-> budgeted board, no eviction — a
+  /// session has one board).
   /// CosimSession's constructor enforces this by throwing
   /// std::invalid_argument with the status message; call it yourself first
   /// to handle misconfiguration as a Status instead.
@@ -83,29 +61,16 @@ struct SessionConfig {
 ///                  .cycles_per_tick(10)
 ///                  .observability()
 ///                  .build_or_throw();
-class SessionConfigBuilder {
+class SessionConfigBuilder
+    : public ConfigBuilder<SessionConfigBuilder, SessionConfig> {
  public:
-  SessionConfigBuilder& transport(TransportKind kind) {
-    config_.transport = kind;
-    return *this;
-  }
-  SessionConfigBuilder& tcp() { return transport(TransportKind::kTcp); }
-  SessionConfigBuilder& inproc() { return transport(TransportKind::kInProc); }
-  SessionConfigBuilder& shm() { return transport(TransportKind::kShm); }
-
-  /// Per-quantum frame batching on DATA/INT (timed sessions only; see
-  /// SessionConfig::batch_frames).
-  SessionConfigBuilder& batching(bool on = true) {
-    config_.batch_frames = on;
-    return *this;
-  }
-
+  /// The paper's name for the policy quantum: sync.quantum(cycles).
   SessionConfigBuilder& t_sync(u64 cycles) {
-    config_.cosim.t_sync = cycles;
+    config_.cosim.sync.quantum(cycles);
     return *this;
   }
-  /// The unified knob-set (CosimConfig::sync); wins over t_sync()
-  /// wholesale. An adaptive policy automatically configures the board to
+  /// The synchronization policy (CosimConfig::sync), replacing any earlier
+  /// t_sync(). An adaptive policy automatically configures the board to
   /// advertise its lookahead (wire v2 acks).
   SessionConfigBuilder& sync(SyncPolicy policy) {
     config_.cosim.sync = std::move(policy);
@@ -168,36 +133,11 @@ class SessionConfigBuilder {
     return *this;
   }
 
-  SessionConfigBuilder& fault_plan(fault::FaultPlan plan) {
-    config_.fault_plan = std::move(plan);
-    return *this;
-  }
-  SessionConfigBuilder& recovery(fault::RecoveryConfig recovery_config) {
-    config_.recovery = recovery_config;
-    return *this;
-  }
-  SessionConfigBuilder& recover(bool on = true) {
-    config_.recovery.enabled = on;
-    return *this;
-  }
-
-  SessionConfigBuilder& observability(bool on = true) {
-    config_.obs.enabled = on;
-    return *this;
-  }
   SessionConfigBuilder& max_trace_events(std::size_t n) {
     config_.obs.max_trace_events = n;
     return *this;
   }
 
-  /// Flight recorder (independent of observability()): ring-only frame
-  /// capture on all three ports of both sides. The default payload cap is
-  /// raised to the frame-size maximum so recordings stay replayable.
-  SessionConfigBuilder& record(bool on = true) {
-    config_.obs.record.enabled = on;
-    if (on) config_.obs.record.max_payload_bytes = 1u << 16;
-    return *this;
-  }
   SessionConfigBuilder& record_ring(std::size_t frames) {
     config_.obs.record.ring_frames = frames;
     return *this;
@@ -210,19 +150,6 @@ class SessionConfigBuilder {
     config_.postmortem_prefix = std::move(prefix);
     return *this;
   }
-
-  /// Validated result: the config, or the first rule it breaks.
-  [[nodiscard]] Result<SessionConfig> build() const {
-    Status s = config_.validate();
-    if (!s.ok()) return s;
-    return config_;
-  }
-
-  /// For mainline example/benchmark code where misconfiguration is fatal.
-  [[nodiscard]] SessionConfig build_or_throw() const;
-
- private:
-  SessionConfig config_{};
 };
 
 class CosimSession {
@@ -269,9 +196,10 @@ class CosimSession {
   void start_board();
 
   /// Runs the co-simulation for `cycles` HW clock cycles. A non-OK Status
-  /// (transport failure, deadline timeout, protocol error) triggers an
-  /// automatic post-mortem dump of both flight-recorder rings (see
-  /// SessionConfig::postmortem_prefix) before it is returned.
+  /// (transport failure, a board that stops acking past the policy's
+  /// watchdog, protocol error) triggers an automatic post-mortem dump of
+  /// both flight-recorder rings (see SessionConfig::postmortem_prefix)
+  /// before it is returned.
   Status run_cycles(u64 cycles);
 
   /// Sends SHUTDOWN and joins the board thread.

@@ -1,9 +1,9 @@
-// SyncPolicy — the one knob-set for timing synchronization (ISSUE 6).
+// SyncPolicy — the one knob-set for timing synchronization.
 //
-// Folds the previously scattered sync knobs (t_sync / per-node overrides /
-// watchdog / eviction) together with the adaptive lookahead mode into one
-// fluent value type shared by the two-party CosimKernel and the N-party
-// fabric::SyncCoordinator.
+// The sync knobs (quantum / per-node quanta / watchdog / eviction) and the
+// adaptive lookahead mode in one fluent value type, read by the
+// SyncCoordinator — the grant/gather engine of every CosimKernel, whether
+// it drives one board (a session) or N (a fabric).
 //
 // Fixed mode (the paper's T_sync): every node is granted `quantum` cycles
 // per CLOCK_TICK at a fixed cadence.

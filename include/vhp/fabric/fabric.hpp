@@ -1,11 +1,13 @@
-// vhp::fabric — N-node co-simulation in one process (ISSUE 4 tentpole).
+// vhp::fabric — N-node co-simulation in one process.
 //
-// One simulated-time-master HW kernel orchestrates N virtual boards, each on
-// its own host thread behind its own three-port link (inproc or TCP over
-// loopback). The paper's two-party virtual tick generalizes to an N-party
-// conservative barrier (SyncCoordinator): every node is granted quanta of
-// simulated time and the master advances only once all due nodes have
-// checked in, so adding boards never weakens the timing guarantee.
+// One simulated-time master (a cosim::CosimKernel over N links) orchestrates
+// N virtual boards, each on its own host thread behind its own three-port
+// link (inproc, shm or TCP over loopback). The paper's two-party virtual
+// tick generalizes to an N-party conservative barrier
+// (cosim::SyncCoordinator): every node is granted quanta of simulated time
+// and the master advances only once all due nodes have checked in, so
+// adding boards never weakens the timing guarantee. A two-party
+// CosimSession is the same master over one link.
 //
 // Per-node isolation:
 //   * each node has its own DriverRegistry — identical device addresses on
@@ -34,11 +36,8 @@
 #include <vector>
 
 #include "vhp/board/board.hpp"
-#include "vhp/cosim/driver_port.hpp"
-#include "vhp/fabric/sync_coordinator.hpp"
-#include "vhp/fault/plan.hpp"
-#include "vhp/fault/reliable.hpp"
-#include "vhp/net/batching.hpp"
+#include "vhp/cosim/cosim_kernel.hpp"
+#include "vhp/cosim/links.hpp"
 #include "vhp/net/channel.hpp"
 #include "vhp/obs/hub.hpp"
 #include "vhp/sim/kernel.hpp"
@@ -47,37 +46,26 @@
 
 namespace vhp::fabric {
 
-enum class Transport {
-  kInProc,
-  kTcp,
-  /// Shared-memory SPSC rings (net/shm_ring.hpp): syscall-free data path
-  /// with eventfd doorbells (DESIGN.md §14).
-  kShm,
-};
-
 struct FabricNodeConfig {
   /// Node identity: log tag, metrics namespace ("<name>." prefix in the
   /// merged document), recording label. Empty gets "node<i>".
   std::string name;
   board::BoardConfig board{};
-  /// Per-node sync quantum; 0 uses FabricConfig::t_sync.
-  u64 t_sync = 0;
   /// External party: the fabric creates the link and the barrier slot but
   /// spawns no board; take_board_link() hands out the board-side endpoints.
   bool external = false;
 };
 
-struct FabricConfig {
-  /// Default synchronization quantum in HW clock cycles (the paper's
-  /// T_sync), overridable per node. Deprecated shim: honored only while
-  /// `sync` is unset.
-  u64 t_sync = 1000;
-  /// The unified synchronization policy (ISSUE 6). When set it wins
-  /// wholesale over the legacy t_sync/watchdog/evict_after_misses fields
-  /// (per-node FabricNodeConfig::t_sync overrides still apply) and may
-  /// enable adaptive lookahead mode — every non-external board is then
-  /// configured to advertise its lookahead (wire v2 acks).
-  std::optional<cosim::SyncPolicy> sync;
+/// The link knobs (transport, batching, fault plan on every node's hw
+/// side, recovery on both sides) come from cosim::LinkConfig, shared with
+/// the session.
+struct FabricConfig : cosim::LinkConfig {
+  /// The synchronization policy: default quantum (the paper's T_sync),
+  /// per-node quanta (SyncPolicy::node_quantum, indexed like `nodes`),
+  /// adaptive lookahead mode — every non-external board is then configured
+  /// to advertise its lookahead (wire v2 acks) — the straggler watchdog and
+  /// eviction.
+  cosim::SyncPolicy sync{};
   sim::SimTime clock_period = 2;
   /// Poll each node's DATA port every this many cycles (as CosimConfig).
   u64 data_poll_interval = 1;
@@ -85,47 +73,19 @@ struct FabricConfig {
   /// (including the calling thread); 0 = serial. Bit-identical results
   /// either way — see sim::Kernel::set_parallel.
   u64 parallel_workers = 0;
-  Transport transport = Transport::kInProc;
-  /// Barrier straggler watchdog (SyncConfig::watchdog). Deprecated shim:
-  /// honored only while `sync` is unset.
-  std::chrono::milliseconds watchdog{10000};
-  /// Graceful degradation (SyncConfig::evict_after_misses): a node missing
-  /// this many consecutive watchdog intervals is evicted and the survivors
-  /// keep simulating. 0 keeps fail-fast. Deprecated shim: honored only
-  /// while `sync` is unset.
-  u32 evict_after_misses = 0;
-  /// Deterministic fault injection on every node's link (hw side); an empty
-  /// plan is zero-hop. A plan that can lose or mutate frames requires
-  /// recovery.enabled.
-  fault::FaultPlan fault_plan{};
-  /// Link-level recovery (sequence numbers, ack/retransmit) on both sides
-  /// of every link.
-  fault::RecoveryConfig recovery{};
-  /// Per-quantum frame batching on every link's DATA/INT channels
-  /// (net/batching.hpp, DESIGN.md §14): frames coalesce into one vectored
-  /// send flushed at the barrier boundary. Incompatible with recovery
-  /// (validate() enforces it). Recordings stay bit-identical.
-  bool batch_frames = false;
-  net::BatchingConfig batching{};
   /// Event-loop hosting (DESIGN.md §14): all non-external boards are
   /// pumped cooperatively by ONE svc::EventLoop thread instead of one
   /// parked BoardHost thread each — transport doorbells wake exactly the
   /// board that has input. Virtual-time behavior is identical; only the
   /// host-thread economics change.
   bool event_loop = false;
-  /// Send SHUTDOWN to every node on finish().
-  bool shutdown_on_finish = true;
   /// Applied to the master hub and every node hub alike.
   obs::ObsConfig obs{};
   std::vector<FabricNodeConfig> nodes;
 
-  /// The policy in effect: `sync` when set, else the legacy fields
-  /// repackaged; per-node t_sync overrides apply either way.
-  [[nodiscard]] cosim::SyncPolicy resolved_sync() const;
-
-  /// CosimConfig-style rules, per node: nonzero divisors, budgeted boards
-  /// (a free-running board cannot take part in a barrier), at least one
-  /// node.
+  /// CosimConfig::validate for the master, at least one node, and per
+  /// board node: BoardConfig::validate and a budgeted board (a free-running
+  /// board cannot take part in a barrier); plus LinkConfig::validate.
   [[nodiscard]] Status validate() const;
 };
 
@@ -133,37 +93,27 @@ struct FabricConfig {
 ///
 ///   auto cfg = FabricConfigBuilder{}
 ///                  .tcp()
+///                  .sync(cosim::SyncPolicy{}.node_quantum(1, 250))
 ///                  .t_sync(1000)
 ///                  .add_node("port0")
-///                  .add_node("port1", /*t_sync=*/250)
+///                  .add_node("port1")
 ///                  .build_or_throw();
-class FabricConfigBuilder {
+class FabricConfigBuilder
+    : public cosim::ConfigBuilder<FabricConfigBuilder, FabricConfig> {
  public:
-  FabricConfigBuilder& transport(Transport kind) {
-    config_.transport = kind;
-    return *this;
-  }
-  FabricConfigBuilder& tcp() { return transport(Transport::kTcp); }
-  FabricConfigBuilder& inproc() { return transport(Transport::kInProc); }
-  FabricConfigBuilder& shm() { return transport(Transport::kShm); }
-
-  /// Per-quantum frame batching on every link (FabricConfig::batch_frames).
-  FabricConfigBuilder& batching(bool on = true) {
-    config_.batch_frames = on;
-    return *this;
-  }
   /// One event-loop thread pumps all boards (FabricConfig::event_loop).
   FabricConfigBuilder& event_loop(bool on = true) {
     config_.event_loop = on;
     return *this;
   }
 
+  /// The paper's name for the policy quantum: sync.quantum(cycles).
   FabricConfigBuilder& t_sync(u64 cycles) {
-    config_.t_sync = cycles;
+    config_.sync.quantum(cycles);
     return *this;
   }
-  /// The unified knob-set (FabricConfig::sync); wins over t_sync()/
-  /// watchdog()/evict_after() wholesale.
+  /// The synchronization policy (FabricConfig::sync), replacing any
+  /// earlier t_sync().
   FabricConfigBuilder& sync(cosim::SyncPolicy policy) {
     config_.sync = std::move(policy);
     return *this;
@@ -182,36 +132,6 @@ class FabricConfigBuilder {
     config_.parallel_workers = workers;
     return *this;
   }
-  FabricConfigBuilder& watchdog(std::chrono::milliseconds bound) {
-    config_.watchdog = bound;
-    return *this;
-  }
-  FabricConfigBuilder& evict_after(u32 misses) {
-    config_.evict_after_misses = misses;
-    return *this;
-  }
-  FabricConfigBuilder& fault_plan(fault::FaultPlan plan) {
-    config_.fault_plan = std::move(plan);
-    return *this;
-  }
-  FabricConfigBuilder& recovery(fault::RecoveryConfig recovery_config) {
-    config_.recovery = recovery_config;
-    return *this;
-  }
-  FabricConfigBuilder& recover(bool on = true) {
-    config_.recovery.enabled = on;
-    return *this;
-  }
-  FabricConfigBuilder& observability(bool on = true) {
-    config_.obs.enabled = on;
-    return *this;
-  }
-  /// Flight recorder on every link, payloads kept whole (replayable).
-  FabricConfigBuilder& record(bool on = true) {
-    config_.obs.record.enabled = on;
-    if (on) config_.obs.record.max_payload_bytes = 1u << 16;
-    return *this;
-  }
   /// Arms the cross-node timeline (ObsConfig::timeline): per-round span
   /// rings on both sides of every link plus wire-v3 round stamping on
   /// CLOCK_TICK/TIME_ACK. Off by default — armed runs grow those frames,
@@ -221,21 +141,14 @@ class FabricConfigBuilder {
     return *this;
   }
 
-  /// Appends a board node; `t_sync` 0 inherits the fabric default.
-  FabricConfigBuilder& add_node(std::string name = {}, u64 t_sync = 0);
+  /// Appends a board node.
+  FabricConfigBuilder& add_node(std::string name = {});
   /// Appends a board node with full board configuration.
   FabricConfigBuilder& add_node(FabricNodeConfig node);
   /// Appends an external (board-less) node — see FabricNodeConfig::external.
-  FabricConfigBuilder& add_external_node(std::string name = {},
-                                         u64 t_sync = 0);
+  FabricConfigBuilder& add_external_node(std::string name = {});
   /// Tweaks the most recently added node's board config in place.
   [[nodiscard]] board::BoardConfig& last_board();
-
-  [[nodiscard]] Result<FabricConfig> build() const;
-  [[nodiscard]] FabricConfig build_or_throw() const;
-
- private:
-  FabricConfig config_{};
 };
 
 class Fabric {
@@ -254,8 +167,10 @@ class Fabric {
   /// per-node registry(i) before start_boards()/run_cycles(). As with
   /// CosimSession, everything built against the kernel must be destroyed
   /// before the Fabric.
-  [[nodiscard]] sim::Kernel& kernel() { return kernel_; }
-  [[nodiscard]] sim::Clock& clock() { return clock_; }
+  [[nodiscard]] sim::Kernel& kernel() { return master_->kernel(); }
+  [[nodiscard]] sim::Clock& clock() { return master_->clock(); }
+  /// The master itself: one cosim::CosimKernel over every node's link.
+  [[nodiscard]] cosim::CosimKernel& master() { return *master_; }
 
   /// Node i's device address space (DATA traffic of node i's link consults
   /// only this registry).
@@ -275,21 +190,23 @@ class Fabric {
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
   [[nodiscard]] obs::Hub& node_obs(std::size_t node);
 
-  [[nodiscard]] SyncCoordinator& coordinator() { return *coordinator_; }
+  [[nodiscard]] cosim::SyncCoordinator& coordinator() {
+    return master_->coordinator();
+  }
 
-  /// Eviction state (SyncConfig::evict_after_misses): is node i still in the
+  /// Eviction state (SyncPolicy::evict_after): is node i still in the
   /// barrier, and how many nodes are.
   [[nodiscard]] bool node_alive(std::size_t node) const {
-    return coordinator_->alive(node);
+    return master_->coordinator().alive(node);
   }
   [[nodiscard]] std::size_t alive_nodes() const {
-    return coordinator_->alive_count();
+    return master_->coordinator().alive_count();
   }
 
   /// Re-admits an evicted node at the current cycle (SyncCoordinator::rejoin
   /// — the returning party must announce itself with a TIME_ACK).
   Status rejoin_node(std::size_t node) {
-    return coordinator_->rejoin(node, cycle_);
+    return coordinator().rejoin(node, cycle());
   }
 
   /// The compiled fault schedule; nullptr when the plan is unarmed.
@@ -298,22 +215,24 @@ class Fabric {
   }
 
   /// Registers `line` of the master model as node i's interrupt source.
-  void watch_interrupt(std::size_t node, sim::BoolSignal& line, u32 vector);
+  void watch_interrupt(std::size_t node, sim::BoolSignal& line, u32 vector) {
+    master_->watch_interrupt(node, line, vector);
+  }
 
   /// Boots every non-external node's board host thread.
   void start_boards();
 
   /// Gathers every node's initial TIME_ACK. Implied by the first
-  /// run_cycles(); call directly to bound the wait explicitly.
-  Status handshake();
+  /// run_cycles(); the policy's watchdog bounds the wait.
+  Status handshake() { return master_->handshake(); }
 
   /// Runs `cycles` HW clock cycles: per-node DATA service and interrupt
   /// propagation every cycle, the N-party barrier whenever any node's grant
   /// expires. Fails fast (straggler watchdog, transport error) with the
   /// offending node named in the Status.
-  Status run_cycles(u64 cycles);
+  Status run_cycles(u64 cycles) { return master_->run_cycles(cycles); }
 
-  [[nodiscard]] u64 cycle() const { return cycle_; }
+  [[nodiscard]] u64 cycle() const { return master_->cycle(); }
 
   /// Sends SHUTDOWN to every node and joins the board threads.
   void finish();
@@ -353,34 +272,16 @@ class Fabric {
                           const std::map<std::string, std::string>& tags = {});
 
  private:
-  struct IntWatch {
-    sim::BoolSignal* line;
-    u32 vector;
-    bool prev = false;
-  };
-
   struct Node {
     FabricNodeConfig config;  // name resolved
-    net::CosimLink hw_link;
     std::optional<net::CosimLink> board_link;  // external, until taken
     std::unique_ptr<obs::Hub> hub;
-    std::unique_ptr<cosim::DriverRegistry> registry;
     std::unique_ptr<board::BoardHost> host;  // null: external or event-loop
     /// Event-loop mode: the board owned directly (no host thread), pumped
     /// on the fabric's svc::EventLoop thread.
     std::unique_ptr<board::Board> loop_board;
-    std::vector<IntWatch> watches;
-    obs::Counter* data_writes = nullptr;
-    obs::Counter* data_reads = nullptr;
-    obs::Counter* interrupts_sent = nullptr;
   };
 
-  /// Drains every node's DATA port once.
-  Status service_data_ports();
-  Status sample_interrupts();
-  /// Batching flush (no-op on unbatched links): every alive node's DATA
-  /// and INT frames cross before the barrier's CLOCK_TICKs.
-  Status flush_node_links();
   [[nodiscard]] Node& node_at(std::size_t node);
 
   FabricConfig config_;
@@ -389,10 +290,7 @@ class Fabric {
   std::shared_ptr<fault::FaultSchedule> schedule_;  // null when unarmed
   std::unique_ptr<obs::Hub> hub_;  // master side
   std::vector<std::unique_ptr<Node>> nodes_;
-
-  sim::Kernel kernel_;
-  sim::Clock clock_;
-  std::unique_ptr<SyncCoordinator> coordinator_;
+  std::unique_ptr<cosim::CosimKernel> master_;
 
   /// Event-loop mode (FabricConfig::event_loop): one loop thread pumps
   /// every loop_board; created by start_boards(), joined by finish().
@@ -402,9 +300,7 @@ class Fabric {
   std::function<void()> loop_tick_;
   std::thread loop_thread_;
 
-  u64 cycle_ = 0;
   bool started_ = false;
-  bool handshaken_ = false;
   bool finished_ = false;
 };
 

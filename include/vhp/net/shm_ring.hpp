@@ -44,9 +44,4 @@ namespace vhp::net {
 [[nodiscard]] LinkPair make_shm_link_pair(
     std::size_t capacity_bytes = std::size_t{1} << 16);
 
-/// N independent shm links for the fabric (mirrors
-/// make_inproc_link_fanout / make_tcp_link_fanout).
-[[nodiscard]] std::vector<LinkPair> make_shm_link_fanout(
-    std::size_t n, std::size_t capacity_bytes = std::size_t{1} << 16);
-
 }  // namespace vhp::net

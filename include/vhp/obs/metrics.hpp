@@ -105,8 +105,9 @@ class LatencyHistogram {
 };
 
 /// Name-keyed instrument registry. Names are dotted paths
-/// ("cosim.syncs", "net.hw.data.tx_bytes"); re-registering a name returns
-/// the same instrument, so independent components may share one series.
+/// ("fabric.ticks_sent", "net.hw.data.tx_bytes"); re-registering a name
+/// returns the same instrument, so independent components may share one
+/// series.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -35,6 +35,10 @@ struct Recording {
 
 enum class RecordingFormat { kBinary, kJsonl };
 
+/// The recorder's current ring as a recording of its side, with `tags`.
+[[nodiscard]] Recording snapshot_recording(
+    FlightRecorder& recorder, std::map<std::string, std::string> tags);
+
 /// ".jsonl" / ".json" paths get JSONL, everything else binary.
 [[nodiscard]] RecordingFormat format_for_path(const std::string& path);
 

@@ -28,12 +28,18 @@ echo "==== [fabric] tsan gate ===="
 ctest --preset tsan -L fabric-tsan "$@"
 
 # Fault gate, same shape: the chaos soaks and fault unit suites on the
-# release build (-L fault matches "fault" and "fault-tsan"), then the
-# fiber-free fault suite again under ThreadSanitizer.
+# release build (-L fault matches "fault" and "fault-tsan"), the
+# fiber-free fault suite again under ThreadSanitizer, and the
+# fault_overhead bench in --gate mode, which fails if a *disarmed* fault
+# layer's median wall time exceeds the plain session's by more than the
+# plain runs' own quartile spread.
 echo "==== [fault] release gate ===="
 ctest --preset default -L fault "$@"
 echo "==== [fault] tsan gate ===="
 ctest --preset tsan -L fault-tsan "$@"
+echo "==== [fault] bench gate ===="
+cmake --build --preset default -j "$jobs" --target fault_overhead
+./build/bench/fault_overhead --gate --quick --json /tmp/fault_overhead_gate.metrics.json
 
 # Adaptive synchronization gate (ISSUE 6), same shape: the SyncPolicy /
 # adaptive-coordinator and session parity suites (-L adaptive matches
@@ -52,8 +58,9 @@ cmake --build --preset default -j "$jobs" --target fabric_scale
 # Causal-timeline gate (ISSUE 7), same shape: the timeline suites plus the
 # vhptrace CLI contract (-L timeline matches "timeline" and
 # "timeline-tsan"), the fiber-free half under ThreadSanitizer, the
-# timeline_overhead bench (--gate fails if a *disarmed* timeline costs more
-# than 1% wall time), and a recorded fabric run driven through
+# timeline_overhead bench (--gate fails if a *disarmed* timeline's median
+# wall time exceeds the plain session's by more than the plain runs'
+# quartile spread), and a recorded fabric run driven through
 # `vhptrace critical --gate 5` — the offline decomposition must reconcile
 # with total fabric wall-clock within 5%.
 echo "==== [timeline] release gate ===="
@@ -91,8 +98,9 @@ cmake --build --preset default -j "$jobs" --target kernel_parallel
 # cache/bank/pipeline units plus the SMP kernel and 4-core session suites
 # on the release build (-L mem matches "mem" and "mem-tsan"), the
 # fiber-free half again under ThreadSanitizer, and the mem_contention
-# bench in --gate mode, which fails if the disarmed single-core board
-# costs more than 1% wall time over the pre-hierarchy flat loop.
+# bench in --gate mode, which fails if the disarmed single-core board's
+# median wall time exceeds the pre-hierarchy flat loop's by more than that
+# loop's quartile spread.
 echo "==== [mem] release gate ===="
 ctest --preset default -L mem "$@"
 echo "==== [mem] tsan gate ===="

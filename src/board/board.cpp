@@ -35,6 +35,32 @@ rtos::KernelConfig apply_mode(rtos::KernelConfig cfg, bool free_running) {
 
 }  // namespace
 
+Status BoardConfig::validate() const {
+  if (rtos.cycles_per_tick == 0) {
+    return Status{StatusCode::kInvalidArgument,
+                  "BoardConfig: rtos.cycles_per_tick must be > 0"};
+  }
+  if (rtos.timeslice_ticks == 0) {
+    return Status{StatusCode::kInvalidArgument,
+                  "BoardConfig: rtos.timeslice_ticks must be > 0"};
+  }
+  if (cycles_per_sim_cycle == 0) {
+    return Status{StatusCode::kInvalidArgument,
+                  "BoardConfig: cycles_per_sim_cycle must be > 0"};
+  }
+  if (rtos.cores == 0) {
+    return Status{StatusCode::kInvalidArgument,
+                  "BoardConfig: rtos.cores must be >= 1"};
+  }
+  if (rtos.cores > 1 && !memory.has_value()) {
+    return Status{StatusCode::kInvalidArgument,
+                  "BoardConfig: cores(M > 1) requires a memory hierarchy "
+                  "(pair with SessionConfigBuilder::memory)"};
+  }
+  if (memory.has_value()) return memory->validate();
+  return Status::Ok();
+}
+
 Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
     : config_(config), link_(std::move(link)),
       owned_hub_(hub != nullptr ? nullptr : new obs::Hub()),

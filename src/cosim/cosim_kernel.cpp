@@ -1,5 +1,6 @@
 #include "vhp/cosim/cosim_kernel.hpp"
 
+#include <stdexcept>
 #include <thread>
 
 #include "vhp/common/format.hpp"
@@ -7,12 +8,8 @@
 namespace vhp::cosim {
 
 Status CosimConfig::validate() const {
-  if (timed && !sync.has_value() && t_sync == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "CosimConfig: t_sync must be > 0 in timed mode"};
-  }
-  if (sync.has_value()) {
-    if (Status s = sync->validate(); !s.ok()) return s;
+  if (timed) {
+    if (Status s = sync.validate(); !s.ok()) return s;
   }
   if (clock_period == 0) {
     return Status{StatusCode::kInvalidArgument,
@@ -29,29 +26,52 @@ Status CosimConfig::validate() const {
   return Status::Ok();
 }
 
+namespace {
+
+std::vector<MasterLink> one_link(net::CosimLink link) {
+  std::vector<MasterLink> links;
+  links.push_back(MasterLink{"", std::move(link)});
+  return links;
+}
+
+}  // namespace
+
 CosimKernel::CosimKernel(net::CosimLink link, CosimConfig config,
                          obs::Hub* hub)
-    : link_(std::move(link)), config_(config),
-      config_status_(config.validate()),
+    : CosimKernel(one_link(std::move(link)), std::move(config), hub) {}
+
+CosimKernel::CosimKernel(std::vector<MasterLink> links, CosimConfig config,
+                         obs::Hub* hub)
+    : config_(std::move(config)),
+      config_status_(config_.validate()),
       owned_hub_(hub != nullptr ? nullptr : new obs::Hub()),
       hub_(hub != nullptr ? hub : owned_hub_.get()),
-      syncs_(hub_->metrics().counter("cosim.syncs")),
-      data_writes_(hub_->metrics().counter("cosim.data_writes")),
-      data_reads_(hub_->metrics().counter("cosim.data_reads")),
-      interrupts_sent_(hub_->metrics().counter("cosim.interrupts_sent")),
-      acks_received_(hub_->metrics().counter("cosim.acks_received")),
-      lookahead_acks_(hub_->metrics().counter("cosim.lookahead_acks")),
       sync_rtt_ns_(hub_->metrics().histogram("cosim.sync_rtt_ns")),
-      grant_cycles_(hub_->metrics().histogram("cosim.grant_cycles")),
-      spans_(hub_->timeline().sink("cosim")),
       // Guard against a zero period before sim::Clock divides by it; the
       // invalid config is surfaced by run_cycles()/handshake().
       clock_(kernel_, "clk",
-             config.clock_period == 0 ? sim::SimTime{1} : config.clock_period),
-      policy_(config_.resolved_sync()) {
+             config_.clock_period == 0 ? sim::SimTime{1}
+                                       : config_.clock_period),
+      service_([this] { return service_links(); }) {
   if (!config_status_.ok()) {
     log_.warn("invalid config: {}", config_status_.to_string());
   }
+  obs::MetricsRegistry& metrics = hub_->metrics();
+  std::vector<net::Channel*> clocks;
+  std::vector<std::string> names;
+  slots_.reserve(links.size());
+  for (MasterLink& link : links) {
+    const std::string prefix =
+        link.name.empty() ? "cosim." : "fabric." + link.name + ".";
+    clocks.push_back(link.link.clock.get());
+    names.push_back(link.name);
+    slots_.push_back(Slot{std::move(link.link), DriverRegistry{}, {},
+                          metrics.counter(prefix + "data_writes"),
+                          metrics.counter(prefix + "data_reads"),
+                          metrics.counter(prefix + "interrupts_sent")});
+  }
+  coordinator_ = std::make_unique<SyncCoordinator>(
+      config_.sync, std::move(clocks), std::move(names), hub_);
   if (config_status_.ok() && config_.parallel_workers > 0) {
     kernel_.set_parallel(static_cast<unsigned>(config_.parallel_workers));
     // Parallel-kernel telemetry: island count, parallel delta cycles and
@@ -80,258 +100,211 @@ CosimKernel::CosimKernel(net::CosimLink link, CosimConfig config,
       }
     });
   }
-  // Fixed mode reproduces the legacy cadence exactly: the first tick goes
-  // out at `quantum`, every later one `quantum` after its predecessor.
-  next_sync_ = std::max<u64>(1, policy_.node_quantum(0));
 }
 
 CosimKernel::~CosimKernel() { finish(); }
 
-void CosimKernel::watch_interrupt(sim::BoolSignal& line, u32 vector) {
-  watches_.push_back(IntWatch{&line, vector, line.read()});
+CosimKernel::Slot& CosimKernel::slot_at(std::size_t link) {
+  if (link >= slots_.size()) {
+    throw std::out_of_range(
+        strformat("cosim: link {} of {}", link, slots_.size()));
+  }
+  return slots_[link];
 }
 
-Status CosimKernel::handshake(
-    std::optional<std::chrono::milliseconds> timeout) {
-  if (!config_status_.ok()) return config_status_;
-  if (!config_.timed || handshaken_) return Status::Ok();
-  // The board reports its initial freeze with a TIME_ACK; data traffic is
-  // not expected before it (the device driver has nothing to talk to yet).
-  auto msg = net::recv_msg(*link_.clock, timeout);
-  if (!msg.ok()) return msg.status();
-  const auto* ack = std::get_if<net::TimeAck>(&msg.value());
-  if (ack == nullptr) {
-    return Status{StatusCode::kInternal,
-                  strformat("expected initial TIME_ACK, got {}",
-                            net::to_string(net::type_of(msg.value())))};
+DriverRegistry& CosimKernel::registry(std::size_t link) {
+  return slot_at(link).registry;
+}
+
+void CosimKernel::watch_interrupt(std::size_t link, sim::BoolSignal& line,
+                                  u32 vector) {
+  slot_at(link).watches.push_back(IntWatch{&line, vector, line.read()});
+}
+
+CosimKernel::Stats CosimKernel::stats() const {
+  Stats stats;
+  stats.syncs = coordinator_->ticks_sent();
+  stats.acks_received = coordinator_->acks_received() - boot_acks_;
+  for (const Slot& slot : slots_) {
+    stats.data_writes += slot.data_writes.value();
+    stats.data_reads += slot.data_reads.value();
+    stats.interrupts_sent += slot.interrupts_sent.value();
   }
-  note_ack(*ack);
-  // The boot ack already carries a lookahead against a v2 board: a board
-  // that sleeps through the first default quantum gets a longer first grant.
-  next_sync_ = std::max<u64>(1, policy_.grant(0, 0, board_lookahead_));
-  handshaken_ = true;
-  log_.debug("handshake complete, board frozen at tick {}", ack->board_tick);
+  return stats;
+}
+
+// Zero cycles: just the boot handshake, waited for like any other ack.
+Status CosimKernel::handshake() { return run_cycles(0); }
+
+Status CosimKernel::service_links() {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!coordinator_->alive(i)) continue;
+    Slot& slot = slots_[i];
+    for (;;) {
+      auto msg = net::try_recv_msg(*slot.link.data);
+      if (!msg.ok()) {
+        // A vanished peer mid-run is a session error; surface it.
+        return Status{msg.status().code(),
+                      strformat("cosim: DATA channel of {} failed: {}",
+                                coordinator_->name(i),
+                                msg.status().message())};
+      }
+      if (!msg.value().has_value()) break;
+      Status s = handle_data_msg(slot, *msg.value());
+      if (!s.ok()) {
+        return Status{s.code(), strformat("cosim: {}: {}",
+                                          coordinator_->name(i), s.message())};
+      }
+    }
+  }
   return Status::Ok();
 }
 
-void CosimKernel::note_ack(const net::TimeAck& ack) {
-  board_lookahead_ = ack.lookahead;
-  if (ack.lookahead.has_value()) lookahead_acks_.inc();
-}
-
-Status CosimKernel::service_data_port() {
-  for (;;) {
-    auto msg = net::try_recv_msg(*link_.data);
-    if (!msg.ok()) {
-      // A vanished peer mid-run is a session error; surface it.
-      return msg.status();
-    }
-    if (!msg.value().has_value()) return Status::Ok();
-    Status s = handle_data_msg(*msg.value());
-    if (!s.ok()) return s;
-  }
-}
-
-Status CosimKernel::handle_data_msg(const net::Message& msg) {
+Status CosimKernel::handle_data_msg(Slot& slot, const net::Message& msg) {
   if (const auto* wr = std::get_if<net::DataWrite>(&msg)) {
-    data_writes_.inc();
+    slot.data_writes.inc();
     if (hub_->tracer().enabled()) {
       hub_->tracer().instant("cosim.data_write", "cosim", wr->address,
                              "address");
     }
   } else if (const auto* rd = std::get_if<net::DataReadReq>(&msg)) {
-    data_reads_.inc();
+    slot.data_reads.inc();
     if (hub_->tracer().enabled()) {
       hub_->tracer().instant("cosim.data_read", "cosim", rd->address,
                              "address");
     }
   }
-  Status s = serve_data_message(registry_, *link_.data, msg);
+  Status s = serve_data_message(slot.registry, *slot.link.data, msg);
   if (s.ok() && std::holds_alternative<net::DataReadReq>(msg)) {
     // The board thread is blocked on this response mid-quantum; a batched
     // DATA channel must not hold it to the next CLOCK boundary (no-op on
     // unbatched links).
-    s = link_.data->flush();
+    s = slot.link.data->flush();
   }
   return s;
 }
 
 Status CosimKernel::sample_interrupts() {
-  for (auto& watch : watches_) {
-    const bool level = watch.line->read();
-    if (level && !watch.prev) {
-      interrupts_sent_.inc();
-      if (hub_->tracer().enabled()) {
-        hub_->tracer().instant("cosim.int_raise", "cosim", watch.vector,
-                               "vector");
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!coordinator_->alive(i)) continue;
+    Slot& slot = slots_[i];
+    for (IntWatch& watch : slot.watches) {
+      const bool level = watch.line->read();
+      if (level && !watch.prev) {
+        slot.interrupts_sent.inc();
+        if (hub_->tracer().enabled()) {
+          hub_->tracer().instant("cosim.int_raise", "cosim", watch.vector,
+                                 "vector");
+        }
+        Status s = net::send_msg(*slot.link.intr, net::IntRaise{watch.vector});
+        if (!s.ok()) {
+          return Status{s.code(),
+                        strformat("cosim: INT_RAISE to {} failed: {}",
+                                  coordinator_->name(i), s.message())};
+        }
       }
-      Status s = net::send_msg(*link_.intr, net::IntRaise{watch.vector});
-      if (!s.ok()) return s;
+      watch.prev = level;
     }
-    watch.prev = level;
   }
   return Status::Ok();
 }
 
-Status CosimKernel::send_tick() {
-  syncs_.inc();
+Status CosimKernel::barrier_step(bool* done) {
   obs::Tracer& tracer = hub_->tracer();
-  sync_span_start_ = tracer.enabled() ? tracer.now_ns() : 0;
-  // The grant is the cycles elapsed since the previous tick — in fixed mode
-  // always the quantum, in adaptive mode whatever the last lookahead earned.
-  const u64 elapsed = cycle_ - last_granted_;
-  grant_cycles_.record_ns(elapsed);
-  // Wire v3: stamp the round only when the timeline is armed, so default
-  // runs keep the v1/v2 frame bytes (bit-exact recording parity).
-  obs::Timeline& timeline = hub_->timeline();
-  const bool timed_spans = timeline.enabled();
-  net::ClockTick tick{cycle_, static_cast<u32>(elapsed)};
-  if (timed_spans) tick.round = ++round_;
-  // Batching flush rule (DESIGN.md §14): this quantum's DATA and INT
-  // frames must cross before the grant they belong to (no-op on unbatched
-  // links).
-  if (Status s = link_.data->flush(); !s.ok()) return s;
-  if (Status s = link_.intr->flush(); !s.ok()) return s;
-  Status s = net::send_msg(*link_.clock, tick);
-  if (!s.ok()) return s;
-  tick_sent_ns_ = timed_spans ? timeline.now_ns() : 0;
-  last_granted_ = cycle_;
-  return Status::Ok();
-}
-
-Status CosimKernel::accept_ack(const net::Message& msg) {
-  const auto* time_ack = std::get_if<net::TimeAck>(&msg);
-  if (time_ack == nullptr) {
-    return Status{StatusCode::kInternal,
-                  strformat("expected TIME_ACK, got {}",
-                            net::to_string(net::type_of(msg)))};
+  if (!coordinator_->gathering()) {
+    sync_span_start_ = tracer.enabled() ? tracer.now_ns() : 0;
+    // Batching flush rule (DESIGN.md §14): this quantum's DATA and INT
+    // frames must cross before the grant they belong to (no-op on
+    // unbatched links).
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!coordinator_->alive(i)) continue;
+      Slot& slot = slots_[i];
+      Status s = slot.link.data->flush();
+      if (s.ok()) s = slot.link.intr->flush();
+      if (!s.ok()) {
+        return Status{s.code(), strformat("cosim: flush to {} failed: {}",
+                                          coordinator_->name(i),
+                                          s.message())};
+      }
+    }
   }
-  acks_received_.inc();
-  note_ack(*time_ack);
-  next_sync_ = cycle_ + policy_.grant(0, cycle_, board_lookahead_);
-  obs::Timeline& timeline = hub_->timeline();
-  if (timeline.enabled()) {
-    const u64 now = timeline.now_ns();
-    spans_.record({round_, 0, obs::SpanPhase::kNodeWait, tick_sent_ns_,
-                   now, cycle_});
-    spans_.record({round_, 0, obs::SpanPhase::kBarrier, tick_sent_ns_,
-                   now, cycle_});
-  }
-  obs::Tracer& tracer = hub_->tracer();
-  if (tracer.enabled()) {
+  Status s = coordinator_->step_barrier(cycle_, service_, done);
+  if (s.ok() && *done && tracer.enabled()) {
     const u64 span_end = tracer.now_ns();
     sync_rtt_ns_.record_ns(span_end - sync_span_start_);
     tracer.complete("cosim.sync", "cosim", sync_span_start_, span_end,
                     cycle_, "cycle");
   }
-  return Status::Ok();
-}
-
-Status CosimKernel::sync_with_board() {
-  Status s = send_tick();
-  if (!s.ok()) return s;
-  // Wait for the ack; keep the DATA port alive so a board thread blocked on
-  // a device read mid-quantum still gets its response (deadlock freedom).
-  for (;;) {
-    auto ack = net::try_recv_msg(*link_.clock);
-    if (!ack.ok()) return ack.status();
-    if (ack.value().has_value()) {
-      s = accept_ack(*ack.value());
-      if (!s.ok()) return s;
-      // The board flushed its quantum's DATA before the ack; serve what
-      // arrived with it, so the sync always ends with that DATA handled.
-      return service_data_port();
-    }
-    Status data = service_data_port();
-    if (!data.ok()) return data;
-    std::this_thread::yield();
-  }
+  return s;
 }
 
 Status CosimKernel::run_cycles(u64 cycles) {
-  if (!config_status_.ok()) return config_status_;
-  if (config_.timed && !handshaken_) {
-    Status s = handshake();
-    if (!s.ok()) return s;
-  }
-  obs::StallProfiler& profiler = hub_->profiler();
-  using Bucket = obs::StallProfiler::Bucket;
-  for (u64 i = 0; i < cycles; ++i) {
-    Status s = Status::Ok();
-    if (config_.data_poll_interval <= 1 ||
-        cycle_ % config_.data_poll_interval == 0) {
-      obs::StallProfiler::Timer timer(profiler, Bucket::kDataService);
-      s = service_data_port();
-      if (!s.ok()) return s;
-    }
+  u64 ran = 0;
+  bool blocked = false;
+  Status s = pump(cycles, &ran, &blocked);
+  while (s.ok() && blocked) {
+    cycles -= ran;
     {
-      obs::StallProfiler::Timer timer(profiler, Bucket::kSimulate);
-      kernel_.run(config_.clock_period);  // one posedge + negedge
+      // A board owes a TIME_ACK: spin on the gather until it lands. The
+      // policy's watchdog bounds the wait.
+      obs::StallProfiler::Timer timer(hub_->profiler(),
+                                      obs::StallProfiler::Bucket::kAckWait);
+      do {
+        std::this_thread::yield();
+        s = pump(0, &ran, &blocked);
+      } while (s.ok() && blocked);
     }
-    ++cycle_;
-    s = sample_interrupts();
-    if (!s.ok()) return s;
-    if (config_.timed && cycle_ == next_sync_) {
-      obs::StallProfiler::Timer timer(profiler, Bucket::kAckWait);
-      s = sync_with_board();
-      if (!s.ok()) return s;
-    }
+    if (s.ok()) s = pump(cycles, &ran, &blocked);
   }
-  return Status::Ok();
+  return s;
 }
 
 Status CosimKernel::pump(u64 max_cycles, u64* ran, bool* blocked) {
-  *ran = 0;
+  const u64 start = cycle_;
   *blocked = false;
+  Status s = advance(start + max_cycles, blocked);
+  *ran = cycle_ - start;
+  return s;
+}
+
+Status CosimKernel::advance(u64 until, bool* blocked) {
   if (!config_status_.ok()) return config_status_;
-  if (config_.timed && !handshaken_) {
-    // Non-blocking handshake: the board's initial freeze ack may not have
-    // crossed the link yet.
-    auto msg = net::try_recv_msg(*link_.clock);
-    if (!msg.ok()) return msg.status();
-    if (!msg.value().has_value()) {
+  const bool timed = config_.timed;
+  if (timed && !coordinator_->handshaken()) {
+    // The boards report their initial freeze with a TIME_ACK; data traffic
+    // is not expected before it (the device driver has nothing to talk to
+    // yet).
+    bool done = false;
+    Status s = coordinator_->step_handshake(&done);
+    if (!s.ok()) return s;
+    if (!done) {
       *blocked = true;
       return Status::Ok();
     }
-    const auto* ack = std::get_if<net::TimeAck>(&*msg.value());
-    if (ack == nullptr) {
-      return Status{StatusCode::kInternal,
-                    strformat("expected initial TIME_ACK, got {}",
-                              net::to_string(net::type_of(*msg.value())))};
-    }
-    note_ack(*ack);
-    next_sync_ = std::max<u64>(1, policy_.grant(0, 0, board_lookahead_));
-    handshaken_ = true;
-    log_.debug("handshake complete, board frozen at tick {}", ack->board_tick);
+    boot_acks_ = coordinator_->acks_received();
   }
   obs::StallProfiler& profiler = hub_->profiler();
   using Bucket = obs::StallProfiler::Bucket;
   for (;;) {
-    if (awaiting_ack_) {
-      // A board thread blocked mid-quantum on a device read still gets its
-      // response while we wait (same deadlock-freedom rule as the blocking
-      // path).
-      Status data = service_data_port();
-      if (!data.ok()) return data;
-      auto ack = net::try_recv_msg(*link_.clock);
-      if (!ack.ok()) return ack.status();
-      if (!ack.value().has_value()) {
+    // A barrier due at this cycle (or still gathering from the previous
+    // call) completes before the next cycle runs. The check sits above the
+    // exit, so pump(N) leaves the same protocol state as run_cycles(N)
+    // whenever the acks are in: no outstanding tick.
+    if (timed && (coordinator_->gathering() ||
+                  coordinator_->next_due() == cycle_)) {
+      bool done = false;
+      Status s = barrier_step(&done);
+      if (!s.ok()) return s;
+      if (!done) {
         *blocked = true;
         return Status::Ok();
       }
-      Status s = accept_ack(*ack.value());
-      if (s.ok()) s = service_data_port();  // DATA that came with the ack
-      if (!s.ok()) return s;
-      awaiting_ack_ = false;
     }
-    // The trailing-ack check sits above this exit so pump(N) leaves the
-    // same protocol state as run_cycles(N): no outstanding tick.
-    if (*ran >= max_cycles) return Status::Ok();
-    Status s = Status::Ok();
+    if (cycle_ >= until) return Status::Ok();
     if (config_.data_poll_interval <= 1 ||
         cycle_ % config_.data_poll_interval == 0) {
       obs::StallProfiler::Timer timer(profiler, Bucket::kDataService);
-      s = service_data_port();
+      Status s = service_links();
       if (!s.ok()) return s;
     }
     {
@@ -339,24 +312,20 @@ Status CosimKernel::pump(u64 max_cycles, u64* ran, bool* blocked) {
       kernel_.run(config_.clock_period);  // one posedge + negedge
     }
     ++cycle_;
-    ++*ran;
-    s = sample_interrupts();
+    Status s = sample_interrupts();
     if (!s.ok()) return s;
-    if (config_.timed && cycle_ == next_sync_) {
-      s = send_tick();
-      if (!s.ok()) return s;
-      awaiting_ack_ = true;
-    }
   }
 }
 
 std::vector<int> CosimKernel::readable_fds() {
   std::vector<int> fds;
-  for (net::Channel* ch :
-       {link_.data.get(), link_.intr.get(), link_.clock.get()}) {
-    if (ch == nullptr) continue;
-    const int fd = ch->readable_fd();
-    if (fd >= 0) fds.push_back(fd);
+  for (const Slot& slot : slots_) {
+    for (net::Channel* ch : {slot.link.data.get(), slot.link.intr.get(),
+                             slot.link.clock.get()}) {
+      if (ch == nullptr) continue;
+      const int fd = ch->readable_fd();
+      if (fd >= 0) fds.push_back(fd);
+    }
   }
   return fds;
 }
@@ -364,12 +333,24 @@ std::vector<int> CosimKernel::readable_fds() {
 void CosimKernel::finish() {
   if (finished_) return;
   finished_ = true;
-  // Push out anything a batched link still holds — the board may need the
+  // Push out anything a batched link still holds — a board may need the
   // last DATA/INT frames to make progress before it can see the SHUTDOWN.
-  if (link_.data) (void)link_.data->flush();
-  if (link_.intr) (void)link_.intr->flush();
-  if (config_.shutdown_on_finish && link_.clock) {
-    (void)net::send_msg(*link_.clock, net::Shutdown{});
+  for (const Slot& slot : slots_) {
+    if (slot.link.data) (void)slot.link.data->flush();
+    if (slot.link.intr) (void)slot.link.intr->flush();
+  }
+  coordinator_->shutdown();
+  // An evicted board may still be blocked on its CLOCK channel: try a
+  // best-effort SHUTDOWN, then close our side so the peer wakes with an
+  // error and its host thread can be joined.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (coordinator_->alive(i)) continue;
+    net::CosimLink& link = slots_[i].link;
+    if (link.clock) (void)net::send_msg(*link.clock, net::Shutdown{});
+    for (net::Channel* ch : {link.data.get(), link.intr.get(),
+                             link.clock.get()}) {
+      if (ch != nullptr) ch->close();
+    }
   }
 }
 

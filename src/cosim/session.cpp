@@ -4,16 +4,9 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 
 #include "vhp/common/format.hpp"
 #include "vhp/common/log.hpp"
-#include "vhp/fault/inject.hpp"
-#include "vhp/net/inproc.hpp"
-#include "vhp/net/instrumented.hpp"
-#include "vhp/net/shm_ring.hpp"
-#include "vhp/net/latency.hpp"
-#include "vhp/net/tcp.hpp"
 #include "vhp/obs/recording.hpp"
 
 namespace vhp::cosim {
@@ -38,15 +31,6 @@ extern "C" void postmortem_signal_handler(int signum) {
   std::raise(signum);
 }
 
-obs::Recording snapshot_recording(obs::FlightRecorder& recorder,
-                                  std::map<std::string, std::string> tags) {
-  obs::Recording rec;
-  rec.meta.side = recorder.side();
-  rec.meta.tags = std::move(tags);
-  rec.frames = recorder.snapshot();
-  return rec;
-}
-
 }  // namespace
 
 Status SessionConfig::validate() const {
@@ -59,55 +43,20 @@ Status SessionConfig::validate() const {
                   "SessionConfig: cosim.timed and board.free_running must be "
                   "opposite"};
   }
-  if (board.rtos.cycles_per_tick == 0) {
+  if (s = board.validate(); !s.ok()) return s;
+  if (s = LinkConfig::validate("SessionConfig"); !s.ok()) return s;
+  if (cosim.sync.evict_after_misses() > 0) {
     return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: board.rtos.cycles_per_tick must be > 0"};
-  }
-  if (board.rtos.timeslice_ticks == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: board.rtos.timeslice_ticks must be > 0"};
-  }
-  if (board.cycles_per_sim_cycle == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: board.cycles_per_sim_cycle must be > 0"};
-  }
-  if (board.rtos.cores == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: board.rtos.cores must be >= 1"};
-  }
-  if (board.rtos.cores > 1 && !board.memory.has_value()) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: cores(M > 1) requires a memory hierarchy "
-                  "(pair with SessionConfigBuilder::memory)"};
-  }
-  if (board.memory.has_value()) {
-    if (s = board.memory->validate(); !s.ok()) return s;
-  }
-  if (s = fault_plan.validate(); !s.ok()) return s;
-  if (fault_plan.armed() && !fault_plan.lossless() && !recovery.enabled) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: the fault plan can lose or mutate frames; "
-                  "enable the recovery layer (recovery.enabled)"};
+                  "SessionConfig: sync.evict_after(k) needs a fabric — "
+                  "evicting a session's only board would leave the master "
+                  "simulating alone"};
   }
   if (batch_frames && !cosim.timed) {
     return Status{StatusCode::kInvalidArgument,
                   "SessionConfig: batch_frames requires timed mode — a "
                   "free-running board has no quantum boundary to flush at"};
   }
-  if (batch_frames && recovery.enabled) {
-    return Status{StatusCode::kInvalidArgument,
-                  "SessionConfig: batch_frames is incompatible with the "
-                  "recovery layer — retransmission acks would sit in the "
-                  "peer's batch buffer until its next flush point, so the "
-                  "recovery flush would spin against held acks"};
-  }
   return Status::Ok();
-}
-
-SessionConfig SessionConfigBuilder::build_or_throw() const {
-  Status s = config_.validate();
-  if (!s.ok()) throw std::invalid_argument(s.to_string());
-  return config_;
 }
 
 CosimSession::CosimSession(SessionConfig config) : config_(std::move(config)) {
@@ -116,75 +65,14 @@ CosimSession::CosimSession(SessionConfig config) : config_(std::move(config)) {
   // Adaptive mode needs the board's acks to carry its lookahead; the
   // board-side lookahead is conservative by construction, so opting the
   // board in whenever the master adapts is always correct.
-  if (config_.cosim.timed && config_.cosim.resolved_sync().is_adaptive()) {
+  if (config_.cosim.timed && config_.cosim.sync.is_adaptive()) {
     config_.board.advertise_lookahead = true;
   }
   hub_ = std::make_unique<obs::Hub>(config_.obs);
-  net::LinkPair pair;
-  if (config_.transport == TransportKind::kInProc) {
-    pair = net::make_inproc_link_pair();
-  } else if (config_.transport == TransportKind::kShm) {
-    pair = net::make_shm_link_pair();
-  } else {
-    net::TcpLinkListener listener;
-    const auto ports = listener.ports();
-    Result<net::CosimLink> board_link =
-        Status{StatusCode::kInternal, "unset"};
-    std::thread connector(
-        [&] { board_link = net::connect_tcp_link(ports); });
-    auto hw_link = listener.accept_link();
-    connector.join();
-    if (!hw_link.ok()) {
-      throw std::runtime_error("TCP accept failed: " +
-                               hw_link.status().to_string());
-    }
-    if (!board_link.ok()) {
-      throw std::runtime_error("TCP connect failed: " +
-                               board_link.status().to_string());
-    }
-    pair.hw = std::move(hw_link).value();
-    pair.board = std::move(board_link).value();
-  }
-  // Batching wraps the raw transport innermost (below latency / fault /
-  // recording), so every layer above sees the unbatched frame sequence
-  // and the recording oracle holds.
-  if (config_.batch_frames) {
-    pair.hw = net::batch_link(std::move(pair.hw), true, config_.batching,
-                              hub_.get(), "hw");
-    pair.board = net::batch_link(std::move(pair.board), true,
-                                 config_.batching, hub_.get(), "board");
-  }
-  pair = net::emulate_latency(std::move(pair), config_.link_emulation);
-  // Canonical decorator stack (innermost first): transport -> latency ->
-  // inject (hw side only) -> reliable (both sides) -> instrument -> record.
-  // The recorder sits above the recovery layer, so it only ever sees
-  // repaired traffic — a faulted run's recording matches the clean one.
-  schedule_ = fault::compile(config_.fault_plan, hub_.get());
-  if (schedule_) {
-    schedule_->set_observer([hub = hub_.get()](const fault::FaultEvent& e) {
-      hub->hw_recorder().note_fault(e.port, e.dir, fault::to_string(e.kind),
-                                    e.node);
-    });
-    pair.hw = fault::inject_link(std::move(pair.hw), schedule_);
-  }
-  if (config_.recovery.enabled) {
-    pair.hw = fault::reliable_link(std::move(pair.hw), config_.recovery,
-                                   hub_.get(), "hw");
-    pair.board = fault::reliable_link(std::move(pair.board), config_.recovery,
-                                      hub_.get(), "board");
-  }
-  if (hub_->enabled()) {
-    // Per-frame link accounting costs a virtual hop per operation; wrap the
-    // transports only when observability is on.
-    pair.hw = net::instrument_link(std::move(pair.hw), *hub_, "hw");
-    pair.board = net::instrument_link(std::move(pair.board), *hub_, "board");
-  }
-  // The flight recorder wraps innermost-last so it sees exactly the frames
-  // that cross the transport. When recording is off, record_link is an
-  // identity — the transports stay unwrapped.
-  pair.hw = net::record_link(std::move(pair.hw), hub_->hw_recorder());
-  pair.board = net::record_link(std::move(pair.board),
-                                hub_->board_recorder());
+  Links links = make_links(config_, config_.link_emulation, *hub_,
+                           {hub_.get()}, {"hw"});
+  schedule_ = std::move(links.schedule);
+  net::LinkPair& pair = links.pairs.front();
   hw_ = std::make_unique<CosimKernel>(std::move(pair.hw), config_.cosim,
                                       hub_.get());
   host_ = std::make_unique<board::BoardHost>(config_.board,
@@ -217,7 +105,7 @@ std::map<std::string, std::string> CosimSession::config_tags() const {
   // Config echo: enough to rebuild a matching lone-side configuration for
   // replay (net::ReplaySession) without the original command line.
   std::map<std::string, std::string> tags;
-  const SyncPolicy policy = config_.cosim.resolved_sync();
+  const SyncPolicy& policy = config_.cosim.sync;
   tags["t_sync"] = strformat("{}", policy.quantum());
   tags["adaptive"] = policy.is_adaptive() ? "1" : "0";
   tags["data_poll_interval"] =
@@ -244,7 +132,7 @@ Status CosimSession::write_recordings(
        {&hub_->hw_recorder(), &hub_->board_recorder()}) {
     const std::string path = prefix + "." + recorder->side() + ".vhprec";
     Status s = obs::write_recording(path,
-                                    snapshot_recording(*recorder, all),
+                                    obs::snapshot_recording(*recorder, all),
                                     obs::RecordingFormat::kBinary);
     if (!s.ok()) return s;
   }
@@ -262,7 +150,7 @@ void CosimSession::dump_postmortem(const std::string& reason) {
     const std::string path =
         config_.postmortem_prefix + "." + recorder->side() + ".jsonl";
     Status s = obs::write_recording(path,
-                                    snapshot_recording(*recorder, tags),
+                                    obs::snapshot_recording(*recorder, tags),
                                     obs::RecordingFormat::kJsonl);
     if (s.ok()) {
       session_log().warn("post-mortem: {} frames -> {} ({})",

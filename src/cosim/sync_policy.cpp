@@ -11,9 +11,8 @@ Status SyncPolicy::validate(std::size_t n_nodes) const {
     return Status{StatusCode::kInvalidArgument,
                   "SyncPolicy: at least one node required"};
   }
-  // A zero default quantum is fine as long as every node overrides it —
-  // same rule as the legacy SyncConfig — so only the per-node resolution
-  // is checked.
+  // A zero default quantum is fine as long as every node overrides it, so
+  // only the per-node resolution is checked.
   for (std::size_t i = 0; i < n_nodes; ++i) {
     if (node_quantum(i) == 0) {
       return Status{StatusCode::kInvalidArgument,

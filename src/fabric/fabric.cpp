@@ -7,72 +7,32 @@
 #include <utility>
 
 #include "vhp/common/format.hpp"
-#include "vhp/fault/inject.hpp"
-#include "vhp/net/fanout.hpp"
-#include "vhp/net/instrumented.hpp"
-#include "vhp/net/shm_ring.hpp"
 #include "vhp/obs/recording.hpp"
 
 namespace vhp::fabric {
 
 namespace {
 
-obs::Recording snapshot_recording(obs::FlightRecorder& recorder,
-                                  std::map<std::string, std::string> tags) {
-  obs::Recording rec;
-  rec.meta.side = recorder.side();
-  rec.meta.tags = std::move(tags);
-  rec.frames = recorder.snapshot();
-  return rec;
+/// The master kernel's configuration: a timed CosimKernel over every link.
+cosim::CosimConfig master_config(const FabricConfig& config) {
+  cosim::CosimConfig master;
+  master.sync = config.sync;
+  master.clock_period = config.clock_period;
+  master.data_poll_interval = config.data_poll_interval;
+  master.parallel_workers = config.parallel_workers;
+  return master;
 }
 
 }  // namespace
-
-cosim::SyncPolicy FabricConfig::resolved_sync() const {
-  cosim::SyncPolicy policy =
-      sync.has_value() ? *sync
-                       : cosim::SyncPolicy{}
-                             .quantum(t_sync)
-                             .watchdog(watchdog)
-                             .evict_after(evict_after_misses);
-  // Per-node cadence overrides predate the policy and keep working with it:
-  // add_node(name, t_sync) composes with .sync(policy).
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].t_sync != 0) policy.node_quantum(i, nodes[i].t_sync);
-  }
-  return policy;
-}
 
 Status FabricConfig::validate() const {
   if (nodes.empty()) {
     return Status{StatusCode::kInvalidArgument,
                   "FabricConfig: at least one node required"};
   }
-  if (clock_period == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "FabricConfig: clock_period must be > 0"};
-  }
-  if (data_poll_interval == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "FabricConfig: data_poll_interval must be > 0"};
-  }
-  if (parallel_workers > 256) {
-    return Status{StatusCode::kInvalidArgument,
-                  "FabricConfig: parallel_workers must be <= 256"};
-  }
-  if (Status s = resolved_sync().validate(nodes.size()); !s.ok()) return s;
-  if (Status s = fault_plan.validate(); !s.ok()) return s;
-  if (fault_plan.armed() && !fault_plan.lossless() && !recovery.enabled) {
-    return Status{StatusCode::kInvalidArgument,
-                  "FabricConfig: the fault plan can lose or mutate frames; "
-                  "enable the recovery layer (recovery.enabled)"};
-  }
-  if (batch_frames && recovery.enabled) {
-    return Status{StatusCode::kInvalidArgument,
-                  "FabricConfig: batch_frames is incompatible with the "
-                  "recovery layer — retransmission acks would sit in the "
-                  "peer's batch buffer until its next flush point"};
-  }
+  if (Status s = master_config(*this).validate(); !s.ok()) return s;
+  if (Status s = sync.validate(nodes.size()); !s.ok()) return s;
+  if (Status s = LinkConfig::validate("FabricConfig"); !s.ok()) return s;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const FabricNodeConfig& node = nodes[i];
     if (node.external) continue;
@@ -83,23 +43,17 @@ Status FabricConfig::validate() const {
                     "must be budgeted to take part in the barrier",
                     i)};
     }
-    if (node.board.rtos.cycles_per_tick == 0 ||
-        node.board.rtos.timeslice_ticks == 0 ||
-        node.board.cycles_per_sim_cycle == 0) {
-      return Status{
-          StatusCode::kInvalidArgument,
-          strformat("FabricConfig: node {} has a zero RTOS timing divisor",
-                    i)};
+    if (Status s = node.board.validate(); !s.ok()) {
+      return Status{s.code(),
+                    strformat("FabricConfig: node {}: {}", i, s.message())};
     }
   }
   return Status::Ok();
 }
 
-FabricConfigBuilder& FabricConfigBuilder::add_node(std::string name,
-                                                   u64 t_sync) {
+FabricConfigBuilder& FabricConfigBuilder::add_node(std::string name) {
   FabricNodeConfig node;
   node.name = std::move(name);
-  node.t_sync = t_sync;
   config_.nodes.push_back(std::move(node));
   return *this;
 }
@@ -109,11 +63,9 @@ FabricConfigBuilder& FabricConfigBuilder::add_node(FabricNodeConfig node) {
   return *this;
 }
 
-FabricConfigBuilder& FabricConfigBuilder::add_external_node(std::string name,
-                                                            u64 t_sync) {
+FabricConfigBuilder& FabricConfigBuilder::add_external_node(std::string name) {
   FabricNodeConfig node;
   node.name = std::move(name);
-  node.t_sync = t_sync;
   node.external = true;
   config_.nodes.push_back(std::move(node));
   return *this;
@@ -127,178 +79,74 @@ board::BoardConfig& FabricConfigBuilder::last_board() {
   return config_.nodes.back().board;
 }
 
-Result<FabricConfig> FabricConfigBuilder::build() const {
-  Status s = config_.validate();
-  if (!s.ok()) return s;
-  return config_;
-}
-
-FabricConfig FabricConfigBuilder::build_or_throw() const {
-  Status s = config_.validate();
-  if (!s.ok()) throw std::invalid_argument(s.to_string());
-  return config_;
-}
-
 Fabric::Fabric(FabricConfig config)
     : config_(std::move(config)),
-      hub_(std::make_unique<obs::Hub>(config_.obs)),
-      kernel_(),
-      clock_(kernel_, "clk",
-             config_.clock_period == 0 ? sim::SimTime{1}
-                                       : config_.clock_period) {
+      hub_(std::make_unique<obs::Hub>(config_.obs)) {
   Status valid = config_.validate();
   if (!valid.ok()) throw std::invalid_argument(valid.to_string());
-  if (config_.parallel_workers > 0) {
-    kernel_.set_parallel(static_cast<unsigned>(config_.parallel_workers));
-    hub_->add_collector([this](obs::MetricsRegistry& m) {
-      const auto ps = kernel_.parallel_stats();
-      m.gauge("sim.islands").set(static_cast<i64>(ps.islands));
-      m.gauge("sim.parallel_deltas").set(static_cast<i64>(ps.parallel_deltas));
-      m.gauge("sim.repartitions").set(static_cast<i64>(ps.repartitions));
-    });
-  }
-  const cosim::SyncPolicy policy = config_.resolved_sync();
-
-  schedule_ = fault::compile(config_.fault_plan, hub_.get());
-  if (schedule_) {
-    // Injected faults land as flagged marker frames in the master recording,
-    // so vhptrace and the divergence checker can tell injected loss from
-    // real divergence.
-    schedule_->set_observer([this](const fault::FaultEvent& e) {
-      hub_->hw_recorder().note_fault(e.port, e.dir, fault::to_string(e.kind),
-                                     e.node);
-    });
-  }
 
   const std::size_t n = config_.nodes.size();
-  std::vector<net::LinkPair> links;
-  if (config_.transport == Transport::kInProc) {
-    links = net::make_inproc_link_fanout(n);
-  } else if (config_.transport == Transport::kShm) {
-    links = net::make_shm_link_fanout(n);
-  } else {
-    auto fanout = net::make_tcp_link_fanout(n);
-    if (!fanout.ok()) {
-      throw std::runtime_error("fabric TCP fan-out failed: " +
-                               fanout.status().to_string());
-    }
-    links = std::move(fanout).value();
-  }
-
+  std::vector<obs::Hub*> board_hubs;
+  std::vector<std::string> hw_labels;
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto node = std::make_unique<Node>();
     node->config = config_.nodes[i];
     if (node->config.name.empty()) node->config.name = strformat("node{}", i);
-    const std::string& name = node->config.name;
-
     node->hub = std::make_unique<obs::Hub>(config_.obs);
     // One clock across the fabric: node-side spans and recorded frames
     // timestamp against the master's epochs, so cross-hub records compare
     // directly (the analyzer joins them on wall time).
     node->hub->timeline().set_epoch(hub_->timeline().epoch());
     node->hub->board_recorder().set_epoch(hub_->hw_recorder().epoch());
-    node->registry = std::make_unique<cosim::DriverRegistry>();
-
-    net::CosimLink hw_side = std::move(links[i].hw);
-    net::CosimLink board_side = std::move(links[i].board);
-    // Batching wraps the raw transport innermost, so every decorator above
-    // sees the unbatched frame sequence (recording parity holds).
-    if (config_.batch_frames) {
-      hw_side = net::batch_link(std::move(hw_side), true, config_.batching,
-                                hub_.get(), "hw." + name);
-      board_side = net::batch_link(std::move(board_side), true,
-                                   config_.batching, node->hub.get(),
-                                   "board");
-    }
-    // Canonical decorator stack (innermost first): transport -> inject
-    // (hw side only) -> reliable (both sides) -> instrument -> record.
-    // The recorder sits above the recovery layer, so it only ever sees
-    // repaired traffic — a faulted run's recording matches the clean one.
-    const u32 node_id = static_cast<u32>(i);
-    if (schedule_) {
-      hw_side = fault::inject_link(std::move(hw_side), schedule_, node_id);
-    }
-    if (config_.recovery.enabled) {
-      hw_side = fault::reliable_link(std::move(hw_side), config_.recovery,
-                                     hub_.get(), "hw." + name);
-      board_side = fault::reliable_link(std::move(board_side),
-                                        config_.recovery, node->hub.get(),
-                                        "board");
-    }
-    if (hub_->enabled()) {
-      hw_side = net::instrument_link(std::move(hw_side), *hub_,
-                                     "hw." + name);
-    }
-    if (node->hub->enabled()) {
-      board_side = net::instrument_link(std::move(board_side), *node->hub,
-                                        "board");
-    }
-    // The master records every node's link into ONE ring, each frame
-    // stamped with its node id — the merged recording diffs and replays
-    // per node. Each board records its own side into its node hub.
-    hw_side =
-        net::record_link(std::move(hw_side), hub_->hw_recorder(), node_id);
-    board_side = net::record_link(std::move(board_side),
-                                  node->hub->board_recorder(), node_id);
-    node->hw_link = std::move(hw_side);
-
-    node->data_writes =
-        &hub_->metrics().counter("fabric." + name + ".data_writes");
-    node->data_reads =
-        &hub_->metrics().counter("fabric." + name + ".data_reads");
-    node->interrupts_sent =
-        &hub_->metrics().counter("fabric." + name + ".interrupts_sent");
-
-    if (node->config.external) {
-      node->board_link = std::move(board_side);
-    } else {
-      board::BoardConfig board_config = node->config.board;
-      if (board_config.name.empty()) board_config.name = name;
-      // Adaptive mode needs every board's acks to carry its lookahead; the
-      // board-side lookahead is conservative by construction, so opting the
-      // boards in wholesale is always correct.
-      if (policy.is_adaptive()) board_config.advertise_lookahead = true;
-      if (config_.event_loop) {
-        // Constructed here (so apps/DSRs configure before start_boards),
-        // booted and pumped exclusively on the loop thread — the same
-        // construct-here/run-there split BoardHost uses.
-        node->loop_board = std::make_unique<board::Board>(
-            board_config, std::move(board_side), node->hub.get());
-      } else {
-        node->host = std::make_unique<board::BoardHost>(
-            board_config, std::move(board_side), node->hub.get());
-      }
-      node->hub->board_recorder().set_board_time_source(
-          [board = node->host ? &node->host->board()
-                              : node->loop_board.get()] {
-            return board->kernel().tick_count().value();
-          });
-    }
+    board_hubs.push_back(node->hub.get());
+    hw_labels.push_back("hw." + node->config.name);
     nodes_.push_back(std::move(node));
   }
+  // The master records every node's link into ONE ring, each frame stamped
+  // with its node id — the merged recording diffs and replays per node.
+  // Each board records its own side into its node hub.
+  cosim::Links links =
+      cosim::make_links(config_, {}, *hub_, board_hubs, hw_labels);
+  schedule_ = std::move(links.schedule);
 
-  hub_->hw_recorder().set_hw_time_source([this] { return cycle_; });
+  std::vector<cosim::MasterLink> master_links;
+  for (std::size_t i = 0; i < n; ++i) {
+    Node& node = *nodes_[i];
+    const std::string& name = node.config.name;
+    master_links.push_back({name, std::move(links.pairs[i].hw)});
+    net::CosimLink board_side = std::move(links.pairs[i].board);
+    if (node.config.external) {
+      node.board_link = std::move(board_side);
+      continue;
+    }
+    board::BoardConfig board_config = node.config.board;
+    if (board_config.name.empty()) board_config.name = name;
+    // Adaptive mode needs every board's acks to carry its lookahead; the
+    // board-side lookahead is conservative by construction, so opting the
+    // boards in wholesale is always correct.
+    if (config_.sync.is_adaptive()) board_config.advertise_lookahead = true;
+    if (config_.event_loop) {
+      // Constructed here (so apps/DSRs configure before start_boards),
+      // booted and pumped exclusively on the loop thread — the same
+      // construct-here/run-there split BoardHost uses.
+      node.loop_board = std::make_unique<board::Board>(
+          board_config, std::move(board_side), node.hub.get());
+    } else {
+      node.host = std::make_unique<board::BoardHost>(
+          board_config, std::move(board_side), node.hub.get());
+    }
+    node.hub->board_recorder().set_board_time_source(
+        [board = node.host ? &node.host->board() : node.loop_board.get()] {
+          return board->kernel().tick_count().value();
+        });
+  }
+
+  master_ = std::make_unique<cosim::CosimKernel>(
+      std::move(master_links), master_config(config_), hub_.get());
+  hub_->hw_recorder().set_hw_time_source(
+      [master = master_.get()] { return master->cycle(); });
   hub_->metrics().gauge("fabric.nodes").set(static_cast<i64>(n));
-
-  std::vector<net::Channel*> clocks;
-  std::vector<std::string> names;
-  clocks.reserve(n);
-  names.reserve(n);
-  for (const auto& node : nodes_) {
-    clocks.push_back(node->hw_link.clock.get());
-    names.push_back(node->config.name);
-  }
-  coordinator_ = std::make_unique<SyncCoordinator>(
-      policy, std::move(clocks), std::move(names), hub_.get());
-  // A parked gather must still notice a mid-quantum DataReadReq promptly:
-  // hand the coordinator every DATA doorbell as an extra wake source.
-  std::vector<int> wake_fds;
-  for (const auto& node : nodes_) {
-    const int fd = node->hw_link.data->readable_fd();
-    if (fd >= 0) wake_fds.push_back(fd);
-  }
-  coordinator_->set_wake_fds(std::move(wake_fds));
 }
 
 Fabric::~Fabric() { finish(); }
@@ -312,7 +160,7 @@ Fabric::Node& Fabric::node_at(std::size_t node) {
 }
 
 cosim::DriverRegistry& Fabric::registry(std::size_t node) {
-  return *node_at(node).registry;
+  return master_->registry(node);
 }
 
 board::Board& Fabric::board(std::size_t node) {
@@ -341,11 +189,6 @@ net::CosimLink Fabric::take_board_link(std::size_t node) {
 }
 
 obs::Hub& Fabric::node_obs(std::size_t node) { return *node_at(node).hub; }
-
-void Fabric::watch_interrupt(std::size_t node, sim::BoolSignal& line,
-                             u32 vector) {
-  node_at(node).watches.push_back(IntWatch{&line, vector, line.read()});
-}
 
 void Fabric::start_boards() {
   if (started_) return;
@@ -383,132 +226,13 @@ void Fabric::start_boards() {
   loop_thread_ = std::thread([this] { loop_->run(); });
 }
 
-Status Fabric::handshake() {
-  if (handshaken_) return Status::Ok();
-  Status s = coordinator_->handshake();
-  if (!s.ok()) return s;
-  handshaken_ = true;
-  return Status::Ok();
-}
-
-Status Fabric::service_data_ports() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& node = nodes_[i];
-    if (!coordinator_->alive(i)) continue;
-    for (;;) {
-      auto msg = net::try_recv_msg(*node->hw_link.data);
-      if (!msg.ok()) {
-        return Status{msg.status().code(),
-                      strformat("fabric: DATA channel of {} failed: {}",
-                                node->config.name, msg.status().message())};
-      }
-      if (!msg.value().has_value()) break;
-      if (std::holds_alternative<net::DataWrite>(*msg.value())) {
-        node->data_writes->inc();
-      } else if (std::holds_alternative<net::DataReadReq>(*msg.value())) {
-        node->data_reads->inc();
-      }
-      Status s = cosim::serve_data_message(*node->registry,
-                                           *node->hw_link.data, *msg.value());
-      if (s.ok() && std::holds_alternative<net::DataReadReq>(*msg.value())) {
-        // A board thread is blocked mid-quantum on this response; a
-        // batched DATA channel must not hold it to the barrier boundary.
-        s = node->hw_link.data->flush();
-      }
-      if (!s.ok()) {
-        return Status{s.code(), strformat("fabric: node {}: {}",
-                                          node->config.name, s.message())};
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status Fabric::flush_node_links() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& node = nodes_[i];
-    if (!coordinator_->alive(i)) continue;
-    Status s = node->hw_link.data->flush();
-    if (s.ok()) s = node->hw_link.intr->flush();
-    if (!s.ok()) {
-      return Status{s.code(), strformat("fabric: flush to {} failed: {}",
-                                        node->config.name, s.message())};
-    }
-  }
-  return Status::Ok();
-}
-
-Status Fabric::sample_interrupts() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& node = nodes_[i];
-    if (!coordinator_->alive(i)) continue;
-    for (IntWatch& watch : node->watches) {
-      const bool level = watch.line->read();
-      if (level && !watch.prev) {
-        node->interrupts_sent->inc();
-        Status s = net::send_msg(*node->hw_link.intr,
-                                 net::IntRaise{watch.vector});
-        if (!s.ok()) {
-          return Status{s.code(),
-                        strformat("fabric: INT_RAISE to {} failed: {}",
-                                  node->config.name, s.message())};
-        }
-      }
-      watch.prev = level;
-    }
-  }
-  return Status::Ok();
-}
-
-Status Fabric::run_cycles(u64 cycles) {
-  Status s = handshake();
-  if (!s.ok()) return s;
-  for (u64 i = 0; i < cycles; ++i) {
-    if (config_.data_poll_interval <= 1 ||
-        cycle_ % config_.data_poll_interval == 0) {
-      s = service_data_ports();
-      if (!s.ok()) return s;
-    }
-    kernel_.run(config_.clock_period);  // one posedge + negedge
-    ++cycle_;
-    s = sample_interrupts();
-    if (!s.ok()) return s;
-    if (coordinator_->due(cycle_)) {
-      // Batching flush rule: the quantum's DATA/INT frames cross before
-      // the barrier's CLOCK_TICKs (no-op on unbatched links).
-      s = flush_node_links();
-      if (!s.ok()) return s;
-      s = coordinator_->run_barrier(
-          cycle_, [this] { return service_data_ports(); });
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::Ok();
-}
-
 void Fabric::finish() {
   if (finished_) return;
   finished_ = true;
   // The telemetry provider reaches back into this Fabric; stop it before
   // anything it reads starts tearing down.
   hub_->stop_telemetry();
-  // Push out anything a batched link still holds before the SHUTDOWNs.
-  for (auto& node : nodes_) {
-    if (node->hw_link.data) (void)node->hw_link.data->flush();
-    if (node->hw_link.intr) (void)node->hw_link.intr->flush();
-  }
-  if (config_.shutdown_on_finish) coordinator_->shutdown();
-  // An evicted node's board thread may still be blocked on its CLOCK
-  // channel: try a best-effort SHUTDOWN, then close our side so the peer
-  // wakes with an error and the host thread can be joined.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (coordinator_->alive(i)) continue;
-    Node& node = *nodes_[i];
-    (void)net::send_msg(*node.hw_link.clock, net::Shutdown{});
-    if (node.hw_link.data) node.hw_link.data->close();
-    if (node.hw_link.intr) node.hw_link.intr->close();
-    if (node.hw_link.clock) node.hw_link.clock->close();
-  }
+  master_->finish();  // flush, SHUTDOWN, close evicted nodes' links
   for (auto& node : nodes_) {
     if (node->host) node->host->join();
   }
@@ -595,12 +319,11 @@ Status Fabric::write_recordings(
                   "flight recorder is disabled (FabricConfig::obs.record)"};
   }
   std::map<std::string, std::string> all = tags;
-  const cosim::SyncPolicy policy = config_.resolved_sync();
-  all["t_sync"] = strformat("{}", policy.quantum());
-  all["adaptive"] = policy.is_adaptive() ? "1" : "0";
+  all["t_sync"] = strformat("{}", config_.sync.quantum());
+  all["adaptive"] = config_.sync.is_adaptive() ? "1" : "0";
   all["nodes"] = strformat("{}", nodes_.size());
   Status s = obs::write_recording(
-      prefix + ".hw.vhprec", snapshot_recording(hub_->hw_recorder(), all),
+      prefix + ".hw.vhprec", obs::snapshot_recording(hub_->hw_recorder(), all),
       obs::RecordingFormat::kBinary);
   if (!s.ok()) return s;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -610,7 +333,7 @@ Status Fabric::write_recordings(
     node_tags["node_name"] = node.config.name;
     s = obs::write_recording(
         prefix + "." + node.config.name + ".board.vhprec",
-        snapshot_recording(node.hub->board_recorder(), node_tags),
+        obs::snapshot_recording(node.hub->board_recorder(), node_tags),
         obs::RecordingFormat::kBinary);
     if (!s.ok()) return s;
   }

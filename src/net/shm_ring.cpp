@@ -348,14 +348,4 @@ LinkPair make_shm_link_pair(std::size_t capacity_bytes) {
   return pair;
 }
 
-std::vector<LinkPair> make_shm_link_fanout(std::size_t n,
-                                           std::size_t capacity_bytes) {
-  std::vector<LinkPair> links;
-  links.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    links.push_back(make_shm_link_pair(capacity_bytes));
-  }
-  return links;
-}
-
 }  // namespace vhp::net

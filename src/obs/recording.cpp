@@ -301,6 +301,15 @@ std::string frame_record_to_json(const FrameRecord& r) {
   return out.str();
 }
 
+Recording snapshot_recording(FlightRecorder& recorder,
+                             std::map<std::string, std::string> tags) {
+  Recording rec;
+  rec.meta.side = recorder.side();
+  rec.meta.tags = std::move(tags);
+  rec.frames = recorder.snapshot();
+  return rec;
+}
+
 Status write_recording(const std::string& path, const Recording& recording,
                        RecordingFormat format) {
   std::ofstream f(path, std::ios::trunc | std::ios::binary);

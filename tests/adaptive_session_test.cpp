@@ -88,8 +88,8 @@ u64 count_clock_tx(const obs::Recording& rec) {
   return n;
 }
 
-/// One two-party router run. `policy` unset = the legacy fixed-T_sync
-/// configuration path (t_sync()), exercising the deprecated shim on the way.
+/// One two-party router run. `policy` unset = the fixed T_sync set through
+/// the builder's t_sync().
 RunResult run_session(std::optional<SyncPolicy> policy,
                       const fault::FaultPlan& plan = {},
                       bool recover = false) {
@@ -208,8 +208,9 @@ FabricResult run_fabric(std::optional<SyncPolicy> policy) {
   tb_cfg.payload_bytes = 16;
 
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(500).watchdog(15000ms);
-  if (policy.has_value()) builder.sync(*policy);
+  builder.sync(policy.has_value()
+                   ? *policy
+                   : cosim::SyncPolicy{}.quantum(500).watchdog(15000ms));
   for (std::size_t p = 0; p < kPorts; ++p) {
     builder.add_node("port" + std::to_string(p));
     builder.last_board().rtos.cycles_per_tick = 10;

@@ -1,5 +1,6 @@
-// Adaptive lookahead synchronization, fiber-free (ISSUE 6): SyncPolicy
-// grant arithmetic, the deprecated-shim mappings, and a SyncCoordinator in
+// Adaptive lookahead synchronization, fiber-free: SyncPolicy grant
+// arithmetic, how the config builders compose t_sync() with a policy, and
+// a SyncCoordinator in
 // adaptive mode driven over raw inproc channel pairs by plain threads that
 // answer with scripted lookaheads. No ucontext fiber runs here, so the
 // suite carries the composite "adaptive-tsan" label (selected by both
@@ -13,10 +14,10 @@
 #include <variant>
 #include <vector>
 
-#include "vhp/cosim/cosim_kernel.hpp"
+#include "vhp/cosim/session.hpp"
+#include "vhp/cosim/sync_coordinator.hpp"
 #include "vhp/cosim/sync_policy.hpp"
 #include "vhp/fabric/fabric.hpp"
-#include "vhp/fabric/sync_coordinator.hpp"
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/replay.hpp"
 #include "vhp/obs/recording.hpp"
@@ -25,6 +26,7 @@ namespace vhp::fabric {
 namespace {
 
 using namespace std::chrono_literals;
+using cosim::SyncCoordinator;
 using cosim::SyncPolicy;
 
 // ---------------------------------------------------------------------------
@@ -104,58 +106,30 @@ TEST(SyncPolicyTest, ValidateRejectsBadKnobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated shims: the legacy knob sets map onto SyncPolicy losslessly.
+// The builders: t_sync(n) is the paper's name for sync.quantum(n).
 
-TEST(SyncPolicyShimTest, SyncConfigToPolicyKeepsEveryKnob) {
-  SyncConfig cfg;
-  cfg.t_sync = 200;
-  cfg.t_sync_overrides = {0, 50};
-  cfg.watchdog = 1234ms;
-  cfg.evict_after_misses = 3;
-  const SyncPolicy p = cfg.to_policy();
-  EXPECT_EQ(p.quantum(), 200u);
-  EXPECT_EQ(p.node_quantum(0), 200u);
-  EXPECT_EQ(p.node_quantum(1), 50u);
-  EXPECT_EQ(p.watchdog(), 1234ms);
-  EXPECT_EQ(p.evict_after_misses(), 3u);
-  EXPECT_FALSE(p.is_adaptive());  // SyncConfig predates adaptive mode
-}
-
-TEST(SyncPolicyShimTest, FabricConfigResolvesLegacyFieldsWhenPolicyUnset) {
+TEST(SyncPolicyBuilderTest, FabricTsyncComposesWithThePolicy) {
   FabricConfigBuilder builder;
-  builder.t_sync(300).watchdog(2000ms);
+  builder.sync(SyncPolicy{}.watchdog(2000ms).node_quantum(1, 75)).t_sync(300);
   builder.add_node("a");
   builder.add_node("b");
-  FabricConfig cfg = builder.build_or_throw();
-  cfg.nodes[1].t_sync = 75;
-  const SyncPolicy p = cfg.resolved_sync();
+  const SyncPolicy p = builder.build_or_throw().sync;
   EXPECT_EQ(p.quantum(), 300u);
+  EXPECT_EQ(p.node_quantum(0), 300u);
   EXPECT_EQ(p.node_quantum(1), 75u);
   EXPECT_EQ(p.watchdog(), 2000ms);
   EXPECT_FALSE(p.is_adaptive());
 }
 
-TEST(SyncPolicyShimTest, FabricConfigPolicyWinsOverLegacyFields) {
-  FabricConfigBuilder builder;
-  builder.t_sync(300).sync(
-      SyncPolicy{}.quantum(80).adaptive().max_quantum(640));
-  builder.add_node("a");
-  const SyncPolicy p = builder.build_or_throw().resolved_sync();
-  EXPECT_EQ(p.quantum(), 80u);
-  EXPECT_TRUE(p.is_adaptive());
-  EXPECT_EQ(p.max_quantum(), 640u);
-}
-
-TEST(SyncPolicyShimTest, CosimConfigResolvesTsyncOrPolicy) {
-  cosim::CosimConfig legacy;
-  legacy.t_sync = 777;
-  EXPECT_EQ(legacy.resolved_sync().quantum(), 777u);
-  EXPECT_FALSE(legacy.resolved_sync().is_adaptive());
-
-  cosim::CosimConfig unified;
-  unified.sync = SyncPolicy{}.quantum(50).adaptive();
-  EXPECT_EQ(unified.resolved_sync().quantum(), 50u);
-  EXPECT_TRUE(unified.resolved_sync().is_adaptive());
+TEST(SyncPolicyBuilderTest, SessionTsyncKeepsTheAdaptiveKnobs) {
+  const cosim::SessionConfig cfg =
+      cosim::SessionConfigBuilder{}
+          .sync(SyncPolicy{}.quantum(50).adaptive().max_quantum(640))
+          .t_sync(777)
+          .build_or_throw();
+  EXPECT_EQ(cfg.cosim.sync.quantum(), 777u);
+  EXPECT_TRUE(cfg.cosim.sync.is_adaptive());
+  EXPECT_EQ(cfg.cosim.sync.max_quantum(), 640u);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,31 +298,6 @@ TEST(AdaptiveCoordinatorTest, EvictionDropsTheLookaheadAndRejoinRebases) {
   good.join();
   // Drain the rejoined node's channel so its peer closes cleanly.
   (void)net::recv_msg(*b1, 100ms);
-}
-
-TEST(AdaptiveCoordinatorTest, FixedPolicyMatchesLegacyConfigCadence) {
-  // The SyncConfig ctor and a fixed SyncPolicy must schedule identically.
-  for (const bool use_policy : {false, true}) {
-    auto [m0, b0] = net::make_inproc_channel_pair();
-    NodeLog log;
-    std::thread node = spawn_scripted_node(*b0, log, {});
-    SyncConfig cfg;
-    cfg.t_sync = 50;
-    auto coord =
-        use_policy
-            ? std::make_unique<SyncCoordinator>(
-                  cfg.to_policy(), std::vector<net::Channel*>{m0.get()})
-            : std::make_unique<SyncCoordinator>(
-                  cfg, std::vector<net::Channel*>{m0.get()});
-    ASSERT_TRUE(coord->handshake().ok());
-    for (u64 cycle = 50; cycle <= 200; cycle += 50) {
-      ASSERT_TRUE(coord->run_barrier(cycle).ok());
-    }
-    coord->shutdown();
-    node.join();
-    ASSERT_EQ(log.ticks.size(), 4u);
-    for (const auto& tick : log.ticks) EXPECT_EQ(tick.n_ticks, 50u);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ struct ScriptedPeer {
 TEST(CosimProtocol, HandshakeThenStrictTickAckAlternation) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
-  cfg.t_sync = 10;
+  cfg.sync.quantum(10);
   CosimKernel hw{std::move(pair.hw), cfg};
   ScriptedPeer peer{std::move(pair.board)};
 
@@ -149,8 +149,9 @@ TEST(CosimProtocol, HandshakeThenStrictTickAckAlternation) {
 TEST(CosimProtocol, HandshakeTimesOutWithoutBoard) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
+  cfg.sync.watchdog(50ms);
   CosimKernel hw{std::move(pair.hw), cfg};
-  const Status s = hw.handshake(50ms);
+  const Status s = hw.handshake();
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -168,7 +169,7 @@ TEST(CosimProtocol, ServesDataReadsWhileWaitingForAck) {
   // answered before the ack arrives.
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
-  cfg.t_sync = 5;
+  cfg.sync.quantum(5);
   CosimKernel hw{std::move(pair.hw), cfg};
   DriverOut<u32> out{hw.registry(), "reg", 0x8};
   out.write(1234);
@@ -195,7 +196,7 @@ TEST(CosimProtocol, ServesDataReadsWhileWaitingForAck) {
 TEST(CosimProtocol, InterruptEdgeEmitsExactlyOnce) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
-  cfg.t_sync = 100;
+  cfg.sync.quantum(100);
   CosimKernel hw{std::move(pair.hw), cfg};
 
   // A module that raises the line at cycle 3 and holds it high: level-hold
@@ -233,7 +234,7 @@ TEST(CosimProtocol, InterruptEdgeEmitsExactlyOnce) {
 TEST(CosimProtocol, DriverWriteLandsBeforeNextCycle) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
-  cfg.t_sync = 4;
+  cfg.sync.quantum(4);
   CosimKernel hw{std::move(pair.hw), cfg};
   DriverIn<u32> in{hw.kernel(), hw.registry(), "in", 0x0};
   ScriptedPeer peer{std::move(pair.board)};
@@ -316,7 +317,7 @@ TEST(CosimProtocol, SyncServesDataThatArrivedWithTheAck) {
   pair.hw.clock =
       std::make_unique<TickSpottingChannel>(std::move(pair.hw.clock), gate);
   CosimConfig cfg;
-  cfg.t_sync = 4;
+  cfg.sync.quantum(4);
   CosimKernel hw{std::move(pair.hw), cfg};
   DriverIn<u32> in{hw.kernel(), hw.registry(), "in", 0x0};
   // The whole first quantum of the board, queued up front: its boot ack,

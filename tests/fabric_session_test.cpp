@@ -7,10 +7,12 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vhp/cosim/session.hpp"
 #include "vhp/fabric/fabric.hpp"
+#include "vhp/net/replay.hpp"
 #include "vhp/obs/recording.hpp"
 #include "vhp/router/checksum_app.hpp"
 #include "vhp/router/testbench.hpp"
@@ -55,14 +57,16 @@ struct EchoDevice : sim::Module {
   }
 };
 
-class FabricSessionTest : public ::testing::TestWithParam<Transport> {};
+class FabricSessionTest
+    : public ::testing::TestWithParam<cosim::TransportKind> {};
 
 TEST_P(FabricSessionTest, BoardsUseIsolatedRegistriesAtSameAddresses) {
   constexpr std::size_t kNodes = 3;
   constexpr int kRounds = 4;
 
   FabricConfigBuilder builder;
-  builder.transport(GetParam()).t_sync(20).watchdog(10000ms);
+  builder.transport(GetParam()).sync(
+      cosim::SyncPolicy{}.quantum(20).watchdog(10000ms));
   for (std::size_t n = 0; n < kNodes; ++n) {
     builder.add_node("n" + std::to_string(n));
     builder.last_board().rtos.cycles_per_tick = 10;
@@ -130,10 +134,10 @@ TEST_P(FabricSessionTest, BoardsUseIsolatedRegistriesAtSameAddresses) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, FabricSessionTest,
-                         ::testing::Values(Transport::kInProc,
-                                           Transport::kTcp),
+                         ::testing::Values(cosim::TransportKind::kInProc,
+                                           cosim::TransportKind::kTcp),
                          [](const auto& p) {
-                           return p.param == Transport::kInProc
+                           return p.param == cosim::TransportKind::kInProc
                                       ? std::string("InProc")
                                       : std::string("Tcp");
                          });
@@ -166,7 +170,7 @@ TEST(FabricRouterTest, MatchesSingleSessionBaseline) {
   Counts fabric_counts{};
   {
     FabricConfigBuilder builder;
-    builder.t_sync(kTsync).watchdog(15000ms);
+    builder.sync(cosim::SyncPolicy{}.quantum(kTsync).watchdog(15000ms));
     for (std::size_t p = 0; p < kPorts; ++p) {
       builder.add_node("port" + std::to_string(p));
       builder.last_board().rtos.cycles_per_tick = 10;
@@ -229,9 +233,86 @@ TEST(FabricRouterTest, MatchesSingleSessionBaseline) {
   EXPECT_GT(base.emitted, 0u);
 }
 
+/// The paper's case study: a 4-port router whose packets one board
+/// verifies.
+router::TestbenchConfig case_study_testbench() {
+  router::TestbenchConfig tb_cfg;
+  tb_cfg.router.remote_checksum = true;
+  tb_cfg.packets_per_port = 3;
+  tb_cfg.gap_cycles = 1500;
+  tb_cfg.payload_bytes = 16;
+  tb_cfg.corrupt_probability = 0.25;
+  return tb_cfg;
+}
+
+TEST(FabricRecordingSessionTest, OneNodeFabricRecordsLikeASession) {
+  // A session is a 1-node fabric: the same policy, transport and board
+  // config give the same frames on both sides of the link, CLOCK included.
+  const auto policy = cosim::SyncPolicy{}.quantum(500).watchdog(15000ms);
+  constexpr u64 kCycles = 40000;
+  constexpr std::size_t kRing = 1u << 16;
+
+  obs::Recording session_hw, session_board;
+  {
+    cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                    .sync(policy)
+                                    .cycles_per_tick(10)
+                                    .record()
+                                    .record_ring(kRing)
+                                    .build_or_throw()};
+    router::RouterTestbench tb{session.hw().kernel(), case_study_testbench(),
+                               &session.hw().registry()};
+    session.hw().watch_interrupt(tb.router().irq(),
+                                 board::Board::kDeviceVector);
+    router::ChecksumApp app{session.board(), router::ChecksumAppConfig{}};
+    session.start_board();
+    ASSERT_TRUE(session.run_cycles(kCycles).ok());
+    session.finish();
+    ASSERT_TRUE(tb.traffic_done());
+    session_hw = obs::snapshot_recording(session.obs().hw_recorder(), {});
+    session_board =
+        obs::snapshot_recording(session.obs().board_recorder(), {});
+  }
+
+  obs::Recording fabric_hw, fabric_board;
+  {
+    FabricConfigBuilder builder;
+    builder.sync(policy).record().add_node("board");
+    builder.last_board().rtos.cycles_per_tick = 10;
+    FabricConfig cfg = builder.build_or_throw();
+    cfg.obs.record.ring_frames = kRing;
+    Fabric fab{cfg};
+    router::RouterTestbench tb{fab.kernel(), case_study_testbench(),
+                               &fab.registry(0)};
+    fab.watch_interrupt(0, tb.router().irq(), board::Board::kDeviceVector);
+    router::ChecksumApp app{fab.board(0), router::ChecksumAppConfig{}};
+    fab.start_boards();
+    ASSERT_TRUE(fab.run_cycles(kCycles).ok());
+    fab.finish();
+    ASSERT_TRUE(tb.traffic_done());
+    fabric_hw = obs::snapshot_recording(fab.obs().hw_recorder(), {});
+    fabric_board =
+        obs::snapshot_recording(fab.node_obs(0).board_recorder(), {});
+  }
+
+  ASSERT_GT(session_hw.frames.size(), 0u);
+  ASSERT_GT(session_board.frames.size(), 0u);
+  EXPECT_EQ(fabric_hw.frames.size(), session_hw.frames.size());
+  EXPECT_EQ(fabric_board.frames.size(), session_board.frames.size());
+  for (const auto& [a, b] : {std::pair{&session_hw, &fabric_hw},
+                             std::pair{&session_board, &fabric_board}}) {
+    SCOPED_TRACE(a->meta.side);
+    for (const auto& [ref, live] : {std::pair{a, b}, std::pair{b, a}}) {
+      const auto divergence =
+          obs::diff_recordings(*ref, *live, &net::message_field_diff);
+      EXPECT_FALSE(divergence.has_value()) << divergence->to_string();
+    }
+  }
+}
+
 TEST(FabricRecordingSessionTest, BoardsProduceNodeStampedRecordings) {
   FabricConfigBuilder builder;
-  builder.t_sync(20).watchdog(10000ms).record();
+  builder.sync(cosim::SyncPolicy{}.quantum(20).watchdog(10000ms)).record();
   builder.add_node("left");
   builder.last_board().rtos.cycles_per_tick = 10;
   builder.add_node("right");

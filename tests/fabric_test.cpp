@@ -27,30 +27,34 @@ namespace vhp::fabric {
 namespace {
 
 using namespace std::chrono_literals;
+using cosim::SyncCoordinator;
+using cosim::SyncPolicy;
 
 // ---------------------------------------------------------------------------
-// SyncConfig
+// Per-node quanta of the sync policy
 
-TEST(SyncConfigTest, QuantumAppliesPerNodeOverrides) {
-  SyncConfig cfg;
-  cfg.t_sync = 100;
-  cfg.t_sync_overrides = {0, 25};
-  EXPECT_EQ(cfg.quantum(0), 100u);  // 0 means "use the default"
-  EXPECT_EQ(cfg.quantum(1), 25u);
-  EXPECT_EQ(cfg.quantum(7), 100u);  // missing entry means the default too
+TEST(SyncPolicyNodeQuantumTest, QuantumAppliesPerNodeOverrides) {
+  SyncPolicy policy;
+  policy.quantum(100).node_quantum(1, 25);
+  EXPECT_EQ(policy.node_quantum(0), 100u);  // no override: the default
+  EXPECT_EQ(policy.node_quantum(1), 25u);
+  EXPECT_EQ(policy.node_quantum(7), 100u);  // beyond the overrides too
+  policy.node_quantum(1, 0);                // 0 clears the override
+  EXPECT_EQ(policy.node_quantum(1), 100u);
 }
 
-TEST(SyncConfigTest, ValidateRejectsZeroQuanta) {
-  SyncConfig cfg;
-  EXPECT_FALSE(cfg.validate(0).ok());  // no nodes
+TEST(SyncPolicyNodeQuantumTest, ValidateRejectsZeroQuanta) {
+  SyncPolicy policy;
+  EXPECT_FALSE(policy.validate(0).ok());  // no nodes
 
-  cfg.t_sync = 0;
-  EXPECT_FALSE(cfg.validate(1).ok());  // default quantum is zero
+  policy.quantum(0);
+  EXPECT_FALSE(policy.validate(1).ok());  // default quantum is zero
 
   // A zero default is fine when every node overrides it.
-  cfg.t_sync_overrides = {10, 20};
-  EXPECT_TRUE(cfg.validate(2).ok());
-  EXPECT_FALSE(cfg.validate(3).ok());  // node 2 falls back to the zero default
+  policy.node_quantum(0, 10).node_quantum(1, 20);
+  EXPECT_TRUE(policy.validate(2).ok());
+  // Node 2 falls back to the zero default.
+  EXPECT_FALSE(policy.validate(3).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -98,9 +102,7 @@ TEST(SyncCoordinatorTest, HandshakeGathersOneAckPerNode) {
   std::vector<net::Channel*> clocks;
   for (auto& ch : master) clocks.push_back(ch.get());
 
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  SyncCoordinator coord{cfg, clocks};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10), clocks};
   std::vector<NodeLog> logs(kNodes);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -123,10 +125,9 @@ TEST(SyncCoordinatorTest, BarrierTicksOnlyDueNodesAtTheirCadence) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   auto [m1, b1] = net::make_inproc_channel_pair();
 
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  cfg.t_sync_overrides = {0, 25};
-  SyncCoordinator coord{cfg, {m0.get(), m1.get()}, {"fine", "coarse"}};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10).node_quantum(1, 25),
+                        {m0.get(), m1.get()},
+                        {"fine", "coarse"}};
   NodeLog log0, log1;
   std::thread t0 = spawn_node(*b0, log0);
   std::thread t1 = spawn_node(*b1, log1);
@@ -168,10 +169,9 @@ TEST(SyncCoordinatorTest, StragglerWatchdogNamesTheSilentNode) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   auto [m1, b1] = net::make_inproc_channel_pair();
 
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  cfg.watchdog = 200ms;
-  SyncCoordinator coord{cfg, {m0.get(), m1.get()}, {"good", "mute"}};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10).watchdog(200ms),
+                        {m0.get(), m1.get()},
+                        {"good", "mute"}};
   NodeLog log0;
   std::thread good = spawn_node(*b0, log0);
   ASSERT_TRUE(net::send_msg(*b1, net::TimeAck{0}).ok());  // handshake only
@@ -191,9 +191,7 @@ TEST(SyncCoordinatorTest, StragglerWatchdogNamesTheSilentNode) {
 
 TEST(SyncCoordinatorTest, HandshakeWatchdogNamesTheAbsentNode) {
   auto [m0, b0] = net::make_inproc_channel_pair();
-  SyncConfig cfg;
-  cfg.watchdog = 150ms;
-  SyncCoordinator coord{cfg, {m0.get()}, {"absent"}};
+  SyncCoordinator coord{SyncPolicy{}.watchdog(150ms), {m0.get()}, {"absent"}};
   const Status status = coord.handshake();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(status.message().find("absent"), std::string::npos) << status;
@@ -202,9 +200,7 @@ TEST(SyncCoordinatorTest, HandshakeWatchdogNamesTheAbsentNode) {
 
 TEST(SyncCoordinatorTest, ServiceCallbackRunsWhileGathering) {
   auto [m0, b0] = net::make_inproc_channel_pair();
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  SyncCoordinator coord{cfg, {m0.get()}};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10), {m0.get()}};
   NodeLog log;
   // The slow ack forces at least one service iteration while waiting.
   std::thread node = spawn_node(*b0, log, 50ms);
@@ -280,8 +276,7 @@ TEST(FabricExternalTest, BarrierDataServiceAndRegistryIsolation) {
   // writable) registered in BOTH per-node registries with different values:
   // each party must see only its own node's devices.
   auto cfg = FabricConfigBuilder{}
-                 .t_sync(50)
-                 .watchdog(5000ms)
+                 .sync(SyncPolicy{}.quantum(50).watchdog(5000ms))
                  .add_external_node("alpha")
                  .add_external_node("beta")
                  .build_or_throw();
@@ -332,8 +327,7 @@ TEST(FabricExternalTest, BarrierDataServiceAndRegistryIsolation) {
 
 TEST(FabricExternalTest, InterruptRoutesOnlyToTheWatchedNode) {
   auto cfg = FabricConfigBuilder{}
-                 .t_sync(20)
-                 .watchdog(5000ms)
+                 .sync(SyncPolicy{}.quantum(20).watchdog(5000ms))
                  .add_external_node("idle")
                  .add_external_node("irq_target")
                  .build_or_throw();
@@ -381,9 +375,13 @@ TEST(FabricConfigTest, BuilderValidates) {
   EXPECT_FALSE(FabricConfigBuilder{}.build().ok());  // no nodes
   EXPECT_FALSE(
       FabricConfigBuilder{}.t_sync(0).add_node("a").build().ok());
-  // A per-node override saves a zero default.
-  EXPECT_TRUE(
-      FabricConfigBuilder{}.t_sync(0).add_node("a", 25).build().ok());
+  // A per-node quantum saves a zero default.
+  EXPECT_TRUE(FabricConfigBuilder{}
+                  .sync(SyncPolicy{}.node_quantum(0, 25))
+                  .t_sync(0)
+                  .add_node("a")
+                  .build()
+                  .ok());
   EXPECT_THROW(FabricConfigBuilder{}.build_or_throw(), std::invalid_argument);
 }
 
@@ -392,8 +390,7 @@ TEST(FabricConfigTest, BuilderValidates) {
 
 TEST(FabricRecordingTest, RecordingIsNodeStampedAndFiltersPerNode) {
   auto cfg = FabricConfigBuilder{}
-                 .t_sync(50)
-                 .watchdog(5000ms)
+                 .sync(SyncPolicy{}.quantum(50).watchdog(5000ms))
                  .record()
                  .add_external_node("alpha")
                  .add_external_node("beta")

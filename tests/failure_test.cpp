@@ -21,7 +21,7 @@ TEST(Failure, BoardVanishesDuringAckWait) {
   // return an error promptly, not spin forever.
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
-  cfg.t_sync = 10;
+  cfg.sync.quantum(10);
   CosimKernel hw{std::move(pair.hw), cfg};
   std::thread peer{[&] {
     ASSERT_TRUE(net::send_msg(*pair.board.clock, net::TimeAck{0}).ok());
@@ -35,12 +35,35 @@ TEST(Failure, BoardVanishesDuringAckWait) {
   EXPECT_EQ(s.code(), StatusCode::kAborted);
 }
 
+TEST(Failure, BoardStopsAckingTripsTheWatchdog) {
+  // A wedged board: it takes the first tick, then stays silent with its
+  // link open. The policy's watchdog must end the wait with the board
+  // named, instead of spinning forever.
+  auto pair = net::make_inproc_link_pair();
+  CosimConfig cfg;
+  cfg.sync = SyncPolicy{}.quantum(10).watchdog(200ms);
+  CosimKernel hw{std::move(pair.hw), cfg};
+  std::thread peer{[&] {
+    ASSERT_TRUE(net::send_msg(*pair.board.clock, net::TimeAck{0}).ok());
+    (void)net::recv_msg(*pair.board.clock, 2000ms);  // the first tick
+  }};
+  const auto start = std::chrono::steady_clock::now();
+  const Status s = hw.run_cycles(100);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  peer.join();
+  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s;
+  EXPECT_NE(s.message().find("node0"), std::string::npos) << s;
+  EXPECT_LT(waited, 2s);
+  EXPECT_EQ(hw.cycle(), 10u);
+}
+
 TEST(Failure, BoardVanishesBeforeHandshake) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
+  cfg.sync.watchdog(1000ms);
   CosimKernel hw{std::move(pair.hw), cfg};
   pair.board.close_all();
-  const Status s = hw.handshake(1000ms);
+  const Status s = hw.handshake();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kAborted);
 }
@@ -48,10 +71,11 @@ TEST(Failure, BoardVanishesBeforeHandshake) {
 TEST(Failure, WrongMessageOnClockPortIsProtocolError) {
   auto pair = net::make_inproc_link_pair();
   CosimConfig cfg;
+  cfg.sync.watchdog(1000ms);
   CosimKernel hw{std::move(pair.hw), cfg};
   // A confused peer sends an interrupt message on the CLOCK port.
   ASSERT_TRUE(net::send_msg(*pair.board.clock, net::IntRaise{1}).ok());
-  const Status s = hw.handshake(1000ms);
+  const Status s = hw.handshake();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
 }
@@ -102,7 +126,7 @@ TEST(Failure, ChecksumAppSurvivesAbruptTeardown) {
   // BEFORE it — i.e. declared after the session, as here.
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kInProc;
-  cfg.cosim.t_sync = 50;
+  cfg.cosim.sync.quantum(50);
   cosim::CosimSession session{cfg};
   router::TestbenchConfig tb_cfg;
   tb_cfg.router.remote_checksum = true;

@@ -634,14 +634,15 @@ namespace vhp::fabric {
 namespace {
 
 using namespace std::chrono_literals;
+using cosim::SyncCoordinator;
+using cosim::SyncPolicy;
 
 TEST(SyncEvictionTest, ValidateRequiresAWatchdogForEviction) {
-  SyncConfig cfg;
-  cfg.watchdog = 0ms;
-  cfg.evict_after_misses = 2;
-  EXPECT_FALSE(cfg.validate(1).ok());
-  cfg.watchdog = 100ms;
-  EXPECT_TRUE(cfg.validate(1).ok());
+  SyncPolicy policy;
+  policy.watchdog(0ms).evict_after(2);
+  EXPECT_FALSE(policy.validate(1).ok());
+  policy.watchdog(100ms);
+  EXPECT_TRUE(policy.validate(1).ok());
 }
 
 TEST(SyncEvictionTest, WatchdogMessageReportsWaitAndQuantum) {
@@ -649,10 +650,8 @@ TEST(SyncEvictionTest, WatchdogMessageReportsWaitAndQuantum) {
   // wall-clock actually waited, the configured bound and the expected
   // quantum — diagnosable without logs.
   auto [m0, b0] = net::make_inproc_channel_pair();
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  cfg.watchdog = 150ms;
-  SyncCoordinator coord{cfg, {m0.get()}, {"mute"}};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10).watchdog(150ms), {m0.get()},
+                        {"mute"}};
   ASSERT_TRUE(net::send_msg(*b0, net::TimeAck{0}).ok());  // handshake only
   ASSERT_TRUE(coord.handshake().ok());
   const Status status = coord.run_barrier(10);
@@ -697,11 +696,10 @@ std::thread spawn_flaky_node(net::Channel& clock, std::atomic<bool>& answering,
 TEST(SyncEvictionTest, EvictsAfterKMissesAndSurvivorsContinue) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   auto [m1, b1] = net::make_inproc_channel_pair();
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  cfg.watchdog = 100ms;
-  cfg.evict_after_misses = 2;
-  SyncCoordinator coord{cfg, {m0.get(), m1.get()}, {"good", "flaky"}};
+  SyncCoordinator coord{
+      SyncPolicy{}.quantum(10).watchdog(100ms).evict_after(2),
+      {m0.get(), m1.get()},
+      {"good", "flaky"}};
 
   std::atomic<bool> good_on{true}, good_announce{false};
   std::atomic<bool> flaky_on{true}, flaky_announce{false};
@@ -745,9 +743,7 @@ TEST(FabricEvictionTest, FabricOutlivesAnEvictedNodeAndReadmitsIt) {
   // is evicted after 2 missed watchdog intervals, the 3 survivors keep
   // simulating, and the node rejoins later.
   auto cfg = FabricConfigBuilder{}
-                 .t_sync(10)
-                 .watchdog(100ms)
-                 .evict_after(2)
+                 .sync(SyncPolicy{}.quantum(10).watchdog(100ms).evict_after(2))
                  .add_external_node("a")
                  .add_external_node("b")
                  .add_external_node("c")

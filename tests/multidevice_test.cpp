@@ -47,7 +47,7 @@ struct MulDevice : sim::Module {
 
 TEST(MultiDevice, TwoDevicesTwoVectorsTwoApps) {
   SessionConfig cfg;
-  cfg.cosim.t_sync = 25;
+  cfg.cosim.sync.quantum(25);
   CosimSession session{cfg};
 
   constexpr u32 kVecA = board::Board::kDeviceVector;  // 16
@@ -112,7 +112,7 @@ TEST(MultiDevice, ClockDomainScalingGrantsMoreBoardCycles) {
   // cycles_per_sim_cycle = 4: the board CPU runs 4x faster than the HDL
   // clock, so after C simulated cycles it has consumed 4C CPU cycles.
   SessionConfig cfg;
-  cfg.cosim.t_sync = 10;
+  cfg.cosim.sync.quantum(10);
   cfg.board.cycles_per_sim_cycle = 4;
   cfg.board.rtos.cycles_per_tick = 10;
   CosimSession session{cfg};

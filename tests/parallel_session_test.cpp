@@ -145,7 +145,9 @@ FabricResult run_fabric(u64 workers) {
   tb_cfg.payload_bytes = 16;
 
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(500).watchdog(15000ms).parallel(workers).record();
+  builder.sync(cosim::SyncPolicy{}.quantum(500).watchdog(15000ms))
+      .parallel(workers)
+      .record();
   for (std::size_t p = 0; p < kPorts; ++p) {
     builder.add_node("port" + std::to_string(p));
     builder.last_board().rtos.cycles_per_tick = 10;

@@ -145,7 +145,7 @@ TEST_P(TimingContract, BoardTicksEqualCyclesOverTickRatio) {
   const u64 t_sync = GetParam();
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kInProc;
-  cfg.cosim.t_sync = t_sync;
+  cfg.cosim.sync.quantum(t_sync);
   cfg.board.rtos.cycles_per_tick = 10;
   cosim::CosimSession session{cfg};
   session.start_board();

@@ -302,7 +302,7 @@ TEST(RecordReplayTest, RecordingReplaysIntoLoneKernelIdentically) {
   auto replay = std::move(opened).value();
 
   cosim::CosimConfig cc;
-  cc.t_sync = 20;  // the recorded session's knobs (echoed in the tags)
+  cc.sync.quantum(20);  // the recorded session's knobs (echoed in the tags)
   cosim::CosimKernel kernel{replay->make_link(), cc};
   replay->set_time_source([&kernel] { return kernel.cycle(); });
   EchoDevice echo{kernel};
@@ -349,7 +349,7 @@ TEST(RecordReplayTest, PerturbedRecordingNamesTheFirstDivergentFrame) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto replay = std::move(opened).value();
   cosim::CosimConfig cc;
-  cc.t_sync = 20;
+  cc.sync.quantum(20);
   cosim::CosimKernel kernel{replay->make_link(), cc};
   replay->set_time_source([&kernel] { return kernel.cycle(); });
   EchoDevice echo{kernel};

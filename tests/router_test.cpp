@@ -195,7 +195,7 @@ struct CosimRouterRig {
                           cosim::TransportKind transport =
                               cosim::TransportKind::kInProc) {
     session_cfg.transport = transport;
-    session_cfg.cosim.t_sync = t_sync;
+    session_cfg.cosim.sync.quantum(t_sync);
     session_cfg.board.rtos.cycles_per_tick = 10;
     session = std::make_unique<cosim::CosimSession>(session_cfg);
     tb_cfg.router.remote_checksum = true;
@@ -227,7 +227,7 @@ TEST(RouterCosim, VerdictTimeoutUnwedgesDeadBoard) {
   // packet and drain instead of wedging forever.
   cosim::SessionConfig scfg;
   scfg.transport = cosim::TransportKind::kInProc;
-  scfg.cosim.t_sync = 10;
+  scfg.cosim.sync.quantum(10);
   cosim::CosimSession session{scfg};
   TestbenchConfig cfg;
   cfg.packets_per_port = 2;

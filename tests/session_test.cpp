@@ -51,7 +51,7 @@ class SessionTest : public ::testing::TestWithParam<TransportKind> {};
 TEST_P(SessionTest, EchoDeviceRoundTrips) {
   SessionConfig cfg;
   cfg.transport = GetParam();
-  cfg.cosim.t_sync = 20;
+  cfg.cosim.sync.quantum(20);
   cfg.board.rtos.cycles_per_tick = 10;
   CosimSession session{cfg};
 
@@ -97,7 +97,7 @@ TEST_P(SessionTest, EchoDeviceRoundTrips) {
 TEST_P(SessionTest, DeviceVisibleThroughDevtab) {
   SessionConfig cfg;
   cfg.transport = GetParam();
-  cfg.cosim.t_sync = 20;
+  cfg.cosim.sync.quantum(20);
   CosimSession session{cfg};
   EchoDevice echo{session.hw()};
 
@@ -132,7 +132,7 @@ TEST_P(SessionTest, DeviceVisibleThroughDevtab) {
 TEST_P(SessionTest, BoardTicksTrackSimulatedTime) {
   SessionConfig cfg;
   cfg.transport = GetParam();
-  cfg.cosim.t_sync = 10;
+  cfg.cosim.sync.quantum(10);
   cfg.board.rtos.cycles_per_tick = 10;
   cfg.board.cycles_per_sim_cycle = 1;
   CosimSession session{cfg};
@@ -172,7 +172,7 @@ TEST(SessionLinkEmulation, SyncRoundTripsPayEmulatedLatency) {
   // least ~6 ms of host time; 5 syncs must take >= ~30 ms.
   SessionConfig cfg;
   cfg.transport = TransportKind::kInProc;
-  cfg.cosim.t_sync = 100;
+  cfg.cosim.sync.quantum(100);
   cfg.board.rtos.cycles_per_tick = 10;
   cfg.link_emulation.latency = std::chrono::milliseconds{3};
   CosimSession session{cfg};
@@ -196,8 +196,19 @@ TEST(SessionConfigValidation, RejectsInconsistentTiming) {
 
 TEST(SessionConfigValidation, RejectsZeroTsync) {
   SessionConfig cfg;
-  cfg.cosim.t_sync = 0;
+  cfg.cosim.sync.quantum(0);
   EXPECT_FALSE(cfg.validate().ok());
+  EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
+}
+
+TEST(SessionConfigValidation, RejectsEviction) {
+  // Evicting a session's only board would leave the master simulating
+  // alone; the knob is a fabric one.
+  SessionConfig cfg;
+  cfg.cosim.sync.evict_after(2);
+  const Status s = cfg.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("evict_after"), std::string::npos) << s;
   EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
 }
 
@@ -286,7 +297,7 @@ TEST(SessionConfigValidation, DefaultAndUntimedConfigsAreValid) {
   cfg.set_untimed();
   EXPECT_TRUE(cfg.validate().ok()) << cfg.validate();
   // Untimed mode ignores t_sync, so zero is fine there.
-  cfg.cosim.t_sync = 0;
+  cfg.cosim.sync.quantum(0);
   EXPECT_TRUE(cfg.validate().ok()) << cfg.validate();
 }
 
@@ -301,7 +312,7 @@ TEST(SessionConfigBuilderTest, BuildsValidatedConfig) {
   ASSERT_TRUE(result.ok()) << result.status();
   const SessionConfig& cfg = result.value();
   EXPECT_EQ(cfg.transport, TransportKind::kInProc);
-  EXPECT_EQ(cfg.cosim.t_sync, 250u);
+  EXPECT_EQ(cfg.cosim.sync.quantum(), 250u);
   EXPECT_EQ(cfg.board.rtos.cycles_per_tick, 5u);
   EXPECT_TRUE(cfg.obs.enabled);
   EXPECT_EQ(cfg.obs.max_trace_events, 1024u);
@@ -320,7 +331,7 @@ TEST(SessionConfigBuilderTest, BuildReturnsStatusOnBadConfig) {
 TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   SessionConfig cfg;
   cfg.transport = GetParam();
-  cfg.cosim.t_sync = 20;
+  cfg.cosim.sync.quantum(20);
   cfg.board.rtos.cycles_per_tick = 10;
   cfg.obs.enabled = true;
   CosimSession session{cfg};
@@ -348,12 +359,15 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   auto& metrics = session.obs().metrics();
   const auto hw = session.hw().stats();
   EXPECT_GT(hw.syncs, 0u);
-  EXPECT_EQ(metrics.counter("cosim.syncs").value(), hw.syncs);
+  // A session syncs through the 1-node coordinator: its grants and acks
+  // count under fabric.*, the boot ack included there.
+  EXPECT_EQ(metrics.counter("fabric.ticks_sent").value(), hw.syncs);
   EXPECT_EQ(metrics.counter("cosim.data_writes").value(), hw.data_writes);
   EXPECT_EQ(metrics.counter("cosim.data_reads").value(), hw.data_reads);
   EXPECT_EQ(metrics.counter("cosim.interrupts_sent").value(),
             hw.interrupts_sent);
-  EXPECT_EQ(metrics.counter("cosim.acks_received").value(), hw.acks_received);
+  EXPECT_EQ(metrics.counter("fabric.acks_received").value(),
+            hw.acks_received + 1);
 
   const auto bd = board.stats();
   EXPECT_EQ(metrics.counter("board.interrupts_received").value(),
@@ -381,7 +395,7 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("cosim.sync"), std::string::npos);
   const std::string dump = session.obs().metrics_json();
-  EXPECT_NE(dump.find("\"cosim.syncs\""), std::string::npos);
+  EXPECT_NE(dump.find("\"fabric.ticks_sent\""), std::string::npos);
   EXPECT_NE(dump.find("\"rtos.context_switches\""), std::string::npos);
   EXPECT_NE(dump.find("\"cosim.wall.ack_wait_ns\""), std::string::npos);
   EXPECT_NE(dump.find("\"net.hw.data.tx_frames\""), std::string::npos);
@@ -389,7 +403,7 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
 
 TEST(SessionObsTest, DisabledSessionKeepsCountersButNoTrace) {
   SessionConfig cfg;  // obs.enabled defaults to false
-  cfg.cosim.t_sync = 20;
+  cfg.cosim.sync.quantum(20);
   CosimSession session{cfg};
   session.start_board();
   ASSERT_TRUE(session.run_cycles(200).ok());
@@ -397,7 +411,7 @@ TEST(SessionObsTest, DisabledSessionKeepsCountersButNoTrace) {
   EXPECT_FALSE(session.obs().enabled());
   EXPECT_EQ(session.obs().tracer().event_count(), 0u);
   // Counters (the stats() backing store) still counted.
-  EXPECT_EQ(session.obs().metrics().counter("cosim.syncs").value(),
+  EXPECT_EQ(session.obs().metrics().counter("fabric.ticks_sent").value(),
             session.hw().stats().syncs);
   EXPECT_GT(session.hw().stats().syncs, 0u);
 }

@@ -258,7 +258,7 @@ struct FabricResult {
   obs::Recording recording;
 };
 
-FabricResult run_fabric(fabric::Transport transport, bool batch,
+FabricResult run_fabric(cosim::TransportKind transport, bool batch,
                         bool event_loop) {
   constexpr std::size_t kPorts = 4;
   constexpr u64 kMaxCycles = 200000;
@@ -269,7 +269,7 @@ FabricResult run_fabric(fabric::Transport transport, bool batch,
   tb_cfg.payload_bytes = 16;
 
   fabric::FabricConfigBuilder builder;
-  builder.t_sync(500).watchdog(15000ms).record();
+  builder.sync(cosim::SyncPolicy{}.quantum(500).watchdog(15000ms)).record();
   builder.transport(transport).batching(batch).event_loop(event_loop);
   for (std::size_t p = 0; p < kPorts; ++p) {
     builder.add_node("port" + std::to_string(p));
@@ -312,14 +312,14 @@ FabricResult run_fabric(fabric::Transport transport, bool batch,
 
 TEST(SvcFabric, EventLoopShmBatchedFabricMatchesDefault) {
   const FabricResult reference =
-      run_fabric(fabric::Transport::kInProc, false, false);
+      run_fabric(cosim::TransportKind::kInProc, false, false);
   ASSERT_TRUE(reference.drained) << "reference fabric did not drain";
   ASSERT_GT(reference.emitted, 0u);
 
   for (const bool event_loop : {false, true}) {
     SCOPED_TRACE(event_loop ? "event-loop boards" : "threaded boards");
     const FabricResult svc_run =
-        run_fabric(fabric::Transport::kShm, true, event_loop);
+        run_fabric(cosim::TransportKind::kShm, true, event_loop);
     ASSERT_TRUE(svc_run.drained) << "svc fabric did not drain";
     EXPECT_EQ(svc_run.emitted, reference.emitted);
     EXPECT_EQ(svc_run.forwarded, reference.forwarded);

@@ -25,7 +25,9 @@ using namespace std::chrono_literals;
 
 FabricConfig timeline_fabric_config(bool timeline) {
   FabricConfigBuilder builder;
-  builder.inproc().t_sync(20).watchdog(10000ms).record();
+  builder.inproc()
+      .sync(cosim::SyncPolicy{}.quantum(20).watchdog(10000ms))
+      .record();
   if (timeline) builder.timeline();
   builder.add_node("n0");
   builder.last_board().rtos.cycles_per_tick = 10;
@@ -142,7 +144,7 @@ namespace {
 
 TEST(SessionTimelineTest, RoundsPropagateAndBothSinksRecord) {
   SessionConfig cfg;
-  cfg.cosim.t_sync = 100;
+  cfg.cosim.sync.quantum(100);
   cfg.obs.timeline.enabled = true;
   CosimSession session{cfg};
   session.start_board();
@@ -173,7 +175,7 @@ TEST(SessionTimelineTest, RoundsPropagateAndBothSinksRecord) {
 
 TEST(SessionTimelineTest, DefaultSessionStampsNoRounds) {
   SessionConfig cfg;
-  cfg.cosim.t_sync = 100;
+  cfg.cosim.sync.quantum(100);
   CosimSession session{cfg};
   session.start_board();
   ASSERT_TRUE(session.run_cycles(500).ok());

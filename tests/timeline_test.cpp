@@ -14,7 +14,7 @@
 #include <variant>
 #include <vector>
 
-#include "vhp/fabric/sync_coordinator.hpp"
+#include "vhp/cosim/sync_coordinator.hpp"
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
@@ -565,6 +565,8 @@ namespace vhp::fabric {
 namespace {
 
 using namespace std::chrono_literals;
+using cosim::SyncCoordinator;
+using cosim::SyncPolicy;
 
 struct NodeLog {
   std::vector<net::ClockTick> ticks;
@@ -634,9 +636,8 @@ TEST(CoordinatorTimelineTest, StampsMonotoneRoundsAndRecordsSpans) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   auto [m1, b1] = net::make_inproc_channel_pair();
   obs::Hub hub{timeline_obs_config()};
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  SyncCoordinator coord{cfg, {m0.get(), m1.get()}, {"a", "b"}, &hub};
+  SyncCoordinator coord{SyncPolicy{}.quantum(10), {m0.get(), m1.get()},
+                        {"a", "b"}, &hub};
   NodeLog log0, log1;
   std::thread t0 = spawn_echo_node(*b0, log0);
   std::thread t1 = spawn_echo_node(*b1, log1);
@@ -691,9 +692,8 @@ TEST(CoordinatorTimelineTest, StampsMonotoneRoundsAndRecordsSpans) {
 
 TEST(CoordinatorTimelineTest, DisabledTimelineKeepsWireV1) {
   auto [m0, b0] = net::make_inproc_channel_pair();
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  SyncCoordinator coord{cfg, {m0.get()}};  // no hub: timeline off
+  SyncCoordinator coord{SyncPolicy{}.quantum(10), {m0.get()}};  // no hub
+
   NodeLog log;
   std::thread t = spawn_echo_node(*b0, log);
   ASSERT_TRUE(coord.handshake().ok());
@@ -713,11 +713,11 @@ TEST(CoordinatorTimelineTest, MetricsAndRoundsContinueAcrossEvictAndRejoin) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   auto [m1, b1] = net::make_inproc_channel_pair();
   obs::Hub hub{timeline_obs_config()};
-  SyncConfig cfg;
-  cfg.t_sync = 10;
-  cfg.watchdog = 100ms;
-  cfg.evict_after_misses = 2;
-  SyncCoordinator coord{cfg, {m0.get(), m1.get()}, {"good", "flaky"}, &hub};
+  SyncCoordinator coord{
+      SyncPolicy{}.quantum(10).watchdog(100ms).evict_after(2),
+      {m0.get(), m1.get()},
+      {"good", "flaky"},
+      &hub};
 
   std::atomic<bool> good_on{true}, good_announce{false};
   std::atomic<bool> flaky_on{true}, flaky_announce{false};

@@ -25,7 +25,6 @@ struct UartRig {
            [] {
              cosim::CosimConfig c;
              c.timed = false;
-             c.shutdown_on_finish = false;
              return c;
            }()),
         uart(hw, "uart0", cfg) {}
@@ -194,7 +193,7 @@ TEST(Uart, IrqPulsesPerReceivedByte) {
 TEST(UartCosim, BoardPrintsAndEchoes) {
   cosim::SessionConfig cfg;
   cfg.transport = cosim::TransportKind::kInProc;
-  cfg.cosim.t_sync = 50;
+  cfg.cosim.sync.quantum(50);
   cosim::CosimSession session{cfg};
 
   UartModel uart{session.hw(), "uart0", {}};

@@ -42,9 +42,11 @@ struct ExperimentParams {
   /// (0 = raw loopback); see net/latency.hpp.
   u64 link_latency_us = 0;
   u64 seed = 42;
-  /// Turn on the costly vhp::obs instruments (tracing, stall profiling,
-  /// per-frame link accounting) for this run. Off by default: the figure
-  /// benches measure wall time, and profiling perturbs what they measure.
+  /// Turn on the costly vhp::obs instruments for this run: the span
+  /// recorder with wire-v3 round stamps, stall profiling, per-frame link
+  /// accounting (ObsConfig::timeline.enabled, the one switch). Off by
+  /// default: the figure benches measure wall time, profiling perturbs what
+  /// they measure, and timeline_overhead gates the disarmed configuration.
   /// Metric counters are always live either way and always land in
   /// ExperimentResult::metrics_json.
   bool observability = false;
@@ -52,10 +54,6 @@ struct ExperimentParams {
   /// ISSUE-2 acceptance check: recording must stay under 5% wall-time
   /// overhead on fig6_overhead_ratio.
   bool record = false;
-  /// Arm the causal timeline (per-round span rings + wire-v3 round
-  /// stamping) for this run. Off by default: timeline_overhead gates the
-  /// disarmed configuration at under 1% wall-time overhead.
-  bool timeline = false;
   /// Fault injection / link recovery for this run (vhp::fault). The
   /// defaults are disarmed: an empty plan compiles to nullptr and disabled
   /// recovery returns the link untouched, so configuring them must cost
@@ -101,9 +99,8 @@ inline ExperimentResult run_router_experiment(const ExperimentParams& p) {
   }
   cfg.link_emulation.latency = std::chrono::microseconds{p.link_latency_us};
   cfg.board.rtos.cycles_per_tick = 10;
-  cfg.obs.enabled = p.observability;
   cfg.obs.record.enabled = p.record;
-  cfg.obs.timeline.enabled = p.timeline;
+  cfg.obs.timeline.enabled = p.observability;
   cfg.fault_plan = p.fault_plan;
   cfg.recovery = p.recovery;
   cfg.postmortem_prefix.clear();  // benches measure; no dump side effects

@@ -69,7 +69,7 @@ ScaleResult run_scale_point(std::size_t n_nodes, bool adaptive,
     policy.adaptive().min_quantum(kMinQuantum).max_quantum(kMaxQuantum);
   }
   builder.sync(policy);
-  if (!record_prefix.empty()) builder.record().timeline();
+  if (!record_prefix.empty()) builder.record().observability();
   if (!inproc) builder.tcp();
   for (std::size_t p = 0; p < n_nodes; ++p) {
     builder.add_node(strformat("node{}", p));
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
               "wall_s", "barriers", "wait_mean_us", "wait_us/kcycle",
               "grant_min-max", "forwarded");
 
-  // --record PREFIX: one armed-timeline N=8 adaptive run that writes the
+  // --record PREFIX: one observed N=8 adaptive run that writes the
   // .vhprec set for the vhptrace critical smoke (ISSUE 7 acceptance).
   const std::vector<std::size_t> node_counts =
       gate || !record_prefix.empty() ? std::vector<std::size_t>{8}

@@ -1,14 +1,16 @@
-// Timeline-layer overhead: the flight-recorder-discipline acceptance check
-// for vhp::obs::timeline.
+// Observability overhead: the flight-recorder-discipline acceptance check
+// for the one switch that arms vhp::obs::timeline and the other costly
+// instruments.
 //
 // Three configurations of the same fixed-cycle router co-simulation:
-//   baseline  — default session, timeline never mentioned
-//   disarmed  — timeline configured but not enabled; every span-record call
+//   baseline  — default session, observability never mentioned
+//   disarmed  — observability configured but off; every span-record call
 //               must stay one branch on a const bool (no clock read, no
 //               ring), and the CLOCK/TIME_ACK frames must stay wire v1/v2
-//   armed     — timeline enabled: wire-v3 round stamping, two steady_clock
-//               reads per phase and mutex-guarded ring stores, as a
-//               reference point for what the causal timeline costs
+//   armed     — observability on: wire-v3 round stamping, two steady_clock
+//               reads per span and mutex-guarded ring stores, stall
+//               profiling and link accounting, as a reference point for
+//               what the instruments cost
 //
 // The check is disarmed-vs-baseline in interleaved repetitions: the
 // disarmed median may exceed the baseline median by no more than the
@@ -43,9 +45,9 @@ int main(int argc, char** argv) {
   // paths still execute their enabled() branches, which is exactly what the
   // check prices.
   bench::ExperimentParams disarmed = params;
-  disarmed.timeline = false;
+  disarmed.observability = false;
   bench::ExperimentParams armed = params;
-  armed.timeline = true;
+  armed.observability = true;
 
   (void)bench::run_router_experiment(params);  // warm-up, not timed
   bench::ExperimentResult off;

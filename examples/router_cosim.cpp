@@ -9,10 +9,14 @@
 //
 // Also reproduces the paper's Figure 2/4 timeline: the first OS state
 // transitions of the board (normal <-> idle around each virtual tick) are
-// recorded and printed. The run executes with full observability on and
-// leaves two artifacts next to the binary's working directory:
-//   router_cosim.trace.json    — Chrome trace_event timeline
-//                                (open in chrome://tracing or Perfetto)
+// recorded and printed. The run executes with observability on (unless
+// --no-obs) and leaves two artifacts in the working directory:
+//   router_cosim.trace.json    — Chrome trace_event timeline: barriers,
+//                                RTOS thread slices, driver reads and one
+//                                instant per CLOCK/DATA/INT frame (the
+//                                flight recorder is armed whenever the
+//                                trace is written; open it in
+//                                chrome://tracing or Perfetto)
 //   router_cosim.metrics.json  — all counters/gauges/histograms of the run
 //
 // --record <prefix> additionally captures every frame of the three-port link
@@ -142,8 +146,9 @@ int main(int argc, char** argv) {
   const bool obs_on = !args.take_flag("--no-obs");
   const std::string metrics_path =
       args.take_value("--metrics-json").value_or("router_cosim.metrics.json");
-  const std::string trace_path =
-      args.take_value("--trace-json").value_or("router_cosim.trace.json");
+  const auto trace_arg = args.take_value("--trace-json");
+  const bool write_trace = obs_on || trace_arg.has_value();
+  const std::string trace_path = trace_arg.value_or("router_cosim.trace.json");
   const auto record_prefix = args.take_value("--record");
   args.reject_unknown_flags();
   if (replay_path.has_value()) return run_replay(*replay_path);
@@ -155,7 +160,7 @@ int main(int argc, char** argv) {
                    .t_sync(t_sync)
                    .cycles_per_tick(10)
                    .observability(obs_on)
-                   .record(record_prefix.has_value())
+                   .record(write_trace || record_prefix.has_value())
                    .postmortem_prefix("router_cosim.postmortem")
                    .build();
   if (!built.ok()) args.usage_error(built.status().message());
@@ -253,16 +258,19 @@ int main(int argc, char** argv) {
               (unsigned long long)session.hw().stats().data_reads);
   std::printf("--- observability ---------------------------------------\n");
   auto& hub = session.obs();
-  std::printf("trace events            %10zu (%llu dropped)\n",
-              hub.tracer().event_count(),
-              (unsigned long long)hub.tracer().dropped());
+  Status ms = session.write_metrics_json(metrics_path);  // collects gauges
+  std::printf("spans recorded          %10lld (%lld dropped)\n",
+              (long long)hub.metrics().gauge("timeline.spans").value(),
+              (long long)hub.metrics().gauge("timeline.dropped_spans").value());
   std::printf("sync RTT mean           %12.1f us\n",
               hub.metrics().histogram("cosim.sync_rtt_ns").mean_ns() / 1e3);
-  Status ts = session.write_trace_json(trace_path);
-  Status ms = session.write_metrics_json(metrics_path);
-  std::printf("wrote %s (%s), %s (%s)\n", trace_path.c_str(),
-              ts.ok() ? "ok" : ts.to_string().c_str(), metrics_path.c_str(),
+  std::printf("wrote %s (%s)\n", metrics_path.c_str(),
               ms.ok() ? "ok" : ms.to_string().c_str());
-  std::printf("open the trace in chrome://tracing or ui.perfetto.dev\n");
+  if (write_trace) {
+    Status ts = session.write_trace_json(trace_path);
+    std::printf("wrote %s (%s): open it in chrome://tracing or "
+                "ui.perfetto.dev\n",
+                trace_path.c_str(), ts.ok() ? "ok" : ts.to_string().c_str());
+  }
   return tb.traffic_done() ? 0 : 1;
 }

@@ -71,8 +71,8 @@ class Board {
   static constexpr const char* kDeviceName = "/dev/sysc";
 
   /// `hub` is the session's observability hub; nullptr (standalone wiring,
-  /// unit tests) gets a private hub with tracing disabled — metric counters
-  /// still run, they back stats().
+  /// unit tests) gets a private, disarmed hub — metric counters still run,
+  /// they back stats().
   Board(BoardConfig config, net::CosimLink link, obs::Hub* hub = nullptr);
   ~Board();
 
@@ -158,6 +158,10 @@ class Board {
   void systemc_thread_body();
   void channel_thread_body();
   bool idle_poll();
+  /// Records the open RTOS slice as ending at `now` (armed boards only).
+  void end_slice(u64 now);
+  /// The RTOS stopped for good: logs it and closes the open slice.
+  void halted();
 
   BoardConfig config_;
   net::CosimLink link_;
@@ -187,8 +191,10 @@ class Board {
   rtos::Mutex data_mutex_{kernel_};  // serializes DATA request/response
   std::function<void(u32)> device_dsr_;
 
-  // RTOS timeline tracing: adjacent slices of the same thread are merged
-  // (the idle loop would otherwise flood the trace).
+  // RTOS slices (armed boards only, sink "<board>.rtos"): adjacent slices
+  // of the same thread are merged (the idle loop would otherwise flood the
+  // ring).
+  obs::SpanSink* slices_ = nullptr;
   std::string slice_thread_;
   u64 slice_start_ns_ = 0;
 
@@ -202,7 +208,7 @@ class Board {
   u64 ack_tx_ns_ = 0;
 
   bool booted_ = false;
-  bool halt_logged_ = false;
+  bool halted_ = false;
 };
 
 /// Convenience: runs a Board on its own host thread; joins on destruction.

@@ -223,8 +223,8 @@ class CosimKernel {
   /// acks of ticks only.
   u64 boot_acks_ = 0;
   bool finished_ = false;
-  /// Tracer start of the barrier in flight (cosim.sync / sync_rtt_ns).
-  u64 sync_span_start_ = 0;
+  /// Timeline stamp of the barrier in flight's start (sync_rtt_ns).
+  u64 sync_start_ns_ = 0;
   /// Per-lane busy_ns already folded into the sim.worker*.busy_ns
   /// histograms (the collector records deltas between metric dumps).
   std::vector<u64> lane_busy_collected_;

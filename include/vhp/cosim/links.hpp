@@ -92,8 +92,12 @@ class ConfigBuilder {
     config_.recovery.enabled = on;
     return self();
   }
+  /// The one observability switch (ObsConfig::timeline.enabled): spans
+  /// with wire-v3 round stamps, stall profiling, the armed histograms and
+  /// per-frame link accounting. Armed runs grow CLOCK/TIME_ACK frames, so
+  /// their recordings are not byte-exact against unarmed ones.
   Derived& observability(bool on = true) {
-    config_.obs.enabled = on;
+    config_.obs.timeline.enabled = on;
     return self();
   }
   /// Flight recorder (independent of observability()): ring-only frame

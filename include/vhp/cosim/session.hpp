@@ -26,8 +26,8 @@ struct SessionConfig : LinkConfig {
   /// than loopback; absolute-overhead experiments emulate that here.
   net::LinkEmulationConfig link_emulation{};
   /// Observability (vhp::obs): off by default — the costly instruments
-  /// (timeline tracing, stall profiling, per-frame link accounting) are
-  /// opt-in; plain metric counters always run.
+  /// (spans, stall profiling, per-frame link accounting) are opt-in behind
+  /// obs.timeline.enabled; plain metric counters always run.
   obs::ObsConfig obs{};
   /// Where post-mortem flight-recorder dumps land when obs.record is on:
   /// "<prefix>.{hw,board}.jsonl" on an error Status from run_cycles() —
@@ -43,7 +43,8 @@ struct SessionConfig : LinkConfig {
   }
 
   /// Full consistency check: CosimConfig::validate(),
-  /// BoardConfig::validate() and LinkConfig::validate(), plus the
+  /// BoardConfig::validate(), LinkConfig::validate() and
+  /// ObsConfig::validate(), plus the
   /// cross-layer rules (timed kernel <-> budgeted board, no eviction — a
   /// session has one board).
   /// CosimSession's constructor enforces this by throwing
@@ -133,11 +134,6 @@ class SessionConfigBuilder
     return *this;
   }
 
-  SessionConfigBuilder& max_trace_events(std::size_t n) {
-    config_.obs.max_trace_events = n;
-    return *this;
-  }
-
   SessionConfigBuilder& record_ring(std::size_t frames) {
     config_.obs.record.ring_frames = frames;
     return *this;
@@ -172,8 +168,8 @@ class CosimSession {
   /// The board side. Configure applications and DSRs before start_board().
   [[nodiscard]] board::Board& board() { return host_->board(); }
 
-  /// The session-wide observability hub: metrics always, timeline tracing
-  /// and stall profiling when SessionConfig::obs.enabled.
+  /// The session-wide observability hub: metrics always, spans and stall
+  /// profiling when SessionConfig::obs.timeline.enabled.
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
 
   /// The compiled fault schedule; nullptr when the plan is unarmed.
@@ -186,8 +182,9 @@ class CosimSession {
   Status write_metrics_json(const std::string& path) {
     return hub_->write_metrics_json(path);
   }
-  /// Dumps the recorded timeline as Chrome trace_event JSON — open it in
-  /// chrome://tracing or https://ui.perfetto.dev.
+  /// Dumps the recorded spans, and with obs.record the recorded frames, as
+  /// Chrome trace_event JSON — open it in chrome://tracing or
+  /// https://ui.perfetto.dev.
   Status write_trace_json(const std::string& path) {
     return hub_->write_trace_json(path);
   }

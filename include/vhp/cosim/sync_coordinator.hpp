@@ -176,6 +176,8 @@ class SyncCoordinator {
   Status scatter(u64 cycle);
   /// Re-bases the ticked nodes and records the barrier's spans.
   void finish_barrier(u64 cycle);
+  /// Records a zero-length `phase` span (evict, rejoin) for node `index`.
+  void mark(std::size_t index, obs::SpanPhase phase, u64 cycle);
   /// Starts the watchdog interval of a new gather.
   void arm_watchdog();
   /// One non-blocking pass: takes every TIME_ACK that has arrived from a
@@ -208,8 +210,7 @@ class SyncCoordinator {
   std::vector<std::size_t> ticked_;
   std::chrono::steady_clock::time_point wait_start_;
   std::chrono::steady_clock::time_point deadline_;
-  // Barrier-round stamps: tracer span start, timeline scatter window.
-  u64 span_start_ = 0;
+  // Barrier-round stamps: the timeline scatter window.
   u64 scatter_start_ = 0;
   u64 scatter_end_ = 0;
   u64 round_ = 0;  // wire-v3 round id; monotone across rejoin

@@ -85,7 +85,8 @@ struct FabricConfig : cosim::LinkConfig {
 
   /// CosimConfig::validate for the master, at least one node, and per
   /// board node: BoardConfig::validate and a budgeted board (a free-running
-  /// board cannot take part in a barrier); plus LinkConfig::validate.
+  /// board cannot take part in a barrier); plus LinkConfig::validate and
+  /// ObsConfig::validate.
   [[nodiscard]] Status validate() const;
 };
 
@@ -130,14 +131,6 @@ class FabricConfigBuilder
   /// bit-identical results either way.
   FabricConfigBuilder& parallel(u64 workers) {
     config_.parallel_workers = workers;
-    return *this;
-  }
-  /// Arms the cross-node timeline (ObsConfig::timeline): per-round span
-  /// rings on both sides of every link plus wire-v3 round stamping on
-  /// CLOCK_TICK/TIME_ACK. Off by default — armed runs grow those frames,
-  /// so recordings are no longer byte-exact against unarmed ones.
-  FabricConfigBuilder& timeline(bool on = true) {
-    config_.obs.timeline.enabled = on;
     return *this;
   }
 

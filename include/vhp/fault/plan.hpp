@@ -11,8 +11,9 @@
 // Plans come from code (designated initializers) or JSON (see plan_from_json;
 // the README "chaos testing" section shows the format). The schedule is
 // consumed by the fault::inject(...) link decorator and reports everything it
-// does through the obs::Hub (fault.injected.* counters, per-fault trace
-// instants) and an optional observer hook (flight-recorder markers).
+// does through the obs::Hub (fault.injected.* counters) and an optional
+// observer hook (flight-recorder markers, which the Chrome trace renders as
+// fault instants).
 #pragma once
 
 #include <chrono>
@@ -92,7 +93,7 @@ struct FaultPlan {
 /// Reads a plan file (JSON as above).
 [[nodiscard]] Result<FaultPlan> load_plan(const std::string& path);
 
-/// One fault decision, as reported to counters / tracer / observer and
+/// One fault decision, as reported to counters / observer and
 /// consumed by the injecting channel decorator.
 struct FaultEvent {
   FaultKind kind = FaultKind::kDrop;

@@ -20,7 +20,10 @@
 // frame belonging to a quantum is delivered before the quantum boundary
 // crosses the link — which is why a faulted run converges to the clean
 // run's virtual-time trace bit-exactly instead of smearing deliveries into
-// later quanta.
+// later quanta. The protocol's last frame, SHUTDOWN, is confirmed by its
+// ack or by the peer hanging up: the receiving endpoint closes its
+// transport once the application has taken SHUTDOWN, since nothing will
+// pump it again to repeat a lost ack.
 //
 // Transport loss (a dropped TCP connection) is recovered through an
 // optional redial callback: the channel redials with bounded backoff,

@@ -17,9 +17,9 @@
 // (net::record_channel returns the inner transport unchanged).
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,6 +27,7 @@
 #include "vhp/common/bytes.hpp"
 #include "vhp/common/types.hpp"
 #include "vhp/obs/metrics.hpp"
+#include "vhp/obs/timeline.hpp"
 
 namespace vhp::obs {
 
@@ -63,15 +64,16 @@ struct FrameRecord {
   bool truncated = false;
   u64 hw_cycle = 0;   // HW virtual time at record (kernel side)
   u64 board_tick = 0; // board SW tick at record (board side)
-  u64 wall_ns = 0;    // wall-clock delta since the recorder's epoch
+  u64 wall_ns = 0;    // wall clock on the recorder's Timeline epoch
   u32 payload_size = 0;
   u32 digest = 0;     // CRC-32 of the full payload
   Bytes payload;
 };
 
 struct FlightRecorderConfig {
-  /// Independent of ObsConfig::enabled: recording is cheap enough to leave
-  /// on while the costly instruments stay off.
+  /// Independent of the observability switch (ObsConfig::timeline):
+  /// recording is cheap enough to leave on while the costly instruments
+  /// stay off.
   bool enabled = false;
   /// Ring capacity per side; the oldest frames are evicted (and counted).
   std::size_t ring_frames = 4096;
@@ -83,8 +85,11 @@ struct FlightRecorderConfig {
 /// One per side of the link ("hw" / "board"), owned by the obs::Hub.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderConfig config = {},
-                          std::string side = "");
+  /// Frames are stamped with `clock.now_ns()` — the hub's timeline, so
+  /// frames and spans share one epoch (the fabric re-bases that epoch per
+  /// node onto the master's). `clock` must outlive the recorder.
+  FlightRecorder(FlightRecorderConfig config, std::string side,
+                 const Timeline& clock);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -99,22 +104,15 @@ class FlightRecorder {
   void set_hw_time_source(std::function<u64()> source);
   void set_board_time_source(std::function<u64()> source);
 
-  /// Wall-clock origin of FrameRecord::wall_ns. The fabric re-bases every
-  /// node recorder's epoch onto the master's so frames from different sides
-  /// share one clock; call before any traffic is recorded (the record path
-  /// reads the epoch without the lock).
-  [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
-    return epoch_;
-  }
-  void set_epoch(std::chrono::steady_clock::time_point epoch) {
-    epoch_ = epoch;
-  }
+  /// The stamp record() takes by default: now on the recorder's clock.
+  [[nodiscard]] u64 now_ns() const { return clock_.now_ns(); }
 
   /// Appends one frame to the ring (no-op when disabled). `node` labels the
   /// fabric node whose link carried the frame; the classic two-party link
-  /// records everything as node 0.
+  /// records everything as node 0. `wall_ns` overrides the stamp: a sender
+  /// takes it before the send, so a tx stamp never follows its rx stamp.
   void record(LinkPort port, LinkDir dir, std::span<const u8> frame,
-              u32 node = 0);
+              u32 node = 0, std::optional<u64> wall_ns = std::nullopt);
 
   /// Appends a synthetic fault marker (kFrameFlagInjected) naming an
   /// injected fault, so recordings distinguish injected loss from real
@@ -136,7 +134,7 @@ class FlightRecorder {
  private:
   FlightRecorderConfig config_;
   std::string side_;
-  std::chrono::steady_clock::time_point epoch_;
+  const Timeline& clock_;
 
   mutable std::mutex mu_;
   std::function<u64()> hw_time_;

@@ -1,11 +1,12 @@
-// The one observability object of a co-simulation: metrics + tracer +
-// stall profiler behind a single switch.
+// The one observability object of a co-simulation: metrics, the timeline
+// (the run's one wall-clock recorder), the stall profiler and the flight
+// recorders, with the costly instruments behind a single switch.
 //
 // Ownership pattern: CosimSession owns a Hub and hands a Hub* to every layer
 // it wires (CosimKernel, Board, instrumented channels). Components built
 // without a session (unit tests, custom wiring) may pass nullptr and get a
-// private, tracing-disabled Hub — metrics still count (they back the
-// stats() compatibility views), tracing and wall-time profiling stay off.
+// private, disarmed Hub — metrics still count (they back the stats()
+// compatibility views), spans and wall-time profiling stay off.
 #pragma once
 
 #include <functional>
@@ -22,25 +23,26 @@
 #include "vhp/obs/stall_profiler.hpp"
 #include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
-#include "vhp/obs/trace.hpp"
 
 namespace vhp::obs {
 
 struct ObsConfig {
-  /// Master switch for the *costly* instruments: timeline tracing, wall-time
-  /// stall profiling, per-frame link accounting. Plain metric counters are
-  /// always live — they are the components' stats() backing store and cost
-  /// one relaxed increment each, exactly like the structs they replaced.
-  bool enabled = false;
-  /// Tracer buffer cap (events beyond it are dropped and counted).
-  std::size_t max_trace_events = 1u << 20;
-  /// Flight recorder: independent of `enabled` — ring-only frame capture is
-  /// cheap enough to leave on while the costly instruments stay off.
+  /// Flight recorder: independent of the switch below — ring-only frame
+  /// capture is cheap enough to leave on while the costly instruments stay
+  /// off.
   FlightRecorderConfig record{};
-  /// Cross-node round/span tracing: independent of `enabled` for the same
-  /// reason as the recorder — disarmed it costs one branch per call site and
-  /// keeps the wire format round-free (v1/v2 byte-identical).
+  /// The span recorder; `timeline.enabled` is the one switch for every
+  /// *costly* instrument (`observability()` sets it): span rings with
+  /// wire-v3 round stamps, wall-time stall profiling, the sync-RTT,
+  /// dev-read and recv-wait histograms, per-frame link accounting. Disarmed,
+  /// each costs one branch per call site and the wire format stays
+  /// round-free (v1/v2 byte-identical). Plain metric counters are always
+  /// live — they are the components' stats() backing store and cost one
+  /// relaxed increment each.
   TimelineConfig timeline{};
+
+  /// ring_spans > 0; `owner` prefixes the message.
+  [[nodiscard]] Status validate(std::string_view owner) const;
 };
 
 class Hub {
@@ -50,11 +52,11 @@ class Hub {
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
 
-  [[nodiscard]] bool enabled() const { return config_.enabled; }
+  /// The one switch: ObsConfig::timeline.enabled.
+  [[nodiscard]] bool enabled() const { return timeline_.enabled(); }
   [[nodiscard]] const ObsConfig& config() const { return config_; }
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] Tracer& tracer() { return tracer_; }
   [[nodiscard]] StallProfiler& profiler() { return profiler_; }
 
   /// Per-side flight recorders (rings stay empty unless config.record is
@@ -62,8 +64,9 @@ class Hub {
   [[nodiscard]] FlightRecorder& hw_recorder() { return hw_recorder_; }
   [[nodiscard]] FlightRecorder& board_recorder() { return board_recorder_; }
 
-  /// Cross-node causal timeline (rings stay empty unless config.timeline is
-  /// enabled). Coordinator/kernel/board resolve their SpanSinks here.
+  /// The wall-clock recorder and the epoch every stamp of this hub uses
+  /// (rings stay empty unless config.timeline is enabled). Coordinator and
+  /// board resolve their SpanSinks here.
   [[nodiscard]] Timeline& timeline() { return timeline_; }
 
   /// Starts the live telemetry endpoint on 127.0.0.1:`port` (0 = ephemeral,
@@ -90,27 +93,23 @@ class Hub {
   Status write_metrics_json(const std::string& path);
 
   /// Runs the collectors and refreshes the lazily-computed instruments
-  /// (profiler buckets, recorder gauges, tracer drop counts) without
-  /// serializing. merged_metrics_json() calls this per hub before emitting
-  /// the combined document.
+  /// (profiler buckets, recorder and span gauges) without serializing.
+  /// merged_metrics_json() calls this per hub before emitting the combined
+  /// document.
   void collect();
 
-  /// Serializes the tracer buffer as Chrome trace_event JSON.
-  [[nodiscard]] std::string trace_json() const {
-    return tracer_.to_chrome_json();
-  }
-  Status write_trace_json(const std::string& path) const {
-    return tracer_.write_chrome_json(path);
-  }
+  /// The run as Chrome trace_event JSON (obs::chrome_trace_json): the
+  /// timeline's spans plus one instant per frame in each armed recorder.
+  [[nodiscard]] std::string trace_json() const;
+  Status write_trace_json(const std::string& path) const;
 
  private:
   ObsConfig config_;
   MetricsRegistry metrics_;
-  Tracer tracer_;
+  Timeline timeline_;  // before the recorders: they stamp on its epoch
   StallProfiler profiler_;
   FlightRecorder hw_recorder_;
   FlightRecorder board_recorder_;
-  Timeline timeline_;
   TelemetryServer telemetry_;
 
   std::mutex collectors_mu_;

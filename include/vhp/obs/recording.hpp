@@ -134,8 +134,4 @@ class DivergenceChecker {
 /// Per-port/type frame counts, byte totals and time span, as a text table.
 [[nodiscard]] std::string recording_stats_text(const Recording& recording);
 
-/// Chrome trace_event JSON of a recording (one instant per frame, ts from
-/// the wall-clock delta) — open in chrome://tracing / Perfetto.
-[[nodiscard]] std::string recording_to_chrome_json(const Recording& recording);
-
 }  // namespace vhp::obs

@@ -10,6 +10,11 @@
 // decomposes fabric wall-clock into compute / wait / transport per node,
 // names the per-round straggler, and reports the slowdown factor.
 //
+// The timeline is also the run's one wall-clock recorder: the boards add
+// their RTOS thread slices and driver reads, the coordinator its evictions
+// and rejoins, and the flight recorders stamp frames against the same
+// epoch, so chrome_trace_json() lays all of them on one clock.
+//
 // Cost model (flight-recorder discipline): when disabled — the default —
 // every record call is one branch on a const bool, no clock read. When
 // enabled, a record is two steady_clock reads bracketing the phase plus one
@@ -33,7 +38,9 @@ namespace vhp::obs {
 
 class MetricsRegistry;
 
-/// Phase of one barrier round, on either side of the link.
+/// Phase of one recorded span. The first six are the phases of a barrier
+/// round, on either side of the link; the rest annotate the run and are
+/// ignored by the round analysis (is_round_phase).
 enum class SpanPhase : u8 {
   kScatter = 0,   // coordinator: CLOCK_TICK sends for this round
   kGather = 1,    // coordinator: first send until last TIME_ACK
@@ -41,9 +48,16 @@ enum class SpanPhase : u8 {
   kCompute = 3,   // board: tick receive until ack send (granted execution)
   kFrozen = 4,    // board: ack send until the next tick receive
   kBarrier = 5,   // coordinator: the whole round (scatter + gather)
+  kSlice = 6,     // board: one RTOS thread holds the virtual CPU
+  kDevRead = 7,   // board: a driver read, request sent until response taken
+  kEvict = 8,     // coordinator: node evicted (zero length)
+  kRejoin = 9,    // coordinator: node rejoined (zero length)
 };
 
 [[nodiscard]] std::string_view to_string(SpanPhase p);
+
+/// True for the six barrier-round phases the analyzer joins.
+[[nodiscard]] bool is_round_phase(SpanPhase p);
 
 /// One recorded phase of one round on one node. Timestamps are nanoseconds
 /// on the owning Timeline's epoch (fabric aligns all node epochs to the
@@ -57,19 +71,31 @@ struct SpanRecord {
   /// Master sim-cycle of the round's grant (ClockTick::sim_cycle); lets the
   /// analyzer convert wall spans into the paper's slowdown factor.
   u64 cycle = 0;
+  /// Phase argument: the device address of a kDevRead, the span_label() of
+  /// a kSlice's thread name; 0 otherwise.
+  u64 arg = 0;
 };
 
+/// Process-wide interned span names (RTOS thread names), so a label id
+/// means the same name in every hub's rings — a fabric merges them.
+[[nodiscard]] u32 span_label(std::string_view name);
+[[nodiscard]] std::string span_label_name(u64 label);
+
 struct TimelineConfig {
-  /// Master switch: off keeps every record call a single branch and keeps
-  /// CLOCK/TIME_ACK frames byte-identical to wire v1/v2 (no round stamped).
+  /// The one observability switch (ObsConfig, `observability()`): arms the
+  /// span rings and every other costly instrument of the hub. Off keeps
+  /// every record call a single branch and keeps CLOCK/TIME_ACK frames
+  /// byte-identical to wire v1/v2 (no round stamped).
   bool enabled = false;
-  /// Ring capacity per sink; oldest spans are overwritten and counted.
+  /// Ring capacity per sink (> 0; sessions and fabrics validate it);
+  /// oldest spans are overwritten and counted.
   std::size_t ring_spans = 1u << 13;
 };
 
 /// Fixed-size overwrite-oldest span ring. One sink per recording thread
-/// (coordinator, each board) so hot-path contention is a short uncontended
-/// lock; snapshot() is the only cross-thread reader.
+/// (coordinator, each board, each board's RTOS slices) so hot-path
+/// contention is a short uncontended lock; snapshot() is the only
+/// cross-thread reader.
 class SpanSink {
  public:
   SpanSink(const TimelineConfig& config, std::string name);
@@ -85,7 +111,7 @@ class SpanSink {
   [[nodiscard]] u64 recorded() const;
   [[nodiscard]] u64 dropped() const;
 
-  /// Ring contents oldest-first.
+  /// Ring contents oldest-first (empty for a zero-capacity ring).
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
 
  private:
@@ -119,8 +145,9 @@ class Timeline {
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const;
   void set_epoch(std::chrono::steady_clock::time_point epoch);
 
-  /// Get-or-create a named sink ("fabric", "board", "cosim"). The reference
-  /// stays valid for the Timeline's lifetime; resolve once at construction.
+  /// Get-or-create a named sink ("fabric", "board", "board.rtos"). The
+  /// reference stays valid for the Timeline's lifetime; resolve once at
+  /// construction.
   [[nodiscard]] SpanSink& sink(std::string_view name);
 
   /// All sinks' rings merged, sorted by start_ns.
@@ -195,11 +222,5 @@ struct TimelineAnalysis {
 /// The analysis as one JSON object (rounds elided, per-node attribution +
 /// totals); Fabric::metrics_json() embeds it under a "timeline" key.
 [[nodiscard]] std::string timeline_analysis_json(const TimelineAnalysis& a);
-
-/// Chrome trace_event JSON with one track per node (master phases on tid 1,
-/// node n's spans on tid n+2), timestamps in microseconds.
-[[nodiscard]] std::string spans_to_chrome_json(
-    const std::vector<SpanRecord>& spans,
-    const std::map<u32, std::string>& node_names = {});
 
 }  // namespace vhp::obs

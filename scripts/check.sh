@@ -58,11 +58,12 @@ cmake --build --preset default -j "$jobs" --target fabric_scale
 # Causal-timeline gate (ISSUE 7), same shape: the timeline suites plus the
 # vhptrace CLI contract (-L timeline matches "timeline" and
 # "timeline-tsan"), the fiber-free half under ThreadSanitizer, the
-# timeline_overhead bench (--gate fails if a *disarmed* timeline's median
-# wall time exceeds the plain session's by more than the plain runs'
-# quartile spread), and a recorded fabric run driven through
-# `vhptrace critical --gate 5` — the offline decomposition must reconcile
-# with total fabric wall-clock within 5%.
+# timeline_overhead bench (--gate fails if a session with observability
+# configured but *disarmed* has a median wall time above the plain
+# session's by more than the plain runs' quartile spread), and a recorded,
+# observed fabric run driven through `vhptrace critical --gate 5` — the
+# offline decomposition must reconcile with total fabric wall-clock within
+# 5%.
 echo "==== [timeline] release gate ===="
 ctest --preset default -L timeline "$@"
 echo "==== [timeline] tsan gate ===="

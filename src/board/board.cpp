@@ -108,9 +108,6 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
   // conservative, never late.
   kernel_.set_freeze_callback([this](SwTicks tick) {
     acks_sent_.inc();
-    if (hub_->tracer().enabled()) {
-      hub_->tracer().instant("board.time_ack", "board", tick.value(), "tick");
-    }
     net::TimeAck ack{tick.value()};
     if (config_.advertise_lookahead) {
       const u64 per_cycle = std::max<u64>(1, config_.cycles_per_sim_cycle);
@@ -144,17 +141,16 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
   // Idle: keep the sockets alive (the paper's idle-state duty).
   kernel_.set_idle_poll([this] { return idle_poll(); });
 
-  // Observability extras — only when the costly instruments are on.
+  // Which RTOS thread holds the virtual CPU (paper Figure 4): one kSlice
+  // span per scheduled slice, adjacent same-thread slices merged. Only when
+  // the costly instruments are on, and into a sink of their own so the
+  // slices never evict round spans.
   if (hub_->enabled()) {
-    // Timeline of which RTOS thread holds the virtual CPU (paper Figure 4):
-    // one 'X' span per scheduled slice, adjacent same-thread slices merged.
+    slices_ = &hub_->timeline().sink(spans_.name() + ".rtos");
     kernel_.set_switch_trace([this](const rtos::Thread& next) {
       if (next.name() == slice_thread_) return;
-      const u64 now = hub_->tracer().now_ns();
-      if (!slice_thread_.empty()) {
-        hub_->tracer().complete("rtos." + slice_thread_, "rtos",
-                                slice_start_ns_, now);
-      }
+      const u64 now = hub_->timeline().now_ns();
+      end_slice(now);
       slice_thread_ = next.name();
       slice_start_ns_ = now;
     });
@@ -172,6 +168,22 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
 }
 
 Board::~Board() { link_.close_all(); }
+
+void Board::end_slice(u64 now) {
+  if (slice_thread_.empty()) return;
+  slices_->record({round_.value_or(0), 0, obs::SpanPhase::kSlice,
+                   slice_start_ns_, now, round_cycle_,
+                   obs::span_label(slice_thread_)});
+}
+
+void Board::halted() {
+  log_.debug("board halted at tick {} after {} context switches",
+             kernel_.tick_count().value(), kernel_.stats().context_switches);
+  if (slices_ != nullptr) {
+    end_slice(hub_->timeline().now_ns());
+    slice_thread_.clear();
+  }
+}
 
 bool Board::idle_poll() {
   bool any = false;
@@ -201,8 +213,8 @@ bool Board::idle_poll() {
 Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
   rtos::MutexLock lock(data_mutex_);
   dev_reads_.inc();
-  obs::Tracer& tracer = hub_->tracer();
-  const u64 read_start = tracer.enabled() ? tracer.now_ns() : 0;
+  const obs::Timeline& timeline = hub_->timeline();
+  const u64 read_start = timeline.enabled() ? timeline.now_ns() : 0;
   if (config_.dev_read_cost > 0) kernel_.consume(config_.dev_read_cost);
   Status s = net::send_msg(*link_.data, net::DataReadReq{addr, nbytes});
   // The request must reach the master now — this thread is about to block
@@ -236,11 +248,11 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
                 resp->address, addr);
       continue;
     }
-    if (tracer.enabled()) {
-      const u64 read_end = tracer.now_ns();
+    if (timeline.enabled()) {
+      const u64 read_end = timeline.now_ns();
       dev_read_ns_.record_ns(read_end - read_start);
-      tracer.complete("board.dev_read", "board", read_start, read_end, addr,
-                      "address");
+      spans_.record({round_.value_or(0), 0, obs::SpanPhase::kDevRead,
+                     read_start, read_end, round_cycle_, addr});
     }
     return std::move(resp->data);
   }
@@ -292,10 +304,6 @@ void Board::systemc_thread_body() {
         } else if (const auto* tick =
                        std::get_if<net::ClockTick>(&msg.value())) {
           clock_ticks_received_.inc();
-          if (hub_->tracer().enabled()) {
-            hub_->tracer().instant("board.clock_tick", "board",
-                                   tick->sim_cycle, "sim_cycle");
-          }
           obs::Timeline& timeline = hub_->timeline();
           if (timeline.enabled()) {
             const u64 now = timeline.now_ns();
@@ -337,10 +345,6 @@ void Board::channel_thread_body() {
     }
     if (const auto* irq = std::get_if<net::IntRaise>(&msg.value())) {
       interrupts_received_.inc();
-      if (hub_->tracer().enabled()) {
-        hub_->tracer().instant("board.int_raise", "board", irq->vector,
-                               "vector");
-      }
       kernel_.interrupts().raise(irq->vector);
     } else {
       log_.warn("unexpected {} on INT port",
@@ -365,17 +369,15 @@ void Board::run() {
   assert(!booted_ && "Board::run() called twice");
   boot();
   kernel_.run();
-  log_.debug("board halted at tick {} after {} context switches",
-             kernel_.tick_count().value(), kernel_.stats().context_switches);
+  halted();
 }
 
 Board::PumpStatus Board::pump() {
   assert(booted_ && "pump() before boot()");
   if (kernel_.run_until_starved()) return PumpStatus::kLive;
-  if (!halt_logged_) {
-    halt_logged_ = true;
-    log_.debug("board halted at tick {} after {} context switches",
-               kernel_.tick_count().value(), kernel_.stats().context_switches);
+  if (!halted_) {
+    halted_ = true;
+    halted();
   }
   return PumpStatus::kDone;
 }

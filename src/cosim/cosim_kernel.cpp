@@ -161,18 +161,10 @@ Status CosimKernel::service_links() {
 }
 
 Status CosimKernel::handle_data_msg(Slot& slot, const net::Message& msg) {
-  if (const auto* wr = std::get_if<net::DataWrite>(&msg)) {
+  if (std::holds_alternative<net::DataWrite>(msg)) {
     slot.data_writes.inc();
-    if (hub_->tracer().enabled()) {
-      hub_->tracer().instant("cosim.data_write", "cosim", wr->address,
-                             "address");
-    }
-  } else if (const auto* rd = std::get_if<net::DataReadReq>(&msg)) {
+  } else if (std::holds_alternative<net::DataReadReq>(msg)) {
     slot.data_reads.inc();
-    if (hub_->tracer().enabled()) {
-      hub_->tracer().instant("cosim.data_read", "cosim", rd->address,
-                             "address");
-    }
   }
   Status s = serve_data_message(slot.registry, *slot.link.data, msg);
   if (s.ok() && std::holds_alternative<net::DataReadReq>(msg)) {
@@ -192,10 +184,6 @@ Status CosimKernel::sample_interrupts() {
       const bool level = watch.line->read();
       if (level && !watch.prev) {
         slot.interrupts_sent.inc();
-        if (hub_->tracer().enabled()) {
-          hub_->tracer().instant("cosim.int_raise", "cosim", watch.vector,
-                                 "vector");
-        }
         Status s = net::send_msg(*slot.link.intr, net::IntRaise{watch.vector});
         if (!s.ok()) {
           return Status{s.code(),
@@ -210,9 +198,11 @@ Status CosimKernel::sample_interrupts() {
 }
 
 Status CosimKernel::barrier_step(bool* done) {
-  obs::Tracer& tracer = hub_->tracer();
+  // The barrier itself is the coordinator's kBarrier span; the kernel times
+  // its side (flush + scatter + gather) for the sync-RTT histogram.
+  const obs::Timeline& timeline = hub_->timeline();
   if (!coordinator_->gathering()) {
-    sync_span_start_ = tracer.enabled() ? tracer.now_ns() : 0;
+    sync_start_ns_ = timeline.enabled() ? timeline.now_ns() : 0;
     // Batching flush rule (DESIGN.md §14): this quantum's DATA and INT
     // frames must cross before the grant they belong to (no-op on
     // unbatched links).
@@ -229,11 +219,8 @@ Status CosimKernel::barrier_step(bool* done) {
     }
   }
   Status s = coordinator_->step_barrier(cycle_, service_, done);
-  if (s.ok() && *done && tracer.enabled()) {
-    const u64 span_end = tracer.now_ns();
-    sync_rtt_ns_.record_ns(span_end - sync_span_start_);
-    tracer.complete("cosim.sync", "cosim", sync_span_start_, span_end,
-                    cycle_, "cycle");
+  if (s.ok() && *done && timeline.enabled()) {
+    sync_rtt_ns_.record_ns(timeline.now_ns() - sync_start_ns_);
   }
   return s;
 }

@@ -45,6 +45,7 @@ Status SessionConfig::validate() const {
   }
   if (s = board.validate(); !s.ok()) return s;
   if (s = LinkConfig::validate("SessionConfig"); !s.ok()) return s;
+  if (s = obs.validate("SessionConfig"); !s.ok()) return s;
   if (cosim.sync.evict_after_misses() > 0) {
     return Status{StatusCode::kInvalidArgument,
                   "SessionConfig: sync.evict_after(k) needs a fabric — "

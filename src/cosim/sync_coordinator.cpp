@@ -108,7 +108,7 @@ void SyncCoordinator::evict_node(std::size_t index, std::string_view why) {
   update_next_due();
   evictions_.inc();
   hub_->metrics().counter("fabric." + node.name + ".evicted").inc();
-  hub_->tracer().instant("fabric.node_evicted", "fabric", index, "node");
+  mark(index, obs::SpanPhase::kEvict, node.last_granted);
   log_.warn("evicting {} (node {}): {}", node.name, index, why);
 }
 
@@ -155,7 +155,7 @@ Status SyncCoordinator::rejoin(std::size_t index, u64 cycle) {
   node.acks.inc();
   acks_received_.inc();
   rejoins_.inc();
-  hub_->tracer().instant("fabric.node_rejoined", "fabric", index, "node");
+  mark(index, obs::SpanPhase::kRejoin, cycle);
   log_.info("{} (node {}) rejoined at cycle {}", node.name, index, cycle);
   return Status::Ok();
 }
@@ -197,8 +197,6 @@ void SyncCoordinator::arm_watchdog() {
 
 Status SyncCoordinator::scatter(u64 cycle) {
   barriers_.inc();
-  obs::Tracer& tracer = hub_->tracer();
-  span_start_ = tracer.enabled() ? tracer.now_ns() : 0;
   arm_watchdog();
   // Wire v3: stamp the round only when the timeline is armed, so default
   // runs keep the v1/v2 frame bytes (bit-exact recording parity). Boards
@@ -281,11 +279,13 @@ void SyncCoordinator::finish_barrier(u64 cycle) {
     spans_.record({round_, 0, obs::SpanPhase::kBarrier, scatter_start_, now,
                    cycle});
   }
-  obs::Tracer& tracer = hub_->tracer();
-  if (tracer.enabled()) {
-    tracer.complete("fabric.barrier", "fabric", span_start_, tracer.now_ns(),
-                    cycle, "cycle");
-  }
+}
+
+void SyncCoordinator::mark(std::size_t index, obs::SpanPhase phase,
+                           u64 cycle) {
+  if (!timeline_.enabled()) return;
+  const u64 now = timeline_.now_ns();
+  spans_.record({round_, static_cast<u32>(index), phase, now, now, cycle});
 }
 
 Status SyncCoordinator::gather_pass(const std::function<Status()>& service) {

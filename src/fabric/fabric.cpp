@@ -33,6 +33,7 @@ Status FabricConfig::validate() const {
   if (Status s = master_config(*this).validate(); !s.ok()) return s;
   if (Status s = sync.validate(nodes.size()); !s.ok()) return s;
   if (Status s = LinkConfig::validate("FabricConfig"); !s.ok()) return s;
+  if (Status s = obs.validate("FabricConfig"); !s.ok()) return s;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const FabricNodeConfig& node = nodes[i];
     if (node.external) continue;
@@ -94,11 +95,11 @@ Fabric::Fabric(FabricConfig config)
     node->config = config_.nodes[i];
     if (node->config.name.empty()) node->config.name = strformat("node{}", i);
     node->hub = std::make_unique<obs::Hub>(config_.obs);
-    // One clock across the fabric: node-side spans and recorded frames
-    // timestamp against the master's epochs, so cross-hub records compare
-    // directly (the analyzer joins them on wall time).
+    // One clock across the fabric: a node hub's spans and recorded frames
+    // stamp against its timeline's epoch, re-based onto the master's, so
+    // cross-hub records compare directly (the analyzer joins them on wall
+    // time).
     node->hub->timeline().set_epoch(hub_->timeline().epoch());
-    node->hub->board_recorder().set_epoch(hub_->hw_recorder().epoch());
     board_hubs.push_back(node->hub.get());
     hw_labels.push_back("hw." + node->config.name);
     nodes_.push_back(std::move(node));

@@ -318,8 +318,6 @@ void FaultSchedule::report(const FaultEvent& event) {
     hub_->metrics()
         .counter(strformat("fault.injected.{}", to_string(event.kind)))
         .inc();
-    hub_->tracer().instant(strformat("fault.{}", to_string(event.kind)),
-                           "fault", event.frame_index);
   }
   if (observer_) observer_(event);
 }

@@ -51,6 +51,12 @@ bool link_down(StatusCode code) {
          code == StatusCode::kConnectionReset;
 }
 
+/// SHUTDOWN is the protocol's last frame; see ReliableChannel::send.
+bool is_shutdown(std::span<const u8> payload) {
+  return !payload.empty() &&
+         payload[0] == static_cast<u8>(net::MsgType::kShutdown);
+}
+
 }  // namespace
 
 namespace wire {
@@ -240,6 +246,16 @@ struct ReliableChannel::Impl {
     return Status::Ok();
   }
 
+  /// Hands the oldest delivered payload to the application. Taking
+  /// SHUTDOWN hangs up the transport: its ack is already out, and nothing
+  /// will pump this side again to repeat a lost one.
+  Bytes take_ready() {
+    Bytes out = std::move(ready.front());
+    ready.pop_front();
+    if (is_shutdown(out)) inner->close();
+    return out;
+  }
+
   void send_ack() {
     Status s = inner->send(wire::encode_ack(rx_next - 1));
     if (!s.ok() && link_down(s.code())) (void)reconnect(s);
@@ -382,7 +398,16 @@ Status ReliableChannel::send(std::span<const u8> frame) {
   if (impl_->flush_self_on_send) {
     // Sync-point frames (ClockTick / TimeAck / Shutdown) are confirmed
     // delivered before the protocol proceeds; see reliable.hpp.
-    return flush(impl_->config.flush_timeout);
+    Status s = flush(impl_->config.flush_timeout);
+    // SHUTDOWN is the protocol's last frame. Its receiver hangs up once it
+    // has taken it (take_ready) and pumps no more, so a lost ack is never
+    // repeated: the hang-up confirms the delivery as well as the ack would.
+    // A lost SHUTDOWN is still retransmitted, since the receiver hangs up
+    // only after taking it.
+    if (!s.ok() && link_down(s.code()) && is_shutdown(frame)) {
+      return Status::Ok();
+    }
+    return s;
   }
   return Status::Ok();
 }
@@ -396,11 +421,7 @@ Result<Bytes> ReliableChannel::recv(std::optional<milliseconds> timeout) {
       std::scoped_lock lock(impl_->mu);
       Status s = impl_->pump();
       if (!s.ok()) return s;
-      if (!impl_->ready.empty()) {
-        Bytes out = std::move(impl_->ready.front());
-        impl_->ready.pop_front();
-        return out;
-      }
+      if (!impl_->ready.empty()) return impl_->take_ready();
     }
     // Block in slices of the retransmission timer so lost frames are
     // resent while we wait.
@@ -437,11 +458,7 @@ Result<std::optional<Bytes>> ReliableChannel::try_recv() {
   std::scoped_lock lock(impl_->mu);
   Status s = impl_->pump();
   if (!s.ok()) return s;
-  if (!impl_->ready.empty()) {
-    Bytes out = std::move(impl_->ready.front());
-    impl_->ready.pop_front();
-    return std::optional{std::move(out)};
-  }
+  if (!impl_->ready.empty()) return std::optional{impl_->take_ready()};
   return std::optional<Bytes>{};
 }
 

@@ -9,13 +9,12 @@ namespace {
 class InstrumentedChannel final : public Channel {
  public:
   InstrumentedChannel(ChannelPtr inner, obs::Hub& hub, const std::string& name)
-      : inner_(std::move(inner)), tracer_(hub.tracer()),
+      : inner_(std::move(inner)), clock_(hub.timeline()),
         tx_frames_(hub.metrics().counter("net." + name + ".tx_frames")),
         tx_bytes_(hub.metrics().counter("net." + name + ".tx_bytes")),
         rx_frames_(hub.metrics().counter("net." + name + ".rx_frames")),
         rx_bytes_(hub.metrics().counter("net." + name + ".rx_bytes")),
-        recv_ns_(hub.metrics().histogram("net." + name + ".recv_wait_ns")),
-        trace_name_("net." + name) {}
+        recv_ns_(hub.metrics().histogram("net." + name + ".recv_wait_ns")) {}
 
   Status send(std::span<const u8> frame) override {
     Status s = inner_->send(frame);
@@ -27,17 +26,12 @@ class InstrumentedChannel final : public Channel {
   }
 
   Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    const u64 start = tracer_.enabled() ? tracer_.now_ns() : 0;
+    const u64 start = clock_.now_ns();
     auto frame = inner_->recv(timeout);
     if (frame.ok()) {
       rx_frames_.inc();
       rx_bytes_.inc(frame.value().size());
-      if (tracer_.enabled()) {
-        const u64 end = tracer_.now_ns();
-        recv_ns_.record_ns(end - start);
-        tracer_.complete(trace_name_ + ".recv", "net", start, end,
-                         frame.value().size(), "bytes");
-      }
+      recv_ns_.record_ns(clock_.now_ns() - start);
     }
     return frame;
   }
@@ -59,18 +53,19 @@ class InstrumentedChannel final : public Channel {
 
  private:
   ChannelPtr inner_;
-  obs::Tracer& tracer_;
+  const obs::Timeline& clock_;
   obs::Counter& tx_frames_;
   obs::Counter& tx_bytes_;
   obs::Counter& rx_frames_;
   obs::Counter& rx_bytes_;
   obs::LatencyHistogram& recv_ns_;
-  std::string trace_name_;
 };
 
-// Appends every frame crossing the channel to the flight recorder's ring.
-// tx is stamped after a successful send, rx after a successful (non-empty)
-// receive, so the ring reflects frames that actually crossed the transport.
+// Appends every frame crossing the channel to the flight recorder's ring:
+// tx after a successful send, rx after a successful (non-empty) receive, so
+// the ring reflects frames that actually crossed the transport. A tx is
+// stamped when its send starts, so on the shared clock it never follows
+// the peer's rx of the same frame.
 class RecordedChannel final : public Channel {
  public:
   RecordedChannel(ChannelPtr inner, obs::FlightRecorder& recorder,
@@ -79,8 +74,11 @@ class RecordedChannel final : public Channel {
         node_(node) {}
 
   Status send(std::span<const u8> frame) override {
+    const u64 sent_ns = recorder_.now_ns();
     Status s = inner_->send(frame);
-    if (s.ok()) recorder_.record(port_, obs::LinkDir::kTx, frame, node_);
+    if (s.ok()) {
+      recorder_.record(port_, obs::LinkDir::kTx, frame, node_, sent_ns);
+    }
     return s;
   }
 

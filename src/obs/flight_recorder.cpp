@@ -1,7 +1,5 @@
 #include "vhp/obs/flight_recorder.hpp"
 
-#include <chrono>
-
 #include "vhp/common/checksum.hpp"
 
 namespace vhp::obs {
@@ -19,9 +17,9 @@ std::string_view to_string(LinkDir dir) {
   return dir == LinkDir::kTx ? "tx" : "rx";
 }
 
-FlightRecorder::FlightRecorder(FlightRecorderConfig config, std::string side)
-    : config_(config), side_(std::move(side)),
-      epoch_(std::chrono::steady_clock::now()) {
+FlightRecorder::FlightRecorder(FlightRecorderConfig config, std::string side,
+                               const Timeline& clock)
+    : config_(config), side_(std::move(side)), clock_(clock) {
   if (config_.enabled && config_.ring_frames > 0) {
     ring_.resize(config_.ring_frames);
     for (auto& slot : ring_) slot.payload.reserve(config_.max_payload_bytes);
@@ -39,12 +37,10 @@ void FlightRecorder::set_board_time_source(std::function<u64()> source) {
 }
 
 void FlightRecorder::record(LinkPort port, LinkDir dir,
-                            std::span<const u8> frame, u32 node) {
+                            std::span<const u8> frame, u32 node,
+                            std::optional<u64> wall_ns) {
   if (!config_.enabled || ring_.empty()) return;
-  const u64 wall_ns = static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
+  const u64 stamp = wall_ns ? *wall_ns : clock_.now_ns();
   const std::size_t stored =
       std::min(frame.size(), config_.max_payload_bytes);
   std::scoped_lock lock(mu_);
@@ -58,7 +54,7 @@ void FlightRecorder::record(LinkPort port, LinkDir dir,
   slot.truncated = stored < frame.size();
   slot.hw_cycle = hw_time_ ? hw_time_() : 0;
   slot.board_tick = board_time_ ? board_time_() : 0;
-  slot.wall_ns = wall_ns;
+  slot.wall_ns = stamp;
   slot.payload_size = static_cast<u32>(frame.size());
   slot.digest = crc32(frame);
   slot.payload.assign(frame.begin(),
@@ -68,10 +64,7 @@ void FlightRecorder::record(LinkPort port, LinkDir dir,
 void FlightRecorder::note_fault(LinkPort port, LinkDir dir,
                                 std::string_view kind, u32 node) {
   if (!config_.enabled || ring_.empty()) return;
-  const u64 wall_ns = static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
+  const u64 wall_ns = clock_.now_ns();
   const auto* bytes = reinterpret_cast<const u8*>(kind.data());
   const std::size_t stored =
       std::min(kind.size(), config_.max_payload_bytes);

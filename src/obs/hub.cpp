@@ -2,15 +2,40 @@
 
 #include <fstream>
 
+#include "vhp/common/format.hpp"
+#include "vhp/obs/chrome_trace.hpp"
+#include "vhp/obs/recording.hpp"
+
 namespace vhp::obs {
+
+namespace {
+
+Status write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::trunc);
+  if (!f) return Status{StatusCode::kUnavailable, "cannot open " + path};
+  f << text;
+  f.close();
+  if (!f) return Status{StatusCode::kUnavailable, "write failed: " + path};
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status ObsConfig::validate(std::string_view owner) const {
+  if (timeline.ring_spans == 0) {
+    return Status{StatusCode::kInvalidArgument,
+                  strformat("{}: obs.timeline.ring_spans must be > 0",
+                            owner)};
+  }
+  return Status::Ok();
+}
 
 Hub::Hub(ObsConfig config)
     : config_(config),
-      tracer_(TracerConfig{config.enabled, config.max_trace_events}),
-      profiler_(config.enabled),
-      hw_recorder_(config.record, "hw"),
-      board_recorder_(config.record, "board"),
-      timeline_(config.timeline) {}
+      timeline_(config.timeline),
+      profiler_(config.timeline.enabled),
+      hw_recorder_(config.record, "hw", timeline_),
+      board_recorder_(config.record, "board", timeline_) {}
 
 void Hub::add_collector(std::function<void(MetricsRegistry&)> collector) {
   std::scoped_lock lock(collectors_mu_);
@@ -25,15 +50,23 @@ void Hub::collect() {
   profiler_.export_to(metrics_);
   hw_recorder_.export_to(metrics_);
   board_recorder_.export_to(metrics_);
+  // A truncated timeline is self-announcing: the dump carries the
+  // overwritten-span count next to the span count.
   if (timeline_.enabled()) timeline_.export_to(metrics_);
-  // Truncated timelines are self-announcing: a dump that hit the trace
-  // buffer cap carries the overflow count next to the event count.
-  if (config_.enabled) {
-    metrics_.gauge("obs.trace.events")
-        .set(static_cast<i64>(tracer_.event_count()));
-    metrics_.gauge("obs.trace.dropped_events")
-        .set(static_cast<i64>(tracer_.dropped()));
+}
+
+std::string Hub::trace_json() const {
+  std::vector<Recording> recordings;
+  for (const FlightRecorder* recorder : {&hw_recorder_, &board_recorder_}) {
+    if (recorder->enabled()) {
+      recordings.push_back({{recorder->side(), {}}, recorder->snapshot()});
+    }
   }
+  return chrome_trace_json(timeline_.snapshot(), recordings);
+}
+
+Status Hub::write_trace_json(const std::string& path) const {
+  return write_text_file(path, trace_json());
 }
 
 std::string Hub::metrics_json(std::string_view node_prefix) {
@@ -63,12 +96,7 @@ std::string merged_metrics_json(
 }
 
 Status Hub::write_metrics_json(const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return Status{StatusCode::kUnavailable, "cannot open " + path};
-  f << metrics_json();
-  f.close();
-  if (!f) return Status{StatusCode::kUnavailable, "write failed: " + path};
-  return Status::Ok();
+  return write_text_file(path, metrics_json());
 }
 
 }  // namespace vhp::obs

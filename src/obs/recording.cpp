@@ -565,37 +565,4 @@ std::string recording_stats_text(const Recording& rec) {
   return out.str();
 }
 
-std::string recording_to_chrome_json(const Recording& rec) {
-  const auto as_us = [](u64 ns) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu.%03llu",
-                  static_cast<unsigned long long>(ns / 1000),
-                  static_cast<unsigned long long>(ns % 1000));
-    return std::string(buf);
-  };
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  for (const FrameRecord& r : rec.frames) {
-    if (!first) out << ",";
-    first = false;
-    const bool fault = (r.flags & kFrameFlagInjected) != 0;
-    out << "{\"name\":\"" << to_string(r.port) << "." << to_string(r.dir);
-    if (fault) {
-      out << ".fault."
-          << std::string(r.payload.begin(), r.payload.end());
-    } else {
-      out << ".t" << static_cast<unsigned>(r.msg_type);
-    }
-    out << "\",\"cat\":\"" << (fault ? "fault" : "link")
-        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-        << (static_cast<unsigned>(r.port) + 1) << ",\"ts\":" << as_us(r.wall_ns)
-        << ",\"args\":{\"seq\":" << r.seq << ",\"hw_cycle\":" << r.hw_cycle
-        << ",\"board_tick\":" << r.board_tick << ",\"size\":" << r.payload_size
-        << "}}";
-  }
-  out << "],\"displayTimeUnit\":\"ns\"}";
-  return out.str();
-}
-
 }  // namespace vhp::obs

@@ -17,8 +17,35 @@ std::string_view to_string(SpanPhase p) {
     case SpanPhase::kCompute: return "compute";
     case SpanPhase::kFrozen: return "frozen";
     case SpanPhase::kBarrier: return "barrier";
+    case SpanPhase::kSlice: return "slice";
+    case SpanPhase::kDevRead: return "dev_read";
+    case SpanPhase::kEvict: return "evict";
+    case SpanPhase::kRejoin: return "rejoin";
   }
   return "unknown";
+}
+
+bool is_round_phase(SpanPhase p) { return p <= SpanPhase::kBarrier; }
+
+namespace {
+
+std::mutex g_labels_mu;
+std::vector<std::string> g_labels;
+
+}  // namespace
+
+u32 span_label(std::string_view name) {
+  std::scoped_lock lock(g_labels_mu);
+  for (std::size_t i = 0; i < g_labels.size(); ++i) {
+    if (g_labels[i] == name) return static_cast<u32>(i);
+  }
+  g_labels.emplace_back(name);
+  return static_cast<u32>(g_labels.size() - 1);
+}
+
+std::string span_label_name(u64 label) {
+  std::scoped_lock lock(g_labels_mu);
+  return label < g_labels.size() ? g_labels[label] : "?";
 }
 
 SpanSink::SpanSink(const TimelineConfig& config, std::string name)
@@ -55,17 +82,13 @@ u64 SpanSink::dropped() const {
 std::vector<SpanRecord> SpanSink::snapshot() const {
   std::scoped_lock lock(mu_);
   std::vector<SpanRecord> out;
+  if (ring_.empty()) return out;
+  // The oldest entry sits at the write cursor once the ring has wrapped,
+  // and at 0 before (the cursor then equals the size).
+  const auto head = static_cast<std::ptrdiff_t>(next_ % ring_.size());
   out.reserve(ring_.size());
-  if (ring_.size() < config_.ring_spans) {
-    out = ring_;
-  } else {
-    // Full ring: oldest entry sits at the write cursor.
-    const std::size_t head = next_ % config_.ring_spans;
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head));
-  }
+  out.insert(out.end(), ring_.begin() + head, ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + head);
   return out;
 }
 
@@ -160,6 +183,7 @@ TimelineAnalysis analyze_spans(const std::vector<SpanRecord>& spans,
 
   std::map<u64, RoundAccum> rounds;
   for (const SpanRecord& s : spans) {
+    if (!is_round_phase(s.phase)) continue;
     RoundAccum& r = rounds[s.round];
     if (r.cycle == 0) r.cycle = s.cycle;
     r.any_start = std::min(r.any_start, s.start_ns);
@@ -383,54 +407,6 @@ std::string timeline_analysis_json(const TimelineAnalysis& a) {
         << ",\"compute_ns\":" << n.compute_ns
         << ",\"transport_ns\":" << n.transport_ns
         << ",\"straggler_rounds\":" << n.straggler_rounds << "}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::string spans_to_chrome_json(const std::vector<SpanRecord>& spans,
-                                 const std::map<u32, std::string>& node_names) {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& body) {
-    if (!first) out << ",";
-    first = false;
-    out << body;
-  };
-  // One track per node, plus the coordinator on tid 1 — named via
-  // thread_name metadata so the viewer shows labels instead of bare tids.
-  emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
-       "\"args\":{\"name\":\"coordinator\"}}");
-  std::map<u32, bool> named;
-  for (const SpanRecord& s : spans) {
-    if (s.phase == SpanPhase::kNodeWait || s.phase == SpanPhase::kCompute ||
-        s.phase == SpanPhase::kFrozen) {
-      if (!named[s.node]) {
-        named[s.node] = true;
-        emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-             std::to_string(s.node + 2) + ",\"args\":{\"name\":\"" +
-             json_escape(node_label(s.node, node_names)) + "\"}}");
-      }
-    }
-  }
-  char buf[256];
-  for (const SpanRecord& s : spans) {
-    const bool per_node = s.phase == SpanPhase::kNodeWait ||
-                          s.phase == SpanPhase::kCompute ||
-                          s.phase == SpanPhase::kFrozen;
-    const u32 tid = per_node ? s.node + 2 : 1;
-    const u64 dur = s.end_ns - std::min(s.start_ns, s.end_ns);
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"name\":\"%s\",\"cat\":\"timeline\",\"ph\":\"X\",\"ts\":%.3f,"
-        "\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":{\"round\":%llu,"
-        "\"cycle\":%llu}}",
-        std::string(to_string(s.phase)).c_str(),
-        static_cast<double>(s.start_ns) / 1e3,
-        static_cast<double>(dur) / 1e3, tid, (unsigned long long)s.round,
-        (unsigned long long)s.cycle);
-    emit(buf);
   }
   out << "]}";
   return out.str();

@@ -17,6 +17,7 @@
 
 #include "vhp/cosim/session.hpp"
 #include "vhp/fault/plan.hpp"
+#include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
 #include "vhp/obs/recording.hpp"
 #include "vhp/router/checksum_app.hpp"
@@ -193,6 +194,98 @@ TEST(ChaosSoakTest, FaultedRecordingMatchesTheCleanRecording) {
       base.hw_recording, faulted.hw_recording, &net::message_field_diff);
   EXPECT_FALSE(divergence.has_value())
       << "faulted run diverged: " << divergence->to_string();
+}
+
+// ---------------------------------------------------------------------------
+// The protocol's last frame under loss
+
+struct ShutdownRun {
+  double finish_ms = 0;
+  u64 injected = 0;
+  std::vector<obs::FrameRecord> hw;
+  std::vector<obs::FrameRecord> board;
+};
+
+/// A recovering session whose plan drops exactly one frame of the hw side's
+/// CLOCK lane in direction `dir`: lane index 1 + 2 * syncs. Each lane
+/// carries one frame for the boot ack and two per barrier (a tick or
+/// TIME_ACK, and the other side's ack of it), so that index is the SHUTDOWN
+/// (kTx) or the board's ack of it (kRx). `rto` is long enough that no
+/// frame is retransmitted before the SHUTDOWN.
+ShutdownRun run_dropping_at_shutdown(obs::LinkDir dir,
+                                     std::chrono::milliseconds rto) {
+  constexpr u64 kQuantum = 100;
+  constexpr u64 kCycles = 1000;
+  FaultRule rule;
+  rule.kind = FaultKind::kDrop;
+  rule.port = obs::LinkPort::kClock;
+  rule.dir = dir;
+  rule.first_frame = rule.last_frame = 1 + 2 * (kCycles / kQuantum);
+  FaultPlan plan;
+  plan.add(rule);
+  RecoveryConfig recovery;
+  recovery.enabled = true;
+  recovery.rto = rto;
+  recovery.rto_max = rto;
+  cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                  .t_sync(kQuantum)
+                                  .cycles_per_tick(10)
+                                  .postmortem_prefix("")
+                                  .fault_plan(plan)
+                                  .recovery(recovery)
+                                  .record()
+                                  .build_or_throw()};
+  session.start_board();
+  EXPECT_TRUE(session.run_cycles(kCycles).ok());
+  EXPECT_EQ(session.hw().stats().syncs, kCycles / kQuantum);
+  const auto start = std::chrono::steady_clock::now();
+  session.finish();
+  ShutdownRun run;
+  run.finish_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  run.injected = session.fault_schedule()->injected();
+  run.hw = session.obs().hw_recorder().snapshot();
+  run.board = session.obs().board_recorder().snapshot();
+  return run;
+}
+
+bool is_shutdown(const obs::FrameRecord& f, obs::LinkDir dir) {
+  return f.flags == 0 && f.port == obs::LinkPort::kClock && f.dir == dir &&
+         f.msg_type == static_cast<u8>(net::MsgType::kShutdown);
+}
+
+/// The hw recording ends with the SHUTDOWN, right after the marker of the
+/// one drop: the frame was lost while the SHUTDOWN was being sent.
+void expect_drop_during_shutdown(const ShutdownRun& run, obs::LinkDir dir) {
+  EXPECT_EQ(run.injected, 1u);
+  ASSERT_GE(run.hw.size(), 2u);
+  const obs::FrameRecord& marker = run.hw[run.hw.size() - 2];
+  EXPECT_NE(marker.flags & obs::kFrameFlagInjected, 0u);
+  EXPECT_EQ(marker.port, obs::LinkPort::kClock);
+  EXPECT_EQ(marker.dir, dir);
+  EXPECT_TRUE(is_shutdown(run.hw.back(), obs::LinkDir::kTx));
+  ASSERT_FALSE(run.board.empty());
+  EXPECT_TRUE(is_shutdown(run.board.back(), obs::LinkDir::kRx));
+}
+
+TEST(ChaosShutdownTest, LostShutdownAckEndsTheSessionPromptly) {
+  // The board acks SHUTDOWN once and leaves its run loop, so nothing
+  // repeats a lost ack. The master's SHUTDOWN send must still end well
+  // before RecoveryConfig::flush_timeout (10 s) and succeed, so the
+  // recording keeps the SHUTDOWN: the board's hang-up confirms delivery.
+  const ShutdownRun run =
+      run_dropping_at_shutdown(obs::LinkDir::kRx, std::chrono::seconds{1});
+  expect_drop_during_shutdown(run, obs::LinkDir::kRx);
+  EXPECT_LT(run.finish_ms, 500.0);
+}
+
+TEST(ChaosShutdownTest, LostShutdownIsRetransmittedToTheBoard) {
+  // The retransmission comes one rto after the send.
+  const ShutdownRun run =
+      run_dropping_at_shutdown(obs::LinkDir::kTx, std::chrono::seconds{1});
+  expect_drop_during_shutdown(run, obs::LinkDir::kTx);
+  EXPECT_LT(run.finish_ms, 5000.0);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 # Example CLI contract: --help prints the usage line on stdout and exits 0;
 # an unknown option, a malformed positional or an invalid knob prints the
 # usage line on stderr and exits 2 — never an uncaught exception (exit 134).
-# Every case stops before a simulation starts.
+# Every such case stops before a simulation starts. One short run
+# (router_cosim 1000 8, ~0.1 s) checks that --trace-json writes a Chrome
+# trace that parses and shows a barrier per sync, a dev_read, an RTOS thread
+# and a CLOCK frame.
 #
 # Usage: examples_cli_test.sh <path-to-router_cosim> <path-to-router_fabric>
 set -u
@@ -45,6 +48,37 @@ for bin in "$ROUTER_COSIM" "$ROUTER_FABRIC"; do
   expect 2 stderr "$name rejects a non-numeric t_sync" -- "$bin" fast
   expect 2 stderr "$name rejects t_sync 0"             -- "$bin" 0
 done
+
+workdir="$(mktemp -d)"
+trap 'rm -rf "$workdir"' EXIT
+"$ROUTER_COSIM" 1000 8 --trace-json "$workdir/run.trace.json" \
+  --metrics-json "$workdir/run.metrics.json" > "$workdir/run.out" 2>&1
+status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: router_cosim 1000 8 --trace-json: exit $status" >&2
+  cat "$workdir/run.out" >&2
+  fails=$((fails + 1))
+elif ! python3 - "$workdir" <<'PY'
+import json, re, sys
+workdir = sys.argv[1]
+events = json.load(open(f"{workdir}/run.trace.json"))["traceEvents"]
+names = [e["name"] for e in events if e["ph"] != "M"]
+syncs = int(re.search(r"sync round trips\s+(\d+)",
+                      open(f"{workdir}/run.out").read()).group(1))
+checks = {
+    "one barrier span per sync": names.count("barrier") == syncs > 0,
+    "a dev_read span": "dev_read" in names,
+    "an RTOS thread slice": "checksum_app" in names,
+    "a CLOCK frame": any(n.startswith("clock.") for n in names),
+}
+for what, ok in checks.items():
+    print(("ok: " if ok else "FAIL: ") + "router_cosim trace has " + what,
+          file=sys.stdout if ok else sys.stderr)
+sys.exit(0 if all(checks.values()) else 1)
+PY
+then
+  fails=$((fails + 1))
+fi
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails case(s) failed" >&2

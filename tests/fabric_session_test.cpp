@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "vhp/cosim/session.hpp"
@@ -247,66 +248,86 @@ router::TestbenchConfig case_study_testbench() {
 
 TEST(FabricRecordingSessionTest, OneNodeFabricRecordsLikeASession) {
   // A session is a 1-node fabric: the same policy, transport and board
-  // config give the same frames on both sides of the link, CLOCK included.
+  // config give the same frames on both sides of the link, CLOCK included
+  // — plain, and observed on both sides, where the one switch also stamps
+  // wire-v3 rounds on CLOCK_TICK and TIME_ACK.
   const auto policy = cosim::SyncPolicy{}.quantum(500).watchdog(15000ms);
   constexpr u64 kCycles = 40000;
   constexpr std::size_t kRing = 1u << 16;
 
-  obs::Recording session_hw, session_board;
-  {
-    cosim::CosimSession session{cosim::SessionConfigBuilder{}
-                                    .sync(policy)
-                                    .cycles_per_tick(10)
-                                    .record()
-                                    .record_ring(kRing)
-                                    .build_or_throw()};
-    router::RouterTestbench tb{session.hw().kernel(), case_study_testbench(),
-                               &session.hw().registry()};
-    session.hw().watch_interrupt(tb.router().irq(),
-                                 board::Board::kDeviceVector);
-    router::ChecksumApp app{session.board(), router::ChecksumAppConfig{}};
-    session.start_board();
-    ASSERT_TRUE(session.run_cycles(kCycles).ok());
-    session.finish();
-    ASSERT_TRUE(tb.traffic_done());
-    session_hw = obs::snapshot_recording(session.obs().hw_recorder(), {});
-    session_board =
-        obs::snapshot_recording(session.obs().board_recorder(), {});
-  }
-
-  obs::Recording fabric_hw, fabric_board;
-  {
-    FabricConfigBuilder builder;
-    builder.sync(policy).record().add_node("board");
-    builder.last_board().rtos.cycles_per_tick = 10;
-    FabricConfig cfg = builder.build_or_throw();
-    cfg.obs.record.ring_frames = kRing;
-    Fabric fab{cfg};
-    router::RouterTestbench tb{fab.kernel(), case_study_testbench(),
-                               &fab.registry(0)};
-    fab.watch_interrupt(0, tb.router().irq(), board::Board::kDeviceVector);
-    router::ChecksumApp app{fab.board(0), router::ChecksumAppConfig{}};
-    fab.start_boards();
-    ASSERT_TRUE(fab.run_cycles(kCycles).ok());
-    fab.finish();
-    ASSERT_TRUE(tb.traffic_done());
-    fabric_hw = obs::snapshot_recording(fab.obs().hw_recorder(), {});
-    fabric_board =
-        obs::snapshot_recording(fab.node_obs(0).board_recorder(), {});
-  }
-
-  ASSERT_GT(session_hw.frames.size(), 0u);
-  ASSERT_GT(session_board.frames.size(), 0u);
-  EXPECT_EQ(fabric_hw.frames.size(), session_hw.frames.size());
-  EXPECT_EQ(fabric_board.frames.size(), session_board.frames.size());
-  for (const auto& [a, b] : {std::pair{&session_hw, &fabric_hw},
-                             std::pair{&session_board, &fabric_board}}) {
-    SCOPED_TRACE(a->meta.side);
-    for (const auto& [ref, live] : {std::pair{a, b}, std::pair{b, a}}) {
-      const auto divergence =
-          obs::diff_recordings(*ref, *live, &net::message_field_diff);
-      EXPECT_FALSE(divergence.has_value()) << divergence->to_string();
+  for (const bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "observed" : "plain");
+    obs::Recording session_hw, session_board;
+    {
+      cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                      .sync(policy)
+                                      .cycles_per_tick(10)
+                                      .observability(observed)
+                                      .record()
+                                      .record_ring(kRing)
+                                      .build_or_throw()};
+      router::RouterTestbench tb{session.hw().kernel(),
+                                 case_study_testbench(),
+                                 &session.hw().registry()};
+      session.hw().watch_interrupt(tb.router().irq(),
+                                   board::Board::kDeviceVector);
+      router::ChecksumApp app{session.board(), router::ChecksumAppConfig{}};
+      session.start_board();
+      ASSERT_TRUE(session.run_cycles(kCycles).ok());
+      session.finish();
+      ASSERT_TRUE(tb.traffic_done());
+      session_hw = obs::snapshot_recording(session.obs().hw_recorder(), {});
+      session_board =
+          obs::snapshot_recording(session.obs().board_recorder(), {});
     }
+
+    obs::Recording fabric_hw, fabric_board;
+    {
+      FabricConfigBuilder builder;
+      builder.sync(policy).observability(observed).record().add_node("board");
+      builder.last_board().rtos.cycles_per_tick = 10;
+      FabricConfig cfg = builder.build_or_throw();
+      cfg.obs.record.ring_frames = kRing;
+      Fabric fab{cfg};
+      router::RouterTestbench tb{fab.kernel(), case_study_testbench(),
+                                 &fab.registry(0)};
+      fab.watch_interrupt(0, tb.router().irq(), board::Board::kDeviceVector);
+      router::ChecksumApp app{fab.board(0), router::ChecksumAppConfig{}};
+      fab.start_boards();
+      ASSERT_TRUE(fab.run_cycles(kCycles).ok());
+      fab.finish();
+      ASSERT_TRUE(tb.traffic_done());
+      fabric_hw = obs::snapshot_recording(fab.obs().hw_recorder(), {});
+      fabric_board =
+          obs::snapshot_recording(fab.node_obs(0).board_recorder(), {});
+    }
+
+    ASSERT_GT(session_hw.frames.size(), 0u);
+    ASSERT_GT(session_board.frames.size(), 0u);
+    EXPECT_EQ(fabric_hw.frames.size(), session_hw.frames.size());
+    EXPECT_EQ(fabric_board.frames.size(), session_board.frames.size());
+    for (const auto& [a, b] : {std::pair{&session_hw, &fabric_hw},
+                               std::pair{&session_board, &fabric_board}}) {
+      SCOPED_TRACE(a->meta.side);
+      for (const auto& [ref, live] : {std::pair{a, b}, std::pair{b, a}}) {
+        const auto divergence =
+            obs::diff_recordings(*ref, *live, &net::message_field_diff);
+        EXPECT_FALSE(divergence.has_value()) << divergence->to_string();
+      }
+    }
+
+    // Round stamps come with the switch and only with it.
+    std::size_t ticks = 0, stamped = 0;
+    for (const obs::FrameRecord& f : session_hw.frames) {
+      auto msg = net::decode(f.payload);
+      ASSERT_TRUE(msg.ok()) << msg.status();
+      if (const auto* tick = std::get_if<net::ClockTick>(&msg.value())) {
+        ++ticks;
+        stamped += tick->round.has_value() ? 1 : 0;
+      }
+    }
+    EXPECT_GT(ticks, 0u);
+    EXPECT_EQ(stamped, observed ? ticks : 0u);
   }
 }
 

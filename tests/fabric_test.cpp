@@ -385,6 +385,17 @@ TEST(FabricConfigTest, BuilderValidates) {
   EXPECT_THROW(FabricConfigBuilder{}.build_or_throw(), std::invalid_argument);
 }
 
+TEST(FabricConfigTest, RejectsZeroSpanRing) {
+  FabricConfig cfg =
+      FabricConfigBuilder{}.observability().add_node("a").build_or_throw();
+  cfg.obs.timeline.ring_spans = 0;
+  const Status s = cfg.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("obs.timeline.ring_spans"), std::string::npos)
+      << s;
+  EXPECT_THROW(Fabric{cfg}, std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Node-stamped recordings (satellite: per-node replay/diff)
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "vhp/common/checksum.hpp"
+#include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/flight_recorder.hpp"
 #include "vhp/obs/metrics.hpp"
 #include "vhp/obs/recording.hpp"
@@ -45,11 +46,18 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
+/// The clock a standalone recorder stamps on (a hub passes its timeline).
+const Timeline& test_clock() {
+  static const Timeline clock;
+  return clock;
+}
+
 // ---------------------------------------------------------------------------
 // FlightRecorder (the ring)
 
 TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
-  FlightRecorder rec{FlightRecorderConfig{}, "hw"};  // enabled defaults false
+  // FlightRecorderConfig::enabled defaults to false.
+  FlightRecorder rec{FlightRecorderConfig{}, "hw", test_clock()};
   EXPECT_FALSE(rec.enabled());
   const auto frame = frame_of({5, 1, 2, 3});
   rec.record(LinkPort::kClock, LinkDir::kTx, frame);
@@ -59,7 +67,7 @@ TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
 }
 
 TEST(FlightRecorderTest, RecordsFullFrameMetadata) {
-  FlightRecorder rec{enabled_config(), "hw"};
+  FlightRecorder rec{enabled_config(), "hw", test_clock()};
   const auto frame = frame_of({6, 0x10, 0x20, 0x30});
   rec.record(LinkPort::kClock, LinkDir::kRx, frame);
 
@@ -77,7 +85,7 @@ TEST(FlightRecorderTest, RecordsFullFrameMetadata) {
 }
 
 TEST(FlightRecorderTest, SequenceIsGlobalAcrossPorts) {
-  FlightRecorder rec{enabled_config(), "hw"};
+  FlightRecorder rec{enabled_config(), "hw", test_clock()};
   rec.record(LinkPort::kData, LinkDir::kTx, frame_of({1}));
   rec.record(LinkPort::kInt, LinkDir::kTx, frame_of({4}));
   rec.record(LinkPort::kClock, LinkDir::kRx, frame_of({6}));
@@ -92,7 +100,7 @@ TEST(FlightRecorderTest, SequenceIsGlobalAcrossPorts) {
 TEST(FlightRecorderTest, RingEvictsOldestAndCounts) {
   FlightRecorderConfig cfg = enabled_config();
   cfg.ring_frames = 4;
-  FlightRecorder rec{cfg, "hw"};
+  FlightRecorder rec{cfg, "hw", test_clock()};
   for (u8 i = 0; i < 7; ++i) {
     rec.record(LinkPort::kData, LinkDir::kTx, frame_of({1, i}));
   }
@@ -110,7 +118,7 @@ TEST(FlightRecorderTest, RingEvictsOldestAndCounts) {
 TEST(FlightRecorderTest, TruncatesLongPayloadsButKeepsSizeAndDigest) {
   FlightRecorderConfig cfg = enabled_config();
   cfg.max_payload_bytes = 4;
-  FlightRecorder rec{cfg, "hw"};
+  FlightRecorder rec{cfg, "hw", test_clock()};
   const Bytes full{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   rec.record(LinkPort::kData, LinkDir::kTx, full);
 
@@ -124,7 +132,7 @@ TEST(FlightRecorderTest, TruncatesLongPayloadsButKeepsSizeAndDigest) {
 }
 
 TEST(FlightRecorderTest, StampsVirtualTimeFromWiredSources) {
-  FlightRecorder rec{enabled_config(), "hw"};
+  FlightRecorder rec{enabled_config(), "hw", test_clock()};
   rec.set_hw_time_source([] { return u64{1234}; });
   rec.set_board_time_source([] { return u64{56}; });
   rec.record(LinkPort::kClock, LinkDir::kTx, frame_of({5}));
@@ -137,7 +145,7 @@ TEST(FlightRecorderTest, StampsVirtualTimeFromWiredSources) {
 TEST(FlightRecorderTest, ExportsGaugesUnderSideName) {
   FlightRecorderConfig cfg = enabled_config();
   cfg.ring_frames = 2;
-  FlightRecorder rec{cfg, "board"};
+  FlightRecorder rec{cfg, "board", test_clock()};
   for (int i = 0; i < 5; ++i) {
     rec.record(LinkPort::kInt, LinkDir::kRx, frame_of({4}));
   }
@@ -362,16 +370,15 @@ TEST(RecordingReportTest, StatsTextTabulatesPortsAndTypes) {
 
 TEST(RecordingReportTest, ChromeJsonEmitsOneInstantPerFrame) {
   const Recording rec = sample_recording();
-  const std::string json = recording_to_chrome_json(rec);
+  const std::string json = chrome_trace_json({}, {rec});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("clock.rx.t6"), std::string::npos);
-  std::size_t events = 0;
-  for (std::size_t at = json.find("\"name\""); at != std::string::npos;
-       at = json.find("\"name\"", at + 1)) {
-    ++events;
+  std::size_t instants = 0;
+  for (std::size_t at = json.find("\"ph\":\"i\""); at != std::string::npos;
+       at = json.find("\"ph\":\"i\"", at + 1)) {
+    ++instants;
   }
-  EXPECT_EQ(events, rec.frames.size());
+  EXPECT_EQ(instants, rec.frames.size());
 }
 
 }  // namespace

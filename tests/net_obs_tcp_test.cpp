@@ -64,7 +64,9 @@ void exchange_traffic(CosimLink& hw, CosimLink& board) {
 }
 
 TEST(RecordChannelTest, DisabledRecorderAddsNoDecoratorHop) {
-  obs::FlightRecorder disabled{};  // FlightRecorderConfig::enabled == false
+  obs::Timeline stamps;
+  // FlightRecorderConfig::enabled defaults to false.
+  obs::FlightRecorder disabled{obs::FlightRecorderConfig{}, "hw", stamps};
   auto [a, b] = make_inproc_channel_pair(4);
   Channel* raw = a.get();
   ChannelPtr wrapped = record_channel(std::move(a), disabled, LinkPort::kData);
@@ -83,7 +85,8 @@ TEST(RecordChannelTest, DisabledRecorderAddsNoDecoratorHop) {
 TEST(RecordChannelTest, EnabledRecorderWrapsAndCaptures) {
   obs::FlightRecorderConfig cfg;
   cfg.enabled = true;
-  obs::FlightRecorder recorder{cfg, "hw"};
+  obs::Timeline stamps;
+  obs::FlightRecorder recorder{cfg, "hw", stamps};
   auto [a, b] = make_inproc_channel_pair(4);
   Channel* raw = a.get();
   ChannelPtr wrapped =
@@ -106,7 +109,7 @@ TEST(RecordChannelTest, EnabledRecorderWrapsAndCaptures) {
 
 TEST(InstrumentedTcpLinkTest, FrameCountsCrossCheckBetweenSides) {
   obs::ObsConfig oc;
-  oc.enabled = true;
+  oc.timeline.enabled = true;
   obs::Hub hub{oc};
 
   LinkPair pair = make_tcp_link_pair();

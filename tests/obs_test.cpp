@@ -4,14 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/hub.hpp"
 #include "vhp/obs/metrics.hpp"
+#include "vhp/obs/recording.hpp"
 #include "vhp/obs/stall_profiler.hpp"
-#include "vhp/obs/trace.hpp"
 
 namespace vhp::obs {
 namespace {
@@ -278,53 +280,6 @@ TEST(MetricsRegistryTest, JsonEscaping) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer
-
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer t;  // default config: disabled
-  EXPECT_FALSE(t.enabled());
-  t.instant("x", "cat");
-  t.complete("y", "cat", 0, 100);
-  { Tracer::Span span(t, "z", "cat"); }
-  EXPECT_EQ(t.event_count(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_TRUE(JsonChecker(t.to_chrome_json()).valid());
-}
-
-TEST(TracerTest, RecordsInstantsAndSpans) {
-  Tracer t{TracerConfig{.enabled = true}};
-  t.instant("tick", "cosim", 42, "cycle");
-  t.complete("sync", "cosim", 1000, 3500);
-  { Tracer::Span span(t, "scoped", "test"); }
-  EXPECT_EQ(t.event_count(), 3u);
-  const std::string json = t.to_chrome_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"tick\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"cycle\":42"), std::string::npos);
-  // 1000 ns -> "1.000" µs; 2500 ns duration -> "2.500" µs (zero-padded).
-  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dur\":2.500"), std::string::npos) << json;
-}
-
-TEST(TracerTest, CapsBufferAndCountsDrops) {
-  Tracer t{TracerConfig{.enabled = true, .max_events = 4}};
-  for (int i = 0; i < 10; ++i) t.instant("e", "cat");
-  EXPECT_EQ(t.event_count(), 4u);
-  EXPECT_EQ(t.dropped(), 6u);
-  EXPECT_TRUE(JsonChecker(t.to_chrome_json()).valid());
-}
-
-TEST(TracerTest, NowNsIsMonotonic) {
-  Tracer t{TracerConfig{.enabled = true}};
-  const u64 a = t.now_ns();
-  const u64 b = t.now_ns();
-  EXPECT_LE(a, b);
-}
-
-// ---------------------------------------------------------------------------
 // Stall profiler
 
 TEST(StallProfilerTest, DisabledTimerAddsNothing) {
@@ -368,17 +323,26 @@ TEST(StallProfilerTest, EnabledTimerMeasuresElapsedTime) {
 TEST(HubTest, DisabledByDefaultButCountersLive) {
   Hub hub;
   EXPECT_FALSE(hub.enabled());
-  EXPECT_FALSE(hub.tracer().enabled());
+  EXPECT_FALSE(hub.timeline().enabled());
   EXPECT_FALSE(hub.profiler().enabled());
   hub.metrics().counter("always.on").inc(5);
   EXPECT_EQ(hub.metrics().counter("always.on").value(), 5u);
 }
 
-TEST(HubTest, EnabledTurnsOnTracerAndProfiler) {
-  Hub hub{ObsConfig{.enabled = true, .max_trace_events = 128}};
+ObsConfig armed_config(std::size_t ring_spans = 1u << 13) {
+  ObsConfig config;
+  config.timeline.enabled = true;
+  config.timeline.ring_spans = ring_spans;
+  return config;
+}
+
+TEST(HubTest, OneSwitchArmsTimelineAndProfiler) {
+  Hub hub{armed_config()};
   EXPECT_TRUE(hub.enabled());
-  EXPECT_TRUE(hub.tracer().enabled());
+  EXPECT_TRUE(hub.timeline().enabled());
   EXPECT_TRUE(hub.profiler().enabled());
+  // The recorder stays independent of the switch.
+  EXPECT_FALSE(hub.hw_recorder().enabled());
 }
 
 TEST(HubTest, CollectorsRunBeforeMetricsDump) {
@@ -398,7 +362,7 @@ TEST(HubTest, CollectorsRunBeforeMetricsDump) {
 }
 
 TEST(HubTest, ProfilerBucketsAppearInDump) {
-  Hub hub{ObsConfig{.enabled = true}};
+  Hub hub{armed_config()};
   hub.profiler().add_ns(StallProfiler::Bucket::kAckWait, 777);
   const std::string json = hub.metrics_json();
   EXPECT_NE(json.find("\"cosim.wall.ack_wait_ns\":777"), std::string::npos)
@@ -406,18 +370,85 @@ TEST(HubTest, ProfilerBucketsAppearInDump) {
 }
 
 
-TEST(HubTest, TracerDropCountAppearsInDump) {
-  // ObsConfig::max_trace_events caps the buffer; the surplus is counted and
+TEST(HubTest, SpanDropCountAppearsInDump) {
+  // A full span ring overwrites its oldest spans; the loss is counted and
   // surfaced in the metrics dump so a clipped trace is visibly clipped.
-  Hub hub{ObsConfig{.enabled = true, .max_trace_events = 4}};
-  for (int i = 0; i < 10; ++i) hub.tracer().instant("ev", "test");
-  EXPECT_EQ(hub.tracer().event_count(), 4u);
-  EXPECT_EQ(hub.tracer().dropped(), 6u);
+  Hub hub{armed_config(/*ring_spans=*/4)};
+  SpanSink& sink = hub.timeline().sink("test");
+  for (u64 r = 0; r < 10; ++r) {
+    sink.record({r, 0, SpanPhase::kBarrier, r, r + 1, 0});
+  }
+  EXPECT_EQ(hub.timeline().snapshot().size(), 4u);
   const std::string json = hub.metrics_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"obs.trace.events\":4"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"obs.trace.dropped_events\":6"), std::string::npos)
+  EXPECT_NE(json.find("\"timeline.spans\":10"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"timeline.dropped_spans\":6"), std::string::npos)
       << json;
+}
+
+// ---------------------------------------------------------------------------
+// The one Chrome writer
+
+TEST(ChromeTraceTest, RendersSpansAndFramesOnTheirTracks) {
+  const std::vector<SpanRecord> spans = {
+      {1, 0, SpanPhase::kBarrier, 1000, 3500, 100},
+      {1, 1, SpanPhase::kCompute, 1200, 3000, 100},
+      {1, 1, SpanPhase::kSlice, 1200, 2000, 100, span_label("app \"x\"")},
+      {1, 1, SpanPhase::kDevRead, 1300, 1900, 100, 0x40},
+      {1, 1, SpanPhase::kEvict, 3400, 3400, 100},
+  };
+  Recording hw;
+  hw.meta.side = "hw";
+  FrameRecord tick;
+  tick.port = LinkPort::kClock;
+  tick.msg_type = 5;
+  tick.node = 1;
+  tick.wall_ns = 1100;
+  hw.frames.push_back(tick);
+  const std::string json = chrome_trace_json(spans, {hw}, {{1, "beta"}});
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  // 1000 ns -> "1.000" µs; 2500 ns duration -> "2.500" µs (zero-padded).
+  EXPECT_NE(json.find("\"name\":\"barrier\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\":2.500"), std::string::npos) << json;
+  EXPECT_NE(json.find("app \\\"x\\\""), std::string::npos)
+      << "slice named by its escaped thread label: " << json;
+  EXPECT_NE(json.find("\"address\":64"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"evict\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"clock.tx.t5\",\"cat\":\"link\",\"ph\":\"i\""),
+            std::string::npos)
+      << json;
+  for (const char* track : {"\"coordinator\"", "\"rounds\"", "\"rtos\"",
+                            "\"driver\"", "\"hw frames\"", "\"beta\""}) {
+    EXPECT_NE(json.find(track), std::string::npos) << track << " " << json;
+  }
+}
+
+TEST(ChromeTraceTest, EscapesAFaultPayloadReadBackFromDisk) {
+  // A fault marker's payload is free text; a quote or a newline in it must
+  // not break the document.
+  Recording rec;
+  rec.meta.side = "hw";
+  FrameRecord marker;
+  marker.port = LinkPort::kData;
+  marker.flags = kFrameFlagInjected;
+  const std::string kind = "dr\"op\nnow";
+  marker.payload.assign(kind.begin(), kind.end());
+  marker.payload_size = static_cast<u32>(kind.size());
+  rec.frames.push_back(marker);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "vhp_chrome_fault.vhprec")
+          .string();
+  ASSERT_TRUE(write_recording(path, rec, RecordingFormat::kBinary).ok());
+  auto loaded = read_recording(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded.value().frames.size(), 1u);
+  const std::string json = chrome_trace_json({}, {loaded.value()});
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("data.tx.fault.dr\\\"op\\nnow"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"cat\":\"fault\""), std::string::npos) << json;
 }
 
 }  // namespace

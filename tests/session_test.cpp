@@ -212,6 +212,20 @@ TEST(SessionConfigValidation, RejectsEviction) {
   EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
 }
 
+TEST(SessionConfigValidation, RejectsZeroSpanRing) {
+  // A zero-capacity span ring used to pass validation and then crash the
+  // first snapshot; the knob is rejected by name, armed or not.
+  SessionConfig cfg;
+  cfg.obs.timeline.ring_spans = 0;
+  const Status s = cfg.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("obs.timeline.ring_spans"), std::string::npos)
+      << s;
+  EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
+  cfg.obs.timeline.enabled = true;
+  EXPECT_FALSE(cfg.validate().ok());
+}
+
 TEST(SessionConfigValidation, RejectsZeroClockPeriod) {
   SessionConfig cfg;
   cfg.cosim.clock_period = sim::SimTime{0};
@@ -307,15 +321,13 @@ TEST(SessionConfigBuilderTest, BuildsValidatedConfig) {
                     .t_sync(250)
                     .cycles_per_tick(5)
                     .observability()
-                    .max_trace_events(1024)
                     .build();
   ASSERT_TRUE(result.ok()) << result.status();
   const SessionConfig& cfg = result.value();
   EXPECT_EQ(cfg.transport, TransportKind::kInProc);
   EXPECT_EQ(cfg.cosim.sync.quantum(), 250u);
   EXPECT_EQ(cfg.board.rtos.cycles_per_tick, 5u);
-  EXPECT_TRUE(cfg.obs.enabled);
-  EXPECT_EQ(cfg.obs.max_trace_events, 1024u);
+  EXPECT_TRUE(cfg.obs.timeline.enabled);
 }
 
 TEST(SessionConfigBuilderTest, BuildReturnsStatusOnBadConfig) {
@@ -333,7 +345,7 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   cfg.transport = GetParam();
   cfg.cosim.sync.quantum(20);
   cfg.board.rtos.cycles_per_tick = 10;
-  cfg.obs.enabled = true;
+  cfg.obs.timeline.enabled = true;
   CosimSession session{cfg};
 
   EchoDevice echo{session.hw()};
@@ -389,11 +401,11 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
                 .count(),
             hw.syncs);
 
-  // The enabled session produced trace events and a parseable dump pair.
-  EXPECT_GT(session.obs().tracer().event_count(), 0u);
+  // The enabled session recorded spans and a parseable dump pair.
+  EXPECT_FALSE(session.obs().timeline().snapshot().empty());
   const std::string trace = session.obs().trace_json();
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.find("cosim.sync"), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"barrier\""), std::string::npos);
   const std::string dump = session.obs().metrics_json();
   EXPECT_NE(dump.find("\"fabric.ticks_sent\""), std::string::npos);
   EXPECT_NE(dump.find("\"rtos.context_switches\""), std::string::npos);
@@ -402,14 +414,14 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
 }
 
 TEST(SessionObsTest, DisabledSessionKeepsCountersButNoTrace) {
-  SessionConfig cfg;  // obs.enabled defaults to false
+  SessionConfig cfg;  // obs.timeline.enabled defaults to false
   cfg.cosim.sync.quantum(20);
   CosimSession session{cfg};
   session.start_board();
   ASSERT_TRUE(session.run_cycles(200).ok());
   session.finish();
   EXPECT_FALSE(session.obs().enabled());
-  EXPECT_EQ(session.obs().tracer().event_count(), 0u);
+  EXPECT_TRUE(session.obs().timeline().snapshot().empty());
   // Counters (the stats() backing store) still counted.
   EXPECT_EQ(session.obs().metrics().counter("fabric.ticks_sent").value(),
             session.hw().stats().syncs);

@@ -5,6 +5,7 @@
 // timeline_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -17,6 +18,8 @@
 #include "vhp/obs/recording.hpp"
 #include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
+#include "vhp/router/checksum_app.hpp"
+#include "vhp/router/testbench.hpp"
 
 namespace vhp::fabric {
 namespace {
@@ -28,7 +31,7 @@ FabricConfig timeline_fabric_config(bool timeline) {
   builder.inproc()
       .sync(cosim::SyncPolicy{}.quantum(20).watchdog(10000ms))
       .record();
-  if (timeline) builder.timeline();
+  if (timeline) builder.observability();
   builder.add_node("n0");
   builder.last_board().rtos.cycles_per_tick = 10;
   builder.add_node("n1");
@@ -182,6 +185,78 @@ TEST(SessionTimelineTest, DefaultSessionStampsNoRounds) {
   session.finish();
   EXPECT_EQ(session.hw().rounds(), 0u);
   EXPECT_TRUE(session.obs().timeline().snapshot().empty());
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SessionTraceTest, OneRecorderTracesRoundsReadsSlicesAndFrames) {
+  // The paper's case study, observed and recorded: one Chrome trace from
+  // the hub's span rings and flight recorders, on one clock.
+  CosimSession session{SessionConfigBuilder{}
+                           .t_sync(1000)
+                           .cycles_per_tick(10)
+                           .observability()
+                           .record()
+                           .build_or_throw()};
+  router::TestbenchConfig tb_cfg;
+  tb_cfg.router.remote_checksum = true;
+  tb_cfg.packets_per_port = 2;
+  tb_cfg.gap_cycles = 8000;
+  router::RouterTestbench tb{session.hw().kernel(), tb_cfg,
+                             &session.hw().registry()};
+  session.hw().watch_interrupt(tb.router().irq(),
+                               board::Board::kDeviceVector);
+  router::ChecksumApp app{session.board(), router::ChecksumAppConfig{}};
+  session.start_board();
+  for (int step = 0; step < 400 && !tb.traffic_done(); ++step) {
+    ASSERT_TRUE(session.run_cycles(500).ok());
+  }
+  session.finish();
+  ASSERT_TRUE(tb.traffic_done());
+
+  const std::string trace = session.obs().trace_json();
+  const u64 syncs = session.hw().stats().syncs;
+  const u64 reads = session.board().stats().dev_reads;
+  ASSERT_GT(syncs, 0u);
+  ASSERT_GT(reads, 0u);
+  EXPECT_EQ(count_of(trace, "\"name\":\"barrier\""), syncs)
+      << "one barrier span per sync";
+  EXPECT_EQ(count_of(trace, "\"name\":\"dev_read\""), reads)
+      << "one dev_read span per driver read";
+  for (const char* thread : {"systemc", "channel", "idle", "checksum_app"}) {
+    EXPECT_NE(trace.find("\"name\":\"" + std::string(thread) + "\""),
+              std::string::npos)
+        << "RTOS slices of " << thread;
+  }
+
+  const auto hw = session.obs().hw_recorder().snapshot();
+  const auto board = session.obs().board_recorder().snapshot();
+  ASSERT_FALSE(hw.empty());
+  EXPECT_EQ(count_of(trace, "\"ph\":\"i\""), hw.size() + board.size())
+      << "one instant per recorded frame";
+
+  // Frames and spans stamp on the hub's one epoch: every frame lies within
+  // the span range, from the board's first slice to its last.
+  const auto spans = session.obs().timeline().snapshot();
+  ASSERT_FALSE(spans.empty());
+  u64 first = ~u64{0}, last = 0;
+  for (const obs::SpanRecord& s : spans) {
+    first = std::min(first, s.start_ns);
+    last = std::max(last, s.end_ns);
+  }
+  for (const auto* side : {&hw, &board}) {
+    for (const obs::FrameRecord& f : *side) {
+      EXPECT_GE(f.wall_ns, first) << "frame seq " << f.seq;
+      EXPECT_LE(f.wall_ns, last) << "frame seq " << f.seq;
+    }
+  }
 }
 
 }  // namespace

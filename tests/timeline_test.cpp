@@ -19,6 +19,7 @@
 #include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
 #include "vhp/net/tcp.hpp"
+#include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/hub.hpp"
 #include "vhp/obs/metrics.hpp"
 #include "vhp/obs/recording.hpp"
@@ -125,6 +126,20 @@ TEST(SpanSinkTest, DisabledSinkRecordsNothing) {
   EXPECT_EQ(sink.recorded(), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_TRUE(sink.snapshot().empty());
+}
+
+TEST(SpanSinkTest, ZeroCapacityRingSnapshotsEmpty) {
+  // Validation rejects a zero ring, but a hand-built sink must not divide
+  // by its capacity.
+  TimelineConfig cfg;
+  cfg.enabled = true;
+  cfg.ring_spans = 0;
+  Timeline tl{cfg};
+  SpanSink& sink = tl.sink("test");
+  sink.record({1, 0, SpanPhase::kBarrier, 10, 20, 100});
+  EXPECT_EQ(sink.recorded(), 0u);
+  EXPECT_TRUE(sink.snapshot().empty());
+  EXPECT_TRUE(tl.snapshot().empty());
 }
 
 TEST(SpanSinkTest, RingOverwritesOldestAndCountsDrops) {
@@ -275,9 +290,29 @@ TEST(AnalyzerTest, JsonCarriesTotalsAndPerNodeAttribution) {
   }
 }
 
+TEST(AnalyzerTest, IgnoresTheNonRoundPhases) {
+  // Slices, driver reads, evictions and rejoins annotate the run; the
+  // round analysis must come out exactly as without them.
+  std::vector<SpanRecord> spans = synthetic_spans();
+  spans.push_back({1, 0, SpanPhase::kSlice, 0, 300, 1000, span_label("app")});
+  spans.push_back({7, 1, SpanPhase::kDevRead, 5, 500, 1000, 0x40});
+  spans.push_back({2, 1, SpanPhase::kEvict, 400, 400, 2000});
+  spans.push_back({3, 1, SpanPhase::kRejoin, 450, 450, 9000});
+  const TimelineAnalysis plain =
+      analyze_spans(synthetic_spans(), {{0, "alpha"}, {1, "beta"}});
+  const TimelineAnalysis mixed =
+      analyze_spans(spans, {{0, "alpha"}, {1, "beta"}});
+  EXPECT_EQ(timeline_analysis_json(mixed), timeline_analysis_json(plain));
+  ASSERT_EQ(mixed.rounds.size(), 2u);
+  EXPECT_EQ(mixed.wall_ns, 260u);
+  EXPECT_DOUBLE_EQ(mixed.reconciliation_error, 0.0);
+  // Only annotations: no rounds at all.
+  EXPECT_TRUE(analyze_spans({spans.begin() + 14, spans.end()}).rounds.empty());
+}
+
 TEST(AnalyzerTest, ChromeExportHasOneTrackPerNode) {
   const std::string json =
-      spans_to_chrome_json(synthetic_spans(), {{1, "beta"}});
+      chrome_trace_json(synthetic_spans(), {}, {{1, "beta"}});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);

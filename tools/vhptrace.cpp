@@ -17,9 +17,13 @@
 // them; top polls a live fabric's telemetry endpoint
 // (Fabric::serve_telemetry) and renders per-node round rates.
 //
+// to-chrome and timeline --chrome render through the library's one Chrome
+// writer (obs::chrome_trace_json): spans on their tracks, one instant per
+// recorded frame.
+//
 // Thin shell over the library: the subcommand logic lives in
-// vhp/obs/recording.hpp, vhp/obs/timeline.hpp and vhp/net/replay.hpp
-// (tested there); this file only parses arguments.
+// vhp/obs/recording.hpp, vhp/obs/timeline.hpp, vhp/obs/chrome_trace.hpp
+// and vhp/net/replay.hpp (tested there); this file only parses arguments.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +40,7 @@
 #include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
 #include "vhp/net/tcp.hpp"
+#include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/recording.hpp"
 #include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
@@ -251,27 +256,31 @@ int cmd_diff(std::vector<std::string> args) {
   return 1;
 }
 
-int cmd_to_chrome(const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) return usage();
-  const std::string json =
-      obs::recording_to_chrome_json(load_or_exit(args[0]));
-  if (args.size() == 2) {
-    std::ofstream out(args[1], std::ios::trunc);
-    out << json;
-    if (!out) {
-      std::fprintf(stderr, "vhptrace: write failed: %s\n", args[1].c_str());
-      return 2;
-    }
-  } else {
-    std::fputs(json.c_str(), stdout);
+/// Writes `text` to `path`; 0, or 2 with a one-line error.
+int write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  if (!out) {
+    std::fprintf(stderr, "vhptrace: write failed: %s\n", path.c_str());
+    return 2;
   }
   return 0;
 }
 
-/// Loads `<hw> [boards...]`, extracts the spans and node-name map. The hw
-/// recording comes first; board recordings are matched to their fabric slot
-/// via the "node"/"node_name" tags Fabric::write_recordings stamps.
+int cmd_to_chrome(const std::vector<std::string>& args) {
+  if (args.empty() || args.size() > 2) return usage();
+  const std::string json =
+      obs::chrome_trace_json({}, {load_or_exit(args[0])});
+  if (args.size() == 2) return write_file(args[1], json);
+  std::fputs(json.c_str(), stdout);
+  return 0;
+}
+
+/// Loads `<hw> [boards...]` into `recordings` (hw first), extracts the spans
+/// and node-name map. Board recordings are matched to their fabric slot via
+/// the "node"/"node_name" tags Fabric::write_recordings stamps.
 int load_timeline(const std::vector<std::string>& paths,
+                  std::vector<obs::Recording>& recordings,
                   std::vector<obs::SpanRecord>& spans,
                   std::map<u32, std::string>& names) {
   obs::Recording hw = load_or_exit(paths[0]);
@@ -295,6 +304,8 @@ int load_timeline(const std::vector<std::string>& paths,
                  paths[0].c_str());
     return 2;
   }
+  recordings.push_back(std::move(hw));
+  for (obs::Recording& board : boards) recordings.push_back(std::move(board));
   return 0;
 }
 
@@ -309,19 +320,18 @@ int cmd_timeline(std::vector<std::string> args) {
     }
   }
   if (args.empty()) return usage();
+  std::vector<obs::Recording> recordings;
   std::vector<obs::SpanRecord> spans;
   std::map<u32, std::string> names;
-  if (int rc = load_timeline(args, spans, names); rc != 0) return rc;
+  if (int rc = load_timeline(args, recordings, spans, names); rc != 0) {
+    return rc;
+  }
   const obs::TimelineAnalysis analysis = obs::analyze_spans(spans, names);
   std::fputs(obs::timeline_report_text(analysis).c_str(), stdout);
   if (!chrome_path.empty()) {
-    std::ofstream out(chrome_path, std::ios::trunc);
-    out << obs::spans_to_chrome_json(spans, names);
-    if (!out) {
-      std::fprintf(stderr, "vhptrace: write failed: %s\n",
-                   chrome_path.c_str());
-      return 2;
-    }
+    const int rc = write_file(
+        chrome_path, obs::chrome_trace_json(spans, recordings, names));
+    if (rc != 0) return rc;
     std::printf("chrome trace: %s (%zu spans)\n", chrome_path.c_str(),
                 spans.size());
   }
@@ -341,9 +351,12 @@ int cmd_critical(std::vector<std::string> args) {
     }
   }
   if (args.empty()) return usage();
+  std::vector<obs::Recording> recordings;
   std::vector<obs::SpanRecord> spans;
   std::map<u32, std::string> names;
-  if (int rc = load_timeline(args, spans, names); rc != 0) return rc;
+  if (int rc = load_timeline(args, recordings, spans, names); rc != 0) {
+    return rc;
+  }
   const obs::TimelineAnalysis analysis = obs::analyze_spans(spans, names);
   std::fputs(obs::critical_report_text(analysis).c_str(), stdout);
   if (gate >= 0.0 && analysis.reconciliation_error * 100.0 > gate) {

@@ -43,10 +43,11 @@ struct ExperimentParams {
   u64 link_latency_us = 0;
   u64 seed = 42;
   /// Turn on the costly vhp::obs instruments for this run: the span
-  /// recorder with wire-v3 round stamps, stall profiling, per-frame link
-  /// accounting (ObsConfig::timeline.enabled, the one switch). Off by
-  /// default: the figure benches measure wall time, profiling perturbs what
-  /// they measure, and timeline_overhead gates the disarmed configuration.
+  /// recorder with round stamps on the CLOCK traffic, stall profiling,
+  /// per-frame link accounting (ObsConfig::timeline.enabled, the one
+  /// switch). Off by default: the figure benches measure wall time,
+  /// profiling perturbs what they measure, and timeline_overhead gates the
+  /// disarmed configuration.
   /// Metric counters are always live either way and always land in
   /// ExperimentResult::metrics_json.
   bool observability = false;

@@ -6,8 +6,8 @@
 //   baseline  — default session, observability never mentioned
 //   disarmed  — observability configured but off; every span-record call
 //               must stay one branch on a const bool (no clock read, no
-//               ring), and the CLOCK/TIME_ACK frames must stay wire v1/v2
-//   armed     — observability on: wire-v3 round stamping, two steady_clock
+//               ring), and the CLOCK/TIME_ACK frames must stay at round 0
+//   armed     — observability on: round stamping, two steady_clock
 //               reads per span and mutex-guarded ring stores, stall
 //               profiling and link accounting, as a reference point for
 //               what the instruments cost

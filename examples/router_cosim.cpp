@@ -85,9 +85,11 @@ int run_replay(const std::string& path) {
   const u64 n_packets = tag_u64(recording, "n_packets", 100);
   cosim::CosimConfig cc;
   cc.sync.quantum(tag_u64(recording, "t_sync", cc.sync.quantum()));
-  cc.data_poll_interval =
-      tag_u64(recording, "data_poll_interval", cc.data_poll_interval);
   cc.timed = tag_u64(recording, "timed", 1) != 0;
+  // An observed run stamped round ids on its CLOCK_TICKs; stamp them again.
+  obs::ObsConfig obs_cfg;
+  obs_cfg.timeline.enabled = tag_u64(recording, "observability", 0) != 0;
+  obs::Hub hub{obs_cfg};
   std::printf("replaying %s: T_sync=%llu, N=%llu packets, %zu frames\n\n",
               path.c_str(), (unsigned long long)cc.sync.quantum(),
               (unsigned long long)n_packets, recording.frames.size());
@@ -98,7 +100,7 @@ int run_replay(const std::string& path) {
     return 2;
   }
   std::unique_ptr<net::ReplaySession> replay = std::move(opened).value();
-  cosim::CosimKernel kernel{replay->make_link(), cc};
+  cosim::CosimKernel kernel{replay->make_link(), cc, &hub};
   replay->set_time_source([&kernel] { return kernel.cycle(); });
   router::RouterTestbench tb{kernel.kernel(), testbench_config(n_packets),
                              &kernel.registry()};

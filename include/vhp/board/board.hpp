@@ -45,10 +45,10 @@ struct BoardConfig {
   /// (the Figure 6 baseline).
   bool free_running = false;
   /// Adaptive synchronization (DESIGN.md §10): when set, every TIME_ACK
-  /// carries the board's lookahead (wire v2) — the earliest future master
+  /// advertises the board's lookahead — the earliest future master
   /// sim-cycle at which the RTOS can next interact, derived from
-  /// Kernel::next_event_cycles(). Off by default so acks stay byte-identical
-  /// to the v1 wire format unless the master opted into adaptive mode.
+  /// Kernel::next_event_cycles(). Off by default: the ack's lookahead slot
+  /// then says "none" unless the master opted into adaptive mode.
   bool advertise_lookahead = false;
   /// Memory hierarchy (DESIGN.md §13): when set, the board owns a
   /// mem::MemorySystem with rtos.cores ports — the ISS runners attach to it
@@ -198,14 +198,18 @@ class Board {
   std::string slice_thread_;
   u64 slice_start_ns_ = 0;
 
-  // Cross-node timeline (wire v3, DESIGN.md §7.2): the round id of the last
-  // CLOCK_TICK, echoed on the next TIME_ACK, plus the rx/tx stamps backing
-  // the compute (tick→ack) and frozen (ack→next tick) spans. Touched only
-  // from the board's fibers (one host thread) — no synchronization needed.
-  std::optional<u64> round_;
+  // Cross-node timeline (DESIGN.md §7.2): the round id of the last
+  // CLOCK_TICK (0: unstamped), echoed on the next TIME_ACK, plus the rx/tx
+  // stamps backing the compute (tick→ack) and frozen (ack→next tick) spans.
+  // Touched only from the board's fibers (one host thread) — no
+  // synchronization needed.
+  u64 round_ = 0;
   u64 round_cycle_ = 0;
   u64 tick_rx_ns_ = 0;
   u64 ack_tx_ns_ = 0;
+  // DATA frames sent (DATA_WRITE + DATA_READ_REQ) for TIME_ACK::data_sent,
+  // counted above the recovery layer: a retransmitted frame counts once.
+  u64 data_sent_ = 0;
 
   bool booted_ = false;
   bool halted_ = false;

@@ -2,14 +2,20 @@
 //
 // Wraps a sim::Kernel and drives it cycle by cycle while servicing the three
 // co-simulation channels of each of its 1..N board links:
-//   * before each clock cycle, every DATA port is drained (driver writes are
-//     delivered to DriverIn ports, read requests answered from DriverOut);
+//   * DATA ports are drained (driver writes delivered to DriverIn ports,
+//     read requests answered from DriverOut) inside every barrier — and,
+//     untimed, before each clock cycle as well;
 //   * after each cycle, watched interrupt lines are edge-sampled and
 //     INT_RAISE packets emitted on the watching link;
 //   * whenever a board's grant expires, the SyncCoordinator barrier grants
 //     the due boards their next quantum with CLOCK_TICKs and gathers the
 //     TIME_ACKs — while still answering DATA traffic, so a board thread
 //     blocked mid-quantum on a device read can never deadlock the run.
+//
+// Timed, the boards are frozen while the master simulates a quantum, and
+// the barrier's DATA fence (SyncCoordinator) serves every frame they sent,
+// so the paper's per-cycle DATA poll could only find nothing: a timed
+// quantum polls no DATA port. Untimed, the poll is driver_simulate()'s.
 //
 // One loop body (pump) serves both drives: run_cycles() is pump() plus a
 // blocking wait, and an event loop calls pump() directly. A two-party
@@ -44,16 +50,9 @@ struct CosimConfig {
   sim::SimTime clock_period = 2;
   /// When true, run timed: exchange CLOCK_TICK/TIME_ACK. When false the
   /// simulation free-runs (the paper's untimed baseline, the denominator of
-  /// Figure 6's overhead ratio) — the board then runs unsynchronized.
+  /// Figure 6's overhead ratio) — the board then runs unsynchronized, and
+  /// the master polls the DATA ports every cycle.
   bool timed = true;
-  /// Poll the DATA ports every this many cycles (1 = the paper's
-  /// driver_simulate, which checks for data each simulation cycle).
-  /// Larger values amortize the empty check at the price of coarser
-  /// driver-write delivery (an ablation knob; see bench/abl_data_poll).
-  /// Only TCP gains much: there the check is a poll(2), the dominant
-  /// per-cycle cost of an otherwise idle co-simulation, while on inproc
-  /// and shm it is one atomic load.
-  u64 data_poll_interval = 1;
   /// Evaluation lanes of the deterministic parallel kernel (including the
   /// calling thread); 0 = serial (default, byte-identical legacy path).
   /// Results are bit-identical across all values — see
@@ -62,8 +61,7 @@ struct CosimConfig {
   u64 parallel_workers = 0;
 
   /// Rejects configurations that would divide by zero or stall the protocol
-  /// (an invalid `sync` policy in timed mode, zero clock_period /
-  /// data_poll_interval).
+  /// (an invalid `sync` policy in timed mode, zero clock_period).
   [[nodiscard]] Status validate() const;
 };
 
@@ -145,15 +143,14 @@ class CosimKernel {
 
   /// The adaptive state of link 0: the cycle of the next CLOCK_TICK and
   /// the lookahead from the board's latest TIME_ACK (nullopt before the
-  /// handshake or against a v1 board).
+  /// handshake or when the board advertises none).
   [[nodiscard]] u64 next_sync() const { return coordinator_->next_due(); }
   [[nodiscard]] std::optional<u64> board_lookahead() const {
     return coordinator_->node_lookahead(0);
   }
 
-  /// Barrier rounds stamped so far (wire v3; 0 unless the hub's timeline is
-  /// enabled — round stamping is what grows the CLOCK/TIME_ACK frames, so
-  /// it is gated on the timeline switch to keep default runs byte-exact).
+  /// Barrier rounds stamped so far (0 unless the hub's timeline is enabled;
+  /// see SyncCoordinator::rounds).
   [[nodiscard]] u64 rounds() const { return coordinator_->rounds(); }
 
   /// Ends the co-simulation: flushes every link and sends SHUTDOWN to every
@@ -193,7 +190,8 @@ class CosimKernel {
   [[nodiscard]] Slot& slot_at(std::size_t link);
   /// Drains every live link's DATA port; returns the first hard error.
   Status service_links();
-  Status handle_data_msg(Slot& slot, const net::Message& msg);
+  /// Serves one DATA frame of link i and counts it toward the link's fence.
+  Status handle_data_msg(std::size_t i, const net::Message& msg);
   Status sample_interrupts();
   /// One non-blocking step of the barrier due at cycle_: the first step
   /// flushes the batched links and scatters; *done once every ack is in.

@@ -92,10 +92,10 @@ class ConfigBuilder {
     config_.recovery.enabled = on;
     return self();
   }
-  /// The one observability switch (ObsConfig::timeline.enabled): spans
-  /// with wire-v3 round stamps, stall profiling, the armed histograms and
-  /// per-frame link accounting. Armed runs grow CLOCK/TIME_ACK frames, so
-  /// their recordings are not byte-exact against unarmed ones.
+  /// The one observability switch (ObsConfig::timeline.enabled): spans,
+  /// stall profiling, the armed histograms and per-frame link accounting.
+  /// Armed runs stamp round ids into their CLOCK/TIME_ACK frames, so their
+  /// recordings are not byte-exact against unarmed ones.
   Derived& observability(bool on = true) {
     config_.obs.timeline.enabled = on;
     return self();

@@ -72,17 +72,13 @@ class SessionConfigBuilder
   }
   /// The synchronization policy (CosimConfig::sync), replacing any earlier
   /// t_sync(). An adaptive policy automatically configures the board to
-  /// advertise its lookahead (wire v2 acks).
+  /// advertise its lookahead on every TIME_ACK.
   SessionConfigBuilder& sync(SyncPolicy policy) {
     config_.cosim.sync = std::move(policy);
     return *this;
   }
   SessionConfigBuilder& clock_period(sim::SimTime period) {
     config_.cosim.clock_period = period;
-    return *this;
-  }
-  SessionConfigBuilder& data_poll_interval(u64 cycles) {
-    config_.cosim.data_poll_interval = cycles;
     return *this;
   }
   /// Runs the master kernel's evaluation phase on `workers` lanes
@@ -204,9 +200,10 @@ class CosimSession {
 
   /// Writes both sides' flight-recorder rings as replayable recordings:
   /// "<prefix>.hw.vhprec" and "<prefix>.board.vhprec" (binary). The standard
-  /// config-echo tags (t_sync, poll interval, RTOS timing) are embedded so a
-  /// replay run can rebuild the matching lone-side configuration; `tags`
-  /// adds workload-specific ones on top. No-op unless obs.record is enabled.
+  /// config-echo tags (t_sync, timed, observability, RTOS timing) are
+  /// embedded so a replay run can rebuild the matching lone-side
+  /// configuration; `tags` adds workload-specific ones on top. No-op unless
+  /// obs.record is enabled.
   Status write_recordings(
       const std::string& prefix,
       const std::map<std::string, std::string>& tags = {});

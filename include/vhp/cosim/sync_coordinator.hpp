@@ -19,8 +19,17 @@
 // node's quantum with the lookahead its TIME_ACKs advertise: after the
 // gather at cycle C, a node whose ack promises "nothing before cycle L"
 // is next due at C + max(min_quantum, min(L - C, max_quantum)). Nodes
-// answering with v1 acks (no lookahead) keep their fixed cadence, so
-// adaptive and fixed parties mix freely in one barrier.
+// whose acks advertise no lookahead keep their fixed cadence, so adaptive
+// and fixed parties mix freely in one barrier.
+//
+// The DATA fence (DESIGN.md §14): every TIME_ACK reports how many DATA
+// frames the board has sent in total, and a gather completes a node only
+// once its ack is in *and* the master has served that many of its frames
+// (note_data_served). DATA that a quantum sent therefore always takes
+// effect at the barrier that ends the quantum, however the transport
+// orders the DATA and CLOCK ports — and a timed master need not poll DATA
+// while it simulates: its boards are frozen then, and a frame one sends
+// anyway waits for the next barrier.
 //
 // The coordinator owns no transport: it is handed one CLOCK channel per node
 // (the master kernel's links, or a unit test's raw inproc pairs — the
@@ -70,12 +79,14 @@ class SyncCoordinator {
   }
 
   /// Gathers every node's initial "frozen" TIME_ACK (the board reports it
-  /// on boot). Must complete before the first barrier; the watchdog applies
-  /// and names the nodes that never reported.
-  Status handshake();
+  /// on boot), fenced like a barrier: DATA a board sent before its first
+  /// ack is served here (`service`, as for run_barrier). Must complete
+  /// before the first barrier; the watchdog applies and names the nodes
+  /// that never reported.
+  Status handshake(const std::function<Status()>& service = {});
   /// Non-blocking handshake step: one gather pass; *done once every node
   /// has reported (immediately after a completed handshake).
-  Status step_handshake(bool* done);
+  Status step_handshake(const std::function<Status()>& service, bool* done);
   [[nodiscard]] bool handshaken() const { return handshaken_; }
 
   /// Earliest cycle at which any node's grant expires. The master must not
@@ -83,11 +94,13 @@ class SyncCoordinator {
   [[nodiscard]] u64 next_due() const { return next_due_; }
 
   /// The barrier: scatters CLOCK_TICK(cycle, elapsed) to every node due at
-  /// `cycle`, then gathers their TIME_ACKs. `service` runs after every
-  /// gather pass and once the last ack is in (the master drains all DATA
-  /// ports there, preserving the two-party deadlock-freedom argument); pass
-  /// nullptr for none. On watchdog expiry returns kDeadlineExceeded naming
-  /// the pending nodes.
+  /// `cycle`, then gathers their TIME_ACKs. `service` runs in every gather
+  /// pass, after the pass has taken the acks that arrived (the master drains
+  /// all DATA ports there, reporting each frame through note_data_served,
+  /// which keeps the two-party deadlock-freedom argument); pass nullptr for
+  /// none. A node is gathered once its ack is in and its DATA fence holds.
+  /// On watchdog expiry returns kDeadlineExceeded naming the pending nodes,
+  /// each with what it still owes.
   Status run_barrier(u64 cycle, const std::function<Status()>& service = {});
   /// Non-blocking barrier step (event-loop hosting): the first call at
   /// `cycle` scatters, every later one makes one gather pass under the
@@ -97,6 +110,10 @@ class SyncCoordinator {
                       bool* done);
   /// True while a barrier's CLOCK_TICKs are out and TIME_ACKs still owed.
   [[nodiscard]] bool gathering() const { return phase_ == Phase::kBarrier; }
+
+  /// The master served one DATA frame (DATA_WRITE or DATA_READ_REQ) of
+  /// `node`: one step toward the count its TIME_ACKs report.
+  void note_data_served(std::size_t node) { ++nodes_[node].data_served; }
 
   /// Sends SHUTDOWN on every live node's CLOCK channel (best effort).
   void shutdown();
@@ -110,14 +127,16 @@ class SyncCoordinator {
   /// Re-admits an evicted node at the master's current `cycle`: waits (under
   /// the watchdog) for a fresh TIME_ACK on its CLOCK channel — the returning
   /// party announces itself frozen, exactly like the boot handshake — then
-  /// schedules its next grant one quantum out. kFailedPrecondition if the
-  /// node is alive.
+  /// schedules its next grant one quantum out. The DATA fence restarts from
+  /// the returning ack's count: what the node sent before it is taken as
+  /// served. kFailedPrecondition if the node is alive.
   Status rejoin(std::size_t node, u64 cycle);
 
-  /// Barrier rounds stamped on the wire so far (wire v3). 0 unless the
-  /// hub's timeline is enabled — round stamping grows the CLOCK/TIME_ACK
-  /// frames, so it is gated on the timeline switch to keep default runs
-  /// byte-exact. Monotone across eviction and rejoin.
+  /// Barrier rounds stamped on the wire so far. 0 unless the hub's
+  /// timeline is enabled — a stamped run's CLOCK/TIME_ACK frames differ
+  /// from an unstamped one's (round 0), so stamping is gated on the
+  /// timeline switch to keep default runs byte-exact. Monotone across
+  /// eviction and rejoin.
   [[nodiscard]] u64 rounds() const { return round_; }
 
   /// Barriers completed / ticks scattered / acks gathered (boot acks
@@ -127,8 +146,8 @@ class SyncCoordinator {
   [[nodiscard]] u64 acks_received() const { return acks_received_.value(); }
   [[nodiscard]] u64 evictions() const { return evictions_.value(); }
   [[nodiscard]] u64 rejoins() const { return rejoins_.value(); }
-  /// Acks that carried a lookahead (wire v2), and the subset advertising
-  /// "idle until data arrives" (kLookaheadUnbounded).
+  /// Acks that carried a lookahead, and the subset advertising "idle until
+  /// data arrives" (kLookaheadUnbounded).
   [[nodiscard]] u64 lookahead_acks() const { return lookahead_acks_.value(); }
   [[nodiscard]] u64 lookahead_unbounded() const {
     return lookahead_unbounded_.value();
@@ -155,6 +174,12 @@ class SyncCoordinator {
     obs::LatencyHistogram& grants; // fabric.<name>.grant_cycles
     bool alive = true;     // false once evicted
     u32 missed = 0;        // consecutive watchdog expiries while pending
+    // The DATA fence: the latest ack's cumulative count of DATA frames
+    // sent, and the master's count of them served. `acked` marks the ack
+    // of the gather in progress as taken.
+    u64 data_sent = 0;
+    u64 data_served = 0;
+    bool acked = false;
     // Timeline stamps of the current round: tick send and ack arrival,
     // backing the per-node kNodeWait span. 0 when the timeline is off.
     u64 tick_sent_ns = 0;
@@ -181,7 +206,8 @@ class SyncCoordinator {
   /// Starts the watchdog interval of a new gather.
   void arm_watchdog();
   /// One non-blocking pass: takes every TIME_ACK that has arrived from a
-  /// pending node, applies the watchdog, then runs `service`.
+  /// pending node, runs `service`, drops the nodes whose ack and DATA are
+  /// in, then applies the watchdog to the rest.
   Status gather_pass(const std::function<Status()>& service);
 
   SyncPolicy policy_;
@@ -213,7 +239,7 @@ class SyncCoordinator {
   // Barrier-round stamps: the timeline scatter window.
   u64 scatter_start_ = 0;
   u64 scatter_end_ = 0;
-  u64 round_ = 0;  // wire-v3 round id; monotone across rejoin
+  u64 round_ = 0;  // wire round id; monotone across rejoin
   bool handshaken_ = false;
 };
 

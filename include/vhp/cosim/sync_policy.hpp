@@ -115,7 +115,7 @@ class SyncPolicy {
   }
 
   /// Cycles to grant `node` at master cycle `cycle` given the lookahead from
-  /// its last TIME_ACK (nullopt = a v1 ack, no lookahead advertised). The
+  /// its last TIME_ACK (nullopt = no lookahead advertised). The
   /// fixed quantum when not adaptive or the node did not advertise;
   /// otherwise max(min_quantum, min(lookahead - cycle, max_quantum)).
   [[nodiscard]] u64 grant(std::size_t node, u64 cycle,

@@ -63,12 +63,10 @@ struct FabricConfig : cosim::LinkConfig {
   /// The synchronization policy: default quantum (the paper's T_sync),
   /// per-node quanta (SyncPolicy::node_quantum, indexed like `nodes`),
   /// adaptive lookahead mode — every non-external board is then configured
-  /// to advertise its lookahead (wire v2 acks) — the straggler watchdog and
+  /// to advertise its lookahead on every TIME_ACK — the straggler watchdog and
   /// eviction.
   cosim::SyncPolicy sync{};
   sim::SimTime clock_period = 2;
-  /// Poll each node's DATA port every this many cycles (as CosimConfig).
-  u64 data_poll_interval = 1;
   /// Evaluation lanes of the deterministic parallel master kernel
   /// (including the calling thread); 0 = serial. Bit-identical results
   /// either way — see sim::Kernel::set_parallel.
@@ -121,10 +119,6 @@ class FabricConfigBuilder
   }
   FabricConfigBuilder& clock_period(sim::SimTime period) {
     config_.clock_period = period;
-    return *this;
-  }
-  FabricConfigBuilder& data_poll_interval(u64 cycles) {
-    config_.data_poll_interval = cycles;
     return *this;
   }
   /// Parallel master kernel with `workers` evaluation lanes (0 = serial);
@@ -219,10 +213,10 @@ class Fabric {
   /// run_cycles(); the policy's watchdog bounds the wait.
   Status handshake() { return master_->handshake(); }
 
-  /// Runs `cycles` HW clock cycles: per-node DATA service and interrupt
-  /// propagation every cycle, the N-party barrier whenever any node's grant
-  /// expires. Fails fast (straggler watchdog, transport error) with the
-  /// offending node named in the Status.
+  /// Runs `cycles` HW clock cycles: interrupt propagation every cycle, the
+  /// N-party barrier — with every node's DATA service — whenever any node's
+  /// grant expires. Fails fast (straggler watchdog, transport error) with
+  /// the offending node named in the Status.
   Status run_cycles(u64 cycles) { return master_->run_cycles(cycles); }
 
   [[nodiscard]] u64 cycle() const { return master_->cycle(); }

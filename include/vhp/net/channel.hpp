@@ -34,7 +34,7 @@ class Channel {
       std::optional<std::chrono::milliseconds> timeout = std::nullopt) = 0;
 
   /// Non-blocking receive; ok()+nullopt when no frame is pending. This is
-  /// also the readiness check of every per-cycle poller, so an empty poll
+  /// also the readiness check of every poller, so an empty poll
   /// is cheap: one acquire load on inproc and shm (no lock, no system
   /// call), one zero-timeout poll(2) on TCP.
   virtual Result<std::optional<Bytes>> try_recv() = 0;

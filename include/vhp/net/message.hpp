@@ -58,15 +58,13 @@ struct IntRaise {
 
 /// Virtual tick: the kernel reached simulated cycle `sim_cycle` and grants
 /// the board `n_ticks` software ticks of execution (paper §4.2, T_sync).
-///
-/// Wire v3 (timeline tracing, DESIGN.md §7.2): the tick optionally carries
-/// the master's barrier *round* id so one synchronization exchange can be
-/// followed causally across nodes. Length-versioned like the lookahead field
-/// on TimeAck: a tick without a round is byte-identical to v1.
+/// `round` is the master's barrier round id (DESIGN.md §7.2), stamped only
+/// while the timeline is armed; 0 means unstamped. One fixed layout
+/// (DESIGN.md §6): sim_cycle u64, n_ticks u32, round u64.
 struct ClockTick {
   u64 sim_cycle = 0;
   u32 n_ticks = 0;
-  std::optional<u64> round = std::nullopt;
+  u64 round = 0;
   bool operator==(const ClockTick&) const = default;
 };
 
@@ -74,34 +72,30 @@ struct ClockTick {
 /// future event of its own scheduled.
 inline constexpr u64 kLookaheadUnbounded = ~u64{0};
 
-/// On-wire placeholder for "no lookahead advertised" in a v3 TimeAck. A v3
-/// ack always carries both trailing u64 fields (lookahead-or-sentinel, then
-/// round) so the 24-byte layout stays unambiguous; this sentinel marks the
-/// lookahead slot empty. Never appears in a decoded TimeAck::lookahead —
-/// the codec maps it back to nullopt.
+/// On-wire value of TimeAck's lookahead slot when none is advertised. The
+/// codec maps it to and from nullopt, so it never appears in a decoded
+/// TimeAck::lookahead, and encode() refuses an ack that advertises it.
 inline constexpr u64 kNoLookahead = ~u64{0} - 1;
 
 /// Board answer: it consumed its tick budget and froze at `board_tick`.
+/// One fixed layout (DESIGN.md §6): board_tick u64, lookahead u64
+/// (kNoLookahead = none), round u64, data_sent u64.
 ///
-/// Wire v2 (adaptive synchronization, DESIGN.md §10): the ack optionally
-/// carries the board's *lookahead* — the earliest future master sim-cycle at
-/// which it can next interact (next RTOS timer expiry, or kLookaheadUnbounded
-/// when idle until data arrives). Encoding is versioned by length, like the
-/// VHPREC02 recording format: a v1 ack (no lookahead) is byte-identical to
-/// the old format, and a v1 decoder never sees the extra field unless the
-/// sender advertises — so mixed-version peers interoperate as long as
-/// adaptive mode is only enabled against v2 boards.
-///
-/// Wire v3 (timeline tracing): when the board echoes the round id it saw on
-/// the granting CLOCK_TICK, the ack payload grows to 24 bytes — board_tick,
-/// then lookahead (or kNoLookahead when none is advertised), then round.
-/// Versioning stays by length: 8 bytes = v1, 16 = v2, 24 = v3; a board that
-/// never receives a round keeps emitting v1/v2 acks, so mixed-version
-/// parties interoperate bit-exactly.
+///   * `lookahead` (adaptive synchronization, DESIGN.md §10): the earliest
+///     future master sim-cycle at which the board can next interact (next
+///     RTOS timer expiry, or kLookaheadUnbounded when idle until data
+///     arrives);
+///   * `round`: the round id of the CLOCK_TICK this freeze answers, echoed
+///     back (0: unstamped, or the boot ack);
+///   * `data_sent`: the board's cumulative count of DATA frames sent
+///     (DATA_WRITE + DATA_READ_REQ). The master's gather completes the node
+///     only once it has served that many (DESIGN.md §14), so every frame a
+///     quantum sent takes effect at the barrier that ends it.
 struct TimeAck {
   u64 board_tick = 0;
   std::optional<u64> lookahead = std::nullopt;
-  std::optional<u64> round = std::nullopt;
+  u64 round = 0;
+  u64 data_sent = 0;
   bool operator==(const TimeAck&) const = default;
 };
 
@@ -115,10 +109,13 @@ using Message = std::variant<DataWrite, DataReadReq, DataReadResp, IntRaise,
 [[nodiscard]] MsgType type_of(const Message& msg);
 
 /// Serializes `msg` to a frame body (type byte + payload). The transport adds
-/// the u32 length prefix.
+/// the u32 length prefix. Throws std::invalid_argument for a TimeAck whose
+/// lookahead is the kNoLookahead sentinel: it would decode as "none".
 [[nodiscard]] Bytes encode(const Message& msg);
 
-/// Parses a frame body produced by encode().
+/// Parses a frame body produced by encode(). A frame must hold exactly its
+/// type's fields: a truncated frame or trailing bytes are rejected, so
+/// CLOCK_TICK and TIME_ACK each decode from one length only.
 [[nodiscard]] Result<Message> decode(std::span<const u8> frame);
 
 }  // namespace vhp::net

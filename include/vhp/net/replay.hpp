@@ -37,7 +37,7 @@ namespace vhp::net {
 
 /// Per-node synchronization summary of a recording's CLOCK traffic: grant
 /// count and size distribution (min/mean/max cycles per CLOCK_TICK) and how
-/// many TIME_ACKs advertised a lookahead (wire v2) — the quickest way to see
+/// many TIME_ACKs advertised a lookahead — the quickest way to see
 /// whether, and how far, an adaptive run actually stretched its quanta.
 /// Lives here rather than in vhp::obs because decoding frames needs the
 /// protocol codec. Empty string when the recording holds no CLOCK frames.
@@ -47,8 +47,8 @@ namespace vhp::net {
 /// master-side ("hw") recording's CLOCK traffic, optionally joined with
 /// board-side recordings for the compute/frozen phases. Rounds are grouped
 /// by ClockTick::sim_cycle — a barrier ticks every due node at one master
-/// cycle — so v1/v2 recordings (no wire round id) analyze too; when ticks
-/// carry a wire-v3 round it is used verbatim. Wall stamps come from
+/// cycle — so unstamped recordings (round 0) analyze too; when ticks carry
+/// a round id it is used verbatim. Wall stamps come from
 /// FrameRecord::wall_ns: the fabric re-bases every recorder onto the master
 /// epoch, so hw- and board-side spans share one clock. Feeds the same
 /// analyzer as the live timeline (obs::analyze_spans) — this is what

@@ -33,10 +33,10 @@ struct ObsConfig {
   FlightRecorderConfig record{};
   /// The span recorder; `timeline.enabled` is the one switch for every
   /// *costly* instrument (`observability()` sets it): span rings with
-  /// wire-v3 round stamps, wall-time stall profiling, the sync-RTT,
-  /// dev-read and recv-wait histograms, per-frame link accounting. Disarmed,
-  /// each costs one branch per call site and the wire format stays
-  /// round-free (v1/v2 byte-identical). Plain metric counters are always
+  /// round ids stamped on the CLOCK traffic, wall-time stall profiling,
+  /// the sync-RTT, dev-read and recv-wait histograms, per-frame link
+  /// accounting. Disarmed, each costs one branch per call site and every
+  /// frame carries round 0. Plain metric counters are always
   /// live — they are the components' stats() backing store and cost one
   /// relaxed increment each.
   TimelineConfig timeline{};

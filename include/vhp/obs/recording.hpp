@@ -2,7 +2,7 @@
 // checker that compares a live frame stream against a reference recording.
 //
 // Two interchangeable encodings, auto-detected on read:
-//   * binary (".vhprec", magic "VHPREC01") — compact, the replay medium;
+//   * binary (".vhprec", magic "VHPREC04") — compact, the replay medium;
 //   * JSONL (".jsonl", one JSON object per line after a header line) —
 //     greppable, the post-mortem medium. Payloads are hex strings.
 // Both carry the same data: a header naming the recording side ("hw" or

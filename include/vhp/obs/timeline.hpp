@@ -2,8 +2,8 @@
 //
 // The paper's headline cost metric is slowdown versus real time; the barrier
 // histograms say *that* a round was slow, this layer says *why*. Every
-// barrier round gets a round id (stamped on CLOCK_TICK, echoed on TIME_ACK —
-// wire v3, length-versioned like the v2 lookahead), and both sides record
+// barrier round gets a round id (stamped on CLOCK_TICK, echoed on TIME_ACK;
+// 0 on the wire means unstamped), and both sides record
 // per-round SpanRecords into fixed-size rings: the coordinator's scatter /
 // gather / per-node wait phases and each board's compute (tick-rx → ack-tx)
 // and frozen phases. The analyzer joins the spans on (round, node) and
@@ -84,8 +84,8 @@ struct SpanRecord {
 struct TimelineConfig {
   /// The one observability switch (ObsConfig, `observability()`): arms the
   /// span rings and every other costly instrument of the hub. Off keeps
-  /// every record call a single branch and keeps CLOCK/TIME_ACK frames
-  /// byte-identical to wire v1/v2 (no round stamped).
+  /// every record call a single branch and every CLOCK/TIME_ACK frame at
+  /// round 0 (no round stamped).
   bool enabled = false;
   /// Ring capacity per sink (> 0; sessions and fabrics validate it);
   /// oldest spans are overwritten and counted.

@@ -98,7 +98,9 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
             if (device_dsr_) device_dsr_(vector);
           }});
 
-  // Freeze: the OS just entered the idle state; report our tick (TIME_ACK).
+  // Freeze: the OS just entered the idle state; report our tick (TIME_ACK)
+  // and how many DATA frames we have sent so far: the master's gather
+  // completes us only once it has served them all (DESIGN.md §14).
   // Under adaptive synchronization the ack also advertises our lookahead in
   // absolute master sim-cycles. The base is our own consumed CPU cycles
   // (exactly the sum of all grants at a freeze point) divided by the
@@ -111,20 +113,22 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
     net::TimeAck ack{tick.value()};
     if (config_.advertise_lookahead) {
       const u64 per_cycle = std::max<u64>(1, config_.cycles_per_sim_cycle);
+      ack.lookahead = net::kLookaheadUnbounded;
       if (const auto cpu = kernel_.next_event_cycles()) {
-        ack.lookahead = (kernel_.cycle_count() + *cpu) / per_cycle;
-      } else {
-        ack.lookahead = net::kLookaheadUnbounded;
+        // A lookahead that lands on the wire's "none" value is as good as
+        // unbounded.
+        const u64 at = (kernel_.cycle_count() + *cpu) / per_cycle;
+        if (at != net::kNoLookahead) ack.lookahead = at;
       }
     }
-    // Wire v3: echo the round id of the grant this freeze answers, so the
-    // ack can be joined to its CLOCK_TICK across the fabric. A boot freeze
-    // (no tick seen yet) stays a v1/v2 ack.
+    // Echo the round id of the grant this freeze answers, so the ack can
+    // be joined to its CLOCK_TICK across the fabric (0 before any tick).
     ack.round = round_;
+    ack.data_sent = data_sent_;
     obs::Timeline& timeline = hub_->timeline();
-    if (timeline.enabled() && round_.has_value()) {
+    if (timeline.enabled() && round_ != 0) {
       const u64 now = timeline.now_ns();
-      spans_.record({*round_, 0, obs::SpanPhase::kCompute, tick_rx_ns_, now,
+      spans_.record({round_, 0, obs::SpanPhase::kCompute, tick_rx_ns_, now,
                      round_cycle_});
       ack_tx_ns_ = now;
     }
@@ -171,7 +175,7 @@ Board::~Board() { link_.close_all(); }
 
 void Board::end_slice(u64 now) {
   if (slice_thread_.empty()) return;
-  slices_->record({round_.value_or(0), 0, obs::SpanPhase::kSlice,
+  slices_->record({round_, 0, obs::SpanPhase::kSlice,
                    slice_start_ns_, now, round_cycle_,
                    obs::span_label(slice_thread_)});
 }
@@ -217,6 +221,7 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
   const u64 read_start = timeline.enabled() ? timeline.now_ns() : 0;
   if (config_.dev_read_cost > 0) kernel_.consume(config_.dev_read_cost);
   Status s = net::send_msg(*link_.data, net::DataReadReq{addr, nbytes});
+  if (s.ok()) ++data_sent_;
   // The request must reach the master now — this thread is about to block
   // on the response (flush is a no-op on unbatched links).
   if (s.ok()) s = link_.data->flush();
@@ -251,7 +256,7 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
     if (timeline.enabled()) {
       const u64 read_end = timeline.now_ns();
       dev_read_ns_.record_ns(read_end - read_start);
-      spans_.record({round_.value_or(0), 0, obs::SpanPhase::kDevRead,
+      spans_.record({round_, 0, obs::SpanPhase::kDevRead,
                      read_start, read_end, round_cycle_, addr});
     }
     return std::move(resp->data);
@@ -261,8 +266,10 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
 Status Board::dev_write(u32 addr, std::span<const u8> data) {
   dev_writes_.inc();
   if (config_.dev_write_cost > 0) kernel_.consume(config_.dev_write_cost);
-  return net::send_msg(*link_.data,
-                       net::DataWrite{addr, Bytes{data.begin(), data.end()}});
+  Status s = net::send_msg(
+      *link_.data, net::DataWrite{addr, Bytes{data.begin(), data.end()}});
+  if (s.ok()) ++data_sent_;
+  return s;
 }
 
 void Board::attach_device_dsr(std::function<void(u32)> dsr) {
@@ -307,8 +314,8 @@ void Board::systemc_thread_body() {
           obs::Timeline& timeline = hub_->timeline();
           if (timeline.enabled()) {
             const u64 now = timeline.now_ns();
-            if (round_.has_value() && ack_tx_ns_ != 0) {
-              spans_.record({*round_, 0, obs::SpanPhase::kFrozen, ack_tx_ns_,
+            if (round_ != 0 && ack_tx_ns_ != 0) {
+              spans_.record({round_, 0, obs::SpanPhase::kFrozen, ack_tx_ns_,
                              now, round_cycle_});
             }
             tick_rx_ns_ = now;

@@ -15,10 +15,6 @@ Status CosimConfig::validate() const {
     return Status{StatusCode::kInvalidArgument,
                   "CosimConfig: clock_period must be > 0"};
   }
-  if (data_poll_interval == 0) {
-    return Status{StatusCode::kInvalidArgument,
-                  "CosimConfig: data_poll_interval must be > 0"};
-  }
   if (parallel_workers > 256) {
     return Status{StatusCode::kInvalidArgument,
                   "CosimConfig: parallel_workers must be <= 256"};
@@ -150,7 +146,7 @@ Status CosimKernel::service_links() {
                                 msg.status().message())};
       }
       if (!msg.value().has_value()) break;
-      Status s = handle_data_msg(slot, *msg.value());
+      Status s = handle_data_msg(i, *msg.value());
       if (!s.ok()) {
         return Status{s.code(), strformat("cosim: {}: {}",
                                           coordinator_->name(i), s.message())};
@@ -160,11 +156,14 @@ Status CosimKernel::service_links() {
   return Status::Ok();
 }
 
-Status CosimKernel::handle_data_msg(Slot& slot, const net::Message& msg) {
+Status CosimKernel::handle_data_msg(std::size_t i, const net::Message& msg) {
+  Slot& slot = slots_[i];
   if (std::holds_alternative<net::DataWrite>(msg)) {
     slot.data_writes.inc();
+    coordinator_->note_data_served(i);
   } else if (std::holds_alternative<net::DataReadReq>(msg)) {
     slot.data_reads.inc();
+    coordinator_->note_data_served(i);
   }
   Status s = serve_data_message(slot.registry, *slot.link.data, msg);
   if (s.ok() && std::holds_alternative<net::DataReadReq>(msg)) {
@@ -258,11 +257,10 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
   if (!config_status_.ok()) return config_status_;
   const bool timed = config_.timed;
   if (timed && !coordinator_->handshaken()) {
-    // The boards report their initial freeze with a TIME_ACK; data traffic
-    // is not expected before it (the device driver has nothing to talk to
-    // yet).
+    // The boards report their initial freeze with a TIME_ACK; DATA a board
+    // sent before it is served by the handshake's fence.
     bool done = false;
-    Status s = coordinator_->step_handshake(&done);
+    Status s = coordinator_->step_handshake(service_, &done);
     if (!s.ok()) return s;
     if (!done) {
       *blocked = true;
@@ -288,8 +286,10 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
       }
     }
     if (cycle_ >= until) return Status::Ok();
-    if (config_.data_poll_interval <= 1 ||
-        cycle_ % config_.data_poll_interval == 0) {
+    // Timed, the boards are frozen until the next barrier, whose fence
+    // serves whatever they sent; only a free-running board needs the
+    // per-cycle poll.
+    if (!timed) {
       obs::StallProfiler::Timer timer(profiler, Bucket::kDataService);
       Status s = service_links();
       if (!s.ok()) return s;

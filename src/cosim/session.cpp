@@ -109,9 +109,10 @@ std::map<std::string, std::string> CosimSession::config_tags() const {
   const SyncPolicy& policy = config_.cosim.sync;
   tags["t_sync"] = strformat("{}", policy.quantum());
   tags["adaptive"] = policy.is_adaptive() ? "1" : "0";
-  tags["data_poll_interval"] =
-      strformat("{}", config_.cosim.data_poll_interval);
   tags["timed"] = config_.cosim.timed ? "1" : "0";
+  // An observed run stamps round ids on its CLOCK traffic; a replay must
+  // stamp them too to send the same CLOCK_TICKs.
+  tags["observability"] = config_.obs.timeline.enabled ? "1" : "0";
   tags["cycles_per_tick"] =
       strformat("{}", config_.board.rtos.cycles_per_tick);
   tags["timeslice_ticks"] =

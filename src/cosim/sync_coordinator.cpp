@@ -45,16 +45,17 @@ SyncCoordinator::SyncCoordinator(SyncPolicy policy,
   update_next_due();
 }
 
-Status SyncCoordinator::handshake() {
+Status SyncCoordinator::handshake(const std::function<Status()>& service) {
   for (;;) {
     bool done = false;
-    Status s = step_handshake(&done);
+    Status s = step_handshake(service, &done);
     if (!s.ok() || done) return s;
     std::this_thread::yield();
   }
 }
 
-Status SyncCoordinator::step_handshake(bool* done) {
+Status SyncCoordinator::step_handshake(const std::function<Status()>& service,
+                                       bool* done) {
   *done = handshaken_;
   if (!config_status_.ok()) return config_status_;
   if (handshaken_) return Status::Ok();
@@ -64,7 +65,7 @@ Status SyncCoordinator::step_handshake(bool* done) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) pending_.push_back(i);
     arm_watchdog();
   }
-  Status s = gather_pass({});
+  Status s = gather_pass(service);
   if (!s.ok() || !pending_.empty()) return s;
   // The boot acks are the first chance to adapt: a node that already knows
   // it sleeps through the first default quantum gets a longer first grant.
@@ -145,6 +146,7 @@ Status SyncCoordinator::rejoin(std::size_t index, u64 cycle) {
   node.alive = true;
   node.missed = 0;
   node.last_granted = cycle;
+  node.data_sent = node.data_served = time_ack->data_sent;
   // Re-base from the returning ack's lookahead (fixed mode: one quantum
   // out, as before). A stale pre-eviction promise is gone — evict_node
   // cleared it — so only this fresh ack shapes the next grant.
@@ -198,9 +200,9 @@ void SyncCoordinator::arm_watchdog() {
 Status SyncCoordinator::scatter(u64 cycle) {
   barriers_.inc();
   arm_watchdog();
-  // Wire v3: stamp the round only when the timeline is armed, so default
-  // runs keep the v1/v2 frame bytes (bit-exact recording parity). Boards
-  // echo whatever they received, so mixed stamped/unstamped parties mix.
+  // Stamp the round only when the timeline is armed, so default runs keep
+  // round 0 and their frame bytes (bit-exact recording parity). Boards
+  // echo whatever they received.
   const bool timed_spans = timeline_.enabled();
   if (timed_spans) ++round_;
   scatter_start_ = timed_spans ? timeline_.now_ns() : 0;
@@ -235,6 +237,7 @@ Status SyncCoordinator::scatter(u64 cycle) {
     // Provisional fixed-cadence due-cycle; re-based from the fresh ack's
     // lookahead once the gather delivers it.
     node.next_due = cycle + node.quantum;
+    node.acked = false;
     pending_.push_back(i);
   }
   scatter_end_ = timed_spans ? timeline_.now_ns() : 0;
@@ -291,23 +294,24 @@ void SyncCoordinator::mark(std::size_t index, obs::SpanPhase phase,
 Status SyncCoordinator::gather_pass(const std::function<Status()>& service) {
   for (std::size_t p = 0; p < pending_.size();) {
     Node& node = nodes_[pending_[p]];
+    if (node.acked) {
+      ++p;
+      continue;
+    }
     auto ack = net::try_recv_msg(*node.clock);
     if (!ack.ok()) {
       if (policy_.evict_after_misses() > 0) {
         evict_node(pending_[p], strformat("CLOCK channel failed: {}",
                                           ack.status().message()));
-        pending_[p] = pending_.back();
-        pending_.pop_back();
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(p));
         continue;
       }
       return Status{ack.status().code(),
                     strformat("fabric: CLOCK channel of {} failed: {}",
                               node.name, ack.status().message())};
     }
-    if (!ack.value().has_value()) {
-      ++p;
-      continue;
-    }
+    ++p;
+    if (!ack.value().has_value()) continue;
     const auto* time_ack = std::get_if<net::TimeAck>(&*ack.value());
     if (time_ack == nullptr) {
       return Status{StatusCode::kInternal,
@@ -319,60 +323,65 @@ Status SyncCoordinator::gather_pass(const std::function<Status()>& service) {
     node.acks.inc();
     node.lookahead = time_ack->lookahead;
     note_lookahead(node.lookahead);
+    node.data_sent = time_ack->data_sent;
+    node.acked = true;
     node.missed = 0;
     if (timeline_.enabled()) node.ack_recv_ns = timeline_.now_ns();
-    pending_[p] = pending_.back();
-    pending_.pop_back();
+  }
+  // DATA service runs in every pass, after the acks it took: a board sends
+  // its quantum's DATA before its TIME_ACK, but on separate ports either
+  // may land first. The fence below waits for whatever the ack counts, so
+  // the barrier always ends with the quantum's DATA handled — not, by host
+  // timing, somewhere in the next quantum.
+  if (service) {
+    if (Status s = service(); !s.ok()) return s;
+  }
+  std::erase_if(pending_, [this](std::size_t index) {
+    const Node& node = nodes_[index];
+    return node.acked && node.data_served >= node.data_sent;
+  });
+  if (pending_.empty() ||
+      deadline_ == std::chrono::steady_clock::time_point::max() ||
+      std::chrono::steady_clock::now() < deadline_) {
+    return Status::Ok();
   }
   const u64 watchdog_ms = static_cast<u64>(policy_.watchdog().count());
-  if (!pending_.empty() &&
-      deadline_ != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    std::sort(pending_.begin(), pending_.end());
-    if (policy_.evict_after_misses() == 0) {
-      // The straggler report: name the nodes still missing — with their
-      // quantum and last grant — so a wedged board is diagnosable from the
-      // Status alone.
-      const auto waited =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - wait_start_);
-      std::string stragglers;
-      for (std::size_t index : pending_) {
-        if (!stragglers.empty()) stragglers += ", ";
-        stragglers += strformat(
-            "{} (node {}, quantum {} cycles, last granted at cycle {})",
-            nodes_[index].name, index, nodes_[index].quantum,
-            nodes_[index].last_granted);
-      }
-      return Status{
-          StatusCode::kDeadlineExceeded,
-          strformat("fabric: barrier watchdog expired after {} ms (bound {} "
-                    "ms) waiting for TIME_ACK from {}",
-                    waited.count(), watchdog_ms, stragglers)};
+  if (policy_.evict_after_misses() == 0) {
+    // The straggler report: name each node still missing — with its
+    // quantum, its last grant and what it owes — so a wedged board is
+    // diagnosable from the Status alone. pending_ is in node order.
+    std::string stragglers;
+    for (std::size_t index : pending_) {
+      const Node& node = nodes_[index];
+      if (!stragglers.empty()) stragglers += "; ";
+      stragglers += strformat(
+          "{} (node {}, quantum {} cycles, last granted at cycle {}) {}",
+          node.name, index, node.quantum, node.last_granted,
+          node.acked ? strformat("for DATA: TIME_ACK counts {} sent, {} "
+                                 "served",
+                                 node.data_sent, node.data_served)
+                     : std::string("for its TIME_ACK"));
     }
-    // Graceful degradation: charge every straggler one miss, evict the
-    // ones that just reached the limit, and give the rest another watchdog
-    // interval. The barrier stays live for the survivors.
-    for (std::size_t p = 0; p < pending_.size();) {
-      Node& node = nodes_[pending_[p]];
-      if (++node.missed >= policy_.evict_after_misses()) {
-        evict_node(pending_[p],
-                   strformat("missed {} consecutive barriers (watchdog {} ms)",
-                             node.missed, watchdog_ms));
-        pending_[p] = pending_.back();
-        pending_.pop_back();
-      } else {
-        ++p;
-      }
-    }
-    deadline_ += policy_.watchdog();
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - wait_start_);
+    return Status{
+        StatusCode::kDeadlineExceeded,
+        strformat("fabric: barrier watchdog expired after {} ms (bound {} "
+                  "ms) waiting on {}",
+                  waited.count(), watchdog_ms, stragglers)};
   }
-  // DATA service runs after every pass, the last one included: each node
-  // flushed its quantum's DATA before its TIME_ACK, but an ack can be seen
-  // in the same pass that first sees that DATA. Serving it here means the
-  // barrier always ends with the quantum's DATA handled — not, by host
-  // timing, at the next cycle or after run_cycles() has returned.
-  if (service) return service();
+  // Graceful degradation: charge every straggler one miss, evict the ones
+  // that just reached the limit, and give the rest another watchdog
+  // interval. The barrier stays live for the survivors.
+  std::erase_if(pending_, [&](std::size_t index) {
+    Node& node = nodes_[index];
+    if (++node.missed < policy_.evict_after_misses()) return false;
+    evict_node(index, strformat("missed {} consecutive barriers (watchdog {} "
+                                "ms)",
+                                node.missed, watchdog_ms));
+    return true;
+  });
+  deadline_ += policy_.watchdog();
   return Status::Ok();
 }
 

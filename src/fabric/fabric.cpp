@@ -18,7 +18,6 @@ cosim::CosimConfig master_config(const FabricConfig& config) {
   cosim::CosimConfig master;
   master.sync = config.sync;
   master.clock_period = config.clock_period;
-  master.data_poll_interval = config.data_poll_interval;
   master.parallel_workers = config.parallel_workers;
   return master;
 }

@@ -1,5 +1,7 @@
 #include "vhp/net/message.hpp"
 
+#include <stdexcept>
+
 #include "vhp/common/format.hpp"
 
 namespace vhp::net {
@@ -52,23 +54,17 @@ Bytes encode(const Message& msg) {
     void operator()(const ClockTick& m) const {
       w.u64v(m.sim_cycle);
       w.u32v(m.n_ticks);
-      // Wire v3: the round id is appended only when stamped, keeping an
-      // unstamped tick byte-identical to the v1 format.
-      if (m.round.has_value()) w.u64v(*m.round);
+      w.u64v(m.round);
     }
     void operator()(const TimeAck& m) const {
-      w.u64v(m.board_tick);
-      if (m.round.has_value()) {
-        // Wire v3: a round-stamped ack always carries both trailing fields
-        // (lookahead slot + round) so the 24-byte layout is unambiguous; an
-        // empty lookahead rides as the kNoLookahead sentinel.
-        w.u64v(m.lookahead.value_or(kNoLookahead));
-        w.u64v(*m.round);
-      } else if (m.lookahead.has_value()) {
-        // Wire v2: the lookahead is appended only when advertised, keeping a
-        // v1 ack byte-identical to the pre-lookahead format.
-        w.u64v(*m.lookahead);
+      if (m.lookahead == kNoLookahead) {
+        throw std::invalid_argument(
+            "TIME_ACK lookahead equals the kNoLookahead sentinel");
       }
+      w.u64v(m.board_tick);
+      w.u64v(m.lookahead.value_or(kNoLookahead));
+      w.u64v(m.round);
+      w.u64v(m.data_sent);
     }
     void operator()(const Shutdown&) const {}
   };
@@ -112,25 +108,18 @@ Result<Message> decode(std::span<const u8> frame) {
       ClockTick m;
       m.sim_cycle = r.u64v();
       m.n_ticks = r.u32v();
-      // Wire v3 carries a trailing round id; a v1 frame ends here.
-      if (r.ok() && !r.at_end()) m.round = r.u64v();
+      m.round = r.u64v();
       msg = m;
       break;
     }
     case MsgType::kTimeAck: {
       TimeAck m;
       m.board_tick = r.u64v();
-      // Versioned by length: v1 ends after board_tick, v2 adds a lookahead,
-      // v3 adds lookahead-or-sentinel plus the echoed round.
-      if (r.ok() && !r.at_end()) {
-        const u64 first = r.u64v();
-        if (r.ok() && !r.at_end()) {
-          if (first != kNoLookahead) m.lookahead = first;
-          m.round = r.u64v();
-        } else {
-          m.lookahead = first;
-        }
+      if (const u64 lookahead = r.u64v(); lookahead != kNoLookahead) {
+        m.lookahead = lookahead;
       }
+      m.round = r.u64v();
+      m.data_sent = r.u64v();
       msg = m;
       break;
     }

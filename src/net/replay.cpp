@@ -87,16 +87,10 @@ std::string message_field_diff(const FrameRecord& expected,
       if (d.empty()) {
         d = field_diff("ClockTick", "n_ticks", x.n_ticks, y.n_ticks);
       }
-      if (d.empty() && x.round != y.round) {
-        // Wire v3: an armed-timeline party against an unarmed recording
-        // (or mismatched round ids) is a divergence like any other field.
-        const auto show = [](const std::optional<u64>& v) {
-          return v.has_value() ? strformat("{}", *v) : std::string("none");
-        };
-        d = strformat("ClockTick.round: {} vs {}", show(x.round),
-                      show(y.round));
-      }
-      return d;
+      // An armed-timeline party against an unarmed recording (round 0) is
+      // a divergence like any other field.
+      return d.empty() ? field_diff("ClockTick", "round", x.round, y.round)
+                       : d;
     }
     case MsgType::kTimeAck: {
       const auto& x = std::get<TimeAck>(a);
@@ -104,8 +98,8 @@ std::string message_field_diff(const FrameRecord& expected,
       std::string d = field_diff("TimeAck", "board_tick", x.board_tick,
                                  y.board_tick);
       if (!d.empty()) return d;
-      // Wire v2: one side advertising a lookahead and the other not (or
-      // different values) is a divergence like any other field.
+      // One side advertising a lookahead and the other not (or different
+      // values) is a divergence like any other field.
       if (x.lookahead != y.lookahead) {
         const auto show = [](const std::optional<u64>& v) {
           if (!v.has_value()) return std::string("none");
@@ -115,14 +109,10 @@ std::string message_field_diff(const FrameRecord& expected,
         return strformat("TimeAck.lookahead: {} vs {}", show(x.lookahead),
                          show(y.lookahead));
       }
-      if (x.round != y.round) {
-        const auto show = [](const std::optional<u64>& v) {
-          return v.has_value() ? strformat("{}", *v) : std::string("none");
-        };
-        return strformat("TimeAck.round: {} vs {}", show(x.round),
-                         show(y.round));
-      }
-      return {};
+      d = field_diff("TimeAck", "round", x.round, y.round);
+      return d.empty()
+                 ? field_diff("TimeAck", "data_sent", x.data_sent, y.data_sent)
+                 : d;
     }
     case MsgType::kShutdown:
       return {};
@@ -181,7 +171,7 @@ std::vector<obs::SpanRecord> timeline_from_recordings(
 
   // Rounds keyed by the grant's master sim-cycle: one barrier ticks every
   // due node at one cycle, so the key groups a round's scatter even on
-  // v1/v2 recordings that carry no wire round id.
+  // unstamped recordings (round 0 on every tick).
   struct Round {
     u64 id = 0;
     u64 first_tx = ~u64{0};
@@ -218,7 +208,7 @@ std::vector<obs::SpanRecord> timeline_from_recordings(
       auto [it, fresh] = rounds.try_emplace(tick->sim_cycle);
       Round& r = it->second;
       if (fresh) {
-        r.id = tick->round.has_value() ? *tick->round : ++next_round;
+        r.id = tick->round != 0 ? tick->round : ++next_round;
         next_round = std::max(next_round, r.id);
       }
       r.first_tx = std::min(r.first_tx, f->wall_ns);
@@ -281,11 +271,9 @@ std::vector<obs::SpanRecord> timeline_from_recordings(
       if (const auto* tick = std::get_if<ClockTick>(&msg.value())) {
         if (f->dir != LinkDir::kRx) continue;
         BoardState& st = per_node[f->node];
-        u64 round = 0;
-        if (tick->round.has_value()) {
-          round = *tick->round;
-        } else if (auto it = rounds.find(tick->sim_cycle);
-                   it != rounds.end()) {
+        u64 round = tick->round;
+        if (auto it = rounds.find(tick->sim_cycle);
+            round == 0 && it != rounds.end()) {
           round = it->second.id;
         }
         if (st.prev_ack_ns != 0 && st.round_known) {

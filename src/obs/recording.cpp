@@ -14,14 +14,10 @@ namespace vhp::obs {
 
 namespace {
 
-// Version 1 carries no per-frame node id; version 2 appends one; version 3
-// appends a flags byte after the node (fault markers). The writer sticks to
-// the oldest version that can carry the data — version 1 while every frame
-// is node 0 and unflagged — so single-node (classic two-party) recordings
-// stay byte-identical to what older builds wrote and read.
-constexpr char kBinaryMagic[8] = {'V', 'H', 'P', 'R', 'E', 'C', '0', '1'};
-constexpr char kBinaryMagicV2[8] = {'V', 'H', 'P', 'R', 'E', 'C', '0', '2'};
-constexpr char kBinaryMagicV3[8] = {'V', 'H', 'P', 'R', 'E', 'C', '0', '3'};
+// One binary layout: every frame carries its fabric node id and its flags
+// byte (fault markers). Files of the earlier per-feature layouts
+// ("VHPREC01".."VHPREC03") fail the magic check.
+constexpr char kBinaryMagic[8] = {'V', 'H', 'P', 'R', 'E', 'C', '0', '4'};
 constexpr std::string_view kJsonlMagic = "{\"format\":\"vhp-recording\"";
 
 std::string to_hex(std::span<const u8> data) {
@@ -100,13 +96,12 @@ Status bad_file(const std::string& path, const std::string& what) {
 
 // --- binary encoding -------------------------------------------------------
 
-void encode_frame(ByteWriter& w, const FrameRecord& r, bool with_node,
-                  bool with_flags) {
+void encode_frame(ByteWriter& w, const FrameRecord& r) {
   w.u64v(r.seq);
   w.u8v(static_cast<u8>(r.port));
   w.u8v(static_cast<u8>(r.dir));
-  if (with_node) w.u32v(r.node);
-  if (with_flags) w.u8v(r.flags);
+  w.u32v(r.node);
+  w.u8v(r.flags);
   w.u8v(r.msg_type);
   w.u8v(r.truncated ? 1 : 0);
   w.u64v(r.hw_cycle);
@@ -117,13 +112,12 @@ void encode_frame(ByteWriter& w, const FrameRecord& r, bool with_node,
   w.sized_bytes(r.payload);
 }
 
-bool decode_frame(ByteReader& r, FrameRecord& out, bool with_node,
-                  bool with_flags) {
+bool decode_frame(ByteReader& r, FrameRecord& out) {
   out.seq = r.u64v();
   const u8 port = r.u8v();
   const u8 dir = r.u8v();
-  out.node = with_node ? r.u32v() : 0;
-  out.flags = with_flags ? r.u8v() : 0;
+  out.node = r.u32v();
+  out.flags = r.u8v();
   out.msg_type = r.u8v();
   out.truncated = r.u8v() != 0;
   out.hw_cycle = r.u64v();
@@ -227,16 +221,8 @@ Result<Recording> read_binary(const std::string& path, std::istream& in) {
   ByteReader r{std::span{reinterpret_cast<const u8*>(data.data()),
                          data.size()}};
   Bytes magic = r.bytes(sizeof kBinaryMagic);
-  bool with_node = false;
-  bool with_flags = false;
-  if (r.ok() &&
-      std::equal(magic.begin(), magic.end(), std::begin(kBinaryMagicV3))) {
-    with_node = with_flags = true;
-  } else if (r.ok() && std::equal(magic.begin(), magic.end(),
-                                  std::begin(kBinaryMagicV2))) {
-    with_node = true;
-  } else if (!r.ok() || !std::equal(magic.begin(), magic.end(),
-                                    std::begin(kBinaryMagic))) {
+  if (!r.ok() || !std::equal(magic.begin(), magic.end(),
+                             std::begin(kBinaryMagic))) {
     return bad_file(path, "not a vhp recording (bad magic)");
   }
   Recording rec;
@@ -260,7 +246,7 @@ Result<Recording> read_binary(const std::string& path, std::istream& in) {
   rec.frames.reserve(n_frames);
   for (u64 i = 0; i < n_frames; ++i) {
     FrameRecord frame;
-    if (!decode_frame(r, frame, with_node, with_flags)) {
+    if (!decode_frame(r, frame)) {
       return bad_file(path, strformat("truncated frame {}", i));
     }
     rec.frames.push_back(std::move(frame));
@@ -320,19 +306,9 @@ Status write_recording(const std::string& path, const Recording& recording,
       f << frame_record_to_json(r) << "\n";
     }
   } else {
-    const bool with_flags =
-        std::any_of(recording.frames.begin(), recording.frames.end(),
-                    [](const FrameRecord& r) { return r.flags != 0; });
-    const bool with_node =
-        with_flags ||
-        std::any_of(recording.frames.begin(), recording.frames.end(),
-                    [](const FrameRecord& r) { return r.node != 0; });
     Bytes out;
     ByteWriter w{out};
-    w.bytes(std::span{reinterpret_cast<const u8*>(
-                          with_flags ? kBinaryMagicV3
-                                     : (with_node ? kBinaryMagicV2
-                                                  : kBinaryMagic)),
+    w.bytes(std::span{reinterpret_cast<const u8*>(kBinaryMagic),
                       sizeof kBinaryMagic});
     w.sized_bytes(std::span{
         reinterpret_cast<const u8*>(recording.meta.side.data()),
@@ -346,7 +322,7 @@ Status write_recording(const std::string& path, const Recording& recording,
     }
     w.u64v(recording.frames.size());
     for (const FrameRecord& r : recording.frames) {
-      encode_frame(w, r, with_node, with_flags);
+      encode_frame(w, r);
     }
     f.write(reinterpret_cast<const char*>(out.data()),
             static_cast<std::streamsize>(out.size()));

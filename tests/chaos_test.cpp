@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "vhp/cosim/session.hpp"
 #include "vhp/fault/plan.hpp"
@@ -194,6 +195,127 @@ TEST(ChaosSoakTest, FaultedRecordingMatchesTheCleanRecording) {
       base.hw_recording, faulted.hw_recording, &net::message_field_diff);
   EXPECT_FALSE(divergence.has_value())
       << "faulted run diverged: " << divergence->to_string();
+}
+
+// ---------------------------------------------------------------------------
+// The DATA fence under delay (DESIGN.md §14)
+
+struct FencedRun {
+  bool drained = false;
+  u64 injected = 0;
+  obs::Recording hw;
+  obs::Recording board;
+};
+
+/// One recorded router run over TCP, optionally with every board-to-master
+/// DATA frame held 3 ms on its way in.
+FencedRun run_with_data_delay(bool delay) {
+  FaultPlan plan;
+  if (delay) {
+    FaultRule rule;
+    rule.kind = FaultKind::kDelay;
+    rule.port = obs::LinkPort::kData;
+    rule.dir = obs::LinkDir::kRx;  // hw-side view: up from the board
+    rule.delay = 3ms;
+    plan.add(rule);
+  }
+  cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                  .tcp()
+                                  .t_sync(kTsync)
+                                  .cycles_per_tick(10)
+                                  .postmortem_prefix("")
+                                  .fault_plan(plan)
+                                  .record()
+                                  .record_ring(1u << 14)
+                                  .build_or_throw()};
+  router::ChecksumAppConfig app_cfg;
+  app_cfg.cost_base = 20;
+  app_cfg.cost_per_byte = 1;
+  router::RouterTestbench tb{session.hw().kernel(), testbench_config(),
+                             &session.hw().registry()};
+  session.hw().watch_interrupt(tb.router().irq(),
+                               board::Board::kDeviceVector);
+  router::ChecksumApp app{session.board(), app_cfg};
+  session.start_board();
+  for (u64 cycles = 0; cycles < kTotalCycles; cycles += 500) {
+    EXPECT_TRUE(session.run_cycles(500).ok());
+  }
+  session.finish();
+  FencedRun run;
+  run.drained = tb.traffic_done();
+  if (session.fault_schedule() != nullptr) {
+    run.injected = session.fault_schedule()->injected();
+  }
+  run.hw.meta.side = "hw";
+  run.hw.frames = session.obs().hw_recorder().snapshot();
+  run.board.meta.side = "board";
+  run.board.frames = session.obs().board_recorder().snapshot();
+  return run;
+}
+
+/// The frames of `recording` on `port` in direction `dir`, fault markers
+/// excluded.
+std::vector<obs::FrameRecord> frames_on(const obs::Recording& recording,
+                                        obs::LinkPort port,
+                                        obs::LinkDir dir) {
+  std::vector<obs::FrameRecord> out;
+  for (const obs::FrameRecord& f : recording.frames) {
+    if (f.port == port && f.dir == dir && f.flags == 0) out.push_back(f);
+  }
+  return out;
+}
+
+obs::Recording without_clock(obs::Recording recording) {
+  std::erase_if(recording.frames, [](const obs::FrameRecord& f) {
+    return f.port == obs::LinkPort::kClock;
+  });
+  return recording;
+}
+
+/// Master cycles at which the master took each of the board's DATA frames.
+std::vector<u64> data_cycles(const FencedRun& run) {
+  std::vector<u64> cycles;
+  for (const obs::FrameRecord& f :
+       frames_on(run.hw, obs::LinkPort::kData, obs::LinkDir::kRx)) {
+    cycles.push_back(f.hw_cycle);
+  }
+  return cycles;
+}
+
+TEST(DataFenceTest, DelayedDataTakesEffectAtItsBarrier) {
+  const FencedRun base = run_with_data_delay(false);
+  ASSERT_TRUE(base.drained);
+  const std::vector<u64> base_cycles = data_cycles(base);
+  ASSERT_FALSE(base_cycles.empty());
+  const obs::Recording base_data = without_clock(base.hw);
+
+  for (int i = 0; i < 20; ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const FencedRun run = run_with_data_delay(true);
+    ASSERT_TRUE(run.drained);
+    EXPECT_GT(run.injected, 0u);
+    // Each frame is served in the barrier that ends the quantum which sent
+    // it: the master takes it at a sync cycle, at most one quantum after
+    // the board time it was sent at (1 SW tick = 10 cycles).
+    const auto sent =
+        frames_on(run.board, obs::LinkPort::kData, obs::LinkDir::kTx);
+    const auto served =
+        frames_on(run.hw, obs::LinkPort::kData, obs::LinkDir::kRx);
+    ASSERT_EQ(sent.size(), served.size());
+    for (std::size_t f = 0; f < sent.size(); ++f) {
+      const u64 at = served[f].hw_cycle;
+      const u64 sent_at = sent[f].board_tick * 10;
+      EXPECT_EQ(at % kTsync, 0u) << "frame " << f;
+      EXPECT_LE(sent_at, at) << "frame " << f;
+      EXPECT_LE(at - sent_at, kTsync) << "frame " << f;
+    }
+    // The router's verdicts land at the same master cycles every run, and
+    // the traffic is the undelayed run's frame for frame.
+    EXPECT_EQ(data_cycles(run), base_cycles);
+    const auto divergence = obs::diff_recordings(
+        base_data, without_clock(run.hw), &net::message_field_diff);
+    EXPECT_FALSE(divergence.has_value()) << divergence->to_string();
+  }
 }
 
 // ---------------------------------------------------------------------------

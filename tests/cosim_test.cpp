@@ -3,6 +3,7 @@
 // so each protocol obligation is checked in isolation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "vhp/cosim/cosim_kernel.hpp"
@@ -332,6 +333,135 @@ TEST(CosimProtocol, SyncServesDataThatArrivedWithTheAck) {
   // The first look for the ack already finds it; the write that came with
   // it is served before the sync (and run_cycles) returns.
   EXPECT_EQ(hw.stats().syncs, 1u);
+  EXPECT_EQ(hw.stats().data_writes, 1u);
+}
+
+// ---------- the DATA fence (DESIGN.md §14) ----------
+
+TEST(CosimDataFence, HandshakeServesDataSentBeforeTheBootAck) {
+  // The boot ack counts one DATA write that lands only after it: the
+  // handshake must wait for that write and serve it before cycle 0 runs.
+  auto pair = net::make_inproc_link_pair();
+  CosimConfig cfg;
+  cfg.sync.quantum(10).watchdog(5000ms);
+  CosimKernel hw{std::move(pair.hw), cfg};
+  DriverIn<u32> in{hw.kernel(), hw.registry(), "in", 0x0};
+  ScriptedPeer peer{std::move(pair.board)};
+  std::thread board([&] {
+    ASSERT_TRUE(net::send_msg(*peer.link.clock,
+                              net::TimeAck{0, std::nullopt, 0, 1})
+                    .ok());
+    std::this_thread::sleep_for(20ms);
+    ASSERT_TRUE(net::send_msg(*peer.link.data,
+                              net::DataWrite{0x0,
+                                             DriverCodec<u32>::encode(9)})
+                    .ok());
+  });
+  ASSERT_TRUE(hw.handshake().ok());
+  board.join();
+  EXPECT_EQ(hw.cycle(), 0u);
+  EXPECT_EQ(hw.stats().data_writes, 1u);
+  EXPECT_EQ(in.read(), 9u);
+}
+
+/// Counts the master's DATA receive calls per master cycle.
+class PollCountingChannel final : public net::Channel {
+ public:
+  PollCountingChannel(net::ChannelPtr inner, const CosimKernel* const& kernel,
+                      std::map<u64, u64>& polls)
+      : inner_(std::move(inner)), kernel_(kernel), polls_(polls) {}
+  Status send(std::span<const u8> frame) override {
+    return inner_->send(frame);
+  }
+  Result<Bytes> recv(
+      std::optional<std::chrono::milliseconds> timeout) override {
+    ++polls_[kernel_->cycle()];
+    return inner_->recv(timeout);
+  }
+  Result<std::optional<Bytes>> try_recv() override {
+    ++polls_[kernel_->cycle()];
+    return inner_->try_recv();
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  net::ChannelPtr inner_;
+  const CosimKernel* const& kernel_;
+  std::map<u64, u64>& polls_;
+};
+
+/// Runs 1000 cycles against a peer that acks every grant at once and
+/// returns the master cycles at which the DATA port was polled.
+std::map<u64, u64> data_polls(bool timed) {
+  auto pair = net::make_inproc_link_pair();
+  const CosimKernel* kernel = nullptr;
+  std::map<u64, u64> polls;
+  pair.hw.data = std::make_unique<PollCountingChannel>(std::move(pair.hw.data),
+                                                       kernel, polls);
+  CosimConfig cfg;
+  cfg.timed = timed;
+  cfg.sync.quantum(100);
+  CosimKernel hw{std::move(pair.hw), cfg};
+  kernel = &hw;
+  ScriptedPeer peer{std::move(pair.board)};
+  std::thread board([&] {
+    if (!timed) return;
+    peer.send_initial_ack();
+    for (u64 i = 1; i <= 10; ++i) {
+      (void)peer.expect_tick();
+      peer.ack(i);
+    }
+  });
+  EXPECT_TRUE(hw.run_cycles(1000).ok());
+  board.join();
+  EXPECT_EQ(hw.stats().syncs, timed ? 10u : 0u);
+  return polls;
+}
+
+TEST(CosimDataFence, TimedQuantumPollsNoDataPort) {
+  // Timed, the DATA port is read only inside the handshake and the
+  // barriers: the polled cycles are the 11 sync points, not 1000 cycles.
+  const std::map<u64, u64> polls = data_polls(/*timed=*/true);
+  EXPECT_EQ(polls.size(), 11u);
+  for (const auto& [cycle, calls] : polls) {
+    EXPECT_EQ(cycle % 100, 0u) << calls << " DATA polls at cycle " << cycle;
+  }
+}
+
+TEST(CosimDataFence, UntimedRunPollsDataEveryCycle) {
+  // Free-running, a frame can arrive at any cycle: driver_simulate()'s
+  // per-cycle poll stays, once before each of the 1000 cycles.
+  const std::map<u64, u64> polls = data_polls(/*timed=*/false);
+  ASSERT_EQ(polls.size(), 1000u);
+  EXPECT_EQ(polls.begin()->first, 0u);
+  EXPECT_EQ(polls.rbegin()->first, 999u);
+}
+
+TEST(CosimDataFence, AckedDataThatNeverArrivesTripsTheWatchdog) {
+  // The quantum's ack counts two DATA frames but only one is ever sent:
+  // the barrier must not complete, and the watchdog's report names the
+  // node with its sent and served counts. The whole conversation is queued
+  // up front: the handshake serves the write, the barrier takes the ack.
+  auto pair = net::make_inproc_link_pair();
+  CosimConfig cfg;
+  cfg.sync.quantum(10).watchdog(100ms);
+  CosimKernel hw{std::move(pair.hw), cfg};
+  DriverIn<u32> in{hw.kernel(), hw.registry(), "in", 0x0};
+  ScriptedPeer peer{std::move(pair.board)};
+  peer.send_initial_ack();
+  ASSERT_TRUE(net::send_msg(*peer.link.data,
+                            net::DataWrite{0x0, DriverCodec<u32>::encode(1)})
+                  .ok());
+  ASSERT_TRUE(net::send_msg(*peer.link.clock,
+                            net::TimeAck{1, std::nullopt, 0, 2})
+                  .ok());
+  const Status s = hw.run_cycles(10);
+  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s;
+  EXPECT_NE(s.message().find("node0 (node 0, quantum 10 cycles, last "
+                             "granted at cycle 10) for DATA: TIME_ACK "
+                             "counts 2 sent, 1 served"),
+            std::string::npos)
+      << s;
   EXPECT_EQ(hw.stats().data_writes, 1u);
 }
 

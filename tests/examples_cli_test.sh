@@ -5,7 +5,8 @@
 # Every such case stops before a simulation starts. One short run
 # (router_cosim 1000 8, ~0.1 s) checks that --trace-json writes a Chrome
 # trace that parses and shows a barrier per sync, a dev_read, an RTOS thread
-# and a CLOCK frame.
+# and a CLOCK frame. Another records a run with the default flags and
+# replays its hw side, which must report "replay ok".
 #
 # Usage: examples_cli_test.sh <path-to-router_cosim> <path-to-router_fabric>
 set -u
@@ -78,6 +79,21 @@ sys.exit(0 if all(checks.values()) else 1)
 PY
 then
   fails=$((fails + 1))
+fi
+
+# Record with the default flags (observability on, so the CLOCK traffic is
+# round-stamped), then replay the hw side alone against the recording.
+"$ROUTER_COSIM" 1000 8 --record "$workdir/rec" \
+  --trace-json "$workdir/rec.trace.json" \
+  --metrics-json "$workdir/rec.metrics.json" > "$workdir/record.out" 2>&1 &&
+  "$ROUTER_COSIM" --replay "$workdir/rec.hw.vhprec" > "$workdir/replay.out" 2>&1
+status=$?
+if [ "$status" -ne 0 ] || ! grep -q "replay ok" "$workdir/replay.out"; then
+  echo "FAIL: router_cosim --record then --replay: exit $status" >&2
+  cat "$workdir/record.out" "$workdir/replay.out" >&2 2>/dev/null
+  fails=$((fails + 1))
+else
+  echo "ok: router_cosim default recording replays"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -323,7 +323,7 @@ TEST(FabricRecordingSessionTest, OneNodeFabricRecordsLikeASession) {
       ASSERT_TRUE(msg.ok()) << msg.status();
       if (const auto* tick = std::get_if<net::ClockTick>(&msg.value())) {
         ++ticks;
-        stamped += tick->round.has_value() ? 1 : 0;
+        stamped += tick->round != 0 ? 1 : 0;
       }
     }
     EXPECT_GT(ticks, 0u);

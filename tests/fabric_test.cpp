@@ -441,13 +441,13 @@ TEST(FabricRecordingTest, RecordingIsNodeStampedAndFiltersPerNode) {
   EXPECT_GT(node0, 0u);
   EXPECT_GT(node1, 0u);  // one global sequence interleaving both links
 
-  // A nonzero node id forces the V2 on-disk format.
+  // One on-disk format, node id and flags on every frame.
   std::FILE* fp = std::fopen(hw_path.c_str(), "rb");
   ASSERT_NE(fp, nullptr);
   char magic[8] = {};
   ASSERT_EQ(std::fread(magic, 1, 8, fp), 8u);
   std::fclose(fp);
-  EXPECT_EQ(std::string(magic, 8), "VHPREC02");
+  EXPECT_EQ(std::string(magic, 8), "VHPREC04");
 
   // ReplayOptions::node keeps exactly one node's frames.
   net::ReplayOptions opt;

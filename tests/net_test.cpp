@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "vhp/common/bytes.hpp"
 #include "vhp/net/channel.hpp"
@@ -47,6 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
         Message{TimeAck{42}},
         Message{TimeAck{42, 1234}},
         Message{TimeAck{7, kLookaheadUnbounded}},
+        Message{TimeAck{9, 0, 3, 17}},
         Message{Shutdown{}}));
 
 TEST(MessageCodec, RejectsUnknownType) {
@@ -61,40 +64,87 @@ TEST(MessageCodec, RejectsTruncation) {
 }
 
 TEST(MessageCodec, RejectsTrailingGarbage) {
-  // TimeAck is length-versioned (trailing bytes are its v2 lookahead), so
-  // the trailing-garbage rule is checked on a fixed-layout type.
-  Bytes frame = encode(Message{IntRaise{9}});
-  frame.push_back(0);
-  EXPECT_FALSE(decode(frame).ok());
+  for (const Message& m : {Message{IntRaise{9}}, Message{ClockTick{1, 2, 3}},
+                           Message{TimeAck{4, 5, 6, 7}}}) {
+    Bytes frame = encode(m);
+    frame.push_back(0);
+    EXPECT_FALSE(decode(frame).ok()) << to_string(type_of(m));
+  }
 }
 
-// ---------- TIME_ACK wire v2 (adaptive lookahead) ----------
+// ---------- CLOCK_TICK / TIME_ACK: one fixed layout each ----------
 
-TEST(MessageCodec, TimeAckWithoutLookaheadIsByteIdenticalToV1) {
-  // Hand-built v1 frame: type byte + board_tick, nothing else.
-  Bytes v1;
-  ByteWriter w{v1};
-  w.u8v(static_cast<u8>(MsgType::kTimeAck));
-  w.u64v(42);
-  EXPECT_EQ(encode(Message{TimeAck{42}}), v1);
-  auto decoded = decode(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  const auto& ack = std::get<TimeAck>(decoded.value());
-  EXPECT_EQ(ack.board_tick, 42u);
-  EXPECT_FALSE(ack.lookahead.has_value());
+/// The little-endian u64 at byte `offset` of `frame`.
+u64 u64_at(const Bytes& frame, std::size_t offset) {
+  u64 v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<u64>(frame.at(offset + i)) << (8 * i);
+  }
+  return v;
 }
 
-TEST(MessageCodec, TimeAckV2AppendsLookahead) {
-  const Bytes v1 = encode(Message{TimeAck{42}});
-  const Bytes v2 = encode(Message{TimeAck{42, 9000}});
-  // The v2 frame is the v1 frame plus the trailing lookahead field.
-  ASSERT_GT(v2.size(), v1.size());
-  EXPECT_TRUE(std::equal(v1.begin(), v1.end(), v2.begin()));
-  auto decoded = decode(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  const auto& ack = std::get<TimeAck>(decoded.value());
-  ASSERT_TRUE(ack.lookahead.has_value());
-  EXPECT_EQ(*ack.lookahead, 9000u);
+TEST(MessageCodec, ClockTickHasOneFixedLayout) {
+  // type @0, sim_cycle u64 @1, n_ticks u32 @9, round u64 @13: 21 bytes,
+  // stamped or not.
+  for (const ClockTick& tick : {ClockTick{0x1122334455, 1000},
+                                ClockTick{0x1122334455, 1000, 77}}) {
+    const Bytes frame = encode(Message{tick});
+    ASSERT_EQ(frame.size(), 21u);
+    EXPECT_EQ(frame[0], static_cast<u8>(MsgType::kClockTick));
+    EXPECT_EQ(u64_at(frame, 1), tick.sim_cycle);
+    EXPECT_EQ(u64_at(frame, 9) & 0xffffffffu, tick.n_ticks);
+    EXPECT_EQ(u64_at(frame, 13), tick.round);
+  }
+}
+
+TEST(MessageCodec, TimeAckHasOneFixedLayout) {
+  // type @0, board_tick u64 @1, lookahead u64 @9 (kNoLookahead = none),
+  // round u64 @17, data_sent u64 @25: 33 bytes, whatever is advertised.
+  for (const TimeAck& ack : {TimeAck{42}, TimeAck{42, 9000, 5, 3}}) {
+    const Bytes frame = encode(Message{ack});
+    ASSERT_EQ(frame.size(), 33u);
+    EXPECT_EQ(frame[0], static_cast<u8>(MsgType::kTimeAck));
+    EXPECT_EQ(u64_at(frame, 1), ack.board_tick);
+    EXPECT_EQ(u64_at(frame, 9), ack.lookahead.value_or(kNoLookahead));
+    EXPECT_EQ(u64_at(frame, 17), ack.round);
+    EXPECT_EQ(u64_at(frame, 25), ack.data_sent);
+  }
+}
+
+TEST(MessageCodec, EveryClockAndAckFieldRoundTrips) {
+  const std::vector<Message> messages = {
+      Message{ClockTick{0, 0, 0}},
+      Message{ClockTick{~u64{0}, ~u32{0}, ~u64{0}}},
+      Message{TimeAck{7}},  // lookahead none, round 0, nothing sent
+      Message{TimeAck{7, kLookaheadUnbounded, 0, 0}},
+      Message{TimeAck{7, 0, 1, 1}},
+      Message{TimeAck{7, kNoLookahead - 1, 9, ~u64{0}}},
+  };
+  for (const Message& m : messages) {
+    auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded.value(), m);
+  }
+}
+
+TEST(MessageCodec, EncoderRefusesTheNoLookaheadSentinel) {
+  // On the wire the sentinel means "none": an ack advertising it would
+  // decode to a different ack.
+  EXPECT_THROW((void)encode(Message{TimeAck{1, kNoLookahead, 2, 3}}),
+               std::invalid_argument);
+}
+
+TEST(MessageCodec, RejectsEveryOtherClockAndAckLength) {
+  for (const Message& m : {Message{ClockTick{1, 2, 3}},
+                           Message{TimeAck{4, 5, 6, 7}}}) {
+    const Bytes full = encode(m);
+    for (std::size_t size = 1; size <= full.size() + 8; ++size) {
+      Bytes frame = full;
+      frame.resize(size, 0);
+      EXPECT_EQ(decode(frame).ok(), size == full.size())
+          << to_string(type_of(m)) << " of " << size << " bytes";
+    }
+  }
 }
 
 TEST(MessageCodec, TimeAckUnboundedLookaheadSentinel) {
@@ -106,7 +156,7 @@ TEST(MessageCodec, TimeAckUnboundedLookaheadSentinel) {
 
 TEST(MessageCodec, TimeAckRejectsTruncatedLookahead) {
   Bytes frame = encode(Message{TimeAck{42, 0x1234567890ULL}});
-  frame.pop_back();  // clip the trailing lookahead varint mid-field
+  frame.resize(1 + 8 + 4);  // clip the lookahead mid-field
   EXPECT_FALSE(decode(frame).ok());
 }
 

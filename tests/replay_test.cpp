@@ -68,6 +68,17 @@ TEST(MessageFieldDiffTest, NamesTheFirstDifferingField) {
                               net::DataWrite{4, Bytes{1, 9}});
   EXPECT_EQ(net::message_field_diff(wr_a, wr_c), "DataWrite.data[1]: 2 vs 9");
 
+  // An observed run against an unobserved one differs in the round only.
+  const auto stamped = msg_frame(0, LinkPort::kClock, LinkDir::kTx,
+                                 net::ClockTick{100, 100, 7});
+  EXPECT_EQ(net::message_field_diff(stamped, tick_a),
+            "ClockTick.round: 7 vs 0");
+  const auto ack_a = msg_frame(0, LinkPort::kClock, LinkDir::kRx,
+                               net::TimeAck{5, std::nullopt, 2, 3});
+  const auto ack_b = msg_frame(0, LinkPort::kClock, LinkDir::kRx,
+                               net::TimeAck{5, std::nullopt, 2, 4});
+  EXPECT_EQ(net::message_field_diff(ack_a, ack_b), "TimeAck.data_sent: 3 vs 4");
+
   // Truncated payloads cannot decode — the byte-level report takes over.
   auto cut = tick_a;
   cut.truncated = true;

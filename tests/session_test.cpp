@@ -233,13 +233,6 @@ TEST(SessionConfigValidation, RejectsZeroClockPeriod) {
   EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
 }
 
-TEST(SessionConfigValidation, RejectsZeroDataPollInterval) {
-  SessionConfig cfg;
-  cfg.cosim.data_poll_interval = 0;
-  EXPECT_FALSE(cfg.validate().ok());
-  EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
-}
-
 TEST(SessionConfigValidation, RejectsZeroRtosDivisors) {
   SessionConfig cfg;
   cfg.board.rtos.cycles_per_tick = 0;

@@ -177,14 +177,32 @@ TEST(SessionTimelineTest, RoundsPropagateAndBothSinksRecord) {
 }
 
 TEST(SessionTimelineTest, DefaultSessionStampsNoRounds) {
-  SessionConfig cfg;
-  cfg.cosim.sync.quantum(100);
-  CosimSession session{cfg};
+  CosimSession session{
+      SessionConfigBuilder{}.t_sync(100).record().build_or_throw()};
   session.start_board();
   ASSERT_TRUE(session.run_cycles(500).ok());
   session.finish();
   EXPECT_EQ(session.hw().rounds(), 0u);
   EXPECT_TRUE(session.obs().timeline().snapshot().empty());
+  // Every CLOCK_TICK and TIME_ACK, as either side saw it, carries round 0.
+  u64 ticks = 0, acks = 0;
+  for (obs::FlightRecorder* recorder :
+       {&session.obs().hw_recorder(), &session.obs().board_recorder()}) {
+    for (const obs::FrameRecord& f : recorder->snapshot()) {
+      if (f.port != obs::LinkPort::kClock) continue;
+      auto msg = net::decode(f.payload);
+      ASSERT_TRUE(msg.ok()) << msg.status();
+      if (const auto* tick = std::get_if<net::ClockTick>(&msg.value())) {
+        ++ticks;
+        EXPECT_EQ(tick->round, 0u);
+      } else if (const auto* ack = std::get_if<net::TimeAck>(&msg.value())) {
+        ++acks;
+        EXPECT_EQ(ack->round, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(ticks, 2u * 5);  // 5 grants, sent and received
+  EXPECT_EQ(acks, 2u * 6);   // the boot ack and one per grant
 }
 
 std::size_t count_of(const std::string& text, const std::string& needle) {

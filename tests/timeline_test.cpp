@@ -1,5 +1,5 @@
-// The cross-node causal timeline, fiber-free ("timeline-tsan" label): wire-v3
-// round codec, span rings, the critical-path analyzer on synthetic spans,
+// The cross-node causal timeline, fiber-free ("timeline-tsan" label): the
+// round-id codec, span rings, the critical-path analyzer on synthetic spans,
 // offline extraction from recordings, the telemetry endpoint, and the
 // SyncCoordinator driven over raw inproc channel pairs by plain threads —
 // including the metrics-continuity-across-eviction+rejoin satellite.
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -27,21 +28,11 @@
 #include "vhp/obs/timeline.hpp"
 
 // ---------------------------------------------------------------------------
-// Wire v3: round ids on CLOCK_TICK / TIME_ACK, versioned by length
+// Round ids on CLOCK_TICK / TIME_ACK (0 = unstamped), in the one fixed
+// layout of each
 
 namespace vhp::net {
 namespace {
-
-TEST(MessageCodecV3, ClockTickWithoutRoundStaysWireV1) {
-  const Bytes v1 = encode(Message{ClockTick{100, 5}});
-  EXPECT_EQ(v1.size(), 1u + 8u + 4u);  // type byte + sim_cycle + n_ticks
-  auto decoded = decode(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  const auto& tick = std::get<ClockTick>(decoded.value());
-  EXPECT_EQ(tick.sim_cycle, 100u);
-  EXPECT_EQ(tick.n_ticks, 5u);
-  EXPECT_FALSE(tick.round.has_value());
-}
 
 TEST(MessageCodecV3, ClockTickRoundRoundTrips) {
   const Message original{ClockTick{4000, 7, 42}};
@@ -61,7 +52,7 @@ TEST(MessageCodecV3, ClockTickRejectsTruncatedRound) {
 TEST(MessageCodecV3, TimeAckCarriesLookaheadAndRound) {
   const Message original{TimeAck{500, 9000, 42}};
   const Bytes v3 = encode(original);
-  EXPECT_EQ(v3.size(), 1u + 8u + 8u + 8u);
+  EXPECT_EQ(v3.size(), 1u + 8u + 8u + 8u + 8u);
   auto decoded = decode(v3);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded.value(), original);
@@ -75,8 +66,7 @@ TEST(MessageCodecV3, TimeAckWithoutLookaheadUsesSentinelInvisibly) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto& ack = std::get<TimeAck>(decoded.value());
   EXPECT_FALSE(ack.lookahead.has_value());
-  ASSERT_TRUE(ack.round.has_value());
-  EXPECT_EQ(*ack.round, 42u);
+  EXPECT_EQ(ack.round, 42u);
 }
 
 TEST(MessageCodecV3, TimeAckUnboundedLookaheadCoexistsWithRound) {
@@ -88,7 +78,7 @@ TEST(MessageCodecV3, TimeAckUnboundedLookaheadCoexistsWithRound) {
 
 TEST(MessageCodecV3, TimeAckRejectsTruncatedRound) {
   Bytes frame = encode(Message{TimeAck{500, 9000, 42}});
-  frame.resize(frame.size() - 5);
+  frame.resize(frame.size() - 8 - 5);  // no data_sent, half a round
   EXPECT_FALSE(decode(frame).ok());
 }
 
@@ -96,17 +86,6 @@ TEST(MessageCodecV3, TimeAckRejectsTrailingGarbageAfterRound) {
   Bytes frame = encode(Message{TimeAck{500, 9000, 42}});
   frame.push_back(0xAB);
   EXPECT_FALSE(decode(frame).ok());
-}
-
-TEST(MessageCodecV3, MixedVersionsDecodeSideBySide) {
-  // v1 / v2 / v3 acks must all decode with one decoder — the interop
-  // contract for mixed-version fabric parties.
-  for (const Message& m : {Message{TimeAck{7}}, Message{TimeAck{7, 100}},
-                           Message{TimeAck{7, 100, 1}}}) {
-    auto decoded = decode(encode(m));
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded.value(), m);
-  }
 }
 
 }  // namespace
@@ -398,11 +377,23 @@ TEST_F(RecordingFileTest, RejectsTruncatedFile) {
 }
 
 TEST_F(RecordingFileTest, RejectsGarbageMagic) {
+  // Garbage, and a well-formed file under an earlier layout's magic.
+  ASSERT_TRUE(write_recording(path_, small_recording(), RecordingFormat::kBinary).ok());
+  std::string body;
   {
-    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
-    f << "NOTAVHPRECFILE_WITH_SOME_PADDING_BYTES";
+    std::ifstream f(path_, std::ios::binary);
+    body.assign(std::istreambuf_iterator<char>(f), {});
   }
-  EXPECT_FALSE(read_recording(path_).ok());
+  ASSERT_TRUE(read_recording(path_).ok());
+  for (const std::string& head :
+       {std::string("NOTAVHPRECFILE_WITH_SOME_PADDING_BYTES"),
+        "VHPREC01" + body.substr(8)}) {
+    {
+      std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+      f << head;
+    }
+    EXPECT_FALSE(read_recording(path_).ok()) << head.substr(0, 8);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -552,9 +543,10 @@ TEST(TimelineFromRecordingsTest, JoinsTicksAndAcksIntoRoundSpans) {
   EXPECT_EQ(computes, 1u);
 }
 
-TEST(TimelineFromRecordingsTest, SynthesizesRoundsForV1Recordings) {
-  // No wire rounds at all (pre-v3 recording): grouping by grant sim-cycle
-  // must still produce one round per barrier.
+TEST(TimelineFromRecordingsTest, SynthesizesRoundsForUnstampedRecordings) {
+  // Every tick and ack at round 0 (an unobserved run): grouping by grant
+  // sim-cycle must still produce one round per barrier, and the board
+  // side's spans must join those synthesized rounds.
   obs::Recording hw;
   hw.meta.side = "hw";
   hw.frames.push_back(clock_frame(0, 0, obs::LinkDir::kTx,
@@ -565,12 +557,26 @@ TEST(TimelineFromRecordingsTest, SynthesizesRoundsForV1Recordings) {
                                   Message{ClockTick{200, 10}}, 50));
   hw.frames.push_back(clock_frame(3, 0, obs::LinkDir::kRx,
                                   Message{TimeAck{20}}, 70));
-  const auto spans = timeline_from_recordings(hw);
+  obs::Recording board;
+  board.meta.side = "board";
+  board.frames.push_back(clock_frame(0, 0, obs::LinkDir::kRx,
+                                     Message{ClockTick{200, 10}}, 55));
+  board.frames.push_back(clock_frame(1, 0, obs::LinkDir::kTx,
+                                     Message{TimeAck{20}}, 65));
+  const auto spans = timeline_from_recordings(hw, {board});
   const obs::TimelineAnalysis a = obs::analyze_spans(spans);
   ASSERT_EQ(a.rounds.size(), 2u);
+  EXPECT_NE(a.rounds[0].round, 0u);
   EXPECT_NE(a.rounds[0].round, a.rounds[1].round);
   EXPECT_EQ(a.rounds[0].cycle, 100u);
   EXPECT_EQ(a.rounds[1].cycle, 200u);
+  u64 computes = 0;
+  for (const auto& s : spans) {
+    if (s.phase != obs::SpanPhase::kCompute) continue;
+    ++computes;
+    EXPECT_EQ(s.round, a.rounds[1].round);
+  }
+  EXPECT_EQ(computes, 1u);
 }
 
 TEST(TimelineFromRecordingsTest, SkipsBootAcksInjectedAndTruncatedFrames) {
@@ -605,10 +611,10 @@ using cosim::SyncPolicy;
 
 struct NodeLog {
   std::vector<net::ClockTick> ticks;
-  std::vector<std::optional<u64>> ack_rounds_sent;
+  std::vector<u64> ack_rounds_sent;
 };
 
-/// A wire-v3 node emulator: boot frozen TIME_ACK, then answers every
+/// A node emulator: boot frozen TIME_ACK, then answers every
 /// CLOCK_TICK echoing the round id it saw (exactly what board::Board does).
 std::thread spawn_echo_node(net::Channel& clock, NodeLog& log) {
   return std::thread([&clock, &log] {
@@ -690,8 +696,7 @@ TEST(CoordinatorTimelineTest, StampsMonotoneRoundsAndRecordsSpans) {
   for (const NodeLog* log : {&log0, &log1}) {
     ASSERT_EQ(log->ticks.size(), 3u);
     for (std::size_t i = 0; i < log->ticks.size(); ++i) {
-      ASSERT_TRUE(log->ticks[i].round.has_value());
-      EXPECT_EQ(*log->ticks[i].round, i + 1) << "rounds start at 1";
+      EXPECT_EQ(log->ticks[i].round, i + 1) << "rounds start at 1";
     }
   }
 
@@ -725,7 +730,7 @@ TEST(CoordinatorTimelineTest, StampsMonotoneRoundsAndRecordsSpans) {
   EXPECT_EQ(a.virtual_cycles, 20u);  // grants at cycles 10, 20, 30
 }
 
-TEST(CoordinatorTimelineTest, DisabledTimelineKeepsWireV1) {
+TEST(CoordinatorTimelineTest, DisabledTimelineStampsRoundZero) {
   auto [m0, b0] = net::make_inproc_channel_pair();
   SyncCoordinator coord{SyncPolicy{}.quantum(10), {m0.get()}};  // no hub
 
@@ -733,12 +738,15 @@ TEST(CoordinatorTimelineTest, DisabledTimelineKeepsWireV1) {
   std::thread t = spawn_echo_node(*b0, log);
   ASSERT_TRUE(coord.handshake().ok());
   ASSERT_TRUE(coord.run_barrier(10).ok());
+  ASSERT_TRUE(coord.run_barrier(20).ok());
   coord.shutdown();
   t.join();
   EXPECT_EQ(coord.rounds(), 0u);
-  ASSERT_EQ(log.ticks.size(), 1u);
-  EXPECT_FALSE(log.ticks[0].round.has_value())
-      << "default runs must stay byte-identical to wire v1/v2";
+  ASSERT_EQ(log.ticks.size(), 2u);
+  for (const net::ClockTick& tick : log.ticks) {
+    EXPECT_EQ(tick.round, 0u)
+        << "default runs send unstamped ticks, byte-exact across runs";
+  }
 }
 
 TEST(CoordinatorTimelineTest, MetricsAndRoundsContinueAcrossEvictAndRejoin) {

@@ -163,7 +163,7 @@ std::string describe(const obs::FrameRecord& r) {
         case net::MsgType::kClockTick: {
           const auto& t = std::get<net::ClockTick>(m);
           msg += strformat(" sim_cycle={} n_ticks={}", t.sim_cycle, t.n_ticks);
-          if (t.round.has_value()) msg += strformat(" round={}", *t.round);
+          if (t.round != 0) msg += strformat(" round={}", t.round);
           break;
         }
         case net::MsgType::kTimeAck: {
@@ -174,7 +174,8 @@ std::string describe(const obs::FrameRecord& r) {
                        ? " lookahead=unbounded"
                        : strformat(" lookahead={}", *a.lookahead);
           }
-          if (a.round.has_value()) msg += strformat(" round={}", *a.round);
+          if (a.round != 0) msg += strformat(" round={}", a.round);
+          msg += strformat(" data_sent={}", a.data_sent);
           break;
         }
         case net::MsgType::kShutdown:

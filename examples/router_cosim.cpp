@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   if (record_prefix.has_value()) {
     Status rec = session.write_recordings(
         *record_prefix, {{"n_packets", std::to_string(n_packets)}});
-    std::printf("recordings %s.{hw,board}.vhprec (%s)\n",
+    std::printf("recordings %s.{hw,node0.board}.vhprec (%s)\n",
                 record_prefix->c_str(),
                 rec.ok() ? "ok" : rec.to_string().c_str());
   }

@@ -43,8 +43,9 @@ namespace vhp::cosim {
 struct CosimConfig {
   /// The synchronization policy: quantum (the paper's T_sync), per-node
   /// quanta, adaptive lookahead mode (pair with
-  /// board::BoardConfig::advertise_lookahead; CosimSession and Fabric wire
-  /// that automatically), and the watchdog bounding every gather.
+  /// board::BoardConfig::advertise_lookahead; fabric::Fabric, and so every
+  /// session, wires that automatically), and the watchdog bounding every
+  /// gather.
   SyncPolicy sync{};
   /// Simulation time units per clock cycle (posedge every period).
   sim::SimTime clock_period = 2;
@@ -66,9 +67,9 @@ struct CosimConfig {
 };
 
 /// One board-facing link of the master. `name` labels the board in the
-/// coordinator's errors and metrics ("fabric.<name>.*", and the link's own
-/// DATA/INT counters there too); an unnamed link is a session's board,
-/// which books its DATA/INT counters under "cosim.*" and syncs as "node0".
+/// coordinator's errors and metrics: its grants, acks and the link's own
+/// DATA/INT counters count under "fabric.<name>.*". Link i unnamed is
+/// "node<i>".
 struct MasterLink {
   std::string name;
   net::CosimLink link;

@@ -1,5 +1,6 @@
-// The master<->board links of a co-simulation, built one way for a session
-// (one board) and a fabric (N boards).
+// The master<->board links of a co-simulation, and the configuration every
+// co-simulation shares: a fabric of N boards, and a session, which is its
+// one-node case (fabric::Fabric builds both).
 //
 // Every link is wrapped in the canonical decorator stack, innermost first:
 //
@@ -13,6 +14,7 @@
 // run's recording matches the clean one.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "vhp/common/status.hpp"
+#include "vhp/cosim/cosim_kernel.hpp"
 #include "vhp/fault/plan.hpp"
 #include "vhp/fault/reliable.hpp"
 #include "vhp/net/batching.hpp"
@@ -38,7 +41,7 @@ enum class TransportKind {
   kShm,
 };
 
-/// The link knobs a session and a fabric share.
+/// The link knobs: one transport and one decorator stack for every link.
 struct LinkConfig {
   TransportKind transport = TransportKind::kInProc;
   /// Per-quantum frame batching (net/batching.hpp, DESIGN.md §14): DATA
@@ -55,19 +58,67 @@ struct LinkConfig {
   /// Link-level recovery (sequence numbers, ack/retransmit, reconnect) on
   /// both sides of every link — see vhp/fault/reliable.hpp.
   fault::RecoveryConfig recovery{};
+  /// Optional emulated latency on every channel (see net/latency.hpp). The
+  /// paper's physical medium (Ethernet + eCos IP stack) is much slower than
+  /// loopback; absolute-overhead experiments emulate that here.
+  net::LinkEmulationConfig link_emulation{};
 
   /// The fault plan's own rules, plus: a lossy plan needs recovery, and
   /// batching excludes it. `owner` prefixes the message.
   [[nodiscard]] Status validate(std::string_view owner) const;
 };
 
+/// Everything a co-simulation is configured with except its boards: the
+/// links, the master, observability and post-mortems. SessionConfig adds
+/// one board, FabricConfig the node list.
+struct RunConfig : LinkConfig {
+  /// The master kernel: sync policy (the paper's T_sync, per-node quanta,
+  /// adaptive lookahead, watchdog, eviction), clock period, timed or
+  /// free-running, parallel evaluation lanes.
+  CosimConfig cosim{};
+  /// Observability (vhp::obs): off by default — the costly instruments
+  /// (spans, stall profiling, per-frame link accounting) are opt-in behind
+  /// obs.timeline.enabled; plain metric counters always run.
+  obs::ObsConfig obs{};
+  /// Where post-mortem flight-recorder dumps land when obs.record is on:
+  /// "<prefix>.hw.jsonl" and "<prefix>.<node>.board.jsonl" on an error
+  /// Status from run_cycles() — a watchdog expiry (SyncPolicy::watchdog)
+  /// included — or a fatal signal
+  /// (Fabric::install_postmortem_signal_handler). Empty disables automatic
+  /// dumping.
+  std::string postmortem_prefix = "vhp-postmortem";
+};
+
 /// The fluent knobs SessionConfigBuilder and FabricConfigBuilder share:
-/// the link (LinkConfig), observability, and the validated build. `Config`
-/// derives from LinkConfig and has an `obs::ObsConfig obs` and a
-/// validate().
+/// everything of RunConfig, and the validated build. `Config` derives from
+/// RunConfig and has a validate().
 template <class Derived, class Config>
 class ConfigBuilder {
  public:
+  /// The paper's name for the policy quantum: sync.quantum(cycles).
+  Derived& t_sync(u64 cycles) {
+    config_.cosim.sync.quantum(cycles);
+    return self();
+  }
+  /// The synchronization policy (CosimConfig::sync), replacing any earlier
+  /// t_sync(). An adaptive policy automatically configures every board to
+  /// advertise its lookahead on every TIME_ACK.
+  Derived& sync(SyncPolicy policy) {
+    config_.cosim.sync = std::move(policy);
+    return self();
+  }
+  Derived& clock_period(sim::SimTime period) {
+    config_.cosim.clock_period = period;
+    return self();
+  }
+  /// Runs the master kernel's evaluation phase on `workers` lanes
+  /// (including the calling thread); 0 = serial. Bit-identical results
+  /// either way — see sim::Kernel::set_parallel.
+  Derived& parallel(u64 workers) {
+    config_.cosim.parallel_workers = workers;
+    return self();
+  }
+
   Derived& transport(TransportKind kind) {
     config_.transport = kind;
     return self();
@@ -92,6 +143,10 @@ class ConfigBuilder {
     config_.recovery.enabled = on;
     return self();
   }
+  Derived& link_latency(std::chrono::microseconds one_way) {
+    config_.link_emulation.latency = one_way;
+    return self();
+  }
   /// The one observability switch (ObsConfig::timeline.enabled): spans,
   /// stall profiling, the armed histograms and per-frame link accounting.
   /// Armed runs stamp round ids into their CLOCK/TIME_ACK frames, so their
@@ -106,6 +161,18 @@ class ConfigBuilder {
   Derived& record(bool on = true) {
     config_.obs.record.enabled = on;
     if (on) config_.obs.record.max_payload_bytes = 1u << 16;
+    return self();
+  }
+  Derived& record_ring(std::size_t frames) {
+    config_.obs.record.ring_frames = frames;
+    return self();
+  }
+  Derived& record_payload_bytes(std::size_t bytes) {
+    config_.obs.record.max_payload_bytes = bytes;
+    return self();
+  }
+  Derived& postmortem_prefix(std::string prefix) {
+    config_.postmortem_prefix = std::move(prefix);
     return self();
   }
 
@@ -138,15 +205,14 @@ struct Links {
 };
 
 /// Makes one link per entry of `board_hubs` over `config.transport` and
-/// wraps each in the canonical stack. The hw side of link i accounts under
+/// wraps each in the canonical stack, with `config.link_emulation` on every
+/// channel. The hw side of link i accounts under
 /// `hw_labels[i]` in `hw_hub` and records into its hw recorder stamped with
 /// node id i; the board side accounts as "board" in `*board_hubs[i]` and
 /// records into that hub's board recorder. Injected faults land as marker
 /// frames in `hw_hub`'s recorder. Throws std::runtime_error when the TCP
 /// fan-out fails.
-[[nodiscard]] Links make_links(const LinkConfig& config,
-                               const net::LinkEmulationConfig& latency,
-                               obs::Hub& hw_hub,
+[[nodiscard]] Links make_links(const LinkConfig& config, obs::Hub& hw_hub,
                                const std::vector<obs::Hub*>& board_hubs,
                                const std::vector<std::string>& hw_labels);
 

@@ -53,6 +53,11 @@
 
 namespace vhp::cosim {
 
+/// Node i's name: `name`, or "node<i>" when it is empty — the one naming
+/// rule of a co-simulation. The coordinator, the kernel's per-link
+/// counters, and the fabric's hubs, boards and recording files follow it.
+[[nodiscard]] std::string node_name(const std::string& name, std::size_t i);
+
 class SyncCoordinator {
  public:
   /// `clocks[i]` is the master-side CLOCK channel of node i (borrowed; the

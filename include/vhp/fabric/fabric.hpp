@@ -7,13 +7,16 @@
 // (cosim::SyncCoordinator): every node is granted quanta of simulated time
 // and the master advances only once all due nodes have checked in, so
 // adding boards never weakens the timing guarantee. A two-party
-// CosimSession is the same master over one link.
+// cosim::CosimSession is a one-node Fabric: Fabric is the only code that
+// builds hubs, links, the master and boards, validates configs, and writes
+// recordings and post-mortems.
 //
 // Per-node isolation:
 //   * each node has its own DriverRegistry — identical device addresses on
 //     different boards address different devices;
-//   * each node has its own obs::Hub ("node0", ...) whose metrics merge
-//     into one document via obs::merged_metrics_json;
+//   * with two or more nodes, each node has its own obs::Hub ("node0", ...)
+//     whose metrics merge into one document via obs::merged_metrics_json;
+//     a lone node has no keys to keep apart and runs on the master's hub;
 //   * the master-side flight recorder stamps every frame with its node id,
 //     so one fabric recording diffs/replays per node (net::ReplayOptions).
 //
@@ -40,6 +43,7 @@
 #include "vhp/cosim/links.hpp"
 #include "vhp/net/channel.hpp"
 #include "vhp/obs/hub.hpp"
+#include "vhp/obs/recording.hpp"
 #include "vhp/sim/kernel.hpp"
 #include "vhp/sim/signal.hpp"
 #include "vhp/svc/event_loop.hpp"
@@ -56,35 +60,25 @@ struct FabricNodeConfig {
   bool external = false;
 };
 
-/// The link knobs (transport, batching, fault plan on every node's hw
-/// side, recovery on both sides) come from cosim::LinkConfig, shared with
-/// the session.
-struct FabricConfig : cosim::LinkConfig {
-  /// The synchronization policy: default quantum (the paper's T_sync),
-  /// per-node quanta (SyncPolicy::node_quantum, indexed like `nodes`),
-  /// adaptive lookahead mode — every non-external board is then configured
-  /// to advertise its lookahead on every TIME_ACK — the straggler watchdog and
-  /// eviction.
-  cosim::SyncPolicy sync{};
-  sim::SimTime clock_period = 2;
-  /// Evaluation lanes of the deterministic parallel master kernel
-  /// (including the calling thread); 0 = serial. Bit-identical results
-  /// either way — see sim::Kernel::set_parallel.
-  u64 parallel_workers = 0;
+/// The shared knobs (links, master, observability, post-mortems) come from
+/// cosim::RunConfig, as for a session.
+struct FabricConfig : cosim::RunConfig {
   /// Event-loop hosting (DESIGN.md §14): all non-external boards are
   /// pumped cooperatively by ONE svc::EventLoop thread instead of one
   /// parked BoardHost thread each — transport doorbells wake exactly the
   /// board that has input. Virtual-time behavior is identical; only the
   /// host-thread economics change.
   bool event_loop = false;
-  /// Applied to the master hub and every node hub alike.
-  obs::ObsConfig obs{};
   std::vector<FabricNodeConfig> nodes;
 
-  /// CosimConfig::validate for the master, at least one node, and per
-  /// board node: BoardConfig::validate and a budgeted board (a free-running
-  /// board cannot take part in a barrier); plus LinkConfig::validate and
-  /// ObsConfig::validate.
+  /// The one rule set of every co-simulation, sessions included:
+  /// CosimConfig::validate, LinkConfig::validate and ObsConfig::validate;
+  /// at least one node, with unique names once resolved ("node<i>" for an
+  /// unnamed node i); timed, the sync policy for that many nodes. Per
+  /// board node: BoardConfig::validate, and a board that is free-running
+  /// exactly when cosim.timed is false. Batching needs timed mode (a
+  /// free-running board has no quantum boundary to flush at), and
+  /// sync.evict_after(k) needs at least two nodes.
   [[nodiscard]] Status validate() const;
 };
 
@@ -103,28 +97,6 @@ class FabricConfigBuilder
   /// One event-loop thread pumps all boards (FabricConfig::event_loop).
   FabricConfigBuilder& event_loop(bool on = true) {
     config_.event_loop = on;
-    return *this;
-  }
-
-  /// The paper's name for the policy quantum: sync.quantum(cycles).
-  FabricConfigBuilder& t_sync(u64 cycles) {
-    config_.sync.quantum(cycles);
-    return *this;
-  }
-  /// The synchronization policy (FabricConfig::sync), replacing any
-  /// earlier t_sync().
-  FabricConfigBuilder& sync(cosim::SyncPolicy policy) {
-    config_.sync = std::move(policy);
-    return *this;
-  }
-  FabricConfigBuilder& clock_period(sim::SimTime period) {
-    config_.clock_period = period;
-    return *this;
-  }
-  /// Parallel master kernel with `workers` evaluation lanes (0 = serial);
-  /// bit-identical results either way.
-  FabricConfigBuilder& parallel(u64 workers) {
-    config_.parallel_workers = workers;
     return *this;
   }
 
@@ -173,7 +145,8 @@ class Fabric {
   [[nodiscard]] net::CosimLink take_board_link(std::size_t node);
 
   /// The master-side hub (fabric.* barrier metrics, per-link accounting,
-  /// the node-stamped flight recorder) and the per-node hubs.
+  /// the node-stamped flight recorder) and the per-node hubs. A one-node
+  /// fabric has one hub: node_obs(0) is obs().
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
   [[nodiscard]] obs::Hub& node_obs(std::size_t node);
 
@@ -216,8 +189,9 @@ class Fabric {
   /// Runs `cycles` HW clock cycles: interrupt propagation every cycle, the
   /// N-party barrier — with every node's DATA service — whenever any node's
   /// grant expires. Fails fast (straggler watchdog, transport error) with
-  /// the offending node named in the Status.
-  Status run_cycles(u64 cycles) { return master_->run_cycles(cycles); }
+  /// the offending node named in the Status, after a post-mortem dump
+  /// (dump_postmortem).
+  Status run_cycles(u64 cycles);
 
   [[nodiscard]] u64 cycle() const { return master_->cycle(); }
 
@@ -245,24 +219,38 @@ class Fabric {
   /// Critical-path analysis over timeline_spans().
   [[nodiscard]] obs::TimelineAnalysis timeline_analysis();
 
-  /// Live telemetry: a TCP/JSON snapshot endpoint on the master hub whose
-  /// provider is the merged metrics_json() (timeline fragment included).
-  /// Port 0 binds an ephemeral port — read it back with telemetry_port().
-  /// Stopped by finish(). Serves `vhptrace top`.
-  Status serve_telemetry(u16 port = 0);
-  [[nodiscard]] u16 telemetry_port() { return hub_->telemetry_port(); }
-
   /// Writes the master-side recorder (all nodes' links, node-stamped) as
   /// "<prefix>.hw.vhprec" and each node's board-side recorder as
-  /// "<prefix>.<name>.board.vhprec". No-op Status unless obs.record is on.
+  /// "<prefix>.<name>.board.vhprec". Every file echoes the config a replay
+  /// needs (t_sync, adaptive, timed, observability, nodes); a board file
+  /// adds its node, node_name and RTOS timing (cycles_per_tick,
+  /// timeslice_ticks, cycles_per_sim_cycle). `tags` adds workload-specific
+  /// ones. kFailedPrecondition unless obs.record is on.
   Status write_recordings(const std::string& prefix,
                           const std::map<std::string, std::string>& tags = {});
+
+  /// Flushes the recorded frames of every side to
+  /// "<postmortem_prefix>.hw.jsonl" and
+  /// "<postmortem_prefix>.<name>.board.jsonl", tagged as write_recordings()
+  /// does plus a "reason". Called
+  /// automatically on run_cycles() errors; callable directly for
+  /// watchdog-style tooling. No-op unless obs.record is on and the prefix
+  /// is non-empty.
+  void dump_postmortem(const std::string& reason);
+
+  /// Best-effort crash dumps: on SIGINT/SIGTERM the most recently
+  /// constructed live fabric flushes its rings, then the default handler
+  /// runs. (File I/O from a signal handler is not strictly
+  /// async-signal-safe — acceptable for a debug aid that fires on the way
+  /// down.)
+  static void install_postmortem_signal_handler();
 
  private:
   struct Node {
     FabricNodeConfig config;  // name resolved
     std::optional<net::CosimLink> board_link;  // external, until taken
-    std::unique_ptr<obs::Hub> hub;
+    std::unique_ptr<obs::Hub> own_hub;  // null: the node runs on hub_
+    obs::Hub* hub = nullptr;
     std::unique_ptr<board::BoardHost> host;  // null: external or event-loop
     /// Event-loop mode: the board owned directly (no host thread), pumped
     /// on the fabric's svc::EventLoop thread.
@@ -270,6 +258,13 @@ class Fabric {
   };
 
   [[nodiscard]] Node& node_at(std::size_t node);
+  /// write_recordings() and dump_postmortem(): every side's recorder as
+  /// "<prefix>.hw<ext>" and "<prefix>.<name>.board<ext>", tagged with
+  /// `tags` and the config echo. Writes every file; returns the first
+  /// failure.
+  Status write_sides(const std::string& prefix,
+                     std::map<std::string, std::string> tags,
+                     obs::RecordingFormat format);
 
   FabricConfig config_;
   Logger log_{"fabric"};

@@ -15,9 +15,9 @@
 // The batcher wraps the *raw transport* (innermost, below latency /
 // fault / recording decorators), so every layer above sees the exact
 // frame sequence it would see unbatched and the receive path needs no
-// changes at all. Only timed sessions may batch: a free-running board
-// has no quantum boundary to flush at (SessionConfig::validate rejects
-// the combination).
+// changes at all. Only timed runs may batch: a free-running board has
+// no quantum boundary to flush at (FabricConfig::validate rejects the
+// combination).
 #pragma once
 
 #include <string>

@@ -52,13 +52,9 @@ struct FrameRecord {
   u64 seq = 0;        // per-side monotone sequence, global across ports
   LinkPort port = LinkPort::kData;
   LinkDir dir = LinkDir::kTx;
-  /// Fabric node the frame's link belongs to. 0 for the classic two-party
-  /// link, so single-node recordings stay byte-compatible on disk (the
-  /// binary writer only switches to the node-carrying format when a
-  /// nonzero node appears).
+  /// Fabric node the frame's link belongs to; 0 for a session's one link.
   u32 node = 0;
-  /// kFrameFlag* bits; 0 for ordinary frames. Nonzero flags switch the
-  /// binary writer to the V3 format (same byte-compatibility rule as node).
+  /// kFrameFlag* bits; 0 for ordinary frames.
   u8 flags = 0;
   u8 msg_type = 0;    // first body byte (net::MsgType), 0 for empty frames
   bool truncated = false;
@@ -98,7 +94,7 @@ class FlightRecorder {
   [[nodiscard]] const FlightRecorderConfig& config() const { return config_; }
   [[nodiscard]] const std::string& side() const { return side_; }
 
-  /// Virtual-time stamp hooks, wired by CosimSession: the kernel side
+  /// Virtual-time stamp hooks, wired by fabric::Fabric: the kernel side
   /// reports its cycle count, the board side its SW tick count. Each is
   /// invoked on the recording side's own thread.
   void set_hw_time_source(std::function<u64()> source);

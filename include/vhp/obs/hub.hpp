@@ -2,9 +2,12 @@
 // (the run's one wall-clock recorder), the stall profiler and the flight
 // recorders, with the costly instruments behind a single switch.
 //
-// Ownership pattern: CosimSession owns a Hub and hands a Hub* to every layer
-// it wires (CosimKernel, Board, instrumented channels). Components built
-// without a session (unit tests, custom wiring) may pass nullptr and get a
+// Ownership pattern: a fabric::Fabric owns the hubs and hands a Hub* to
+// every layer it wires (CosimKernel, Board, instrumented channels): one
+// master hub, plus one hub per node once there are two or more nodes whose
+// identical board.* keys must be kept apart — a one-node fabric (every
+// CosimSession) runs both sides on the master's hub. Components built
+// without a fabric (unit tests, custom wiring) may pass nullptr and get a
 // private, disarmed Hub — metrics still count (they back the stats()
 // compatibility views), spans and wall-time profiling stay off.
 #pragma once
@@ -21,7 +24,6 @@
 #include "vhp/obs/flight_recorder.hpp"
 #include "vhp/obs/metrics.hpp"
 #include "vhp/obs/stall_profiler.hpp"
-#include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
 
 namespace vhp::obs {
@@ -69,16 +71,6 @@ class Hub {
   /// board resolve their SpanSinks here.
   [[nodiscard]] Timeline& timeline() { return timeline_; }
 
-  /// Starts the live telemetry endpoint on 127.0.0.1:`port` (0 = ephemeral,
-  /// read back via telemetry_port()), serving this hub's metrics_json() per
-  /// connection. `provider` overrides the served document — the fabric
-  /// passes its merged multi-hub dump.
-  Status serve_telemetry(u16 port = 0,
-                         TelemetryServer::Provider provider = {});
-  void stop_telemetry();
-  [[nodiscard]] u16 telemetry_port() const { return telemetry_.port(); }
-  [[nodiscard]] TelemetryServer& telemetry() { return telemetry_; }
-
   /// Registers a pre-dump hook: called by metrics_json() so lazily-computed
   /// series (RTOS kernel totals, profiler buckets) are fresh in the dump.
   /// Collectors run on the dumping thread; keep them read-only snapshots.
@@ -110,11 +102,14 @@ class Hub {
   StallProfiler profiler_;
   FlightRecorder hw_recorder_;
   FlightRecorder board_recorder_;
-  TelemetryServer telemetry_;
 
   std::mutex collectors_mu_;
   std::vector<std::function<void(MetricsRegistry&)>> collectors_;
 };
+
+/// Writes `text` to `path`, replacing the file: the one writer behind every
+/// metrics and trace dump.
+Status write_text_file(const std::string& path, const std::string& text);
 
 /// One metrics document spanning several hubs: each entry's prefix is
 /// prepended to its hub's keys ("" for the lead hub, "node0."/"node1."/...

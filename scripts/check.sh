@@ -127,4 +127,11 @@ cmake --build --preset default -j "$jobs" --target session_density
 # No --quick: the gated rows are the 256-session ones.
 ./build/bench/session_density --gate --json /tmp/session_density_gate.metrics.json
 
+# Benchmark gate: perfbench builds its own package from src/ (into
+# .bench_build/) and links the library targets by name, so moving a source
+# between targets must keep it building. Each workload runs one second at
+# the reference seed and must reproduce its committed digest.
+echo "==== [perfbench] self-test ===="
+python3 perfbench/test_perfbench.py
+
 echo "All presets passed."

@@ -56,12 +56,11 @@ CosimKernel::CosimKernel(std::vector<MasterLink> links, CosimConfig config,
   std::vector<net::Channel*> clocks;
   std::vector<std::string> names;
   slots_.reserve(links.size());
-  for (MasterLink& link : links) {
-    const std::string prefix =
-        link.name.empty() ? "cosim." : "fabric." + link.name + ".";
-    clocks.push_back(link.link.clock.get());
-    names.push_back(link.name);
-    slots_.push_back(Slot{std::move(link.link), DriverRegistry{}, {},
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    names.push_back(node_name(links[i].name, i));
+    const std::string prefix = "fabric." + names.back() + ".";
+    clocks.push_back(links[i].link.clock.get());
+    slots_.push_back(Slot{std::move(links[i].link), DriverRegistry{}, {},
                           metrics.counter(prefix + "data_writes"),
                           metrics.counter(prefix + "data_reads"),
                           metrics.counter(prefix + "interrupts_sent")});

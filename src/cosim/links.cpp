@@ -58,8 +58,7 @@ Status LinkConfig::validate(std::string_view owner) const {
   return Status::Ok();
 }
 
-Links make_links(const LinkConfig& config,
-                 const net::LinkEmulationConfig& latency, obs::Hub& hw_hub,
+Links make_links(const LinkConfig& config, obs::Hub& hw_hub,
                  const std::vector<obs::Hub*>& board_hubs,
                  const std::vector<std::string>& hw_labels) {
   Links links;
@@ -84,7 +83,7 @@ Links make_links(const LinkConfig& config,
       pair.board = net::batch_link(std::move(pair.board), true,
                                    config.batching, &board_hub, "board");
     }
-    pair = net::emulate_latency(std::move(pair), latency);
+    pair = net::emulate_latency(std::move(pair), config.link_emulation);
     if (links.schedule) {
       pair.hw = fault::inject_link(std::move(pair.hw), links.schedule, node);
     }

@@ -7,6 +7,10 @@
 
 namespace vhp::cosim {
 
+std::string node_name(const std::string& name, std::size_t i) {
+  return name.empty() ? strformat("node{}", i) : name;
+}
+
 SyncCoordinator::SyncCoordinator(SyncPolicy policy,
                                  std::vector<net::Channel*> clocks,
                                  std::vector<std::string> names,
@@ -31,9 +35,7 @@ SyncCoordinator::SyncCoordinator(SyncPolicy policy,
   }
   nodes_.reserve(clocks.size());
   for (std::size_t i = 0; i < clocks.size(); ++i) {
-    std::string name =
-        i < names.size() && !names[i].empty() ? names[i]
-                                              : strformat("node{}", i);
+    std::string name = node_name(i < names.size() ? names[i] : "", i);
     const u64 quantum = std::max<u64>(1, policy_.node_quantum(i));
     nodes_.push_back(Node{
         clocks[i], name, quantum, 0, quantum, std::nullopt,

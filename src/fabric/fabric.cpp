@@ -1,25 +1,30 @@
 #include "vhp/fabric/fabric.hpp"
 
+#include <csignal>
+
 #include <algorithm>
-#include <fstream>
+#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "vhp/common/format.hpp"
-#include "vhp/obs/recording.hpp"
 
 namespace vhp::fabric {
 
 namespace {
 
-/// The master kernel's configuration: a timed CosimKernel over every link.
-cosim::CosimConfig master_config(const FabricConfig& config) {
-  cosim::CosimConfig master;
-  master.sync = config.sync;
-  master.clock_period = config.clock_period;
-  master.parallel_workers = config.parallel_workers;
-  return master;
+// The signal handler needs a fabric to flush; track the most recently
+// constructed live one. A plain atomic pointer: fabrics unregister in their
+// destructor, and the handler only ever reads it once on the way down.
+std::atomic<Fabric*> g_postmortem_fabric{nullptr};
+
+extern "C" void postmortem_signal_handler(int signum) {
+  if (Fabric* fabric = g_postmortem_fabric.load()) {
+    fabric->dump_postmortem(strformat("signal {}", signum));
+  }
+  std::signal(signum, SIG_DFL);
+  std::raise(signum);
 }
 
 }  // namespace
@@ -29,18 +34,44 @@ Status FabricConfig::validate() const {
     return Status{StatusCode::kInvalidArgument,
                   "FabricConfig: at least one node required"};
   }
-  if (Status s = master_config(*this).validate(); !s.ok()) return s;
-  if (Status s = sync.validate(nodes.size()); !s.ok()) return s;
+  if (Status s = cosim.validate(); !s.ok()) return s;
+  if (cosim.timed) {
+    if (Status s = cosim.sync.validate(nodes.size()); !s.ok()) return s;
+  }
   if (Status s = LinkConfig::validate("FabricConfig"); !s.ok()) return s;
   if (Status s = obs.validate("FabricConfig"); !s.ok()) return s;
+  if (batch_frames && !cosim.timed) {
+    return Status{StatusCode::kInvalidArgument,
+                  "FabricConfig: batch_frames requires timed mode — a "
+                  "free-running board has no quantum boundary to flush at"};
+  }
+  if (cosim.sync.evict_after_misses() > 0 && nodes.size() < 2) {
+    return Status{StatusCode::kInvalidArgument,
+                  "FabricConfig: sync.evict_after(k) needs at least two "
+                  "nodes — evicting the only board would leave the master "
+                  "simulating alone"};
+  }
+  std::map<std::string, std::size_t> named;  // resolved name -> node
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const FabricNodeConfig& node = nodes[i];
-    if (node.external) continue;
-    if (node.board.free_running) {
+    const auto [first, fresh] =
+        named.emplace(cosim::node_name(nodes[i].name, i), i);
+    if (!fresh) {
       return Status{
           StatusCode::kInvalidArgument,
-          strformat("FabricConfig: node {} is free-running; a fabric node "
-                    "must be budgeted to take part in the barrier",
+          strformat("FabricConfig: nodes {} and {} are both named \"{}\"; "
+                    "node names key the metrics and the recordings",
+                    first->second, i, first->first)};
+    }
+    const FabricNodeConfig& node = nodes[i];
+    if (node.external) continue;
+    // An untimed master must face a free-running board, or the board would
+    // freeze forever waiting for grants; a timed one, a budgeted board that
+    // takes part in the barrier.
+    if (node.board.free_running == cosim.timed) {
+      return Status{
+          StatusCode::kInvalidArgument,
+          strformat("FabricConfig: node {}: cosim.timed and "
+                    "board.free_running must be opposite",
                     i)};
     }
     if (Status s = node.board.validate(); !s.ok()) {
@@ -92,14 +123,19 @@ Fabric::Fabric(FabricConfig config)
   for (std::size_t i = 0; i < n; ++i) {
     auto node = std::make_unique<Node>();
     node->config = config_.nodes[i];
-    if (node->config.name.empty()) node->config.name = strformat("node{}", i);
-    node->hub = std::make_unique<obs::Hub>(config_.obs);
-    // One clock across the fabric: a node hub's spans and recorded frames
-    // stamp against its timeline's epoch, re-based onto the master's, so
-    // cross-hub records compare directly (the analyzer joins them on wall
-    // time).
-    node->hub->timeline().set_epoch(hub_->timeline().epoch());
-    board_hubs.push_back(node->hub.get());
+    node->config.name = cosim::node_name(node->config.name, i);
+    node->hub = hub_.get();
+    if (n > 1) {
+      // N boards count under identical board.* keys: each gets a hub of
+      // its own. One clock across the fabric: a node hub's spans and
+      // recorded frames stamp against its timeline's epoch, re-based onto
+      // the master's, so cross-hub records compare directly (the analyzer
+      // joins them on wall time).
+      node->own_hub = std::make_unique<obs::Hub>(config_.obs);
+      node->own_hub->timeline().set_epoch(hub_->timeline().epoch());
+      node->hub = node->own_hub.get();
+    }
+    board_hubs.push_back(node->hub);
     hw_labels.push_back("hw." + node->config.name);
     nodes_.push_back(std::move(node));
   }
@@ -107,9 +143,14 @@ Fabric::Fabric(FabricConfig config)
   // with its node id — the merged recording diffs and replays per node.
   // Each board records its own side into its node hub.
   cosim::Links links =
-      cosim::make_links(config_, {}, *hub_, board_hubs, hw_labels);
+      cosim::make_links(config_, *hub_, board_hubs, hw_labels);
   schedule_ = std::move(links.schedule);
 
+  // Adaptive mode needs every board's acks to carry its lookahead; the
+  // board-side lookahead is conservative by construction, so opting the
+  // boards in wholesale is always correct.
+  const bool advertise =
+      config_.cosim.timed && config_.cosim.sync.is_adaptive();
   std::vector<cosim::MasterLink> master_links;
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = *nodes_[i];
@@ -122,20 +163,19 @@ Fabric::Fabric(FabricConfig config)
     }
     board::BoardConfig board_config = node.config.board;
     if (board_config.name.empty()) board_config.name = name;
-    // Adaptive mode needs every board's acks to carry its lookahead; the
-    // board-side lookahead is conservative by construction, so opting the
-    // boards in wholesale is always correct.
-    if (config_.sync.is_adaptive()) board_config.advertise_lookahead = true;
+    if (advertise) board_config.advertise_lookahead = true;
     if (config_.event_loop) {
       // Constructed here (so apps/DSRs configure before start_boards),
       // booted and pumped exclusively on the loop thread — the same
       // construct-here/run-there split BoardHost uses.
       node.loop_board = std::make_unique<board::Board>(
-          board_config, std::move(board_side), node.hub.get());
+          board_config, std::move(board_side), node.hub);
     } else {
       node.host = std::make_unique<board::BoardHost>(
-          board_config, std::move(board_side), node.hub.get());
+          board_config, std::move(board_side), node.hub);
     }
+    // Virtual-time stamps: each recorder is driven from its own side's
+    // thread, so it reads that side's clock only (the other field stays 0).
     node.hub->board_recorder().set_board_time_source(
         [board = node.host ? &node.host->board() : node.loop_board.get()] {
           return board->kernel().tick_count().value();
@@ -143,13 +183,18 @@ Fabric::Fabric(FabricConfig config)
   }
 
   master_ = std::make_unique<cosim::CosimKernel>(
-      std::move(master_links), master_config(config_), hub_.get());
+      std::move(master_links), config_.cosim, hub_.get());
   hub_->hw_recorder().set_hw_time_source(
       [master = master_.get()] { return master->cycle(); });
   hub_->metrics().gauge("fabric.nodes").set(static_cast<i64>(n));
+  g_postmortem_fabric.store(this);
 }
 
-Fabric::~Fabric() { finish(); }
+Fabric::~Fabric() {
+  Fabric* self = this;
+  g_postmortem_fabric.compare_exchange_strong(self, nullptr);
+  finish();
+}
 
 Fabric::Node& Fabric::node_at(std::size_t node) {
   if (node >= nodes_.size()) {
@@ -190,6 +235,12 @@ net::CosimLink Fabric::take_board_link(std::size_t node) {
 
 obs::Hub& Fabric::node_obs(std::size_t node) { return *node_at(node).hub; }
 
+Status Fabric::run_cycles(u64 cycles) {
+  Status s = master_->run_cycles(cycles);
+  if (!s.ok()) dump_postmortem(s.to_string());
+  return s;
+}
+
 void Fabric::start_boards() {
   if (started_) return;
   started_ = true;
@@ -229,9 +280,6 @@ void Fabric::start_boards() {
 void Fabric::finish() {
   if (finished_) return;
   finished_ = true;
-  // The telemetry provider reaches back into this Fabric; stop it before
-  // anything it reads starts tearing down.
-  hub_->stop_telemetry();
   master_->finish();  // flush, SHUTDOWN, close evicted nodes' links
   for (auto& node : nodes_) {
     if (node->host) node->host->join();
@@ -257,7 +305,9 @@ std::string Fabric::metrics_json() {
   hubs.reserve(nodes_.size() + 1);
   hubs.emplace_back("", hub_.get());
   for (auto& node : nodes_) {
-    hubs.emplace_back(node->config.name + ".", node->hub.get());
+    if (node->own_hub) {
+      hubs.emplace_back(node->config.name + ".", node->own_hub.get());
+    }
   }
   std::string doc = obs::merged_metrics_json(hubs);
   if (hub_->timeline().enabled() && !doc.empty() && doc.back() == '}') {
@@ -271,10 +321,11 @@ std::string Fabric::metrics_json() {
 std::vector<obs::SpanRecord> Fabric::timeline_spans() {
   std::vector<obs::SpanRecord> spans = hub_->timeline().snapshot();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i]->own_hub) continue;  // a lone node's spans are in hub_'s
     // Each board records its spans as node 0 (it cannot know its fabric
     // slot); re-stamp them with the slot id so the analyzer joins them
     // against the coordinator's per-node waits.
-    for (obs::SpanRecord s : nodes_[i]->hub->timeline().snapshot()) {
+    for (obs::SpanRecord s : nodes_[i]->own_hub->timeline().snapshot()) {
       s.node = static_cast<u32>(i);
       spans.push_back(s);
     }
@@ -298,17 +349,47 @@ obs::TimelineAnalysis Fabric::timeline_analysis() {
   return obs::analyze_spans(timeline_spans(), node_names());
 }
 
-Status Fabric::serve_telemetry(u16 port) {
-  return hub_->serve_telemetry(port, [this] { return metrics_json(); });
+Status Fabric::write_metrics_json(const std::string& path) {
+  return obs::write_text_file(path, metrics_json());
 }
 
-Status Fabric::write_metrics_json(const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return Status{StatusCode::kUnavailable, "cannot open " + path};
-  f << metrics_json();
-  f.close();
-  if (!f) return Status{StatusCode::kUnavailable, "write failed: " + path};
-  return Status::Ok();
+Status Fabric::write_sides(const std::string& prefix,
+                           std::map<std::string, std::string> tags,
+                           obs::RecordingFormat format) {
+  // Config echo: enough to rebuild a matching lone-side configuration for
+  // replay (net::ReplaySession) without the original command line.
+  const cosim::SyncPolicy& policy = config_.cosim.sync;
+  tags["t_sync"] = strformat("{}", policy.quantum());
+  tags["adaptive"] = policy.is_adaptive() ? "1" : "0";
+  tags["timed"] = config_.cosim.timed ? "1" : "0";
+  // An observed run stamps round ids on its CLOCK traffic; a replay must
+  // stamp them too to send the same CLOCK_TICKs.
+  tags["observability"] = config_.obs.timeline.enabled ? "1" : "0";
+  tags["nodes"] = strformat("{}", nodes_.size());
+  const std::string ext =
+      format == obs::RecordingFormat::kBinary ? ".vhprec" : ".jsonl";
+  Status first = obs::write_recording(
+      prefix + ".hw" + ext, obs::snapshot_recording(hub_->hw_recorder(), tags),
+      format);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = *nodes_[i];
+    const board::BoardConfig& board = node.config.board;
+    std::map<std::string, std::string> node_tags = tags;
+    node_tags["node"] = strformat("{}", i);
+    node_tags["node_name"] = node.config.name;
+    node_tags["cycles_per_tick"] =
+        strformat("{}", board.rtos.cycles_per_tick);
+    node_tags["timeslice_ticks"] =
+        strformat("{}", board.rtos.timeslice_ticks);
+    node_tags["cycles_per_sim_cycle"] =
+        strformat("{}", board.cycles_per_sim_cycle);
+    Status s = obs::write_recording(
+        prefix + "." + node.config.name + ".board" + ext,
+        obs::snapshot_recording(node.hub->board_recorder(), node_tags),
+        format);
+    if (first.ok()) first = s;
+  }
+  return first;
 }
 
 Status Fabric::write_recordings(
@@ -316,28 +397,29 @@ Status Fabric::write_recordings(
     const std::map<std::string, std::string>& tags) {
   if (!config_.obs.record.enabled) {
     return Status{StatusCode::kFailedPrecondition,
-                  "flight recorder is disabled (FabricConfig::obs.record)"};
+                  "flight recorder is disabled (obs.record)"};
   }
-  std::map<std::string, std::string> all = tags;
-  all["t_sync"] = strformat("{}", config_.sync.quantum());
-  all["adaptive"] = config_.sync.is_adaptive() ? "1" : "0";
-  all["nodes"] = strformat("{}", nodes_.size());
-  Status s = obs::write_recording(
-      prefix + ".hw.vhprec", obs::snapshot_recording(hub_->hw_recorder(), all),
-      obs::RecordingFormat::kBinary);
-  if (!s.ok()) return s;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& node = *nodes_[i];
-    std::map<std::string, std::string> node_tags = all;
-    node_tags["node"] = strformat("{}", i);
-    node_tags["node_name"] = node.config.name;
-    s = obs::write_recording(
-        prefix + "." + node.config.name + ".board.vhprec",
-        obs::snapshot_recording(node.hub->board_recorder(), node_tags),
-        obs::RecordingFormat::kBinary);
-    if (!s.ok()) return s;
+  return write_sides(prefix, tags, obs::RecordingFormat::kBinary);
+}
+
+void Fabric::dump_postmortem(const std::string& reason) {
+  if (!config_.obs.record.enabled || config_.postmortem_prefix.empty()) {
+    return;
   }
-  return Status::Ok();
+  const std::string& prefix = config_.postmortem_prefix;
+  Status s = write_sides(prefix, {{"reason", reason}},
+                         obs::RecordingFormat::kJsonl);
+  if (s.ok()) {
+    log_.warn("post-mortem: {} frames -> {}.*.jsonl ({})",
+              hub_->hw_recorder().recorded(), prefix, reason);
+  } else {
+    log_.error("post-mortem dump failed: {}", s.to_string());
+  }
+}
+
+void Fabric::install_postmortem_signal_handler() {
+  std::signal(SIGINT, &postmortem_signal_handler);
+  std::signal(SIGTERM, &postmortem_signal_handler);
 }
 
 }  // namespace vhp::fabric

@@ -8,8 +8,6 @@
 
 namespace vhp::obs {
 
-namespace {
-
 Status write_text_file(const std::string& path, const std::string& text) {
   std::ofstream f(path, std::ios::trunc);
   if (!f) return Status{StatusCode::kUnavailable, "cannot open " + path};
@@ -18,8 +16,6 @@ Status write_text_file(const std::string& path, const std::string& text) {
   if (!f) return Status{StatusCode::kUnavailable, "write failed: " + path};
   return Status::Ok();
 }
-
-}  // namespace
 
 Status ObsConfig::validate(std::string_view owner) const {
   if (timeline.ring_spans == 0) {
@@ -73,13 +69,6 @@ std::string Hub::metrics_json(std::string_view node_prefix) {
   collect();
   return metrics_.to_json(node_prefix);
 }
-
-Status Hub::serve_telemetry(u16 port, TelemetryServer::Provider provider) {
-  if (!provider) provider = [this] { return metrics_json(); };
-  return telemetry_.start(std::move(provider), port);
-}
-
-void Hub::stop_telemetry() { telemetry_.stop(); }
 
 std::string merged_metrics_json(
     std::span<const std::pair<std::string, Hub*>> hubs) {

@@ -113,7 +113,7 @@ TEST(SyncPolicyBuilderTest, FabricTsyncComposesWithThePolicy) {
   builder.sync(SyncPolicy{}.watchdog(2000ms).node_quantum(1, 75)).t_sync(300);
   builder.add_node("a");
   builder.add_node("b");
-  const SyncPolicy p = builder.build_or_throw().sync;
+  const SyncPolicy p = builder.build_or_throw().cosim.sync;
   EXPECT_EQ(p.quantum(), 300u);
   EXPECT_EQ(p.node_quantum(0), 300u);
   EXPECT_EQ(p.node_quantum(1), 75u);

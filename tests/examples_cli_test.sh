@@ -5,8 +5,9 @@
 # Every such case stops before a simulation starts. One short run
 # (router_cosim 1000 8, ~0.1 s) checks that --trace-json writes a Chrome
 # trace that parses and shows a barrier per sync, a dev_read, an RTOS thread
-# and a CLOCK frame. Another records a run with the default flags and
-# replays its hw side, which must report "replay ok".
+# and a CLOCK frame. Another records a run with the default flags, which
+# must write the hw file and the one node's board file, and replays its hw
+# side, which must report "replay ok".
 #
 # Usage: examples_cli_test.sh <path-to-router_cosim> <path-to-router_fabric>
 set -u
@@ -94,6 +95,14 @@ if [ "$status" -ne 0 ] || ! grep -q "replay ok" "$workdir/replay.out"; then
   fails=$((fails + 1))
 else
   echo "ok: router_cosim default recording replays"
+fi
+# A session is a one-node fabric: its board file is named after node0.
+if [ ! -s "$workdir/rec.node0.board.vhprec" ]; then
+  echo "FAIL: router_cosim --record wrote no rec.node0.board.vhprec" >&2
+  ls "$workdir" >&2
+  fails=$((fails + 1))
+else
+  echo "ok: router_cosim --record writes rec.node0.board.vhprec"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -80,7 +81,7 @@ TEST_P(FabricSessionTest, BoardsUseIsolatedRegistriesAtSameAddresses) {
   for (std::size_t n = 0; n < kNodes; ++n) {
     devices.push_back(std::make_unique<EchoDevice>(
         fab.kernel(), fab.registry(n), "echo" + std::to_string(n),
-        1 + 10 * static_cast<u32>(n), fab.config().clock_period));
+        1 + 10 * static_cast<u32>(n), fab.config().cosim.clock_period));
     fab.watch_interrupt(n, devices[n]->irq_line,
                         board::Board::kDeviceVector);
   }
@@ -346,7 +347,7 @@ TEST(FabricRecordingSessionTest, BoardsProduceNodeStampedRecordings) {
   for (std::size_t n = 0; n < 2; ++n) {
     devices.push_back(std::make_unique<EchoDevice>(
         fab.kernel(), fab.registry(n), "echo" + std::to_string(n), 1,
-        fab.config().clock_period));
+        fab.config().cosim.clock_period));
     fab.watch_interrupt(n, devices[n]->irq_line,
                         board::Board::kDeviceVector);
     auto& board = fab.board(n);
@@ -397,6 +398,153 @@ TEST(FabricRecordingSessionTest, BoardsProduceNodeStampedRecordings) {
     EXPECT_EQ(rec.value().meta.tags.at("node_name"), name);
     EXPECT_GT(rec.value().frames.size(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A session is a one-node fabric: one hub, one validation, one set of files.
+
+/// A unique file prefix in the test temp dir.
+std::string temp_prefix(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+}
+
+TEST(FabricOneNodeTest, ALoneNodeRunsOnTheMasterHub) {
+  {
+    Fabric one{FabricConfigBuilder{}.add_node().build_or_throw()};
+    EXPECT_EQ(&one.node_obs(0), &one.obs());
+    EXPECT_EQ(&one.board(0).obs(), &one.obs());
+    EXPECT_EQ(&one.master().obs(), &one.obs());
+  }
+  {
+    Fabric two{FabricConfigBuilder{}.add_node().add_node().build_or_throw()};
+    EXPECT_NE(&two.node_obs(0), &two.obs());
+    EXPECT_NE(&two.node_obs(1), &two.obs());
+    EXPECT_NE(&two.node_obs(0), &two.node_obs(1));
+    for (std::size_t n = 0; n < 2; ++n) {
+      EXPECT_EQ(&two.board(n).obs(), &two.node_obs(n));
+    }
+  }
+  cosim::CosimSession session{cosim::SessionConfig{}};
+  EXPECT_EQ(&session.obs(), &session.board().obs());
+  EXPECT_EQ(&session.obs(), &session.hw().obs());
+}
+
+TEST(FabricOneNodeTest, UntimedFreeRunningNodeRunsWithoutSyncs) {
+  // An untimed session is an untimed one-node fabric: the master polls
+  // DATA every cycle and never grants, the board runs free.
+  FabricConfig cfg;
+  cfg.cosim.timed = false;
+  FabricNodeConfig node;
+  node.board.free_running = true;
+  cfg.nodes.push_back(node);
+  ASSERT_TRUE(cfg.validate().ok()) << cfg.validate();
+  Fabric fab{cfg};
+  fab.start_boards();
+  ASSERT_TRUE(fab.run_cycles(2000).ok());
+  fab.finish();
+  EXPECT_EQ(fab.cycle(), 2000u);
+  EXPECT_EQ(fab.master().stats().syncs, 0u);
+  EXPECT_EQ(fab.coordinator().ticks_sent(), 0u);
+
+  // The board is free-running exactly when the master is untimed.
+  cfg.cosim.timed = true;
+  const Status s = cfg.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("board.free_running"), std::string::npos) << s;
+}
+
+TEST(FabricRecordingSessionTest, SessionWritesOneNodeFabricFiles) {
+  cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                  .t_sync(50)
+                                  .cycles_per_tick(7)
+                                  .timeslice_ticks(3)
+                                  .cycles_per_sim_cycle(2)
+                                  .record()
+                                  .build_or_throw()};
+  session.start_board();
+  ASSERT_TRUE(session.run_cycles(500).ok());
+  session.finish();
+
+  const std::string prefix = temp_prefix("session_files");
+  ASSERT_TRUE(session.write_recordings(prefix, {{"purpose", "test"}}).ok());
+  auto hw = obs::read_recording(prefix + ".hw.vhprec");
+  auto board = obs::read_recording(prefix + ".node0.board.vhprec");
+  std::remove((prefix + ".hw.vhprec").c_str());
+  std::remove((prefix + ".node0.board.vhprec").c_str());
+  ASSERT_TRUE(hw.ok()) << hw.status();
+  ASSERT_TRUE(board.ok()) << board.status();
+  EXPECT_GT(hw.value().frames.size(), 0u);
+  EXPECT_GT(board.value().frames.size(), 0u);
+
+  const auto& hw_tags = hw.value().meta.tags;
+  EXPECT_EQ(hw_tags.at("nodes"), "1");
+  EXPECT_EQ(hw_tags.at("t_sync"), "50");
+  EXPECT_EQ(hw_tags.at("timed"), "1");
+  EXPECT_EQ(hw_tags.at("purpose"), "test");
+  const auto& board_tags = board.value().meta.tags;
+  EXPECT_EQ(board_tags.at("nodes"), "1");
+  EXPECT_EQ(board_tags.at("node"), "0");
+  EXPECT_EQ(board_tags.at("node_name"), "node0");
+  EXPECT_EQ(board_tags.at("cycles_per_tick"), "7");
+  EXPECT_EQ(board_tags.at("timeslice_ticks"), "3");
+  EXPECT_EQ(board_tags.at("cycles_per_sim_cycle"), "2");
+}
+
+/// A board app that writes an address no device maps: the master's DATA
+/// service fails with kNotFound in the barrier that serves the write.
+void write_unmapped(board::Board& board) {
+  board.spawn_app("stray", 8, [&board] {
+    (void)board.dev_write(0xbad, cosim::DriverCodec<u32>::encode(1));
+  });
+}
+
+/// Expects a post-mortem file at `path` with a "reason" tag naming the
+/// unmapped write, then removes it.
+void expect_postmortem(const std::string& path) {
+  auto rec = obs::read_recording(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(rec.ok()) << path << ": " << rec.status();
+  const auto reason = rec.value().meta.tags.find("reason");
+  ASSERT_NE(reason, rec.value().meta.tags.end()) << path;
+  EXPECT_NE(reason->second.find("unmapped"), std::string::npos)
+      << reason->second;
+}
+
+TEST(PostmortemTest, SessionRunErrorDumpsBothSides) {
+  const std::string prefix = temp_prefix("postmortem_session");
+  {
+    cosim::CosimSession session{cosim::SessionConfigBuilder{}
+                                    .t_sync(20)
+                                    .record()
+                                    .postmortem_prefix(prefix)
+                                    .build_or_throw()};
+    write_unmapped(session.board());
+    session.start_board();
+    const Status s = session.run_cycles(1000);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << s;
+    session.finish();
+  }
+  expect_postmortem(prefix + ".hw.jsonl");
+  expect_postmortem(prefix + ".node0.board.jsonl");
+}
+
+TEST(PostmortemTest, FabricRunErrorDumpsEverySide) {
+  const std::string prefix = temp_prefix("postmortem_fabric");
+  {
+    FabricConfigBuilder builder;
+    builder.t_sync(20).record().postmortem_prefix(prefix);
+    builder.add_node("left").add_node("right");
+    Fabric fab{builder.build_or_throw()};
+    write_unmapped(fab.board(1));
+    fab.start_boards();
+    const Status s = fab.run_cycles(1000);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << s;
+    fab.finish();
+  }
+  expect_postmortem(prefix + ".hw.jsonl");
+  expect_postmortem(prefix + ".left.board.jsonl");
+  expect_postmortem(prefix + ".right.board.jsonl");
 }
 
 }  // namespace

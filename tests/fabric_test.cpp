@@ -396,6 +396,26 @@ TEST(FabricConfigTest, RejectsZeroSpanRing) {
   EXPECT_THROW(Fabric{cfg}, std::invalid_argument);
 }
 
+TEST(FabricConfigTest, RejectsDuplicateNodeNames) {
+  // Two nodes under one name would share their fabric.<name>.* counters,
+  // write one board recording over the other and repeat metric keys. The
+  // check runs on resolved names: an unnamed node i is "node<i>".
+  for (const auto& [first, second] :
+       {std::pair<std::string, std::string>{"dup", "dup"},
+        std::pair<std::string, std::string>{"node1", ""}}) {
+    SCOPED_TRACE(first + "/" + second);
+    FabricConfig cfg;
+    cfg.nodes.push_back(FabricNodeConfig{first});
+    cfg.nodes.push_back(FabricNodeConfig{second});
+    const Status s = cfg.validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("nodes 0 and 1"), std::string::npos) << s;
+    EXPECT_THROW(Fabric{cfg}, std::invalid_argument);
+  }
+  EXPECT_TRUE(
+      FabricConfigBuilder{}.add_node("node1").add_node("node0").build().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Node-stamped recordings (satellite: per-node replay/diff)
 

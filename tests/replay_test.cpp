@@ -280,10 +280,10 @@ RecordedRun record_echo_run(const std::string& tag) {
   EXPECT_TRUE(session.write_recordings(prefix).ok());
   auto loaded = obs::read_recording(prefix + ".hw.vhprec");
   EXPECT_TRUE(loaded.ok()) << loaded.status();
-  auto board_rec = obs::read_recording(prefix + ".board.vhprec");
+  auto board_rec = obs::read_recording(prefix + ".node0.board.vhprec");
   EXPECT_TRUE(board_rec.ok()) << board_rec.status();
   std::remove((prefix + ".hw.vhprec").c_str());
-  std::remove((prefix + ".board.vhprec").c_str());
+  std::remove((prefix + ".node0.board.vhprec").c_str());
 
   RecordedRun run;
   run.hw_recording = std::move(loaded).value();

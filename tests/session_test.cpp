@@ -364,12 +364,15 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   auto& metrics = session.obs().metrics();
   const auto hw = session.hw().stats();
   EXPECT_GT(hw.syncs, 0u);
-  // A session syncs through the 1-node coordinator: its grants and acks
-  // count under fabric.*, the boot ack included there.
+  // A session is a 1-node fabric: its grants and acks count under
+  // fabric.*, the boot ack included there, and its link's DATA/INT
+  // counters under its node, node0.
   EXPECT_EQ(metrics.counter("fabric.ticks_sent").value(), hw.syncs);
-  EXPECT_EQ(metrics.counter("cosim.data_writes").value(), hw.data_writes);
-  EXPECT_EQ(metrics.counter("cosim.data_reads").value(), hw.data_reads);
-  EXPECT_EQ(metrics.counter("cosim.interrupts_sent").value(),
+  EXPECT_EQ(metrics.counter("fabric.node0.data_writes").value(),
+            hw.data_writes);
+  EXPECT_EQ(metrics.counter("fabric.node0.data_reads").value(),
+            hw.data_reads);
+  EXPECT_EQ(metrics.counter("fabric.node0.interrupts_sent").value(),
             hw.interrupts_sent);
   EXPECT_EQ(metrics.counter("fabric.acks_received").value(),
             hw.acks_received + 1);
@@ -403,7 +406,8 @@ TEST_P(SessionTest, ObsMetricsMatchLegacyStats) {
   EXPECT_NE(dump.find("\"fabric.ticks_sent\""), std::string::npos);
   EXPECT_NE(dump.find("\"rtos.context_switches\""), std::string::npos);
   EXPECT_NE(dump.find("\"cosim.wall.ack_wait_ns\""), std::string::npos);
-  EXPECT_NE(dump.find("\"net.hw.data.tx_frames\""), std::string::npos);
+  EXPECT_NE(dump.find("\"net.hw.node0.data.tx_frames\""),
+            std::string::npos);
 }
 
 TEST(SessionObsTest, DisabledSessionKeepsCountersButNoTrace) {

@@ -1,6 +1,6 @@
 // End-to-end causal timeline: real virtual boards (RTOS fibers) under a
 // timeline-armed session/fabric, live analysis, the offline extraction path
-// on written recordings, and the telemetry endpoint on a running fabric.
+// on written recordings.
 // Fiber-bound, so no "tsan" label — the fiber-free timeline logic lives in
 // timeline_test.cpp.
 #include <gtest/gtest.h>
@@ -14,9 +14,7 @@
 #include "vhp/cosim/session.hpp"
 #include "vhp/fabric/fabric.hpp"
 #include "vhp/net/replay.hpp"
-#include "vhp/net/tcp.hpp"
 #include "vhp/obs/recording.hpp"
-#include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
 #include "vhp/router/checksum_app.hpp"
 #include "vhp/router/testbench.hpp"
@@ -114,26 +112,6 @@ TEST(FabricTimelineTest, DisabledTimelineLeavesNoTrace) {
   const std::string doc = fab.metrics_json();
   EXPECT_EQ(doc.find("\"timeline\":"), std::string::npos);
   fab.finish();
-}
-
-TEST(FabricTimelineTest, TelemetryEndpointServesTheMergedDocument) {
-  Fabric fab{timeline_fabric_config(/*timeline=*/true)};
-  fab.start_boards();
-  ASSERT_TRUE(fab.run_cycles(100).ok());
-  ASSERT_TRUE(fab.serve_telemetry(0).ok());
-  ASSERT_NE(fab.telemetry_port(), 0u);
-
-  auto channel = net::connect_tcp_channel(fab.telemetry_port());
-  ASSERT_TRUE(channel.ok()) << channel.status();
-  auto frame = channel.value()->recv(5000ms);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  const std::string doc(frame.value().begin(), frame.value().end());
-  EXPECT_NE(doc.find("\"timeline\":"), std::string::npos);
-  const obs::TelemetrySnapshot snap = obs::parse_metrics_snapshot(doc);
-  ASSERT_TRUE(snap.ok);
-  EXPECT_GT(snap.counter("fabric.barriers"), 0u);
-
-  fab.finish();  // must stop the endpoint before tearing the fabric down
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The cross-node causal timeline, fiber-free ("timeline-tsan" label): the
 // round-id codec, span rings, the critical-path analyzer on synthetic spans,
-// offline extraction from recordings, the telemetry endpoint, and the
-// SyncCoordinator driven over raw inproc channel pairs by plain threads —
-// including the metrics-continuity-across-eviction+rejoin satellite.
+// offline extraction from recordings, and the SyncCoordinator driven over
+// raw inproc channel pairs by plain threads — including the
+// metrics-continuity-across-eviction+rejoin satellite.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,12 +19,10 @@
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
-#include "vhp/net/tcp.hpp"
 #include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/hub.hpp"
 #include "vhp/obs/metrics.hpp"
 #include "vhp/obs/recording.hpp"
-#include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
 
 // ---------------------------------------------------------------------------
@@ -394,82 +392,6 @@ TEST_F(RecordingFileTest, RejectsGarbageMagic) {
     }
     EXPECT_FALSE(read_recording(path_).ok()) << head.substr(0, 8);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry endpoint + snapshot parsing
-
-TEST(TelemetryTest, ParsesCountersGaugesAndHistograms) {
-  MetricsRegistry reg;
-  reg.counter("fabric.barriers").inc(7);
-  reg.gauge("fabric.nodes").set(3);
-  reg.histogram("sync.wait").record_ns(4000);
-  const TelemetrySnapshot snap = parse_metrics_snapshot(reg.to_json());
-  ASSERT_TRUE(snap.ok);
-  EXPECT_EQ(snap.counter("fabric.barriers"), 7u);
-  EXPECT_EQ(snap.gauge("fabric.nodes"), 3);
-  ASSERT_EQ(snap.histograms.count("sync.wait"), 1u);
-  EXPECT_EQ(snap.histograms.at("sync.wait").count, 1u);
-  EXPECT_EQ(snap.histograms.at("sync.wait").sum_ns, 4000u);
-}
-
-TEST(TelemetryTest, ParseRejectsNonMetricsDocuments) {
-  EXPECT_FALSE(parse_metrics_snapshot("").ok);
-  EXPECT_FALSE(parse_metrics_snapshot("hello, not json").ok);
-}
-
-TEST(TelemetryTest, ServerServesOneFramePerConnection) {
-  MetricsRegistry reg;
-  reg.counter("fabric.barriers").inc(11);
-  TelemetryServer server;
-  ASSERT_TRUE(server.start([&reg] { return reg.to_json(); }).ok());
-  ASSERT_NE(server.port(), 0u);
-
-  for (int i = 0; i < 2; ++i) {
-    auto channel = net::connect_tcp_channel(server.port());
-    ASSERT_TRUE(channel.ok()) << channel.status();
-    auto frame = channel.value()->recv(std::chrono::milliseconds{5000});
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    const TelemetrySnapshot snap = parse_metrics_snapshot(
-        std::string(frame.value().begin(), frame.value().end()));
-    ASSERT_TRUE(snap.ok);
-    EXPECT_EQ(snap.counter("fabric.barriers"), 11u);
-  }
-  // The server bumps served() after the send lands in the socket buffer, so
-  // the client can observe the frame a hair before the counter; wait it out.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds{5};
-  while (server.served() < 2 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::yield();
-  EXPECT_EQ(server.served(), 2u);
-  server.stop();
-  EXPECT_FALSE(server.running());
-  server.stop();  // idempotent
-}
-
-TEST(TelemetryTest, StartTwiceFailsStopRestartsClean) {
-  TelemetryServer server;
-  ASSERT_TRUE(server.start([] { return std::string("{}"); }).ok());
-  EXPECT_FALSE(server.start([] { return std::string("{}"); }).ok());
-  server.stop();
-  ASSERT_TRUE(server.start([] { return std::string("{}"); }).ok());
-  server.stop();
-}
-
-TEST(TelemetryTest, TopTextRendersAbsoluteAndRateViews) {
-  MetricsRegistry reg;
-  reg.counter("fabric.barriers").inc(10);
-  reg.histogram("fabric.barrier_wait_ns").record_ns(8000);
-  reg.histogram("fabric.node0.grant_cycles").record_ns(1000);
-  const TelemetrySnapshot prev = parse_metrics_snapshot(reg.to_json());
-  reg.counter("fabric.barriers").inc(5);
-  const TelemetrySnapshot cur = parse_metrics_snapshot(reg.to_json());
-
-  const std::string absolute = telemetry_top_text(cur, nullptr, 0.0);
-  EXPECT_NE(absolute.find("rounds 15"), std::string::npos);
-  EXPECT_NE(absolute.find("barrier wait"), std::string::npos);
-  const std::string rates = telemetry_top_text(cur, &prev, 1.0);
-  EXPECT_NE(rates.find("node0"), std::string::npos);
 }
 
 }  // namespace

@@ -7,15 +7,13 @@
 //   vhptrace to-chrome <recording> [out.json]
 //   vhptrace timeline <hw.vhprec> [board.vhprec...] [--chrome out.json]
 //   vhptrace critical <hw.vhprec> [board.vhprec...] [--gate PCT]
-//   vhptrace top <port> [--interval MS] [--count N] [--once]
 //
 // Fabric recordings interleave N nodes' links in one global sequence;
 // --node keeps one node's frames (two-party recordings are all node 0).
 //
 // timeline/critical reconstruct per-round spans from the CLOCK traffic
 // (net::timeline_from_recordings) and run the causal-timeline analyzer on
-// them; top polls a live fabric's telemetry endpoint
-// (Fabric::serve_telemetry) and renders per-node round rates.
+// them.
 //
 // to-chrome and timeline --chrome render through the library's one Chrome
 // writer (obs::chrome_trace_json): spans on their tracks, one instant per
@@ -24,7 +22,6 @@
 // Thin shell over the library: the subcommand logic lives in
 // vhp/obs/recording.hpp, vhp/obs/timeline.hpp, vhp/obs/chrome_trace.hpp
 // and vhp/net/replay.hpp (tested there); this file only parses arguments.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,16 +30,13 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "vhp/common/format.hpp"
 #include "vhp/net/message.hpp"
 #include "vhp/net/replay.hpp"
-#include "vhp/net/tcp.hpp"
 #include "vhp/obs/chrome_trace.hpp"
 #include "vhp/obs/recording.hpp"
-#include "vhp/obs/telemetry.hpp"
 #include "vhp/obs/timeline.hpp"
 
 namespace {
@@ -70,10 +64,7 @@ int usage() {
                "  critical <hw.vhprec> [board.vhprec...] [--gate PCT]\n"
                "      critical-path report: per-node compute/wait/transport,\n"
                "      straggler ranking, slowdown; --gate exits 1 when the\n"
-               "      decomposition misses total wall-clock by more than PCT%%\n"
-               "  top <port> [--interval MS] [--count N] [--once]\n"
-               "      refreshing view of a live fabric's telemetry endpoint\n"
-               "      (Fabric::serve_telemetry on 127.0.0.1)\n");
+               "      decomposition misses total wall-clock by more than PCT%%\n");
   return 2;
 }
 
@@ -369,65 +360,6 @@ int cmd_critical(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_top(std::vector<std::string> args) {
-  if (args.empty()) return usage();
-  const std::optional<u64> port = parse_u64(args[0]);
-  if (!port.has_value() || *port == 0 || *port > 65535) return usage();
-  u64 interval_ms = 1000;
-  u64 count = 0;  // 0 = until interrupted
-  bool once = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--interval" && i + 1 < args.size()) {
-      const std::optional<u64> ms = parse_u64(args[++i]);
-      if (!ms.has_value() || *ms == 0) return usage();
-      interval_ms = *ms;
-    } else if (args[i] == "--count" && i + 1 < args.size()) {
-      const std::optional<u64> n = parse_u64(args[++i]);
-      if (!n.has_value()) return usage();
-      count = *n;
-    } else if (args[i] == "--once") {
-      once = true;
-    } else {
-      return usage();
-    }
-  }
-  if (once) count = 1;
-  std::optional<obs::TelemetrySnapshot> prev;
-  for (u64 iter = 0; count == 0 || iter < count; ++iter) {
-    if (iter > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-    // One connection per sample: the endpoint serves one frame and closes.
-    auto channel = net::connect_tcp_channel(static_cast<u16>(*port));
-    if (!channel.ok()) {
-      std::fprintf(stderr, "vhptrace: connect to 127.0.0.1:%u failed: %s\n",
-                   static_cast<unsigned>(*port),
-                   channel.status().to_string().c_str());
-      return 2;
-    }
-    auto doc = channel.value()->recv(std::chrono::milliseconds{5000});
-    if (!doc.ok()) {
-      std::fprintf(stderr, "vhptrace: telemetry read failed: %s\n",
-                   doc.status().to_string().c_str());
-      return 2;
-    }
-    const std::string json(doc.value().begin(), doc.value().end());
-    obs::TelemetrySnapshot snap = obs::parse_metrics_snapshot(json);
-    if (!snap.ok) {
-      std::fprintf(stderr, "vhptrace: unparseable telemetry document\n");
-      return 2;
-    }
-    if (count != 1 && iter > 0) std::printf("\033[2J\033[H");
-    const double dt_s = static_cast<double>(interval_ms) / 1000.0;
-    std::fputs(obs::telemetry_top_text(snap, prev ? &*prev : nullptr, dt_s)
-                   .c_str(),
-               stdout);
-    std::fflush(stdout);
-    prev = std::move(snap);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -440,6 +372,5 @@ int main(int argc, char** argv) {
   if (cmd == "to-chrome") return cmd_to_chrome(args);
   if (cmd == "timeline") return cmd_timeline(args);
   if (cmd == "critical") return cmd_critical(args);
-  if (cmd == "top") return cmd_top(args);
   return usage();
 }

@@ -24,6 +24,13 @@ class Bus {
   /// Zero-extended load of 1, 2 or 4 bytes.
   virtual u32 load(u32 addr, unsigned bytes) = 0;
   virtual void store(u32 addr, u32 value, unsigned bytes) = 0;
+
+  /// The RAM page the Cpu may fetch `pc` from directly (and decode once),
+  /// or nullptr when an MMIO window overlaps that page: the Cpu then
+  /// fetches every instruction there through fetch().
+  virtual const sim::Memory::Page* ram_page(u32 pc) = 0;
+  /// Uncached instruction fetch of the word at `pc`.
+  virtual u32 fetch(u32 pc) { return load(pc, 4); }
 };
 
 /// RAM + MMIO windows.
@@ -36,6 +43,8 @@ class MemoryBus final : public Bus {
   explicit MemoryBus(sim::Memory& ram) : ram_(ram) {}
 
   /// Maps [base, base+size) to handlers; later mappings win on overlap.
+  /// Map every window before a Cpu runs code: a Cpu keeps the answer of
+  /// ram_page() for each page it has fetched from.
   void map_mmio(u32 base, u32 size, LoadHandler load, StoreHandler store) {
     mmio_.push_back(Window{base, size, std::move(load), std::move(store)});
   }
@@ -63,6 +72,15 @@ class MemoryBus final : public Bus {
     std::array<u8, 4> raw{};
     for (unsigned i = 0; i < bytes; ++i) raw[i] = static_cast<u8>(value >> (8 * i));
     ram_.write(addr, std::span{raw.data(), bytes});
+  }
+
+  const sim::Memory::Page* ram_page(u32 pc) override {
+    const u64 first = pc & ~u64{sim::Memory::kPageBytes - 1};
+    const u64 end = first + sim::Memory::kPageBytes;
+    for (const Window& w : mmio_) {
+      if (first < u64{w.base} + w.size && w.base < end) return nullptr;
+    }
+    return &ram_.page(pc);
   }
 
  private:

@@ -31,7 +31,8 @@ struct IssRunnerConfig {
   u32 entry_pc = 0x1000;
   u32 stack_top = 0x0008'0000;
   int priority = 8;
-  /// Runaway-firmware backstop.
+  /// Runaway-firmware backstop: a firmware that retires this many
+  /// instructions is stopped with IssRunner::kFaultExitCode.
   u64 max_instructions = 100'000'000;
   /// Device MMIO window: a load/store at mmio_base + A becomes a
   /// dev_read/dev_write at device address A.
@@ -40,7 +41,8 @@ struct IssRunnerConfig {
   /// Extra cycles charged per device access (bus bridge cost).
   u64 mmio_access_cost = 10;
   /// Instructions batched per consume() charge (throughput/fidelity knob:
-  /// preemption points happen at batch ends).
+  /// preemption points happen at batch ends). With flat timing the Cpu
+  /// runs each batch in one Cpu::run() call.
   u64 batch_cycles = 64;
   /// Board-thread name ("firmware/2" on a many-core board).
   std::string thread_name = "firmware";
@@ -48,6 +50,10 @@ struct IssRunnerConfig {
 
 class IssRunner {
  public:
+  /// exit_code() of a firmware stopped by a fault: an illegal instruction,
+  /// a misaligned fetch or the instruction limit.
+  static constexpr u32 kFaultExitCode = 0xdead;
+
   /// Spawns the firmware thread; the program must already be in `ram`.
   IssRunner(board::Board& board, sim::Memory& ram, IssRunnerConfig config);
 

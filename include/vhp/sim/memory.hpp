@@ -2,6 +2,10 @@
 // paper's Figure 1 board diagram, reusable by any device model such as the
 // DMA engine example). Sparse page storage, so a 4 GiB address space costs
 // only what is touched; optional access counters for verification.
+//
+// Every write path bumps the written page's version, so a consumer that keeps
+// a derived copy of a page (the ISS's decoded-instruction cache) can tell a
+// stale copy from a current one without being told about each write.
 #pragma once
 
 #include <array>
@@ -17,6 +21,17 @@ namespace vhp::sim {
 class Memory {
  public:
   static constexpr std::size_t kPageBytes = 4096;
+  using PageBytes = std::array<u8, kPageBytes>;
+
+  /// One page of the address space.
+  struct Page {
+    /// Backing storage; null while the page reads as zero (never written,
+    /// or freed by clear()).
+    std::unique_ptr<PageBytes> bytes;
+    /// Bumped by every write into the page and by clear(): a copy derived
+    /// from the page's bytes is current while it carries this version.
+    u64 version = 0;
+  };
 
   explicit Memory(std::string name) : name_(std::move(name)) {}
 
@@ -35,22 +50,31 @@ class Memory {
   void write_u8(u64 addr, u8 value);
   void write_u32(u64 addr, u32 value);  // little-endian
 
-  /// Zero-fills everything (drops all pages).
-  void clear() { pages_.clear(); }
+  /// The page holding `addr`, for readers that cache what it holds. The
+  /// reference stays valid for the Memory's lifetime: a page never written
+  /// gets a record without storage (no resident page), and clear() frees
+  /// storage but keeps the records. Not counted as a read.
+  [[nodiscard]] const Page& page(u64 addr);
 
-  [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
+  /// Zero-fills everything: frees every page's storage and bumps every
+  /// page's version.
+  void clear();
+
+  [[nodiscard]] std::size_t resident_pages() const { return resident_; }
+  /// Calls of the read methods (reads through page() are not counted).
   [[nodiscard]] u64 reads() const { return reads_; }
   [[nodiscard]] u64 writes() const { return writes_; }
 
  private:
-  using Page = std::array<u8, kPageBytes>;
-
-  /// Page for reading; nullptr when never written (reads as zero).
-  [[nodiscard]] const Page* page_for_read(u64 page_index) const;
-  Page& page_for_write(u64 page_index);
+  /// Storage for reading; nullptr when the page reads as zero.
+  [[nodiscard]] const PageBytes* bytes_for_read(u64 page_index) const;
+  /// Storage for writing (allocated on first use); bumps the page version.
+  PageBytes& bytes_for_write(u64 page_index);
 
   std::string name_;
-  std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+  /// Node-based, so a Page reference survives rehashing; never erased.
+  std::unordered_map<u64, Page> pages_;
+  std::size_t resident_ = 0;
   mutable u64 reads_ = 0;
   u64 writes_ = 0;
 };

@@ -73,17 +73,27 @@ void IssRunner::run_loop() {
       pending_cycles = 0;
     }
   };
-  while (cpu_.instructions_retired() < config_.max_instructions) {
-    // Disarmed boards skip the per-step access reset: the record saturates
-    // after the first instruction and the decorator costs two predictable
-    // branches per transaction (the mem_contention --gate budget).
-    if (mem_port_ != nullptr) timed_bus_.begin_instruction();
-    const StepResult r = cpu_.step();
-    u64 cost = r.cycles;
-    if (mem_port_ != nullptr) {
+  for (;;) {
+    if (cpu_.instructions_retired() >= config_.max_instructions) {
+      log_.error("firmware: instruction limit {} reached at pc={}",
+                 config_.max_instructions, cpu_.pc());
+      exit_code_ = kFaultExitCode;
+      break;
+    }
+    StepResult r;
+    if (mem_port_ == nullptr) {
+      // Flat timing: one batch up to the next charge point. pending_cycles
+      // is below batch_cycles here, and run() stops where a step loop
+      // would charge: at the batch end, a trap or the instruction limit.
+      r = cpu_.run(config_.batch_cycles - pending_cycles,
+                   config_.max_instructions);
+      pending_cycles += r.cycles;
+    } else {
       // Pipelined timing: the fetch traverses the I-cache, a data access
       // the D-cache (misses queue on the shared banks); MMIO keeps its
       // flat bridge cost — device registers are uncached by definition.
+      timed_bus_.begin_instruction(cpu_.pc());
+      r = cpu_.step();
       const auto& acc = timed_bus_.accesses();
       const u64 now =
           board_.kernel().core_cycle_count(mem_port_->core()) + pending_cycles;
@@ -94,9 +104,9 @@ void IssRunner::run_loop() {
         data_lat = mem_port_->data_access(acc.data_addr, acc.data_is_store,
                                           now + fetch_lat);
       }
-      cost = mem_port_->pipeline().instruction(r.cycles, fetch_lat, data_lat);
+      pending_cycles +=
+          mem_port_->pipeline().instruction(r.cycles, fetch_lat, data_lat);
     }
-    pending_cycles += cost;
     if (r.trap == TrapKind::kNone) {
       if (pending_cycles >= config_.batch_cycles) charge();
       continue;
@@ -115,7 +125,7 @@ void IssRunner::run_loop() {
                r.trap == TrapKind::kIllegalInstruction ? "illegal instruction"
                                                        : "misaligned fetch",
                cpu_.pc(), r.instruction);
-    exit_code_ = 0xdead;
+    exit_code_ = kFaultExitCode;
     break;
   }
   charge();

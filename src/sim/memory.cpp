@@ -4,18 +4,32 @@
 
 namespace vhp::sim {
 
-const Memory::Page* Memory::page_for_read(u64 page_index) const {
+const Memory::PageBytes* Memory::bytes_for_read(u64 page_index) const {
   auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : it->second.get();
+  return it == pages_.end() ? nullptr : it->second.bytes.get();
 }
 
-Memory::Page& Memory::page_for_write(u64 page_index) {
-  auto& slot = pages_[page_index];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
+Memory::PageBytes& Memory::bytes_for_write(u64 page_index) {
+  Page& page = pages_[page_index];
+  ++page.version;
+  if (!page.bytes) {
+    page.bytes = std::make_unique<PageBytes>();
+    page.bytes->fill(0);
+    ++resident_;
   }
-  return *slot;
+  return *page.bytes;
+}
+
+const Memory::Page& Memory::page(u64 addr) {
+  return pages_[addr / kPageBytes];
+}
+
+void Memory::clear() {
+  for (auto& [index, page] : pages_) {
+    page.bytes.reset();
+    ++page.version;
+  }
+  resident_ = 0;
 }
 
 void Memory::read(u64 addr, std::span<u8> out) const {
@@ -26,8 +40,8 @@ void Memory::read(u64 addr, std::span<u8> out) const {
     const std::size_t offset = (addr + done) % kPageBytes;
     const std::size_t chunk =
         std::min(out.size() - done, kPageBytes - offset);
-    if (const Page* page = page_for_read(page_index)) {
-      std::memcpy(out.data() + done, page->data() + offset, chunk);
+    if (const PageBytes* bytes = bytes_for_read(page_index)) {
+      std::memcpy(out.data() + done, bytes->data() + offset, chunk);
     } else {
       std::memset(out.data() + done, 0, chunk);
     }
@@ -49,7 +63,7 @@ void Memory::write(u64 addr, std::span<const u8> data) {
     const std::size_t offset = (addr + done) % kPageBytes;
     const std::size_t chunk =
         std::min(data.size() - done, kPageBytes - offset);
-    std::memcpy(page_for_write(page_index).data() + offset,
+    std::memcpy(bytes_for_write(page_index).data() + offset,
                 data.data() + done, chunk);
     done += chunk;
   }

@@ -455,11 +455,46 @@ TEST(IssRunner, InstructionsChargeTheCycleBudget) {
   board.run();
   hw.join();
   ASSERT_TRUE(runner.exited());
-  // ~300 cycles of loop work -> the tick counter the firmware read must be
-  // in the right ballpark (charging is batched, so allow slack).
+  // 300 cycles of loop work plus the syscall setup, charged in batches of
+  // 16 and at the ECALL: the firmware reads exactly 30 ticks of 10 cycles.
+  // The count pins the charge points.
   const u32 ticks_seen = runner.cpu().reg(Cpu::kRegA0);
-  EXPECT_GE(ticks_seen, 25u);
-  EXPECT_LE(ticks_seen, 40u);
+  EXPECT_EQ(ticks_seen, 30u);
+}
+
+TEST(IssRunner, InstructionLimitIsNotACleanExit) {
+  auto pair = net::make_inproc_link_pair();
+  board::BoardConfig cfg;
+  cfg.free_running = true;
+  board::Board board{cfg, std::move(pair.board)};
+
+  sim::Memory ram{"ram"};
+  Asm a;  // a runaway firmware: never exits
+  const auto loop = a.make_label();
+  a.bind(loop);
+  a.addi(1, 1, 1);
+  a.j(loop);
+  a.load_into(ram, 0x1000);
+
+  IssRunnerConfig rc;
+  rc.entry_pc = 0x1000;
+  rc.max_instructions = 1000;
+  IssRunner runner{board, ram, rc};
+
+  std::thread hw{[&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{5};
+    while (!runner.exited() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+    ASSERT_TRUE(net::send_msg(*pair.hw.clock, net::Shutdown{}).ok());
+  }};
+
+  board.run();
+  hw.join();
+  ASSERT_TRUE(runner.exited());
+  EXPECT_EQ(runner.instructions(), 1000u);
+  EXPECT_EQ(runner.exit_code(), IssRunner::kFaultExitCode);
 }
 
 }  // namespace

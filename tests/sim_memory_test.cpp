@@ -71,6 +71,46 @@ TEST(Memory, AccessCountersTrack) {
   EXPECT_EQ(m.reads(), 2u);
 }
 
+TEST(Memory, EveryWritePathBumpsItsPageVersion) {
+  Memory m{"m"};
+  const Memory::Page& page = m.page(0x1000);
+  EXPECT_EQ(page.bytes, nullptr);  // a record, no storage
+  EXPECT_EQ(m.resident_pages(), 0u);
+  u64 seen = page.version;
+  const auto bumped = [&] {
+    const bool moved = page.version != seen;
+    seen = page.version;
+    return moved;
+  };
+  m.write_u32(0x1004, 1);
+  EXPECT_TRUE(bumped());
+  m.write_u8(0x1fff, 2);
+  EXPECT_TRUE(bumped());
+  m.write(0x1ffe, Bytes{3, 4, 5});  // straddles into the next page
+  EXPECT_TRUE(bumped());
+  EXPECT_EQ(m.page(0x2000).version, 1u);
+  (void)m.read_u32(0x1004);
+  EXPECT_FALSE(bumped());
+  m.write_u8(0x3000, 6);  // another page
+  EXPECT_FALSE(bumped());
+  EXPECT_EQ(&m.page(0x1abc), &page);
+  EXPECT_EQ(page.bytes->at(4), 1);
+}
+
+TEST(Memory, ClearFreesStorageAndKeepsPageRecords) {
+  Memory m{"m"};
+  m.write_u32(0x20, 7);
+  const Memory::Page& page = m.page(0x20);
+  const u64 before = page.version;
+  m.clear();
+  EXPECT_EQ(page.bytes, nullptr);
+  EXPECT_GT(page.version, before);
+  EXPECT_EQ(&m.page(0x20), &page);
+  m.write_u32(0x20, 9);
+  EXPECT_EQ(m.read_u32(0x20), 9u);
+  EXPECT_EQ(m.resident_pages(), 1u);
+}
+
 class MemoryRandomSweep : public ::testing::TestWithParam<u64> {};
 
 TEST_P(MemoryRandomSweep, RandomWritesMatchReferenceMap) {

@@ -1,7 +1,8 @@
 // Micro-benchmarks of the discrete-event simulation kernel (substrate
 // characterization + ablation data for DESIGN.md §4): timed event
-// dispatch, a delta cycle through a signal, a clocked method and its
-// scheduler fan-out, the SC_THREAD fiber switch, and a FIFO
+// dispatch, a delta cycle through a signal, a clock nothing listens to
+// (the lazy path), a clocked method and its scheduler fan-out (the
+// generator path), the SC_THREAD fiber switch, and a FIFO
 // producer/consumer pair.
 //
 // Output: BENCH_micro_sim_kernel.metrics.json — one row per workload with
@@ -71,6 +72,22 @@ Run delta_cycle_with_signal(u64 steps) {
     k.run(1);
   });
   return {s, sig.read()};
+}
+
+/// A clock nobody listens to, one period per step: no event is scheduled,
+/// the level is computed. The work counted is the steps after which the
+/// clock reads the level its start and period predict.
+Run clock_unlistened(u64 steps) {
+  constexpr sim::SimTime kPeriod = 2;
+  sim::Kernel k;
+  sim::Clock clk{k, "clk", kPeriod};
+  u64 correct = 0;
+  const double s = time_steps(steps, [&] {
+    k.run(kPeriod);
+    const bool expected = k.now() % kPeriod < kPeriod - kPeriod / 2;
+    correct += clk.read() == expected ? 1 : 0;
+  });
+  return {s, correct};
 }
 
 /// `fanout` posedge-sensitive methods on one clock, one cycle per step.
@@ -167,6 +184,7 @@ int main(int argc, char** argv) {
 
   measure("timed_event_dispatch", steps, timed_event_dispatch);
   measure("delta_cycle_with_signal", steps, delta_cycle_with_signal);
+  measure("clock_unlistened", steps, clock_unlistened);
   for (const std::size_t fanout : {1, 16, 256}) {
     // Keep the wide fan-out rows to a comparable amount of method calls.
     const u64 n = std::max<u64>(1000, steps * 16 / std::max<std::size_t>(

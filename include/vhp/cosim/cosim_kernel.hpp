@@ -17,6 +17,16 @@
 // so the paper's per-cycle DATA poll could only find nothing: a timed
 // quantum polls no DATA port. Untimed, the poll is driver_simulate()'s.
 //
+// Timed, a quantum also skips quiet cycles: when the kernel has nothing
+// pending and its next timed notification falls after cycle c+k, cycles
+// c+1..c+k+1 run as one kernel run, bounded by the next barrier and the
+// requested cycle count. No signal changes in a quiet cycle, so its
+// interrupt sample would repeat the last one, and every barrier, DATA
+// service and INT sample keeps its cycle number. An unlistened master
+// clock schedules nothing (sim::Clock), so a clock-only model costs one
+// kernel run per barrier. Untimed runs step every cycle: a free-running
+// board can send DATA at any cycle.
+//
 // One loop body (pump) serves both drives: run_cycles() is pump() plus a
 // blocking wait, and an event loop calls pump() directly. A two-party
 // session is the N=1 case of a fabric.
@@ -47,7 +57,8 @@ struct CosimConfig {
   /// session, wires that automatically), and the watchdog bounding every
   /// gather.
   SyncPolicy sync{};
-  /// Simulation time units per clock cycle (posedge every period).
+  /// Simulation time units per clock cycle (posedge every period); at
+  /// least 2, so the clock has a high and a low phase.
   sim::SimTime clock_period = 2;
   /// When true, run timed: exchange CLOCK_TICK/TIME_ACK. When false the
   /// simulation free-runs (the paper's untimed baseline, the denominator of
@@ -62,7 +73,7 @@ struct CosimConfig {
   u64 parallel_workers = 0;
 
   /// Rejects configurations that would divide by zero or stall the protocol
-  /// (an invalid `sync` policy in timed mode, zero clock_period).
+  /// (an invalid `sync` policy in timed mode, a clock_period below 2).
   [[nodiscard]] Status validate() const;
 };
 
@@ -102,6 +113,8 @@ class CosimKernel {
 
   /// Registers `line` as a device interrupt source of link i: a rising edge
   /// sampled at a cycle boundary sends INT_RAISE(vector) to that board.
+  /// The watch adds a change hook to `line`, so a sim::Clock used as an
+  /// interrupt line keeps every edge (it counts as listened).
   void watch_interrupt(sim::BoolSignal& line, u32 vector) {
     watch_interrupt(0, line, vector);
   }
@@ -200,6 +213,10 @@ class CosimKernel {
   /// pump()'s loop: runs cycles until cycle_ reaches `until` or a board
   /// owes a frame (*blocked).
   Status advance(u64 until, bool* blocked);
+  /// Timed: the cycles after cycle_ in which the kernel has nothing to do,
+  /// bounded so that the cycle after them stays at or before `until` and
+  /// the next barrier.
+  [[nodiscard]] u64 quiet_cycles(u64 until);
 
   CosimConfig config_;
   Status config_status_;

@@ -56,12 +56,19 @@ class Event {
   friend class ThreadProcess;
   friend class SignalBase;
   friend class BoolSignal;
+  friend class Clock;
   friend class Partition;
 
   enum class Pending { kNone, kDelta, kTimed };
 
   /// Kernel callback: fire to all sensitive/waiting processes.
   void trigger();
+
+  /// True while a process is statically sensitive to this event or waits
+  /// on it (a stale wait_any registration counts until the next trigger).
+  [[nodiscard]] bool listened() const {
+    return !static_sensitive_.empty() || !dynamic_waiters_.empty();
+  }
 
   Kernel& kernel_;
   std::string name_;

@@ -11,6 +11,17 @@
 //   4. when no delta activity remains, advance time to the earliest timed
 //      notification.
 //
+// Timed notifications wait in a vector-backed binary heap ordered by
+// (time, schedule sequence number), so notifications due at one instant
+// fire in the order they were scheduled; the update and delta phases swap
+// their queues with member scratch vectors that keep their capacity. A
+// notification, delta cycle or thread wake allocates nothing once the
+// vectors have grown.
+//
+// An unlistened sim::Clock schedules no events at all: its level is
+// computed from start, period and time whenever time advances (see the
+// Clock comment in vhp/sim/signal.hpp), so it is not pending activity.
+//
 // Deterministic parallel mode (set_parallel): the evaluation phase fans
 // islands (see vhp/sim/partition.hpp) out over a fixed worker pool, with
 // per-island staging queues instead of the global ones; phases 2 and 3 then
@@ -23,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,15 +69,29 @@ class Kernel {
   /// Runs until absolute time `t` (inclusive), then sets now == t.
   void run_until(SimTime t);
 
-  /// Runs until no activity remains or stop() was requested.
+  /// Runs until no activity remains or stop() was requested. An
+  /// unlistened clock is no activity: the run returns once the last other
+  /// event has fired (a listened clock keeps it running, as its edges are
+  /// events).
   void run_to_completion();
 
-  /// Earliest pending timed notification, if any. Lazily erases stale
-  /// (cancelled/overridden) entries encountered during the scan so a
-  /// cancel-heavy workload keeps the timed queue bounded.
+  /// Earliest pending timed notification, if any: armed clock ticks count,
+  /// an unlistened clock's edges do not (they are computed, not
+  /// scheduled). Lazily erases stale (cancelled/overridden) entries on top
+  /// of the queue so a cancel-heavy workload keeps it bounded.
   [[nodiscard]] std::optional<SimTime> next_event_time() const;
 
-  /// True when no runnable process, delta or timed notification remains.
+  /// When the kernel next has work: now() while a process is runnable or
+  /// awaits initialization, or a delta notification or signal update is
+  /// pending; otherwise next_event_time(), after re-arming any unlistened
+  /// clock that has gained a listener so its next edge counts. nullopt
+  /// when nothing is pending. run_until() up to just before that time
+  /// evaluates nothing.
+  [[nodiscard]] std::optional<SimTime> next_activity_time();
+
+  /// True when no runnable process, delta, update or timed notification
+  /// remains. An unlistened clock does not count; a listened one does,
+  /// including one that gained its listener and is not re-armed yet.
   [[nodiscard]] bool idle() const;
 
   /// Requests the run loop to return after the current delta cycle.
@@ -149,6 +173,9 @@ class Kernel {
   void register_event(Event* event);
   void register_signal(SignalBase* signal);
   void unregister_signal(SignalBase* signal);
+  /// Clocks whose level the kernel keeps while they are unlistened.
+  void register_clock(Clock* clock);
+  void unregister_clock(Clock* clock);
 
   /// Statistics.
   [[nodiscard]] std::uint64_t process_count() const {
@@ -188,6 +215,15 @@ class Kernel {
   /// All delta cycles at the current time point.
   void exhaust_deltas();
 
+  /// True while a process is runnable or uninitialized, or a delta
+  /// notification or update is pending.
+  [[nodiscard]] bool delta_pending() const;
+  /// Re-arms every unlistened clock that has gained a listener.
+  void arm_listened_clocks();
+  /// Moves time forward to `t` > now_: unlistened clocks take their level
+  /// before `t` and request an edge at `t` as an update.
+  void advance_to(SimTime t);
+
   /// Rebuilds the island partition if dirty.
   void ensure_partition();
   /// Evaluation phase of one island (runs on a worker-pool lane).
@@ -199,19 +235,37 @@ class Kernel {
   SimTime now_ = 0;
   std::uint64_t delta_count_ = 0;
   std::uint64_t delta_limit_ = 0;
-  std::uint64_t timed_token_counter_ = 0;
   std::atomic<bool> stop_requested_{false};
   bool in_evaluation_ = false;
 
   struct TimedEntry {
+    SimTime time;
+    std::uint64_t seq;  // schedule order: breaks ties between equal times
     Event* event;
     std::uint64_t token;
   };
-  /// mutable: next_event_time() is logically const but prunes stale entries.
-  mutable std::multimap<SimTime, TimedEntry> timed_queue_;
+  /// Heap order: true when `a` fires after `b`.
+  static bool later(const TimedEntry& a, const TimedEntry& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
+  /// False once the entry's notification was cancelled or overridden.
+  static bool live(const TimedEntry& entry);
+  void push_timed(SimTime time, Event* event, std::uint64_t token);
+  /// Removes the heap's top entry and returns it.
+  TimedEntry pop_timed() const;
+
+  std::uint64_t timed_seq_ = 0;
+  /// Binary min-heap on (time, seq) under later(). mutable:
+  /// next_event_time() is logically const but prunes stale entries.
+  mutable std::vector<TimedEntry> timed_queue_;
   std::vector<Event*> delta_queue_;
   std::vector<Process*> runnable_;
   std::vector<SignalBase*> update_queue_;
+  /// The update and delta phases swap their queue with these, so both
+  /// vectors keep their capacity across delta cycles.
+  std::vector<SignalBase*> update_scratch_;
+  std::vector<Event*> delta_scratch_;
+  std::vector<Clock*> clocks_;
 
   /// --- partition inputs (entity registries + explicit unions) ---
   std::uint64_t next_entity_id_ = 0;

@@ -86,14 +86,17 @@ rm -f /tmp/vhp_timeline_smoke.*.vhprec
 # netlist is too small to amortize pool dispatch): serial/parallel parity
 # on the bench netlist, a disarmed median within the serial runs' own
 # quartile spread over interleaved repetitions, and (on hosts with >= 4
-# CPUs) at least 1.5x at 4 workers on the 32-port netlist.
+# CPUs) at least 1.5x at 4 workers on the 32-port netlist. Then the
+# kernel micro benches, whose per-row work check exits 1 if a clocked row
+# loses edges or the unlistened clock reads a wrong level.
 echo "==== [kernel-par] release gate ===="
 ctest --preset default -L kernel-par "$@"
 echo "==== [kernel-par] tsan gate ===="
 ctest --preset tsan -L kernel-par-tsan "$@"
 echo "==== [kernel-par] bench gate ===="
-cmake --build --preset default -j "$jobs" --target kernel_parallel
+cmake --build --preset default -j "$jobs" --target kernel_parallel micro_sim_kernel
 ./build/bench/kernel_parallel --gate --json /tmp/kernel_parallel_gate.metrics.json
+./build/bench/micro_sim_kernel --quick --json /tmp/micro_sim_kernel.metrics.json
 
 # Memory-hierarchy / many-core gate (ISSUE 9), same shape: the fiber-free
 # cache/bank/pipeline units plus the SMP kernel and 4-core session suites

@@ -1,5 +1,6 @@
 #include "vhp/cosim/cosim_kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -11,9 +12,12 @@ Status CosimConfig::validate() const {
   if (timed) {
     if (Status s = sync.validate(); !s.ok()) return s;
   }
-  if (clock_period == 0) {
+  if (clock_period < 2) {
     return Status{StatusCode::kInvalidArgument,
-                  "CosimConfig: clock_period must be > 0"};
+                  strformat("CosimConfig: clock_period must be >= 2 (a "
+                            "high and a low phase of at least one time "
+                            "unit each), got {}",
+                            clock_period)};
   }
   if (parallel_workers > 256) {
     return Status{StatusCode::kInvalidArgument,
@@ -43,11 +47,11 @@ CosimKernel::CosimKernel(std::vector<MasterLink> links, CosimConfig config,
       owned_hub_(hub != nullptr ? nullptr : new obs::Hub()),
       hub_(hub != nullptr ? hub : owned_hub_.get()),
       sync_rtt_ns_(hub_->metrics().histogram("cosim.sync_rtt_ns")),
-      // Guard against a zero period before sim::Clock divides by it; the
-      // invalid config is surfaced by run_cycles()/handshake().
+      // Guard against a period sim::Clock refuses; the invalid config is
+      // surfaced by run_cycles()/handshake().
       clock_(kernel_, "clk",
-             config_.clock_period == 0 ? sim::SimTime{1}
-                                       : config_.clock_period),
+             config_.clock_period < 2 ? sim::SimTime{2}
+                                      : config_.clock_period),
       service_([this] { return service_links(); }) {
   if (!config_status_.ok()) {
     log_.warn("invalid config: {}", config_status_.to_string());
@@ -114,6 +118,12 @@ DriverRegistry& CosimKernel::registry(std::size_t link) {
 void CosimKernel::watch_interrupt(std::size_t link, sim::BoolSignal& line,
                                   u32 vector) {
   slot_at(link).watches.push_back(IntWatch{&line, vector, line.read()});
+  // The watch samples the level at cycle boundaries, so every change must
+  // be simulated: the hook makes the line listened, which keeps a clock
+  // used as an interrupt line on its generator path (an unlistened clock
+  // changes level with no kernel activity, and the quiet-cycle jump would
+  // step over its edges).
+  line.add_change_hook([](sim::SimTime) {});
 }
 
 CosimKernel::Stats CosimKernel::stats() const {
@@ -294,13 +304,33 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
       if (!s.ok()) return s;
     }
     {
+      // Cycles in which the kernel has nothing to do are jumped over in
+      // the same run() as the next cycle that has: their interrupt samples
+      // would repeat the previous one, as no level changes without kernel
+      // activity.
       obs::StallProfiler::Timer timer(profiler, Bucket::kSimulate);
-      kernel_.run(config_.clock_period);  // one posedge + negedge
+      const u64 cycles = 1 + (timed ? quiet_cycles(until) : 0);
+      kernel_.run(cycles * config_.clock_period);
+      cycle_ += cycles;
     }
-    ++cycle_;
     Status s = sample_interrupts();
     if (!s.ok()) return s;
   }
+}
+
+u64 CosimKernel::quiet_cycles(u64 until) {
+  const u64 stop = std::min(until, coordinator_->next_due());
+  if (stop <= cycle_ + 1) return 0;
+  u64 quiet = stop - cycle_ - 1;
+  const std::optional<sim::SimTime> next = kernel_.next_activity_time();
+  if (next.has_value()) {
+    const sim::SimTime now = kernel_.now();
+    if (*next <= now) return 0;
+    // Cycle j (1-based) runs (now + (j-1)*period, now + j*period]; it is
+    // quiet while that interval ends before `next`.
+    quiet = std::min<u64>(quiet, (*next - now - 1) / config_.clock_period);
+  }
+  return quiet;
 }
 
 std::vector<int> CosimKernel::readable_fds() {

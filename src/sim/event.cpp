@@ -1,7 +1,5 @@
 #include "vhp/sim/event.hpp"
 
-#include <algorithm>
-
 #include "vhp/sim/kernel.hpp"
 #include "vhp/sim/process.hpp"
 
@@ -52,14 +50,13 @@ void Event::cancel() {
 void Event::trigger() {
   pending_ = Pending::kNone;
   for (Process* p : static_sensitive_) p->trigger_from(*this);
-  if (!dynamic_waiters_.empty()) {
-    // One-shot: waiting processes resume once, then re-register if needed.
-    // Stale registrations (a wait_any lost to another event) are filtered
-    // by the token inside trigger_dynamic.
-    std::vector<std::pair<Process*, std::uint64_t>> waiters;
-    waiters.swap(dynamic_waiters_);
-    for (auto& [p, token] : waiters) p->trigger_dynamic(*this, token);
-  }
+  // One-shot: waiting processes resume once, then re-register if needed.
+  // Stale registrations (a wait_any lost to another event) are filtered by
+  // the token inside trigger_dynamic. trigger_dynamic only marks processes
+  // runnable, so no waiter can register during the walk, and clearing in
+  // place keeps the vector's capacity for the next wait.
+  for (auto& [p, token] : dynamic_waiters_) p->trigger_dynamic(*this, token);
+  dynamic_waiters_.clear();
 }
 
 }  // namespace vhp::sim

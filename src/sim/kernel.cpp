@@ -1,5 +1,6 @@
 #include "vhp/sim/kernel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -154,6 +155,27 @@ void Kernel::unregister_signal(SignalBase* signal) {
   partition_dirty_ = true;
 }
 
+void Kernel::register_clock(Clock* clock) { clocks_.push_back(clock); }
+
+void Kernel::unregister_clock(Clock* clock) { std::erase(clocks_, clock); }
+
+bool Kernel::live(const TimedEntry& entry) {
+  return entry.event->pending_ == Event::Pending::kTimed &&
+         entry.event->pending_token_ == entry.token;
+}
+
+void Kernel::push_timed(SimTime time, Event* event, std::uint64_t token) {
+  timed_queue_.push_back({time, timed_seq_++, event, token});
+  std::push_heap(timed_queue_.begin(), timed_queue_.end(), later);
+}
+
+Kernel::TimedEntry Kernel::pop_timed() const {
+  std::pop_heap(timed_queue_.begin(), timed_queue_.end(), later);
+  const TimedEntry top = timed_queue_.back();
+  timed_queue_.pop_back();
+  return top;
+}
+
 void Kernel::schedule_timed(Event* event, SimTime abs_time,
                             std::uint64_t token) {
   assert(abs_time >= now_);
@@ -165,7 +187,7 @@ void Kernel::schedule_timed(Event* event, SimTime abs_time,
     tls_eval_island->staged_timed.push_back({event, abs_time, token});
     return;
   }
-  timed_queue_.emplace(abs_time, TimedEntry{event, token});
+  push_timed(abs_time, event, token);
 }
 
 void Kernel::schedule_delta(Event* event) {
@@ -187,16 +209,17 @@ void Kernel::forget_event(Event* event) {
                            "unsupported");
   }
   std::erase(delta_queue_, event);
-  // While scanning for the dying event's entries, lazily drop every stale
-  // (cancelled/overridden) entry we pass: a cancel-heavy workload must not
-  // grow the queue without bound. Entries are only ever stale forever —
-  // a re-notify enqueues a fresh entry with a fresh token.
-  for (auto it = timed_queue_.begin(); it != timed_queue_.end();) {
-    const TimedEntry& entry = it->second;
-    const bool stale = entry.event == event ||
-                       entry.event->pending_ != Event::Pending::kTimed ||
-                       entry.event->pending_token_ != entry.token;
-    it = stale ? timed_queue_.erase(it) : std::next(it);
+  // While scanning for the dying event's entries, drop every stale
+  // (cancelled/overridden) entry too: a cancel-heavy workload must not grow
+  // the queue without bound. Entries are only ever stale forever — a
+  // re-notify enqueues a fresh entry with a fresh token. The survivors keep
+  // their (time, seq) keys, so re-heaping keeps the firing order.
+  const std::size_t before = timed_queue_.size();
+  std::erase_if(timed_queue_, [event](const TimedEntry& entry) {
+    return entry.event == event || !live(entry);
+  });
+  if (timed_queue_.size() != before) {
+    std::make_heap(timed_queue_.begin(), timed_queue_.end(), later);
   }
   std::erase(events_, event);
   const std::uint64_t id = event->entity_id_;
@@ -251,21 +274,23 @@ void Kernel::initialize_new_processes() {
 
 void Kernel::run_update_and_delta_phases() {
   // --- update phase ---
-  std::vector<SignalBase*> updates;
-  updates.swap(update_queue_);
-  for (SignalBase* s : updates) {
+  // A change hook may write a signal: that update goes to the (swapped-in,
+  // empty) queue and lands next delta cycle.
+  update_scratch_.swap(update_queue_);
+  for (SignalBase* s : update_scratch_) {
     s->update_requested_ = false;
     s->update();  // fires the change hooks itself, only on a real change
   }
+  update_scratch_.clear();
 
   // --- delta notification phase ---
-  std::vector<Event*> deltas;
-  deltas.swap(delta_queue_);
-  for (Event* e : deltas) {
+  delta_scratch_.swap(delta_queue_);
+  for (Event* e : delta_scratch_) {
     // The event may have been cancelled or re-notified since queuing;
     // pending_ is authoritative.
     if (e->pending_ == Event::Pending::kDelta) e->trigger();
   }
+  delta_scratch_.clear();
 }
 
 bool Kernel::do_delta_cycle() {
@@ -403,7 +428,7 @@ bool Kernel::do_delta_cycle_parallel() {
   // canonical order (island id, then intra-island request order) ---
   for (Island& island : islands) {
     for (const Island::StagedTimed& st : island.staged_timed) {
-      timed_queue_.emplace(st.time, TimedEntry{st.event, st.token});
+      push_timed(st.time, st.event, st.token);
     }
     island.staged_timed.clear();
     for (SignalBase* s : island.update_queue) update_queue_.push_back(s);
@@ -457,24 +482,45 @@ void Kernel::exhaust_deltas() {
 }
 
 std::optional<SimTime> Kernel::next_event_time() const {
-  // Lazily erase every stale entry in front of the first valid one: a
-  // stale entry (cancelled or overridden notification) can never become
-  // valid again, so dropping it here keeps cancel-heavy workloads bounded.
-  for (auto it = timed_queue_.begin(); it != timed_queue_.end();) {
-    const TimedEntry& entry = it->second;
-    if (entry.event->pending_ == Event::Pending::kTimed &&
-        entry.event->pending_token_ == entry.token) {
-      return it->first;
-    }
-    it = timed_queue_.erase(it);
+  // Lazily pop every stale entry on top of the first valid one: a stale
+  // entry (cancelled or overridden notification) can never become valid
+  // again, so dropping it here keeps cancel-heavy workloads bounded.
+  while (!timed_queue_.empty()) {
+    if (live(timed_queue_.front())) return timed_queue_.front().time;
+    (void)pop_timed();
   }
   return std::nullopt;
 }
 
+bool Kernel::delta_pending() const {
+  return !runnable_.empty() || !delta_queue_.empty() ||
+         !update_queue_.empty() || !uninitialized_.empty();
+}
+
+void Kernel::arm_listened_clocks() {
+  for (Clock* clock : clocks_) {
+    if (!clock->armed_ && clock->listened()) clock->rearm();
+  }
+}
+
+void Kernel::advance_to(SimTime t) {
+  for (Clock* clock : clocks_) {
+    if (!clock->armed_) clock->visit(t);
+  }
+  now_ = t;
+}
+
+std::optional<SimTime> Kernel::next_activity_time() {
+  if (delta_pending()) return now_;
+  arm_listened_clocks();
+  return next_event_time();
+}
+
 bool Kernel::idle() const {
-  return runnable_.empty() && delta_queue_.empty() &&
-         update_queue_.empty() && uninitialized_.empty() &&
-         !next_event_time().has_value();
+  return !delta_pending() && !next_event_time().has_value() &&
+         std::none_of(clocks_.begin(), clocks_.end(), [](const Clock* c) {
+           return !c->armed_ && c->listened();
+         });
 }
 
 void Kernel::run_until(SimTime t) {
@@ -482,42 +528,35 @@ void Kernel::run_until(SimTime t) {
   stop_requested_.store(false, std::memory_order_relaxed);
   exhaust_deltas();
   while (!stop_requested()) {
-    // Advance to the next valid timed notification at or before t.
-    std::optional<SimTime> next;
-    while (!timed_queue_.empty()) {
-      auto it = timed_queue_.begin();
-      Event* e = it->second.event;
-      if (e->pending_ != Event::Pending::kTimed ||
-          e->pending_token_ != it->second.token) {
-        timed_queue_.erase(it);  // stale (cancelled/overridden) entry
-        continue;
-      }
-      next = it->first;
-      break;
-    }
+    // Advance to the next valid timed notification at or before t. Clocks
+    // that gained a listener re-arm first, so their next edge is a
+    // candidate.
+    arm_listened_clocks();
+    const std::optional<SimTime> next = next_event_time();
     if (!next || *next > t) break;
-    now_ = *next;
-    // Fire every valid notification at this time point.
-    while (!timed_queue_.empty() && timed_queue_.begin()->first == now_) {
-      auto it = timed_queue_.begin();
-      Event* e = it->second.event;
-      const std::uint64_t token = it->second.token;
-      timed_queue_.erase(it);
-      if (e->pending_ == Event::Pending::kTimed &&
-          e->pending_token_ == token) {
-        e->trigger();
-      }
+    if (*next > now_) advance_to(*next);
+    // Fire every valid notification at this time point. A trigger only
+    // marks processes runnable, so nothing is scheduled meanwhile.
+    while (!timed_queue_.empty() && timed_queue_.front().time == now_) {
+      const TimedEntry entry = pop_timed();
+      if (live(entry)) entry.event->trigger();
     }
     exhaust_deltas();
   }
-  if (!stop_requested() && now_ < t) now_ = t;
+  if (!stop_requested() && now_ < t) {
+    now_ = t;
+    for (Clock* clock : clocks_) {
+      if (!clock->armed_) clock->settle(t);
+    }
+  }
 }
 
 void Kernel::run_to_completion() {
   stop_requested_.store(false, std::memory_order_relaxed);
   exhaust_deltas();
   while (!stop_requested()) {
-    std::optional<SimTime> next = next_event_time();
+    arm_listened_clocks();
+    const std::optional<SimTime> next = next_event_time();
     if (!next) break;
     run_until(*next);
     if (stop_requested()) break;

@@ -62,19 +62,8 @@ TEST(KernelParallelFuzz, ReArmingParallelMidRunStaysIdentical) {
   cfg.seed = 1234;
   const FuzzResult serial = run_fuzz_net(cfg, 0);
 
-  Kernel kernel;
-  kernel.set_delta_limit(1u << 20);
-  std::vector<FuzzTraceEntry> trace;
-  Rng build_rng{cfg.seed};
-  std::vector<std::unique_ptr<FuzzModule>> modules;
-  std::vector<FuzzModule*> raw;
-  for (std::size_t i = 0; i < cfg.n_modules; ++i) {
-    modules.push_back(
-        std::make_unique<FuzzModule>(kernel, i, cfg, build_rng, &trace));
-    raw.push_back(modules.back().get());
-  }
-  for (FuzzModule* m : raw) m->connect(raw, build_rng);
-
+  FuzzNet net{cfg};
+  Kernel& kernel = net.kernel;
   kernel.run_until(cfg.run_time / 4);
   kernel.set_parallel(3);
   kernel.run_until(cfg.run_time / 2);
@@ -83,12 +72,33 @@ TEST(KernelParallelFuzz, ReArmingParallelMidRunStaysIdentical) {
   kernel.set_parallel(2);
   kernel.run_until(cfg.run_time);
 
-  std::vector<u64> finals;
-  for (FuzzModule* m : raw) {
-    for (const Signal<u64>* s : m->signals()) finals.push_back(s->read());
-  }
-  EXPECT_EQ(finals, serial.finals);
+  EXPECT_EQ(net.finals(), serial.finals);
   EXPECT_EQ(kernel.delta_count(), serial.delta_count);
+}
+
+TEST(KernelParallelFuzz, LazyClocksMatchForcedEagerClocks) {
+  // Each seed's clock layer runs as built (unlistened clocks lazy, late
+  // listeners re-arming them) and with every edge forced through the
+  // generator; serial and parallel. Everything the model observes must
+  // match, while the lazy runs really skip edges.
+  u64 lazy_deltas = 0;
+  u64 eager_deltas = 0;
+  for (u64 seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    FuzzConfig cfg;
+    cfg.seed = seed * 7919;
+    FuzzConfig eager_cfg = cfg;
+    eager_cfg.force_eager_clocks = true;
+    for (unsigned lanes : {0u, 2u}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      const FuzzResult lazy = run_fuzz_net(cfg, lanes);
+      const FuzzResult eager = run_fuzz_net(eager_cfg, lanes);
+      EXPECT_EQ(first_difference(lazy, eager), "");
+      lazy_deltas += lazy.delta_count;
+      eager_deltas += eager.delta_count;
+    }
+  }
+  EXPECT_LT(lazy_deltas, eager_deltas);
 }
 
 }  // namespace

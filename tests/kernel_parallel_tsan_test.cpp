@@ -7,9 +7,12 @@
 // scripts/check.sh gate) select it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel_parallel_fuzz.hpp"
@@ -23,6 +26,11 @@ FuzzConfig tsan_config(u64 seed) {
   cfg.seed = seed;
   cfg.threads = false;  // no fibers under TSan
   cfg.run_time = 1500;
+  // The clock layer's edges multiply a run's delta cycles ~30-fold, and
+  // under TSan a parallel delta cycle at 4-8 lanes on 4 CPUs costs up to
+  // milliseconds: only the lazy-against-eager test below adds it, on
+  // fewer seeds and lanes (the fiber suite runs it on all 30 seeds).
+  cfg.clocks = false;
   return cfg;
 }
 
@@ -46,21 +54,29 @@ TEST(KernelParallelFuzzTsan, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(KernelParallelFuzzTsan, LazyClocksMatchForcedEagerClocks) {
+  // The method-only twin of KernelParallelFuzz's differential: lazy clocks
+  // read, listened, spawned on and hooked from a parallel kernel.
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    FuzzConfig cfg = tsan_config(seed * 104729);
+    cfg.clocks = true;
+    FuzzConfig eager_cfg = cfg;
+    eager_cfg.force_eager_clocks = true;
+    for (unsigned lanes : {0u, 2u}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      EXPECT_EQ(first_difference(run_fuzz_net(cfg, lanes),
+                                 run_fuzz_net(eager_cfg, lanes)),
+                "");
+    }
+  }
+}
+
 TEST(KernelParallelFuzzTsan, ParallelStatsReportTheRun) {
   const FuzzConfig cfg = tsan_config(99991);
-  Kernel kernel;
-  kernel.set_delta_limit(1u << 20);
+  FuzzNet net{cfg};
+  Kernel& kernel = net.kernel;
   kernel.set_parallel(2);
-  std::vector<FuzzTraceEntry> trace;
-  Rng build_rng{cfg.seed};
-  std::vector<std::unique_ptr<FuzzModule>> modules;
-  std::vector<FuzzModule*> raw;
-  for (std::size_t i = 0; i < cfg.n_modules; ++i) {
-    modules.push_back(
-        std::make_unique<FuzzModule>(kernel, i, cfg, build_rng, &trace));
-    raw.push_back(modules.back().get());
-  }
-  for (FuzzModule* m : raw) m->connect(raw, build_rng);
   kernel.run_until(cfg.run_time);
 
   EXPECT_EQ(kernel.parallel_lanes(), 2u);
@@ -303,6 +319,38 @@ TEST(KernelTimedQueue, RescheduleKeepsOnlyABoundedTail) {
   e.cancel();
   EXPECT_FALSE(k.next_event_time().has_value());
   EXPECT_EQ(k.timed_queue_size(), 0u);
+}
+
+TEST(KernelTimedQueue, EqualTimesFireInScheduleOrder) {
+  // Notifications due at one instant trigger in the order they were
+  // scheduled, so that instant's first evaluation phase runs their
+  // processes in that order — also when other times interleave and a
+  // cancelled entry sits among them.
+  Kernel k;
+  Leaf tb{k, "tb"};
+  constexpr int kEvents = 12;
+  std::vector<std::unique_ptr<Event>> events;
+  std::vector<std::pair<SimTime, int>> fired;
+  for (int i = 0; i < kEvents; ++i) {
+    events.push_back(std::make_unique<Event>(k, "e" + std::to_string(i)));
+    tb.method("m" + std::to_string(i),
+              [&, i] { fired.emplace_back(k.now(), i); })
+        .sensitive(*events.back())
+        .dont_initialize();
+  }
+  const int schedule[kEvents] = {7, 2, 11, 0, 5, 9, 3, 10, 1, 8, 6, 4};
+  std::vector<std::pair<SimTime, int>> expected;
+  for (const int i : schedule) {
+    const SimTime at = i % 3 == 0 ? 10 : 4 + i;
+    events[static_cast<std::size_t>(i)]->notify_at(at);
+    if (i != 5) expected.emplace_back(at, i);
+  }
+  events[5]->cancel();
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  k.run_until(20);
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(KernelTimedQueue, CancelHeavyRunningWorkloadStaysBounded) {

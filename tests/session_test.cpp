@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "vhp/cosim/session.hpp"
+#include "vhp/obs/flight_recorder.hpp"
 #include "vhp/rtos/sync.hpp"
 #include "vhp/sim/module.hpp"
 
@@ -47,6 +50,55 @@ struct EchoDevice : sim::Module {
 };
 
 class SessionTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST(SessionClockTest, ClockWatchedAsAnInterruptLineRaisesEveryPeriod) {
+  // An interrupt watch makes its line listened: a clock used as one keeps
+  // every edge, so the quiet-cycle jump never steps over a rising level.
+  CosimSession session{SessionConfigBuilder{}
+                           .t_sync(100)
+                           .record()
+                           .postmortem_prefix("")
+                           .build_or_throw()};
+  const sim::SimTime period = session.hw().config().clock_period;
+  sim::Clock slow{session.hw().kernel(), "slow", 4 * period};
+  session.hw().watch_interrupt(slow, board::Board::kDeviceVector);
+  session.start_board();
+  ASSERT_TRUE(session.run_cycles(1000).ok());
+  session.finish();
+
+  // The posedge at time 0 is sampled after cycle 1; posedge k (time
+  // 4k * period) after cycle 4k.
+  std::vector<u64> expected{1};
+  for (u64 k = 1; k <= 250; ++k) expected.push_back(4 * k);
+  std::vector<u64> raised;
+  for (const obs::FrameRecord& f : session.obs().hw_recorder().snapshot()) {
+    if (f.port == obs::LinkPort::kInt && f.dir == obs::LinkDir::kTx) {
+      raised.push_back(f.hw_cycle);
+    }
+  }
+  EXPECT_EQ(session.hw().stats().interrupts_sent, 251u);
+  EXPECT_EQ(raised, expected);
+}
+
+TEST(SessionClockTest, ClockOnlyModelSkipsQuietCycles) {
+  // A timed session whose model is only its (unlistened) clock evaluates
+  // no edges: each quantum is one kernel run up to the next barrier.
+  CosimSession session{SessionConfigBuilder{}
+                           .t_sync(1000)
+                           .postmortem_prefix("")
+                           .build_or_throw()};
+  session.start_board();
+  ASSERT_TRUE(session.run_cycles(10000).ok());
+  session.finish();
+  EXPECT_LT(session.hw().kernel().delta_count(), 100u);
+  EXPECT_EQ(session.hw().cycle(), 10000u);
+  const CosimKernel::Stats stats = session.hw().stats();
+  EXPECT_EQ(stats.syncs, 10u);
+  EXPECT_EQ(stats.acks_received, 10u);
+  EXPECT_EQ(stats.data_writes + stats.data_reads, 0u);
+  EXPECT_EQ(stats.interrupts_sent, 0u);
+  EXPECT_EQ(session.board().stats().clock_ticks_received, 10u);
+}
 
 TEST_P(SessionTest, EchoDeviceRoundTrips) {
   SessionConfig cfg;
@@ -226,11 +278,16 @@ TEST(SessionConfigValidation, RejectsZeroSpanRing) {
   EXPECT_FALSE(cfg.validate().ok());
 }
 
-TEST(SessionConfigValidation, RejectsZeroClockPeriod) {
-  SessionConfig cfg;
-  cfg.cosim.clock_period = sim::SimTime{0};
-  EXPECT_FALSE(cfg.validate().ok());
-  EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
+TEST(SessionConfigValidation, RejectsClockPeriodBelowTwo) {
+  // Period 1 would give the clock a zero-width low phase.
+  for (const sim::SimTime period : {0u, 1u}) {
+    SessionConfig cfg;
+    cfg.cosim.clock_period = period;
+    const Status s = cfg.validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "period " << period;
+    EXPECT_NE(s.message().find("clock_period"), std::string::npos) << s;
+    EXPECT_THROW(CosimSession{cfg}, std::invalid_argument);
+  }
 }
 
 TEST(SessionConfigValidation, RejectsZeroRtosDivisors) {

@@ -2,6 +2,10 @@
 // delta cycles, signals, clocks, ports, fifos.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "vhp/common/types.hpp"
@@ -371,6 +375,188 @@ TEST(Clock, SynchronousCounterPipeline) {
   k.run_until(9);  // posedges at 0,2,4,6,8 -> 5 clock ticks
   EXPECT_EQ(stage1.read(), 5u);
   EXPECT_EQ(stage2.read(), 4u);  // exactly one cycle behind
+}
+
+TEST(Clock, RejectsPeriodBelowTwo) {
+  // Period 1 would give the clock a zero-width low phase: each negedge
+  // would share its time step with the next posedge.
+  Kernel k;
+  EXPECT_THROW((Clock{k, "p0", 0}), std::invalid_argument);
+  EXPECT_THROW((Clock{k, "p1", 1}), std::invalid_argument);
+  Clock two{k, "p2", 2};
+  EXPECT_EQ(two.period(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The lazy path of sim::Clock: a clock nothing listens to schedules no
+// events, and its level is computed from start, period and time.
+
+/// The level after every edge at or before `t`: posedge at start + k *
+/// period, negedge (period + 1) / 2 later.
+bool clock_level(SimTime t, SimTime period, SimTime start) {
+  return t >= start && (t - start) % period < period - period / 2;
+}
+
+TEST(LazyClock, ReadsBetweenRunsFollowTheClosedForm) {
+  for (const SimTime period : {2u, 3u, 4u}) {
+    for (const SimTime start : {0u, 1u, 5u}) {
+      SCOPED_TRACE("period=" + std::to_string(period) +
+                   " start=" + std::to_string(start));
+      Kernel k;
+      Clock clk{k, "clk", period, start};
+      for (SimTime t = 0; t <= 60; t += 1 + t % 4) {
+        k.run_until(t);
+        ASSERT_EQ(clk.read(), clock_level(t, period, start)) << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(LazyClock, FirstDeltaReadsThePreEdgeLevel) {
+  // A thread woken by a timed event reads the level before any edge at its
+  // wake time, and the level after it one delta cycle later — where the
+  // generator's write would have landed.
+  for (const SimTime period : {2u, 3u, 4u}) {
+    for (const SimTime start : {1u, 2u, 5u}) {
+      SCOPED_TRACE("period=" + std::to_string(period) +
+                   " start=" + std::to_string(start));
+      Kernel k;
+      Clock clk{k, "clk", period, start};
+      Harness tb{k};
+      Event delta{k, "delta"};
+      std::vector<std::tuple<SimTime, bool, bool>> reads;
+      tb.thread("reader", [&] {
+        for (SimTime step = 1;; ++step) {
+          wait(1 + step % 3);
+          const bool first = clk.read();
+          delta.notify_delta();
+          wait(delta);
+          reads.emplace_back(k.now(), first, clk.read());
+        }
+      });
+      k.run_until(40);
+      ASSERT_GT(reads.size(), 10u);
+      for (const auto& [t, first, second] : reads) {
+        EXPECT_EQ(first, clock_level(t - 1, period, start)) << "t=" << t;
+        EXPECT_EQ(second, clock_level(t, period, start)) << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(LazyClock, MethodSpawnedMidRunSeesEveryLaterPosedge) {
+  Kernel k;
+  Clock clk{k, "clk", 4, 1};  // posedges 1, 5, 9, 13, ...
+  Harness tb{k};
+  std::vector<SimTime> posedges;
+  tb.thread("spawner", [&] {
+    wait(10);
+    tb.method("late", [&] { posedges.push_back(k.now()); })
+        .sensitive(clk.posedge_event())
+        .dont_initialize();
+  });
+  k.run_until(9);
+  // The initialization run and the first edge; the edges at 3, 5, 7 and 9
+  // cost nothing.
+  EXPECT_EQ(k.delta_count(), 2u);
+  EXPECT_TRUE(clk.read());
+  k.run_until(30);
+  EXPECT_EQ(posedges, (std::vector<SimTime>{13, 17, 21, 25, 29}));
+}
+
+TEST(LazyClock, DynamicWaitOnALazyClockWakesAtTheNextPosedge) {
+  Kernel k;
+  Clock clk{k, "clk", 6, 2};  // posedges 2, 8, 14, 20, 26; negedges 5, 11, ...
+  Harness tb{k};
+  std::vector<std::pair<SimTime, bool>> wakes;
+  tb.thread("waiter", [&] {
+    wait(11);
+    wait(clk.posedge_event());
+    wakes.emplace_back(k.now(), clk.read());
+    wait(9);  // the clock has gone lazy again after its negedge at 17
+    wait(clk.posedge_event());
+    wakes.emplace_back(k.now(), clk.read());
+  });
+  k.run_until(40);
+  EXPECT_EQ(wakes, (std::vector<std::pair<SimTime, bool>>{{14, true},
+                                                          {26, true}}));
+}
+
+TEST(LazyClock, ChangeHookAddedMidRunRecordsEveryLaterEdge) {
+  Kernel k;
+  Clock clk{k, "clk", 4};
+  k.run_until(9);
+  EXPECT_TRUE(clk.read());  // posedge at 8
+  std::vector<std::pair<SimTime, bool>> edges;
+  clk.add_change_hook([&](SimTime t) { edges.emplace_back(t, clk.read()); });
+  k.run_until(17);
+  EXPECT_EQ(edges, (std::vector<std::pair<SimTime, bool>>{
+                       {10, false}, {12, true}, {14, false}, {16, true}}));
+}
+
+TEST(LazyClock, AlwaysListenedClockKeepsTheGeneratorOrder) {
+  // The generator re-arms its tick in the edge's first delta cycle, so a
+  // notification a posedge listener schedules for the next edge fires
+  // after the tick: that edge's updates apply the clock's first.
+  Kernel k;
+  Clock clk{k, "clk", 4};
+  Harness tb{k};
+  auto& sig = tb.make_signal<u32>("sig", 0);
+  Event at_negedge{k, "at_negedge"};
+  std::vector<std::string> updates;
+  clk.add_change_hook([&](SimTime t) {
+    updates.push_back("clk@" + std::to_string(t));
+  });
+  sig.add_change_hook([&](SimTime t) {
+    updates.push_back("sig@" + std::to_string(t));
+  });
+  tb.method("on_posedge", [&] { at_negedge.notify_at(2); })
+      .sensitive(clk.posedge_event())
+      .dont_initialize();
+  tb.method("writer", [&] { sig.write(sig.read() + 1); })
+      .sensitive(at_negedge)
+      .dont_initialize();
+  k.run_until(7);
+  EXPECT_EQ(updates, (std::vector<std::string>{"clk@0", "clk@2", "sig@2",
+                                               "clk@4", "clk@6", "sig@6"}));
+}
+
+TEST(LazyClock, AnUnlistenedClockLeavesTheKernelIdle) {
+  Kernel k;
+  Clock clk{k, "clk", 2};
+  k.run_until(5);
+  ASSERT_TRUE(k.idle());
+
+  Harness tb{k};
+  Event last{k, "last"};
+  SimTime fired_at = 0;
+  tb.method("last", [&] { fired_at = k.now(); })
+      .sensitive(last)
+      .dont_initialize();
+  last.notify_at(20);
+  k.run_to_completion();  // returns once the last other event has fired
+  EXPECT_EQ(fired_at, 25u);
+  EXPECT_EQ(k.now(), 25u);
+  EXPECT_FALSE(clk.read());  // negedge at 25
+  EXPECT_TRUE(k.idle());
+
+  // A listener makes the clock pending activity again: a change hook at
+  // once, before any run re-arms the clock's tick ...
+  clk.add_change_hook([](SimTime) {});
+  EXPECT_FALSE(k.idle());
+}
+
+TEST(LazyClock, APosedgeListenerKeepsTheKernelBusy) {
+  Kernel k;
+  Clock clk{k, "clk", 2};
+  Harness tb{k};
+  int posedges = 0;
+  tb.method("edge", [&] { ++posedges; })
+      .sensitive(clk.posedge_event())
+      .dont_initialize();
+  k.run_until(5);
+  EXPECT_EQ(posedges, 3);  // 0, 2, 4
+  EXPECT_FALSE(k.idle());
 }
 
 TEST(Port, InOutBinding) {

@@ -1,8 +1,11 @@
 // Micro-benchmarks of the transport layer: the message codec, a poll of an
 // empty channel (what every poller pays when it finds nothing: the gather
 // spin, the board's idle thread, an untimed master's per-cycle DATA
-// check), the CLOCK_PORT round trip that Figures 5 and 6 integrate, and
-// TCP DATA bandwidth (DESIGN.md §4, decisions 2 and 5; §14).
+// check), the round trip of a CLOCK_TICK-sized frame, and TCP DATA
+// bandwidth (DESIGN.md §4, decisions 2 and 5; §14). The round-trip and
+// bandwidth rows wait in the blocking Channel::recv on both ends; no
+// co-simulation path waits that way (the master and the board poll with
+// try_recv), so those rows bound the transport, not Figures 5 and 6.
 //
 // The empty-poll rows cover inproc and shm with the doorbell armed (an
 // event loop asked for readable_fd()) and unarmed, plus TCP, whose check
@@ -99,7 +102,8 @@ std::thread start_echo(Channel& ch) {
 int main(int argc, char** argv) {
   bench::print_header(
       "transport substrate: codec, empty poll, round trip, bandwidth",
-      "empty DATA check and CLOCK_PORT RTT, DESIGN.md §4/§14");
+      "empty DATA check and a blocking CLOCK_TICK-sized round trip, "
+      "DESIGN.md §4/§14");
   const bool quick = bench::quick_mode(argc, argv);
   const int reps = quick ? 2 : 3;
   const u64 scale = quick ? 1 : 5;

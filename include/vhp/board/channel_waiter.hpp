@@ -40,9 +40,6 @@ class ChannelWaiter {
   /// answered.
   std::optional<Bytes> recv_deferred();
 
-  /// Non-blocking variant.
-  std::optional<Bytes> try_get();
-
   [[nodiscard]] bool closed() const { return closed_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 

@@ -87,7 +87,9 @@ struct FaultPlan {
 ///     {"kind": "disconnect", "node": 1, "burst": 40, "max_events": 1}]}
 /// Unknown keys are rejected-by-omission (ignored); missing keys take the
 /// FaultRule defaults. `dir` is "tx" | "rx" (hw-side view), `port` is
-/// "data" | "int" | "clock", `delay_us` maps to FaultRule::delay.
+/// "data" | "int" | "clock", `delay_us` maps to FaultRule::delay. A
+/// numeric key that is present but not a number that fits its field fails
+/// the parse, naming the key and its line.
 [[nodiscard]] Result<FaultPlan> plan_from_json(std::string_view json);
 [[nodiscard]] std::string plan_to_json(const FaultPlan& plan);
 /// Reads a plan file (JSON as above).

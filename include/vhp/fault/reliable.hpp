@@ -51,9 +51,8 @@ struct RecoveryConfig {
   /// Consecutive retransmission rounds without ack progress before the
   /// channel gives up with kAborted.
   u32 max_retransmit_rounds = 2000;
-  /// CLOCK sends flush sibling channels first (see header comment). Leave
-  /// on; exposed for protocol experiments.
-  bool flush_on_clock_send = true;
+  /// How long a CLOCK send waits for its sibling and own frames to be
+  /// acknowledged (see header comment).
   std::chrono::milliseconds flush_timeout{10000};
   /// Reconnect: first redial delay (doubles per attempt) and attempt cap.
   std::chrono::milliseconds redial_backoff{20};
@@ -84,8 +83,10 @@ class ReliableChannel final : public net::Channel {
   ~ReliableChannel() override;
 
   Status send(std::span<const u8> frame) override;
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override;
+  /// Pumps the transport (acks, retransmission timer, redial on a lost
+  /// link) and hands over the next in-order payload. A receiver waiting in
+  /// Channel::recv re-polls at least every net::kRepollPeriod, so recovery
+  /// keeps running while it waits.
   Result<std::optional<Bytes>> try_recv() override;
   void close() override;
 

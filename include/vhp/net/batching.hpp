@@ -48,8 +48,6 @@ class BatchingChannel final : public Channel {
   Status send(std::span<const u8> frame) override;
   Status send_many(std::span<const Bytes> frames) override;
   Status flush() override;
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override;
   Result<std::optional<Bytes>> try_recv() override;
   void close() override;
   int readable_fd() override;

@@ -18,9 +18,20 @@
 
 namespace vhp::net {
 
+/// The longest a waiter sleeps between two try_recv() polls. Readiness is
+/// advisory, and a decorator may hold a frame or run a timer that no fd
+/// announces (a latency deadline, a retransmission timeout), so every wait
+/// on a channel (Channel::recv, SessionHost, the fabric's board loop)
+/// re-polls at least this often.
+inline constexpr std::chrono::milliseconds kRepollPeriod{1};
+
 /// A bidirectional, framed, ordered, reliable byte-message channel.
 /// Thread-safety contract: one sender thread and one receiver thread per
 /// direction may operate concurrently (the co-simulation uses exactly that).
+///
+/// A transport or decorator implements send(), try_recv() and close(), and
+/// optionally send_many(), flush() and readable_fd(). The blocking recv() is
+/// not an extension point: it is one wait built on those.
 class Channel {
  public:
   virtual ~Channel() = default;
@@ -29,9 +40,13 @@ class Channel {
   virtual Status send(std::span<const u8> frame) = 0;
 
   /// Receives one frame, waiting up to `timeout` (forever if nullopt).
-  /// Returns kDeadlineExceeded on timeout, kAborted if the peer closed.
-  virtual Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout = std::nullopt) = 0;
+  /// Returns kDeadlineExceeded on timeout, kAborted once a closed peer is
+  /// drained. The one wait: it flush()es first (the peer may be waiting on
+  /// exactly the frames this endpoint holds), then loops on try_recv(),
+  /// sleeping between polls on readable_fd() — or 50 us when there is
+  /// none — for at most kRepollPeriod.
+  Result<Bytes> recv(
+      std::optional<std::chrono::milliseconds> timeout = std::nullopt);
 
   /// Non-blocking receive; ok()+nullopt when no frame is pending. This is
   /// also the readiness check of every poller, so an empty poll
@@ -61,7 +76,8 @@ class Channel {
   /// A pollable fd that becomes readable when a frame may be pending, or
   /// -1 when the transport has none (callers must then poll try_recv()).
   /// Calling this may arm a doorbell: in-process queues lazily create an
-  /// eventfd the first time an event loop asks. Readiness is advisory and
+  /// eventfd the first time any waiter asks (an event loop or recv()), and
+  /// it stays armed for good. Readiness is advisory and
   /// level-triggered; always confirm with try_recv(), and drain with it
   /// until it reports nothing pending before waiting on the fd again. The
   /// in-memory doorbells follow one drain rule: the consumer drains its

@@ -1,6 +1,7 @@
-// In-process channel: a pair of bounded FIFO queues guarded by a mutex and
-// condition variables. Deterministic and syscall-free; the unit-test
-// transport. Implements the same Channel contract as the TCP transport.
+// In-process channel: a pair of bounded FIFO queues guarded by a mutex.
+// Deterministic, and syscall-free until a waiter arms the doorbell; the
+// unit-test transport. Implements the same Channel contract as the TCP
+// transport.
 #pragma once
 
 #include "vhp/net/channel.hpp"

@@ -1,14 +1,13 @@
 // Observability decorator for co-simulation channels.
 //
 // Wraps any Channel so every frame is accounted in the MetricsRegistry
-// (net.<side>.<port>.{tx,rx}_{frames,bytes}, and the blocking receives'
-// wait in net.<side>.<port>.recv_wait_ns) — making the sync-traffic volume
-// of Figures 5/6 directly readable from a metrics dump instead of inferred
-// from wall time.
+// (net.<side>.<port>.{tx,rx}_{frames,bytes}) — making the sync-traffic
+// volume of Figures 5/6 directly readable from a metrics dump instead of
+// inferred from wall time.
 //
-// The wrap is applied only when observability is on (it adds a virtual hop,
-// a few relaxed increments per frame and two clock reads per blocking
-// receive), so the disabled path keeps the transport untouched.
+// The wrap is applied only when observability is on (it adds a virtual hop
+// and a few relaxed increments per frame), so the disabled path keeps the
+// transport untouched.
 #pragma once
 
 #include "vhp/net/channel.hpp"

@@ -8,9 +8,11 @@
 // jitter.
 //
 // Mechanism: the sending side prepends a monotonic timestamp plus the
-// per-frame target latency; the receiving side strips it and waits until
-// the frame's delivery time. Both endpoints of a link direction must be
-// wrapped (wrap_link_pair does this for a whole 3-channel pair).
+// per-frame target latency; the receiving side strips it and holds the
+// frame until its delivery time: try_recv() reports nothing pending before
+// then, and a waiter re-polls within net::kRepollPeriod. Both endpoints of
+// a link direction must be wrapped (wrap_link_pair does this for a whole
+// 3-channel pair).
 #pragma once
 
 #include <chrono>

@@ -11,10 +11,10 @@
 // optimization).
 //
 // Wakeups use eventfd doorbells, rung only when the other side said it
-// is (or may be) waiting: the consumer's doorbell doubles as the
-// channel's readable_fd() for event-loop integration, and arming it (by
-// a blocking recv, or permanently by the first readable_fd() call) makes
-// every publish ring it and then raise a `rung` flag in the mapping. The
+// is (or may be) waiting: the consumer's doorbell is the channel's
+// readable_fd(), and the first readable_fd() call (by an event loop or
+// by Channel::recv's wait) arms it for good: from then on every publish
+// rings it and then raises a `rung` flag in the mapping. The
 // consumer drains the bell only while that flag is up, so a pop of an
 // empty ring is loads only — no system call, armed or not. The
 // producer's "space" doorbell is rung by the consumer only while a writer

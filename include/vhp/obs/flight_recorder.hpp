@@ -38,6 +38,9 @@ enum class LinkDir : u8 { kTx = 0, kRx = 1 };
 
 [[nodiscard]] std::string_view to_string(LinkPort port);
 [[nodiscard]] std::string_view to_string(LinkDir dir);
+/// The inverse of to_string(LinkPort); nullopt for any other name.
+[[nodiscard]] std::optional<LinkPort> link_port_from_name(
+    std::string_view name);
 
 /// One recorded frame. `payload` holds at most the configured cap;
 /// `payload_size` and `digest` (CRC-32 of the full frame) always describe

@@ -36,7 +36,7 @@ struct ObsConfig {
   /// The span recorder; `timeline.enabled` is the one switch for every
   /// *costly* instrument (`observability()` sets it): span rings with
   /// round ids stamped on the CLOCK traffic, wall-time stall profiling,
-  /// the sync-RTT, dev-read and recv-wait histograms, per-frame link
+  /// the sync-RTT and dev-read histograms, per-frame link
   /// accounting. Disarmed, each costs one branch per call site and every
   /// frame carries round 0. Plain metric counters are always
   /// live — they are the components' stats() backing store and cost one

@@ -44,7 +44,9 @@ enum class RecordingFormat { kBinary, kJsonl };
 
 Status write_recording(const std::string& path, const Recording& recording,
                        RecordingFormat format);
-/// Auto-detects the encoding from the file's first bytes.
+/// Auto-detects the encoding from the file's first bytes. A JSONL frame
+/// whose numeric field does not fit its type fails the read, naming the
+/// field and the line.
 [[nodiscard]] Result<Recording> read_recording(const std::string& path);
 
 /// One frame as a single JSONL line (no trailing newline).

@@ -16,8 +16,9 @@
 //   * transport doorbells: every readable_fd() of both link sides is
 //     watched, so an external peer (or a latency-emulation thread)
 //     delivering a frame wakes exactly the right session;
-//   * a fallback timer: a periodic re-poll (default 1ms) covers decorator
-//     timers (retransmission timeouts) and any transport without an fd.
+//   * a fallback timer: a re-poll every net::kRepollPeriod covers
+//     decorator timers (retransmission timeouts, latency deadlines) and any
+//     transport without an fd.
 //
 // All SessionHosts of one loop step on the loop thread; Board fibers are
 // not migratable, so start() defers the boot to that thread too.
@@ -40,8 +41,6 @@ struct SessionHostConfig {
   /// less callback overhead. The quantum boundary still rules the
   /// protocol — a slice that hits an un-acked tick parks early.
   u64 cycles_per_step = 1024;
-  /// Fallback re-poll period (0 disables the timer).
-  std::chrono::nanoseconds fallback_period = std::chrono::milliseconds{1};
 };
 
 class SessionHost {

@@ -50,16 +50,6 @@ std::optional<Bytes> ChannelWaiter::wait_frame(bool self_poll) {
   }
 }
 
-std::optional<Bytes> ChannelWaiter::try_get() {
-  poll();
-  if (pending_.empty()) return std::nullopt;
-  Bytes frame = std::move(pending_.front());
-  pending_.pop_front();
-  // Balance the semaphore so counts do not accumulate.
-  available_.try_wait();
-  return frame;
-}
-
 void IdlePacer::pause() {
   ++empty_polls_;
   if (empty_polls_ < 256) {

@@ -271,9 +271,9 @@ void Fabric::start_boards() {
     for (auto& node : nodes_) {
       if (node->loop_board) (void)node->loop_board->pump();
     }
-    (void)loop_->schedule(std::chrono::milliseconds{1}, loop_tick_);
+    (void)loop_->schedule(net::kRepollPeriod, loop_tick_);
   };
-  (void)loop_->schedule(std::chrono::milliseconds{1}, loop_tick_);
+  (void)loop_->schedule(net::kRepollPeriod, loop_tick_);
   loop_thread_ = std::thread([this] { loop_->run(); });
 }
 

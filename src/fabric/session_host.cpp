@@ -66,22 +66,19 @@ void SessionHost::arm_on_loop() {
     });
     if (!s.ok()) log_.warn("watch({}) failed: {}", fd, s.to_string());
   }
-  if (config_.fallback_period > std::chrono::nanoseconds{0}) {
-    // Periodic re-poll: covers decorator timers and fd-less transports.
-    // One-shot chain (schedule() has no periodic mode): the tick lives in
-    // the host and re-schedules a copy of itself, so there is no
-    // self-referential ownership — cancel() in finish() ends the chain.
-    fallback_tick_ = [this] {
-      if (done_.load()) return;
-      fallback_timer_ = loop_.schedule(config_.fallback_period,
-                                       fallback_tick_);
-      if (!step_posted_) {
-        step_posted_ = true;
-        loop_.post([this] { step(); });
-      }
-    };
-    fallback_timer_ = loop_.schedule(config_.fallback_period, fallback_tick_);
-  }
+  // Periodic re-poll: covers decorator timers and fd-less transports.
+  // One-shot chain (schedule() has no periodic mode): the tick lives in
+  // the host and re-schedules a copy of itself, so there is no
+  // self-referential ownership — cancel() in finish() ends the chain.
+  fallback_tick_ = [this] {
+    if (done_.load()) return;
+    fallback_timer_ = loop_.schedule(net::kRepollPeriod, fallback_tick_);
+    if (!step_posted_) {
+      step_posted_ = true;
+      loop_.post([this] { step(); });
+    }
+  };
+  fallback_timer_ = loop_.schedule(net::kRepollPeriod, fallback_tick_);
   step_posted_ = true;
   loop_.post([this] { step(); });
 }

@@ -1,6 +1,5 @@
 #include "vhp/fault/inject.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <mutex>
@@ -10,9 +9,6 @@
 namespace vhp::fault {
 
 namespace {
-
-using std::chrono::milliseconds;
-using std::chrono::steady_clock;
 
 class FaultChannel final : public net::Channel {
  public:
@@ -36,49 +32,6 @@ class FaultChannel final : public net::Channel {
       return inner_->send(held);
     }
     return Status::Ok();
-  }
-
-  Result<Bytes> recv(std::optional<milliseconds> timeout) override {
-    const auto deadline = timeout.has_value()
-                              ? std::optional{steady_clock::now() + *timeout}
-                              : std::nullopt;
-    while (true) {
-      {
-        std::scoped_lock lock(rx_mu_);
-        if (!rx_ready_.empty()) {
-          Bytes out = std::move(rx_ready_.front());
-          rx_ready_.pop_front();
-          return out;
-        }
-      }
-      // Bounded slices so a frame held by kReorder with no successor in
-      // flight is delivered instead of stranded.
-      milliseconds slice{10};
-      if (deadline.has_value()) {
-        const auto now = steady_clock::now();
-        if (now >= *deadline) {
-          return Status{StatusCode::kDeadlineExceeded, "fault: recv timeout"};
-        }
-        slice = std::min(
-            slice,
-            std::chrono::duration_cast<milliseconds>(*deadline - now) +
-                milliseconds{1});
-      }
-      Result<Bytes> r = inner_->recv(slice);
-      if (!r.ok()) {
-        if (r.status().code() != StatusCode::kDeadlineExceeded) {
-          return r.status();
-        }
-        std::scoped_lock lock(rx_mu_);
-        if (rx_held_.has_value()) {
-          rx_ready_.push_back(std::move(*rx_held_));
-          rx_held_.reset();
-        }
-        continue;
-      }
-      std::scoped_lock lock(rx_mu_);
-      admit_rx(std::move(r).value());
-    }
   }
 
   Result<std::optional<Bytes>> try_recv() override {

@@ -1,9 +1,12 @@
 #include "vhp/fault/plan.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "vhp/common/format.hpp"
+#include "vhp/obs/flat_json.hpp"
 
 namespace vhp::fault {
 
@@ -32,67 +35,11 @@ bool rule_matches(const FaultRule& rule, u32 node, obs::LinkPort port,
   return true;
 }
 
-// --- JSON scanning (same flat-object scanner style as obs/recording.cpp) --
+using obs::flat_json::raw_value;
 
-std::optional<std::string_view> raw_value(std::string_view obj,
-                                          std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = obj.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string_view rest = obj.substr(pos + needle.size());
-  while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t')) {
-    rest.remove_prefix(1);
-  }
-  if (!rest.empty() && rest.front() == '"') {
-    rest.remove_prefix(1);
-    const auto end = rest.find('"');
-    if (end == std::string_view::npos) return std::nullopt;
-    return rest.substr(0, end);
-  }
-  std::size_t end = 0;
-  while (end < rest.size() && rest[end] != ',' && rest[end] != '}' &&
-         rest[end] != ']') {
-    ++end;
-  }
-  return rest.substr(0, end);
-}
-
-std::optional<u64> u64_value(std::string_view obj, std::string_view key) {
-  auto raw = raw_value(obj, key);
-  if (!raw.has_value()) return std::nullopt;
-  u64 out = 0;
-  bool any = false;
-  for (char c : *raw) {
-    if (c == ' ') continue;
-    if (c < '0' || c > '9') return std::nullopt;
-    out = out * 10 + static_cast<u64>(c - '0');
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return out;
-}
-
-std::optional<double> double_value(std::string_view obj,
-                                   std::string_view key) {
-  auto raw = raw_value(obj, key);
-  if (!raw.has_value()) return std::nullopt;
-  std::string text{*raw};
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    while (used < text.size() && text[used] == ' ') ++used;
-    if (used != text.size()) return std::nullopt;
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-std::optional<obs::LinkPort> port_from_name(std::string_view name) {
-  if (name == "data") return obs::LinkPort::kData;
-  if (name == "int") return obs::LinkPort::kInt;
-  if (name == "clock") return obs::LinkPort::kClock;
-  return std::nullopt;
+/// 1-based line of `at`, a position inside `text`.
+std::size_t line_of(std::string_view text, const char* at) {
+  return 1 + static_cast<std::size_t>(std::count(text.data(), at, '\n'));
 }
 
 }  // namespace
@@ -158,8 +105,25 @@ Status FaultPlan::validate() const {
 }
 
 Result<FaultPlan> plan_from_json(std::string_view json) {
+  // A numeric field that is present must be a number that fits its field;
+  // the error names the field and its line.
+  const auto bad_field = [json](std::string_view obj, std::string_view key,
+                                const Status& why) {
+    return Status{StatusCode::kInvalidArgument,
+                  strformat("fault plan: line {}: {}",
+                            line_of(json, raw_value(obj, key)->data()),
+                            why.message())};
+  };
+  const auto number = [&](std::string_view obj, std::string_view key,
+                          auto& out) {
+    using T = std::remove_reference_t<decltype(out)>;
+    auto v = obs::flat_json::number<T>(obj, key);
+    if (!v.ok()) return bad_field(obj, key, v.status());
+    if (v.value().has_value()) out = *v.value();
+    return Status::Ok();
+  };
   FaultPlan plan;
-  plan.seed = u64_value(json, "seed").value_or(1);
+  if (Status s = number(json, "seed", plan.seed); !s.ok()) return s;
   const auto rules_pos = json.find("\"rules\"");
   if (rules_pos == std::string_view::npos) {
     if (json.find('{') == std::string_view::npos) {
@@ -202,11 +166,8 @@ Result<FaultPlan> plan_from_json(std::string_view json) {
                               rule_no)};
     }
     rule.kind = *kind;
-    if (const auto node = u64_value(obj, "node")) {
-      rule.node = static_cast<u32>(*node);
-    }
     if (const auto port_name = raw_value(obj, "port")) {
-      const auto port = port_from_name(*port_name);
+      const auto port = obs::link_port_from_name(*port_name);
       if (!port.has_value()) {
         return Status{StatusCode::kInvalidArgument,
                       strformat("fault plan: rule {} has bad port \"{}\"",
@@ -225,16 +186,26 @@ Result<FaultPlan> plan_from_json(std::string_view json) {
                                 rule_no, *dir_name)};
       }
     }
-    if (const auto p = double_value(obj, "probability")) {
-      rule.probability = *p;
+    if (const auto p = raw_value(obj, "probability")) {
+      std::istringstream text{std::string(*p)};
+      if (!(text >> rule.probability) || !(text >> std::ws).eof()) {
+        return bad_field(obj, "probability",
+                         Status{StatusCode::kInvalidArgument,
+                                strformat("field \"probability\" is not a "
+                                          "number: {}",
+                                          *p)});
+      }
     }
-    if (const auto v = u64_value(obj, "first_frame")) rule.first_frame = *v;
-    if (const auto v = u64_value(obj, "last_frame")) rule.last_frame = *v;
-    if (const auto v = u64_value(obj, "max_events")) rule.max_events = *v;
-    if (const auto v = u64_value(obj, "delay_us")) {
-      rule.delay = std::chrono::microseconds{*v};
+    auto delay_us = rule.delay.count();
+    for (Status s : {number(obj, "node", rule.node),
+                     number(obj, "first_frame", rule.first_frame),
+                     number(obj, "last_frame", rule.last_frame),
+                     number(obj, "max_events", rule.max_events),
+                     number(obj, "delay_us", delay_us),
+                     number(obj, "burst", rule.burst)}) {
+      if (!s.ok()) return s;
     }
-    if (const auto v = u64_value(obj, "burst")) rule.burst = *v;
+    rule.delay = std::chrono::microseconds{delay_us};
     plan.rules.push_back(rule);
     ++rule_no;
     body.remove_prefix(obj_close + 1);

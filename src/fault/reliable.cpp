@@ -102,7 +102,7 @@ struct ReliableChannel::Impl {
         name(tag.empty() ? std::string{"link"} : std::move(tag)),
         redial(std::move(redial_fn)), rto_cur(cfg.rto) {}
 
-  // ---- state (mu guards everything but blocking inner recv calls) ----
+  // ---- state (mu guards everything) ----
   net::ChannelPtr inner;
   const RecoveryConfig config;
   obs::Hub* hub;
@@ -412,48 +412,6 @@ Status ReliableChannel::send(std::span<const u8> frame) {
   return Status::Ok();
 }
 
-Result<Bytes> ReliableChannel::recv(std::optional<milliseconds> timeout) {
-  const auto deadline = timeout.has_value()
-                            ? std::optional{steady_clock::now() + *timeout}
-                            : std::nullopt;
-  while (true) {
-    {
-      std::scoped_lock lock(impl_->mu);
-      Status s = impl_->pump();
-      if (!s.ok()) return s;
-      if (!impl_->ready.empty()) return impl_->take_ready();
-    }
-    // Block in slices of the retransmission timer so lost frames are
-    // resent while we wait.
-    milliseconds slice = std::max<milliseconds>(impl_->config.rto / 2,
-                                                milliseconds{1});
-    if (deadline.has_value()) {
-      const auto now = steady_clock::now();
-      if (now >= *deadline) {
-        return Status{StatusCode::kDeadlineExceeded,
-                      strformat("fault: {} recv timeout", impl_->name)};
-      }
-      slice = std::min(
-          slice, std::chrono::duration_cast<milliseconds>(*deadline - now) +
-                     milliseconds{1});
-    }
-    Result<Bytes> r = impl_->inner->recv(slice);
-    if (r.ok()) {
-      std::scoped_lock lock(impl_->mu);
-      impl_->process_wire(std::move(r).value());
-      continue;
-    }
-    if (r.status().code() == StatusCode::kDeadlineExceeded) continue;
-    std::scoped_lock lock(impl_->mu);
-    if (link_down(r.status().code())) {
-      Status rs = impl_->reconnect(r.status());
-      if (!rs.ok()) return rs;
-      continue;
-    }
-    return r.status();
-  }
-}
-
 Result<std::optional<Bytes>> ReliableChannel::try_recv() {
   std::scoped_lock lock(impl_->mu);
   Status s = impl_->pump();
@@ -557,9 +515,7 @@ net::CosimLink reliable_link(net::CosimLink link,
       std::move(link.intr), config, hub, side + ".int");
   auto clock = std::make_unique<ReliableChannel>(
       std::move(link.clock), config, hub, side + ".clock");
-  if (config.flush_on_clock_send) {
-    clock->set_flush_siblings({data.get(), intr.get()});
-  }
+  clock->set_flush_siblings({data.get(), intr.get()});
   data->set_pump_peers({intr.get(), clock.get()});
   intr->set_pump_peers({data.get(), clock.get()});
   clock->set_pump_peers({data.get(), intr.get()});

@@ -70,17 +70,6 @@ Status BatchingChannel::flush_locked() {
   return inner_->flush();
 }
 
-Result<Bytes> BatchingChannel::recv(
-    std::optional<std::chrono::milliseconds> timeout) {
-  // Never block with frames still buffered: the peer may be waiting on
-  // exactly those frames before it can produce what we are receiving.
-  {
-    std::scoped_lock lock(mu_);
-    if (Status s = flush_locked(); !s.ok()) return s;
-  }
-  return inner_->recv(timeout);
-}
-
 Result<std::optional<Bytes>> BatchingChannel::try_recv() {
   return inner_->try_recv();
 }

@@ -1,6 +1,6 @@
 // Eventfd doorbell of the in-memory transports (inproc queues, shm rings):
-// the fd a consumer hands out from readable_fd() and, on shm, also the one
-// a blocking recv() sleeps on.
+// the fd a consumer hands out from readable_fd(), which every waiter sleeps
+// on, and, on shm, also the one a producer waits on for ring space.
 //
 // Both transports keep the bell level-accurate — readable exactly while a
 // frame may be pending — with one drain rule: the producer rings after it

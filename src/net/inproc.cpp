@@ -17,11 +17,12 @@ namespace {
 /// atomic word under the mutex, so try_pop on an open, empty queue is a
 /// single acquire load — no lock, no system call.
 ///
-/// Doorbell: an event loop that wants fd-readiness instead of condvar
-/// blocking calls readable_fd(), which lazily creates an eventfd. From
-/// then on every push rings it, and the pop that empties the queue drains
-/// it (doorbell.hpp's drain rule). Both happen under the mutex, so "bell
-/// readable" is exactly "queue non-empty or closed".
+/// Doorbell: a waiter (an event loop, or Channel::recv) calls
+/// readable_fd(), which lazily creates an eventfd. From then on every push
+/// rings it, and the pop that empties the queue drains it (doorbell.hpp's
+/// drain rule). Both happen under the mutex, so "bell readable" is exactly
+/// "queue non-empty or closed". A push to a full queue blocks on a
+/// condition variable, which models TCP back-pressure.
 class FrameQueue {
  public:
   explicit FrameQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -33,22 +34,7 @@ class FrameQueue {
     queue_.push_back(std::move(frame));
     publish_level();
     doorbell_.ring();
-    not_empty_.notify_one();
     return Status::Ok();
-  }
-
-  Result<Bytes> pop(std::optional<std::chrono::milliseconds> timeout) {
-    std::unique_lock lock(mu_);
-    const auto ready = [&] { return !queue_.empty() || closed_; };
-    if (timeout) {
-      if (!not_empty_.wait_for(lock, *timeout, ready)) {
-        return Status{StatusCode::kDeadlineExceeded, "recv timeout"};
-      }
-    } else {
-      not_empty_.wait(lock, ready);
-    }
-    if (queue_.empty()) return Status{StatusCode::kAborted, "channel closed"};
-    return take_front();
   }
 
   Result<std::optional<Bytes>> try_pop() {
@@ -68,7 +54,6 @@ class FrameQueue {
     closed_ = true;
     publish_level();
     doorbell_.ring();  // wake a poller so it observes kAborted
-    not_empty_.notify_all();
     not_full_.notify_all();
   }
 
@@ -105,13 +90,14 @@ class FrameQueue {
   }
 
   std::mutex mu_;
-  std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<Bytes> queue_;
   std::size_t capacity_;
   bool closed_ = false;
-  // queue_.size(), plus kClosed once closed: 0 means open and empty.
-  std::atomic<std::size_t> level_{0};
+  // queue_.size(), plus kClosed once closed: 0 means open and empty. On a
+  // cache line of its own: an empty poll reads only this word, so the
+  // peer's lock and deque writes must not evict it from the poller.
+  alignas(64) std::atomic<std::size_t> level_{0};
   Doorbell doorbell_;
 };
 
@@ -125,10 +111,6 @@ class InProcChannel final : public Channel {
 
   Status send(std::span<const u8> frame) override {
     return tx_->push(Bytes{frame.begin(), frame.end()});
-  }
-
-  Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    return rx_->pop(timeout);
   }
 
   Result<std::optional<Bytes>> try_recv() override { return rx_->try_pop(); }

@@ -9,12 +9,11 @@ namespace {
 class InstrumentedChannel final : public Channel {
  public:
   InstrumentedChannel(ChannelPtr inner, obs::Hub& hub, const std::string& name)
-      : inner_(std::move(inner)), clock_(hub.timeline()),
+      : inner_(std::move(inner)),
         tx_frames_(hub.metrics().counter("net." + name + ".tx_frames")),
         tx_bytes_(hub.metrics().counter("net." + name + ".tx_bytes")),
         rx_frames_(hub.metrics().counter("net." + name + ".rx_frames")),
-        rx_bytes_(hub.metrics().counter("net." + name + ".rx_bytes")),
-        recv_ns_(hub.metrics().histogram("net." + name + ".recv_wait_ns")) {}
+        rx_bytes_(hub.metrics().counter("net." + name + ".rx_bytes")) {}
 
   Status send(std::span<const u8> frame) override {
     Status s = inner_->send(frame);
@@ -23,17 +22,6 @@ class InstrumentedChannel final : public Channel {
       tx_bytes_.inc(frame.size());
     }
     return s;
-  }
-
-  Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    const u64 start = clock_.now_ns();
-    auto frame = inner_->recv(timeout);
-    if (frame.ok()) {
-      rx_frames_.inc();
-      rx_bytes_.inc(frame.value().size());
-      recv_ns_.record_ns(clock_.now_ns() - start);
-    }
-    return frame;
   }
 
   Result<std::optional<Bytes>> try_recv() override {
@@ -53,12 +41,10 @@ class InstrumentedChannel final : public Channel {
 
  private:
   ChannelPtr inner_;
-  const obs::Timeline& clock_;
   obs::Counter& tx_frames_;
   obs::Counter& tx_bytes_;
   obs::Counter& rx_frames_;
   obs::Counter& rx_bytes_;
-  obs::LatencyHistogram& recv_ns_;
 };
 
 // Appends every frame crossing the channel to the flight recorder's ring:
@@ -80,14 +66,6 @@ class RecordedChannel final : public Channel {
       recorder_.record(port_, obs::LinkDir::kTx, frame, node_, sent_ns);
     }
     return s;
-  }
-
-  Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    auto frame = inner_->recv(timeout);
-    if (frame.ok()) {
-      recorder_.record(port_, obs::LinkDir::kRx, frame.value(), node_);
-    }
-    return frame;
   }
 
   Result<std::optional<Bytes>> try_recv() override {

@@ -1,7 +1,5 @@
 #include "vhp/net/latency.hpp"
 
-#include <thread>
-
 namespace vhp::net {
 namespace {
 
@@ -29,12 +27,6 @@ class LatencyChannel final : public Channel {
     w.u64v(deadline_ns);
     w.bytes(frame);
     return inner_->send(wire);
-  }
-
-  Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    auto frame = inner_->recv(timeout);
-    if (!frame.ok()) return frame;
-    return strip_and_wait(std::move(frame).value(), /*may_block=*/true);
   }
 
   Result<std::optional<Bytes>> try_recv() override {
@@ -78,22 +70,12 @@ class LatencyChannel final : public Channel {
     return std::pair{std::move(payload), deadline};
   }
 
-  Result<Bytes> strip_and_wait(Bytes wire, bool may_block) {
-    auto res = strip(std::move(wire));
-    if (!res.ok()) return res.status();
-    auto [payload, deadline] = std::move(res).value();
-    if (may_block && Clock::now() < deadline) {
-      std::this_thread::sleep_until(deadline);
-    }
-    return std::move(payload);
-  }
-
   ChannelPtr inner_;
   LinkEmulationConfig config_;
   Rng rng_;
-  // try_recv hold-back buffer (one frame is enough: FIFO ordering means
-  // the head frame has the earliest deadline; empty payloads are legal,
-  // hence optional).
+  // Hold-back buffer for a frame whose deadline has not come (one frame is
+  // enough: FIFO ordering means the head frame has the earliest deadline;
+  // empty payloads are legal, hence optional).
   std::optional<Bytes> held_;
   Clock::time_point held_deadline_{};
 };

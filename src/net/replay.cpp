@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <thread>
 
 #include "vhp/common/checksum.hpp"
 #include "vhp/common/format.hpp"
@@ -425,41 +424,8 @@ class ReplayChannel final : public Channel {
     return state_->check_tx(port_, frame);
   }
 
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    const auto deadline = timeout.has_value()
-                              ? std::chrono::steady_clock::now() + *timeout
-                              : std::chrono::steady_clock::time_point::max();
-    for (;;) {
-      Bytes out;
-      ReplaySession::State::Rx rx;
-      {
-        std::scoped_lock lock(state_->mu);
-        rx = state_->try_deliver(port_, out);
-        if (rx == ReplaySession::State::Rx::kDiverged) {
-          return state_->diverged_status();
-        }
-      }
-      switch (rx) {
-        case ReplaySession::State::Rx::kDelivered:
-          return out;
-        case ReplaySession::State::Rx::kExhausted:
-        case ReplaySession::State::Rx::kClosed:
-          return Status{StatusCode::kAborted,
-                        strformat("replay: no further {} rx frames recorded",
-                                  obs::to_string(port_))};
-        default:
-          break;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return Status{StatusCode::kDeadlineExceeded, "replay recv timeout"};
-      }
-      // The gates open as the live side makes progress on its own thread;
-      // a short poll keeps the lone-side loop faithful without a real peer.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-
+  // No fd: a waiter polls this every 50 us, since the gates open as the
+  // live side makes progress on its own thread.
   Result<std::optional<Bytes>> try_recv() override {
     std::scoped_lock lock(state_->mu);
     Bytes out;
@@ -470,8 +436,17 @@ class ReplayChannel final : public Channel {
         return state_->diverged_status();
       case ReplaySession::State::Rx::kClosed:
         return Status{StatusCode::kAborted, "replay link closed"};
+      case ReplaySession::State::Rx::kExhausted:
+        // Past the end of the recording there is nothing left to wait for;
+        // before that, a later tx may still be owed on another port.
+        if (state_->n_consumed == state_->records.size()) {
+          return Status{StatusCode::kAborted,
+                        strformat("replay: no further {} rx frames recorded",
+                                  obs::to_string(port_))};
+        }
+        return std::optional<Bytes>{};
       default:
-        return std::optional<Bytes>{};  // nothing deliverable yet
+        return std::optional<Bytes>{};  // gated: not deliverable yet
     }
   }
 

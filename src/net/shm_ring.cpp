@@ -144,47 +144,13 @@ class ShmRingChannel final : public Channel {
     return Status::Ok();
   }
 
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    const auto deadline =
-        timeout ? std::optional{std::chrono::steady_clock::now() + *timeout}
-                : std::nullopt;
-    for (;;) {
-      auto frame = pop();
-      if (!frame.ok()) return frame.status();
-      if (frame.value().has_value()) return std::move(*frame.value());
-      // Arm, then re-check before sleeping: a producer publishing after
-      // the arm is guaranteed to see it and ring the bell.
-      rx_->ctl->reader_armed.store(1, std::memory_order_seq_cst);
-      frame = pop();
-      if (!frame.ok() || frame.value().has_value()) {
-        disarm();
-        if (!frame.ok()) return frame.status();
-        return std::move(*frame.value());
-      }
-      int wait_ms = -1;
-      if (deadline) {
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                *deadline - std::chrono::steady_clock::now());
-        if (left.count() <= 0) {
-          disarm();
-          return Status{StatusCode::kDeadlineExceeded, "recv timeout"};
-        }
-        wait_ms = static_cast<int>(left.count());
-      }
-      rx_->publish_bell.wait(wait_ms);
-      disarm();
-    }
-  }
-
   Result<std::optional<Bytes>> try_recv() override { return pop(); }
 
   void close() override {
     tx_->ctl->closed.store(1, std::memory_order_seq_cst);
     rx_->ctl->closed.store(1, std::memory_order_seq_cst);
-    // Wake everyone: our peer's consumer, our own blocked recv, and any
-    // producer stuck on a full ring.
+    // Wake everyone: our peer's consumer, our own waiting receiver, and
+    // any producer stuck on a full ring.
     tx_->publish_bell.ring();
     rx_->publish_bell.ring();
     tx_->space_bell.ring();
@@ -192,10 +158,9 @@ class ShmRingChannel final : public Channel {
   }
 
   int readable_fd() override {
-    // Permanently arm the doorbell for event-loop (epoll) use; ring it if
-    // frames were published before arming so a level-triggered poller
-    // doesn't sleep over them.
-    persist_armed_.store(true, std::memory_order_relaxed);
+    // Arm the doorbell for good (an event loop or Channel::recv waits on
+    // it); ring it if frames were published before arming so a
+    // level-triggered poller doesn't sleep over them.
     rx_->ctl->reader_armed.store(1, std::memory_order_seq_cst);
     if (rx_->ctl->head.load(std::memory_order_seq_cst) !=
             rx_->ctl->tail.load(std::memory_order_relaxed) ||
@@ -308,12 +273,6 @@ class ShmRingChannel final : public Channel {
     return std::optional<Bytes>{std::move(frame)};
   }
 
-  void disarm() {
-    if (!persist_armed_.load(std::memory_order_relaxed)) {
-      rx_->ctl->reader_armed.store(0, std::memory_order_relaxed);
-    }
-  }
-
   std::shared_ptr<ShmRegion> region_;
   RingDir* tx_;
   RingDir* rx_;
@@ -323,7 +282,6 @@ class ShmRingChannel final : public Channel {
   u64 cached_tail_ = 0;
   // Consumer-thread state: cached producer cursor.
   u64 cached_head_ = 0;
-  std::atomic<bool> persist_armed_{false};
 };
 
 }  // namespace

@@ -139,32 +139,9 @@ class TcpChannel final : public Channel {
 
   int readable_fd() override { return fd_; }
 
-  Result<Bytes> recv(std::optional<std::chrono::milliseconds> timeout) override {
-    const auto deadline =
-        timeout ? std::optional{std::chrono::steady_clock::now() + *timeout}
-                : std::nullopt;
-    for (;;) {
-      if (auto frame = extract_frame()) return std::move(*frame);
-      int wait_ms = -1;
-      if (deadline) {
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            *deadline - std::chrono::steady_clock::now());
-        if (left.count() <= 0) {
-          return Status{StatusCode::kDeadlineExceeded, "recv timeout"};
-        }
-        wait_ms = static_cast<int>(left.count());
-      }
-      Status s = fill_rx(wait_ms);
-      if (!s.ok()) {
-        if (s.code() == StatusCode::kDeadlineExceeded && !deadline) continue;
-        return s;
-      }
-    }
-  }
-
   Result<std::optional<Bytes>> try_recv() override {
     if (auto frame = extract_frame()) return std::optional{std::move(*frame)};
-    Status s = fill_rx(0);
+    Status s = fill_rx();
     if (!s.ok() && s.code() != StatusCode::kDeadlineExceeded) return s;
     if (auto frame = extract_frame()) return std::optional{std::move(*frame)};
     return std::optional<Bytes>{};
@@ -189,15 +166,14 @@ class TcpChannel final : public Channel {
     return frame;
   }
 
-  /// Waits up to wait_ms (-1 = forever, 0 = poll) for readability, then
-  /// drains whatever is available into rx_. kDeadlineExceeded when nothing
-  /// arrived in time.
-  Status fill_rx(int wait_ms) {
+  /// Reads whatever is available into rx_ without waiting.
+  /// kDeadlineExceeded when nothing was pending.
+  Status fill_rx() {
     if (closed_.load(std::memory_order_relaxed)) {
       return Status{StatusCode::kAborted, "channel closed"};
     }
     pollfd pfd{fd_, POLLIN, 0};
-    int rc = ::poll(&pfd, 1, wait_ms);
+    int rc = ::poll(&pfd, 1, 0);
     if (rc < 0) {
       if (errno == EINTR) return Status{StatusCode::kDeadlineExceeded, ""};
       return errno_status(StatusCode::kUnavailable, "poll");

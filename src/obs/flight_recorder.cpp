@@ -17,6 +17,13 @@ std::string_view to_string(LinkDir dir) {
   return dir == LinkDir::kTx ? "tx" : "rx";
 }
 
+std::optional<LinkPort> link_port_from_name(std::string_view name) {
+  if (name == "data") return LinkPort::kData;
+  if (name == "int") return LinkPort::kInt;
+  if (name == "clock") return LinkPort::kClock;
+  return std::nullopt;
+}
+
 FlightRecorder::FlightRecorder(FlightRecorderConfig config, std::string side,
                                const Timeline& clock)
     : config_(config), side_(std::move(side)), clock_(clock) {

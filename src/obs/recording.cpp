@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "vhp/common/bytes.hpp"
 #include "vhp/common/checksum.hpp"
 #include "vhp/common/format.hpp"
+#include "vhp/obs/flat_json.hpp"
 
 namespace vhp::obs {
 
@@ -48,45 +50,6 @@ bool from_hex(std::string_view hex, Bytes& out) {
     out.push_back(static_cast<u8>((hi << 4) | lo));
   }
   return true;
-}
-
-// --- JSONL value scanning (only the shapes our writer emits) ---------------
-
-/// Finds `"key":` in `line` and returns the raw value text after it (up to
-/// the next top-level ',' or '}' for scalars, the closing '"' for strings).
-std::optional<std::string_view> raw_value(std::string_view line,
-                                          std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string_view rest = line.substr(pos + needle.size());
-  if (!rest.empty() && rest.front() == '"') {
-    rest.remove_prefix(1);
-    const auto end = rest.find('"');  // writer never emits escaped quotes
-    if (end == std::string_view::npos) return std::nullopt;
-    return rest.substr(0, end);
-  }
-  std::size_t end = 0;
-  while (end < rest.size() && rest[end] != ',' && rest[end] != '}') ++end;
-  return rest.substr(0, end);
-}
-
-std::optional<u64> u64_value(std::string_view line, std::string_view key) {
-  auto raw = raw_value(line, key);
-  if (!raw.has_value() || raw->empty()) return std::nullopt;
-  u64 out = 0;
-  for (char c : *raw) {
-    if (c < '0' || c > '9') return std::nullopt;
-    out = out * 10 + static_cast<u64>(c - '0');
-  }
-  return out;
-}
-
-std::optional<LinkPort> port_from_name(std::string_view name) {
-  if (name == "data") return LinkPort::kData;
-  if (name == "int") return LinkPort::kInt;
-  if (name == "clock") return LinkPort::kClock;
-  return std::nullopt;
 }
 
 Status bad_file(const std::string& path, const std::string& what) {
@@ -154,7 +117,8 @@ Result<Recording> read_jsonl(const std::string& path, std::istream& in) {
       line.compare(0, kJsonlMagic.size(), kJsonlMagic) != 0) {
     return bad_file(path, "missing vhp-recording JSONL header");
   }
-  rec.meta.side = std::string(raw_value(line, "side").value_or(""));
+  rec.meta.side =
+      std::string(flat_json::raw_value(line, "side").value_or(""));
   // Tags: the header's {"k":"v",...} sub-object, flat by construction.
   const auto tags_pos = line.find("\"tags\":{");
   if (tags_pos != std::string::npos) {
@@ -184,27 +148,44 @@ Result<Recording> read_jsonl(const std::string& path, std::istream& in) {
     ++line_no;
     if (line.empty()) continue;
     FrameRecord r;
-    const auto seq = u64_value(line, "seq");
-    const auto port_name = raw_value(line, "port");
+    // A numeric field that is present must fit its type; an absent one
+    // other than seq reads as 0.
+    Status bad_number = Status::Ok();
+    const auto number = [&](std::string_view key, auto& out) {
+      auto v = flat_json::number<std::remove_reference_t<decltype(out)>>(
+          line, key);
+      if (!v.ok()) {
+        if (bad_number.ok()) bad_number = v.status();
+        return false;
+      }
+      if (v.value().has_value()) out = *v.value();
+      return v.value().has_value();
+    };
+    const bool has_seq = number("seq", r.seq);
+    number("node", r.node);
+    number("flags", r.flags);
+    number("type", r.msg_type);
+    number("hw_cycle", r.hw_cycle);
+    number("board_tick", r.board_tick);
+    number("wall_ns", r.wall_ns);
+    number("size", r.payload_size);
+    number("digest", r.digest);
+    if (!bad_number.ok()) {
+      return bad_file(path, strformat("line {}: {}", line_no,
+                                      bad_number.message()));
+    }
+    const auto port_name = flat_json::raw_value(line, "port");
     const auto port =
-        port_name ? port_from_name(*port_name) : std::nullopt;
-    const auto dir = raw_value(line, "dir");
-    if (!seq || !port || !dir || (*dir != "tx" && *dir != "rx")) {
+        port_name ? link_port_from_name(*port_name) : std::nullopt;
+    const auto dir = flat_json::raw_value(line, "dir");
+    if (!has_seq || !port || !dir || (*dir != "tx" && *dir != "rx")) {
       return bad_file(path, strformat("bad frame on line {}", line_no));
     }
-    r.seq = *seq;
     r.port = *port;
     r.dir = *dir == "tx" ? LinkDir::kTx : LinkDir::kRx;
-    r.node = static_cast<u32>(u64_value(line, "node").value_or(0));
-    r.flags = static_cast<u8>(u64_value(line, "flags").value_or(0));
-    r.msg_type = static_cast<u8>(u64_value(line, "type").value_or(0));
-    r.truncated = raw_value(line, "truncated").value_or("false") == "true";
-    r.hw_cycle = u64_value(line, "hw_cycle").value_or(0);
-    r.board_tick = u64_value(line, "board_tick").value_or(0);
-    r.wall_ns = u64_value(line, "wall_ns").value_or(0);
-    r.payload_size = static_cast<u32>(u64_value(line, "size").value_or(0));
-    r.digest = static_cast<u32>(u64_value(line, "digest").value_or(0));
-    const auto hex = raw_value(line, "payload").value_or("");
+    r.truncated =
+        flat_json::raw_value(line, "truncated").value_or("false") == "true";
+    const auto hex = flat_json::raw_value(line, "payload").value_or("");
     if (!from_hex(hex, r.payload)) {
       return bad_file(path, strformat("bad payload hex on line {}", line_no));
     }

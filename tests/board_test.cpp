@@ -92,23 +92,6 @@ TEST(ChannelWaiter, DeferredRecvLeavesPollingToTheIdleThread) {
   EXPECT_EQ(deliveries_seen, 1);
 }
 
-TEST(ChannelWaiter, TryGetNonBlocking) {
-  rtos::Kernel k{rtos::KernelConfig{}};
-  auto [hw, brd] = net::make_inproc_channel_pair();
-  ChannelWaiter waiter{k, *brd, "test"};
-  bool checked = false;
-  k.spawn("rx", 5, [&] {
-    EXPECT_FALSE(waiter.try_get().has_value());
-    ASSERT_TRUE(hw->send(Bytes{5}).ok());
-    auto f = waiter.try_get();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(*f, Bytes{5});
-    checked = true;
-  });
-  k.run(true);
-  EXPECT_TRUE(checked);
-}
-
 // ---------- Board against a scripted HW peer ----------
 
 struct ScriptedHw {
@@ -265,12 +248,6 @@ class InstantAnswerChannel final : public net::Channel {
     return inner_->send(frame);
   }
 
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    if (auto answer = pop_answer()) return std::move(*answer);
-    return inner_->recv(timeout);
-  }
-
   Result<std::optional<Bytes>> try_recv() override {
     if (auto answer = pop_answer()) return answer;
     return inner_->try_recv();
@@ -331,11 +308,6 @@ class LateInterruptClockChannel final : public net::Channel {
 
   Status send(std::span<const u8> frame) override {
     return inner_->send(frame);
-  }
-
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    return inner_->recv(timeout);
   }
 
   Result<std::optional<Bytes>> try_recv() override {

@@ -270,10 +270,6 @@ class GatedDataChannel final : public net::Channel {
   Status send(std::span<const u8> frame) override {
     return inner_->send(frame);
   }
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    return inner_->recv(timeout);
-  }
   Result<std::optional<Bytes>> try_recv() override {
     if (!gate_.tick_sent) return std::optional<Bytes>{};
     return inner_->try_recv();
@@ -295,10 +291,6 @@ class TickSpottingChannel final : public net::Channel {
       gate_.tick_sent = true;
     }
     return inner_->send(frame);
-  }
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    return inner_->recv(timeout);
   }
   Result<std::optional<Bytes>> try_recv() override {
     return inner_->try_recv();
@@ -372,11 +364,6 @@ class PollCountingChannel final : public net::Channel {
       : inner_(std::move(inner)), kernel_(kernel), polls_(polls) {}
   Status send(std::span<const u8> frame) override {
     return inner_->send(frame);
-  }
-  Result<Bytes> recv(
-      std::optional<std::chrono::milliseconds> timeout) override {
-    ++polls_[kernel_->cycle()];
-    return inner_->recv(timeout);
   }
   Result<std::optional<Bytes>> try_recv() override {
     ++polls_[kernel_->cycle()];

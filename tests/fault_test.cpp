@@ -12,6 +12,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <variant>
@@ -107,6 +109,50 @@ TEST(FaultPlanTest, ParserRejectsMalformedPlans) {
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(empty.value().armed());
   EXPECT_EQ(empty.value().seed, 9u);
+}
+
+TEST(FaultPlanTest, ParserRejectsNumbersThatDoNotFit) {
+  // Past 2^64, past a u32 node, a negative count and a non-number: each
+  // used to wrap, narrow or vanish into the default.
+  for (const char* json : {
+           R"({"seed": 18446744073709551617})",
+           R"({"rules": [{"kind": "drop", "node": 4294967297}]})",
+           R"({"rules": [{"kind": "drop", "max_events": -1}]})",
+           R"({"rules": [{"kind": "delay", "delay_us": 9223372036854775808}]})",
+           R"({"rules": [{"kind": "drop", "probability": "often"}]})"}) {
+    auto plan = plan_from_json(json);
+    EXPECT_FALSE(plan.ok()) << json;
+  }
+  // The error names the field and its line.
+  auto burst = plan_from_json(
+      "{\"seed\": 3, \"rules\": [\n"
+      "  {\"kind\": \"drop\"},\n"
+      "  {\"kind\": \"disconnect\", \"burst\": 99999999999999999999}]}");
+  ASSERT_FALSE(burst.ok());
+  EXPECT_NE(burst.status().message().find("line 3"), std::string::npos)
+      << burst.status();
+  EXPECT_NE(burst.status().message().find("\"burst\""), std::string::npos)
+      << burst.status();
+  // load_plan reads through the same parser.
+  const std::string path =
+      ::testing::TempDir() + "vhp_fault_plan_numbers.json";
+  {
+    std::ofstream out{path};
+    out << R"({"seed": 1, "rules": [{"kind": "drop", "first_frame": 1x}]})";
+  }
+  auto loaded = load_plan(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("\"first_frame\""),
+            std::string::npos)
+      << loaded.status();
+  // The largest values that fit are accepted.
+  auto max = plan_from_json(
+      R"({"seed": 18446744073709551615, "rules": [{"kind": "drop", )"
+      R"("node": 4294967295, "last_frame": 18446744073709551615}]})");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max.value().seed, ~u64{0});
+  EXPECT_EQ(max.value().rules[0].node, ~u32{0});
 }
 
 TEST(FaultPlanTest, ValidateRejectsImpossibleRules) {

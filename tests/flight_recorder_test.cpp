@@ -216,6 +216,55 @@ TEST(RecordingFormatTest, JsonlRoundTripPreservesEverything) {
   std::remove(path.c_str());
 }
 
+TEST(RecordingFormatTest, JsonlRejectsNumbersThatDoNotFit) {
+  const std::string header =
+      R"({"format":"vhp-recording","version":1,"side":"hw","frames":1,)"
+      R"("tags":{}})";
+  const std::string tail =
+      R"(,"type":5,"hw_cycle":1,"board_tick":0,"wall_ns":1,"size":0,)"
+      R"("digest":0,"payload":""})";
+  const auto read_line = [&](const std::string& frame) {
+    const std::string path = temp_path(
+        std::string("fr_numbers.") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".jsonl");
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      std::fputs((header + "\n" + frame + tail + "\n").c_str(), f);
+      std::fclose(f);
+    }
+    auto r = read_recording(path);
+    std::remove(path.c_str());
+    return r;
+  };
+  // Past 2^64 and past 2^32: the reader used to wrap these to seq 1, node 1.
+  auto wrapped = read_line(
+      R"({"seq":18446744073709551617,"node":4294967297,"port":"data","dir":"tx")");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.status().message().find("line 2"), std::string::npos)
+      << wrapped.status();
+  EXPECT_NE(wrapped.status().message().find("\"seq\""), std::string::npos)
+      << wrapped.status();
+  auto node = read_line(
+      R"({"seq":1,"node":4294967297,"port":"data","dir":"tx")");
+  ASSERT_FALSE(node.ok());
+  EXPECT_NE(node.status().message().find("\"node\""), std::string::npos)
+      << node.status();
+  auto flags = read_line(R"({"seq":1,"flags":256,"port":"data","dir":"tx")");
+  EXPECT_FALSE(flags.ok());
+  auto text = read_line(R"({"seq":1,"node":x1,"port":"data","dir":"tx")");
+  EXPECT_FALSE(text.ok());
+  // The largest values that fit still read back exactly.
+  auto max = read_line(
+      R"({"seq":18446744073709551615,"node":4294967295,"flags":255,)"
+      R"("port":"data","dir":"tx")");
+  ASSERT_TRUE(max.ok()) << max.status();
+  ASSERT_EQ(max.value().frames.size(), 1u);
+  EXPECT_EQ(max.value().frames[0].seq, ~u64{0});
+  EXPECT_EQ(max.value().frames[0].node, ~u32{0});
+  EXPECT_EQ(max.value().frames[0].flags, 255u);
+}
+
 TEST(RecordingFormatTest, FormatFollowsExtension) {
   EXPECT_EQ(format_for_path("run.hw.vhprec"), RecordingFormat::kBinary);
   EXPECT_EQ(format_for_path("dump.jsonl"), RecordingFormat::kJsonl);

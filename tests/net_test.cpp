@@ -11,6 +11,7 @@
 #include "vhp/net/channel.hpp"
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/message.hpp"
+#include "vhp/net/shm_ring.hpp"
 #include "vhp/net/tcp.hpp"
 
 namespace vhp::net {
@@ -172,13 +173,18 @@ TEST(MessageCodec, TypeNames) {
 
 // ---------- transports, exercised through one fixture ----------
 
-enum class Transport { kInProc, kTcp };
+enum class Transport { kInProc, kTcp, kShm };
 
 class ChannelTest : public ::testing::TestWithParam<Transport> {
  protected:
   void SetUp() override {
     if (GetParam() == Transport::kInProc) {
       auto [a, b] = make_inproc_channel_pair(16);
+      a_ = std::move(a);
+      b_ = std::move(b);
+    } else if (GetParam() == Transport::kShm) {
+      // LargeFrame's 100,000-byte frame must fit the ring whole.
+      auto [a, b] = make_shm_channel_pair(std::size_t{1} << 18);
       a_ = std::move(a);
       b_ = std::move(b);
     } else {
@@ -319,11 +325,59 @@ TEST_P(ChannelTest, BidirectionalConcurrentTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(Transports, ChannelTest,
                          ::testing::Values(Transport::kInProc,
-                                           Transport::kTcp),
+                                           Transport::kTcp, Transport::kShm),
                          [](const auto& suite_info) {
-                           return suite_info.param == Transport::kInProc ? "InProc"
-                                                                   : "Tcp";
+                           switch (suite_info.param) {
+                             case Transport::kInProc: return "InProc";
+                             case Transport::kTcp: return "Tcp";
+                             case Transport::kShm: return "Shm";
+                           }
+                           return "?";
                          });
+
+/// Hides the transport's fd, so a waiter takes Channel::recv's branch
+/// without one: a short sleep between try_recv() polls.
+class NoFdChannel final : public Channel {
+ public:
+  explicit NoFdChannel(ChannelPtr inner) : inner_(std::move(inner)) {}
+  Status send(std::span<const u8> frame) override {
+    return inner_->send(frame);
+  }
+  Result<std::optional<Bytes>> try_recv() override {
+    return inner_->try_recv();
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  ChannelPtr inner_;
+};
+
+TEST(OneWait, WithoutAnFdStillWakesOnALateSendAndTimesOut) {
+  using Clock = std::chrono::steady_clock;
+  auto [tx, raw_rx] = make_inproc_channel_pair();
+  NoFdChannel rx{std::move(raw_rx)};
+  ASSERT_EQ(rx.readable_fd(), -1);
+  // Silence: the wait ends at its deadline, not before.
+  const auto silent_from = Clock::now();
+  auto silent = rx.recv(30ms);
+  ASSERT_FALSE(silent.ok());
+  EXPECT_EQ(silent.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(Clock::now() - silent_from, 30ms);
+  // A late send wakes the waiter long before its deadline.
+  std::thread late{[&] {
+    std::this_thread::sleep_for(30ms);
+    ASSERT_TRUE(tx->send(Bytes{7}).ok());
+  }};
+  const auto wait_from = Clock::now();
+  auto got = rx.recv(10s);
+  late.join();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got.value(), Bytes{7});
+  EXPECT_LT(Clock::now() - wait_from, 5s);
+  // A closed peer ends the wait too.
+  tx->close();
+  EXPECT_EQ(rx.recv(10s).status().code(), StatusCode::kAborted);
+}
 
 TEST(InProcLink, ThreeIndependentChannels) {
   LinkPair pair = make_inproc_link_pair();

@@ -30,7 +30,12 @@ std::string read_file(const std::string& path) {
 class VcdTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "vhp_vcd_test.vcd";
+  // One file per test: ctest runs this fixture's tests as concurrent
+  // processes, which must not write or remove each other's file.
+  std::string path_ =
+      ::testing::TempDir() + "vhp_vcd_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".vcd";
 };
 
 TEST_F(VcdTest, HeaderDeclaresTracedSignals) {

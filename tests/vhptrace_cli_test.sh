@@ -56,6 +56,14 @@ EMPTY="$TMPDIR/empty.vhprec"
 
 MISSING="$TMPDIR/does_not_exist.vhprec"
 
+# A JSONL recording whose frame numbers do not fit their fields (past 2^64
+# and 2^32): a wrapping reader would show seq 1, node 1 and exit 0.
+OVERFLOW="$TMPDIR/overflow.jsonl"
+{
+  printf '%s\n' '{"format":"vhp-recording","version":1,"side":"hw","frames":1,"tags":{}}'
+  printf '%s\n' '{"seq":18446744073709551617,"node":4294967297,"port":"data","dir":"tx","type":5,"hw_cycle":1,"board_tick":0,"wall_ns":1,"size":0,"digest":0,"payload":""}'
+} > "$OVERFLOW"
+
 # A real recording, produced by the vhp library itself: run the recorded
 # smoke fixture generator if present, else fall back to write/truncate via
 # the inspect path being exercised on the corrupt files only.
@@ -82,7 +90,9 @@ expect 2 "inspect on empty file"                  -- "$VHPTRACE" inspect "$EMPTY
 expect 2 "stats on garbage magic"                 -- "$VHPTRACE" stats "$GARBAGE"
 expect 2 "timeline on garbage magic"              -- "$VHPTRACE" timeline "$GARBAGE"
 expect 2 "critical on garbage magic"              -- "$VHPTRACE" critical "$GARBAGE"
+expect 2 "inspect on out-of-range JSONL numbers"  -- "$VHPTRACE" inspect "$OVERFLOW"
 expect_stderr "vhptrace:" "error goes to stderr prefixed" -- "$VHPTRACE" inspect "$GARBAGE"
+expect_stderr '"seq"' "out-of-range error names the field" -- "$VHPTRACE" inspect "$OVERFLOW"
 
 if [ "$HAVE_VALID" -eq 1 ]; then
   # Truncation of a genuine recording must be detected, not misparsed.

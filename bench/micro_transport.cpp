@@ -1,15 +1,15 @@
 // Micro-benchmarks of the transport layer: the message codec, a poll of an
-// empty channel (what every poller pays when it finds nothing: the gather
-// spin, the board's idle thread, an untimed master's per-cycle DATA
-// check), the round trip of a CLOCK_TICK-sized frame, and TCP DATA
-// bandwidth (DESIGN.md §4, decisions 2 and 5; §14). The round-trip and
-// bandwidth rows wait in the blocking Channel::recv on both ends; no
-// co-simulation path waits that way (the master and the board poll with
-// try_recv), so those rows bound the transport, not Figures 5 and 6.
+// empty channel (what every waiter pays when it finds nothing: the spin of
+// net::wait_until, an untimed master's per-cycle DATA check), the round
+// trip of a CLOCK_TICK-sized frame, and TCP DATA bandwidth (DESIGN.md §4,
+// decisions 2 and 5; §14). The round-trip and bandwidth rows wait in
+// Channel::recv on both ends, which is net::wait_until, the wait of the
+// master's gather and a board's host thread; they bound the transport,
+// not Figures 5 and 6. A row exits 1 when an echo loses a frame.
 //
 // The empty-poll rows cover inproc and shm with the doorbell armed (an
 // event loop asked for readable_fd()) and unarmed, plus TCP, whose check
-// is always one poll(2).
+// is always one recv(2).
 //
 // Output: BENCH_micro_transport.metrics.json — one row per workload and
 // variant with host ns and system-CPU ns per operation, so a trajectory of

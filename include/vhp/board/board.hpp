@@ -114,14 +114,17 @@ class Board {
                           std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
   /// Boots the comm threads and runs the RTOS until SHUTDOWN (or
-  /// kernel().shutdown()). Call on the board's host thread.
+  /// kernel().shutdown()): pump() until done, waiting in net::wait_until
+  /// on the link whenever the board is starved. Call on the board's host
+  /// thread.
   void run();
 
   /// ----- cooperative hosting (svc::SessionHost / fabric event loop) -----
 
   /// Spawns the comm threads without entering the run loop. Idempotent;
   /// run() calls it too. All pump() calls must come from one thread (the
-  /// event loop) — fibers are not migratable.
+  /// board's host thread, or the event loop's) — fibers are not
+  /// migratable.
   void boot();
 
   enum class PumpStatus {
@@ -130,8 +133,8 @@ class Board {
   };
 
   /// Runs the RTOS until it is starved (frozen with nothing pending on
-  /// any channel) or shut down. Non-blocking in host terms: no sleeping,
-  /// no pacing. Requires boot().
+  /// any channel) or shut down. Non-blocking in host terms: it never waits
+  /// for the link. Requires boot().
   PumpStatus pump();
 
   /// Readiness fds of the board side of the link (DATA/INT/CLOCK rx), for
@@ -157,6 +160,8 @@ class Board {
  private:
   void systemc_thread_body();
   void channel_thread_body();
+  /// The idle thread's duty, and run()'s readiness check: drains the
+  /// link's three channels into their waiters; true if anything arrived.
   bool idle_poll();
   /// Records the open RTOS slice as ending at `now` (armed boards only).
   void end_slice(u64 now);
@@ -186,7 +191,6 @@ class Board {
   std::unique_ptr<ChannelWaiter> data_rx_;
   std::unique_ptr<ChannelWaiter> int_rx_;
   std::unique_ptr<ChannelWaiter> clock_rx_;
-  IdlePacer pacer_;
 
   rtos::Mutex data_mutex_{kernel_};  // serializes DATA request/response
   std::function<void(u32)> device_dsr_;
@@ -215,7 +219,8 @@ class Board {
   bool halted_ = false;
 };
 
-/// Convenience: runs a Board on its own host thread; joins on destruction.
+/// Runs a Board on a host thread of its own (Board::run(): the pump, and
+/// the one wait whenever the board is starved); joins on destruction.
 class BoardHost {
  public:
   BoardHost(BoardConfig config, net::CosimLink link, obs::Hub* hub = nullptr);

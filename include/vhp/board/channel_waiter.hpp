@@ -6,7 +6,10 @@
 // RTOS semaphore that the idle thread posts after polling the channel — the
 // exact division of labour the paper describes for its idle state: the idle
 // thread keeps the socket connection alive, the channel/systemc threads do
-// the protocol work.
+// the protocol work. Once the idle poll finds nothing the board is starved
+// and its host hands the thread back: Board::run() waits in net::wait_until
+// with the same poll as its readiness check, an event loop waits on the
+// channels' fds.
 #pragma once
 
 #include <deque>
@@ -51,17 +54,6 @@ class ChannelWaiter {
   std::deque<Bytes> pending_;
   rtos::Semaphore available_;
   bool closed_ = false;
-};
-
-/// Escalating host pause for the idle polling loop: spin first (sync
-/// round trips are latency-critical), then yield, then sleep.
-class IdlePacer {
- public:
-  void pause();
-  void reset() { empty_polls_ = 0; }
-
- private:
-  u64 empty_polls_ = 0;
 };
 
 }  // namespace vhp::board

@@ -27,9 +27,9 @@
 // kernel run per barrier. Untimed runs step every cycle: a free-running
 // board can send DATA at any cycle.
 //
-// One loop body (pump) serves both drives: run_cycles() is pump() plus a
-// blocking wait, and an event loop calls pump() directly. A two-party
-// session is the N=1 case of a fabric.
+// One loop body (pump) serves both drives: run_cycles() is pump() plus
+// net::wait_until on the links' DATA and CLOCK ports, and an event loop
+// calls pump() directly. A two-party session is the N=1 case of a fabric.
 #pragma once
 
 #include <functional>

@@ -110,7 +110,7 @@ class SyncCoordinator {
   /// Non-blocking barrier step (event-loop hosting): the first call at
   /// `cycle` scatters, every later one makes one gather pass under the
   /// watchdog; *done once every ticked node has acked. Repeat with the same
-  /// `cycle` until done. run_barrier() is this step in a yield loop.
+  /// `cycle` until done. run_barrier() is this step in net::wait_until.
   Status step_barrier(u64 cycle, const std::function<Status()>& service,
                       bool* done);
   /// True while a barrier's CLOCK_TICKs are out and TIME_ACKs still owed.
@@ -210,6 +210,10 @@ class SyncCoordinator {
   void mark(std::size_t index, obs::SpanPhase phase, u64 cycle);
   /// Starts the watchdog interval of a new gather.
   void arm_watchdog();
+  /// Repeats a non-blocking `step` in net::wait_until on the CLOCK
+  /// channels until it is done or fails (the blocking handshake and
+  /// barrier).
+  Status wait_for(const std::function<Status(bool* done)>& step);
   /// One non-blocking pass: takes every TIME_ACK that has arrived from a
   /// pending node, runs `service`, drops the nodes whose ack and DATA are
   /// in, then applies the watchdog to the rest.

@@ -85,19 +85,21 @@ class ReliableChannel final : public net::Channel {
   Status send(std::span<const u8> frame) override;
   /// Pumps the transport (acks, retransmission timer, redial on a lost
   /// link) and hands over the next in-order payload. A receiver waiting in
-  /// Channel::recv re-polls at least every net::kRepollPeriod, so recovery
-  /// keeps running while it waits.
+  /// net::wait_until re-polls at least every net::kRepollPeriod, so
+  /// recovery keeps running while it waits.
   Result<std::optional<Bytes>> try_recv() override;
   void close() override;
 
-  /// Blocks (pumping acks and retransmissions) until every sent frame has
-  /// been acknowledged, or the timeout expires.
+  /// Waits in net::wait_until (pumping acks and retransmissions, here and
+  /// on the pump peers) until every sent frame has been acknowledged, or
+  /// the timeout expires.
   Status flush(std::chrono::milliseconds timeout);
 
   /// Transport-level flush/readiness (net::Channel overrides): forwarded
   /// to the inner transport. Distinct from the ack-flush above.
   Status flush() override;
   int readable_fd() override;
+  std::chrono::steady_clock::time_point held_until() override;
 
   /// Channels whose in-flight frames must land before this channel sends
   /// (the CLOCK -> {DATA, INT} coupling; see header comment).

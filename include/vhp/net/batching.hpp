@@ -51,6 +51,7 @@ class BatchingChannel final : public Channel {
   Result<std::optional<Bytes>> try_recv() override;
   void close() override;
   int readable_fd() override;
+  std::chrono::steady_clock::time_point held_until() override;
 
   /// Introspection for tests and the session_density bench.
   [[nodiscard]] u64 frames_batched() const;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -18,11 +19,11 @@
 
 namespace vhp::net {
 
-/// The longest a waiter sleeps between two try_recv() polls. Readiness is
-/// advisory, and a decorator may hold a frame or run a timer that no fd
-/// announces (a latency deadline, a retransmission timeout), so every wait
-/// on a channel (Channel::recv, SessionHost, the fabric's board loop)
-/// re-polls at least this often.
+/// How long a waiter spins before it blocks, and the longest it then
+/// sleeps between two polls. Readiness is advisory, and a decorator may run
+/// a timer that no fd announces (a retransmission timeout), so every wait
+/// on a channel (wait_until, SessionHost, the fabric's board loop) re-polls
+/// at least this often.
 inline constexpr std::chrono::milliseconds kRepollPeriod{1};
 
 /// A bidirectional, framed, ordered, reliable byte-message channel.
@@ -41,17 +42,16 @@ class Channel {
 
   /// Receives one frame, waiting up to `timeout` (forever if nullopt).
   /// Returns kDeadlineExceeded on timeout, kAborted once a closed peer is
-  /// drained. The one wait: it flush()es first (the peer may be waiting on
-  /// exactly the frames this endpoint holds), then loops on try_recv(),
-  /// sleeping between polls on readable_fd() — or 50 us when there is
-  /// none — for at most kRepollPeriod.
+  /// drained. It flush()es first (the peer may be waiting on exactly the
+  /// frames this endpoint holds), then waits in wait_until() with
+  /// try_recv() as the readiness check.
   Result<Bytes> recv(
       std::optional<std::chrono::milliseconds> timeout = std::nullopt);
 
   /// Non-blocking receive; ok()+nullopt when no frame is pending. This is
   /// also the readiness check of every poller, so an empty poll
   /// is cheap: one acquire load on inproc and shm (no lock, no system
-  /// call), one zero-timeout poll(2) on TCP.
+  /// call), one non-blocking recv(2) on TCP.
   virtual Result<std::optional<Bytes>> try_recv() = 0;
 
   /// Closes this endpoint; pending and future receives on the peer fail
@@ -76,8 +76,8 @@ class Channel {
   /// A pollable fd that becomes readable when a frame may be pending, or
   /// -1 when the transport has none (callers must then poll try_recv()).
   /// Calling this may arm a doorbell: in-process queues lazily create an
-  /// eventfd the first time any waiter asks (an event loop or recv()), and
-  /// it stays armed for good. Readiness is advisory and
+  /// eventfd the first time any waiter asks (an event loop or
+  /// wait_until), and it stays armed for good. Readiness is advisory and
   /// level-triggered; always confirm with try_recv(), and drain with it
   /// until it reports nothing pending before waiting on the fd again. The
   /// in-memory doorbells follow one drain rule: the consumer drains its
@@ -86,9 +86,30 @@ class Channel {
   /// found nothing, the fd turns readable as soon as a frame is pending,
   /// and a fully drained channel leaves it quiet.
   virtual int readable_fd() { return -1; }
+
+  /// When a frame this channel holds back (a latency decorator's, until
+  /// its delivery time) comes due, so that a waiter can sleep exactly that
+  /// long: no fd announces it. time_point::max() (the default) when none
+  /// is held. Decorators forward their inner channel's.
+  virtual std::chrono::steady_clock::time_point held_until() {
+    return std::chrono::steady_clock::time_point::max();
+  }
 };
 
 using ChannelPtr = std::unique_ptr<Channel>;
+
+/// The one wait of a host thread that waits for a frame. Calls `ready()`
+/// back to back, yielding the CPU between calls, for up to kRepollPeriod.
+/// Then it asks `channels` for their readable_fd()s (only now: asking arms
+/// an in-memory doorbell for good, which costs the peer a system call per
+/// frame) and sleeps in ppoll(2) until an fd turns readable, `deadline`
+/// passes, a held frame comes due (Channel::held_until) or kRepollPeriod
+/// elapses, calling `ready()` after every sleep. Returns true once
+/// `ready()` does, false once `deadline` has passed without it.
+bool wait_until(const std::function<bool()>& ready,
+                std::span<Channel* const> channels,
+                std::chrono::steady_clock::time_point deadline =
+                    std::chrono::steady_clock::time_point::max());
 
 /// Typed convenience wrappers: Message <-> frame.
 Status send_msg(Channel& ch, const Message& msg);

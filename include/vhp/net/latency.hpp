@@ -10,7 +10,7 @@
 // Mechanism: the sending side prepends a monotonic timestamp plus the
 // per-frame target latency; the receiving side strips it and holds the
 // frame until its delivery time: try_recv() reports nothing pending before
-// then, and a waiter re-polls within net::kRepollPeriod. Both endpoints of
+// then, and held_until() tells a waiter when to poll again. Both endpoints of
 // a link direction must be wrapped (wrap_link_pair does this for a whole
 // 3-channel pair).
 #pragma once

@@ -13,7 +13,8 @@
 // Wakeups use eventfd doorbells, rung only when the other side said it
 // is (or may be) waiting: the consumer's doorbell is the channel's
 // readable_fd(), and the first readable_fd() call (by an event loop or
-// by Channel::recv's wait) arms it for good: from then on every publish
+// by net::wait_until once its spin is over) arms it for good: from then
+// on every publish
 // rings it and then raises a `rung` flag in the mapping. The
 // consumer drains the bell only while that flag is up, so a pop of an
 // empty ring is loads only — no system call, armed or not. The

@@ -89,16 +89,12 @@ class Kernel {
   /// non-idle thread has exited, if `until_quiescent`).
   void run(bool until_quiescent = false);
 
-  /// Cooperative stepping (the svc session server's hosting mode): runs
-  /// the scheduler until the board is *starved* — frozen (or truly idle)
-  /// with an idle poll reporting no external progress — or shut down.
-  /// Fibers stay parked across calls; the caller re-invokes when new
-  /// input arrives (readiness callback). Returns false once shut down.
+  /// Cooperative stepping (how every board is hosted: Board::run() and
+  /// the event loops): runs the scheduler until the board is *starved* —
+  /// frozen (or truly idle) with an idle poll reporting no external
+  /// progress — or shut down. Fibers stay parked across calls; the caller
+  /// re-invokes when new input arrives. Returns false once shut down.
   bool run_until_starved();
-
-  /// True while inside run_until_starved() — lets the idle poll skip
-  /// host-level pacing (sleeping would stall every session on the loop).
-  [[nodiscard]] bool stepping() const { return step_mode_; }
 
   /// Requests run() to return at the next safe point. Callable from thread
   /// context or externally before run().

@@ -1,13 +1,16 @@
 // Event-driven hosting of a CosimSession (DESIGN.md §14).
 //
-// The classic drive is one blocked host thread per board (BoardHost) plus
-// the caller blocking in run_cycles(). SessionHost replaces both with
-// cooperative stepping on a shared svc::EventLoop: the board's RTOS runs
-// in fibers pumped until starved (Board::pump), the master kernel runs in
+// The classic drive is one host thread per board (BoardHost: Board::run
+// pumps the RTOS until starved, then waits in net::wait_until) plus the
+// caller waiting in run_cycles() (the same wait, over the gather).
+// SessionHost runs the same two pumps without either wait, by cooperative
+// stepping on a shared svc::EventLoop: the board's RTOS runs in fibers
+// pumped until starved (Board::pump), the master kernel runs in
 // non-blocking slices (CosimKernel::pump), and the host re-posts itself
-// while either side makes progress. Hundreds of sessions share one loop
-// thread this way — per-session cost is one step callback per quantum,
-// not one parked OS thread.
+// while either side makes progress. When neither does it returns, and the
+// loop waits on the fds below. Hundreds of sessions share one loop thread
+// this way — per-session cost is one step callback per quantum, not one
+// parked OS thread.
 //
 // Wakeup sources, in order of preference:
 //   * self-posting: a step that made progress posts the next step — the

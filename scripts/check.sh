@@ -130,6 +130,14 @@ cmake --build --preset default -j "$jobs" --target session_density
 # No --quick: the gated rows are the 256-session ones.
 ./build/bench/session_density --gate --json /tmp/session_density_gate.metrics.json
 
+# Transport gate: the transport micro benches, whose work check exits 1
+# when an echo loses a frame. Their round_trip and tcp_bandwidth rows wait
+# in Channel::recv, which is net::wait_until, on inproc, shm and TCP, so
+# the one wait runs here end to end (~2.4 s).
+echo "==== [transport] bench gate ===="
+cmake --build --preset default -j "$jobs" --target micro_transport
+./build/bench/micro_transport --quick --json /tmp/micro_transport.metrics.json
+
 # Benchmark gate: perfbench builds its own package from src/ (into
 # .bench_build/) and links the library targets by name, so moving a source
 # between targets must keep it building. Each workload runs one second at

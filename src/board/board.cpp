@@ -202,15 +202,6 @@ bool Board::idle_poll() {
     (void)int_rx_->poll();
     any = true;
   }
-  // Cooperative stepping must never sleep the host thread: it is the
-  // event loop's thread, shared by every session. The pacer only applies
-  // to a board that owns its host thread.
-  if (kernel_.stepping()) return any;
-  if (any) {
-    pacer_.reset();
-  } else {
-    pacer_.pause();
-  }
   return any;
 }
 
@@ -375,8 +366,15 @@ void Board::boot() {
 void Board::run() {
   assert(!booted_ && "Board::run() called twice");
   boot();
-  kernel_.run();
-  halted();
+  // The pump an event loop drives, with the one wait in between: a
+  // starved board is frozen (or idle with no alarm pending), so only a
+  // frame on its link can move it, and polling the link from here is the
+  // idle thread's poll.
+  net::Channel* const ports[] = {link_.data.get(), link_.intr.get(),
+                                 link_.clock.get()};
+  while (pump() == PumpStatus::kLive) {
+    (void)net::wait_until([this] { return idle_poll(); }, ports);
+  }
 }
 
 Board::PumpStatus Board::pump() {

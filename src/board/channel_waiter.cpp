@@ -1,7 +1,5 @@
 #include "vhp/board/channel_waiter.hpp"
 
-#include <thread>
-
 #include "vhp/rtos/kernel.hpp"
 
 namespace vhp::board {
@@ -48,20 +46,6 @@ std::optional<Bytes> ChannelWaiter::wait_frame(bool self_poll) {
     if (closed_) return std::nullopt;
     available_.wait();  // RTOS-blocks; idle thread's poll() posts
   }
-}
-
-void IdlePacer::pause() {
-  ++empty_polls_;
-  if (empty_polls_ < 256) {
-    // Spin: sync round trips are latency-critical and usually resolve in
-    // microseconds on loopback.
-    return;
-  }
-  if (empty_polls_ < 4096) {
-    std::this_thread::yield();
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds{50});
 }
 
 }  // namespace vhp::board

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "vhp/common/format.hpp"
 
@@ -240,14 +239,24 @@ Status CosimKernel::run_cycles(u64 cycles) {
   while (s.ok() && blocked) {
     cycles -= ran;
     {
-      // A board owes a TIME_ACK: spin on the gather until it lands. The
-      // policy's watchdog bounds the wait.
+      // A board owes a TIME_ACK (or DATA its ack counts): wait on the
+      // ports it answers on, re-running the gather. The policy's watchdog,
+      // which the gather applies, bounds the wait.
       obs::StallProfiler::Timer timer(hub_->profiler(),
                                       obs::StallProfiler::Bucket::kAckWait);
-      do {
-        std::this_thread::yield();
-        s = pump(0, &ran, &blocked);
-      } while (s.ok() && blocked);
+      std::vector<net::Channel*> ports;
+      ports.reserve(2 * slots_.size());
+      for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (!coordinator_->alive(i)) continue;
+        ports.push_back(slots_[i].link.data.get());
+        ports.push_back(slots_[i].link.clock.get());
+      }
+      (void)net::wait_until(
+          [&] {
+            s = pump(0, &ran, &blocked);
+            return !s.ok() || !blocked;
+          },
+          ports);
     }
     if (s.ok()) s = pump(cycles, &ran, &blocked);
   }

@@ -1,7 +1,6 @@
 #include "vhp/cosim/sync_coordinator.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "vhp/common/format.hpp"
 
@@ -48,12 +47,25 @@ SyncCoordinator::SyncCoordinator(SyncPolicy policy,
 }
 
 Status SyncCoordinator::handshake(const std::function<Status()>& service) {
-  for (;;) {
-    bool done = false;
-    Status s = step_handshake(service, &done);
-    if (!s.ok() || done) return s;
-    std::this_thread::yield();
+  return wait_for([&](bool* done) { return step_handshake(service, done); });
+}
+
+Status SyncCoordinator::wait_for(
+    const std::function<Status(bool* done)>& step) {
+  Status s;
+  std::vector<net::Channel*> clocks;
+  clocks.reserve(nodes_.size());
+  for (const Node& node : nodes_) {
+    if (node.alive && node.clock != nullptr) clocks.push_back(node.clock);
   }
+  (void)net::wait_until(
+      [&] {
+        bool done = false;
+        s = step(&done);
+        return !s.ok() || done;
+      },
+      clocks);
+  return s;
 }
 
 Status SyncCoordinator::step_handshake(const std::function<Status()>& service,
@@ -166,12 +178,8 @@ Status SyncCoordinator::rejoin(std::size_t index, u64 cycle) {
 
 Status SyncCoordinator::run_barrier(u64 cycle,
                                     const std::function<Status()>& service) {
-  for (;;) {
-    bool done = false;
-    Status s = step_barrier(cycle, service, &done);
-    if (!s.ok() || done) return s;
-    std::this_thread::yield();
-  }
+  return wait_for(
+      [&](bool* done) { return step_barrier(cycle, service, done); });
 }
 
 Status SyncCoordinator::step_barrier(u64 cycle,

@@ -72,6 +72,10 @@ class FaultChannel final : public net::Channel {
 
   int readable_fd() override { return inner_->readable_fd(); }
 
+  std::chrono::steady_clock::time_point held_until() override {
+    return inner_->held_until();
+  }
+
  private:
   /// Applies a TX verdict; sends 0, 1 or 2 copies of `frame` downstream.
   Status apply_tx(const std::optional<FaultEvent>& event,

@@ -435,41 +435,48 @@ int ReliableChannel::readable_fd() {
   return impl_->inner->readable_fd();
 }
 
+steady_clock::time_point ReliableChannel::held_until() {
+  std::scoped_lock lock(impl_->mu);
+  return impl_->inner->held_until();
+}
+
 Status ReliableChannel::flush(milliseconds timeout) {
-  const auto deadline = steady_clock::now() + timeout;
   std::vector<ReliableChannel*> peers;
   {
     std::scoped_lock lock(impl_->mu);
     peers = impl_->pump_peers;
   }
-  while (true) {
-    {
-      std::scoped_lock lock(impl_->mu);
-      Status s = impl_->pump();
-      if (!s.ok()) return s;
-      if (impl_->unacked.empty()) return Status::Ok();
-    }
-    // While blocked, keep the link's other lanes making ack progress: the
-    // peer endpoint may itself be stuck flushing a *different* channel (its
-    // DATA flush waits for a DATA ack we owe while our CLOCK flush waits
-    // for a CLOCK ack it owes), and with dropped acks neither side would
-    // otherwise pump the lane the other needs. Impl::pump only moves wire
-    // frames into each peer's own ready queue and services its
-    // retransmission timer — never try_recv, which would steal application
-    // payloads. Peer errors are left to surface on the peer's own ops.
-    for (ReliableChannel* peer : peers) {
-      std::scoped_lock lock(peer->impl_->mu);
-      (void)peer->impl_->pump();
-    }
-    if (steady_clock::now() >= deadline) {
-      std::scoped_lock lock(impl_->mu);
-      return Status{
-          StatusCode::kDeadlineExceeded,
-          strformat("fault: {} flush timed out with {} unacked frames",
-                    impl_->name, impl_->unacked.size())};
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds{200});
-  }
+  std::vector<net::Channel*> lanes{this};
+  lanes.insert(lanes.end(), peers.begin(), peers.end());
+  Status status;
+  const bool flushed = net::wait_until(
+      [&] {
+        {
+          std::scoped_lock lock(impl_->mu);
+          status = impl_->pump();
+          if (!status.ok() || impl_->unacked.empty()) return true;
+        }
+        // While blocked, keep the link's other lanes making ack progress:
+        // the peer endpoint may itself be stuck flushing a *different*
+        // channel (its DATA flush waits for a DATA ack we owe while our
+        // CLOCK flush waits for a CLOCK ack it owes), and with dropped acks
+        // neither side would otherwise pump the lane the other needs.
+        // Impl::pump only moves wire frames into each peer's own ready
+        // queue and services its retransmission timer — never try_recv,
+        // which would steal application payloads. Peer errors are left to
+        // surface on the peer's own ops.
+        for (ReliableChannel* peer : peers) {
+          std::scoped_lock lock(peer->impl_->mu);
+          (void)peer->impl_->pump();
+        }
+        return false;
+      },
+      lanes, steady_clock::now() + timeout);
+  if (flushed) return status;
+  std::scoped_lock lock(impl_->mu);
+  return Status{StatusCode::kDeadlineExceeded,
+                strformat("fault: {} flush timed out with {} unacked frames",
+                          impl_->name, impl_->unacked.size())};
 }
 
 void ReliableChannel::set_flush_siblings(

@@ -84,6 +84,10 @@ void BatchingChannel::close() {
 
 int BatchingChannel::readable_fd() { return inner_->readable_fd(); }
 
+std::chrono::steady_clock::time_point BatchingChannel::held_until() {
+  return inner_->held_until();
+}
+
 u64 BatchingChannel::frames_batched() const {
   std::scoped_lock lock(mu_);
   return frames_batched_;

@@ -17,7 +17,7 @@ namespace {
 /// atomic word under the mutex, so try_pop on an open, empty queue is a
 /// single acquire load — no lock, no system call.
 ///
-/// Doorbell: a waiter (an event loop, or Channel::recv) calls
+/// Doorbell: a waiter (an event loop, or net::wait_until) calls
 /// readable_fd(), which lazily creates an eventfd. From then on every push
 /// rings it, and the pop that empties the queue drains it (doorbell.hpp's
 /// drain rule). Both happen under the mutex, so "bell readable" is exactly

@@ -39,6 +39,10 @@ class InstrumentedChannel final : public Channel {
 
   int readable_fd() override { return inner_->readable_fd(); }
 
+  std::chrono::steady_clock::time_point held_until() override {
+    return inner_->held_until();
+  }
+
  private:
   ChannelPtr inner_;
   obs::Counter& tx_frames_;
@@ -81,6 +85,10 @@ class RecordedChannel final : public Channel {
   Status flush() override { return inner_->flush(); }
 
   int readable_fd() override { return inner_->readable_fd(); }
+
+  std::chrono::steady_clock::time_point held_until() override {
+    return inner_->held_until();
+  }
 
  private:
   ChannelPtr inner_;

@@ -57,6 +57,10 @@ class LatencyChannel final : public Channel {
 
   int readable_fd() override { return inner_->readable_fd(); }
 
+  Clock::time_point held_until() override {
+    return held_.has_value() ? held_deadline_ : inner_->held_until();
+  }
+
  private:
   Result<std::pair<Bytes, Clock::time_point>> strip(Bytes wire) {
     ByteReader r{wire};

@@ -424,8 +424,8 @@ class ReplayChannel final : public Channel {
     return state_->check_tx(port_, frame);
   }
 
-  // No fd: a waiter polls this every 50 us, since the gates open as the
-  // live side makes progress on its own thread.
+  // No fd: a waiter re-polls this every net::kRepollPeriod once its spin
+  // is over, since the gates open as the live side makes progress.
   Result<std::optional<Bytes>> try_recv() override {
     std::scoped_lock lock(state_->mu);
     Bytes out;

@@ -158,7 +158,7 @@ class ShmRingChannel final : public Channel {
   }
 
   int readable_fd() override {
-    // Arm the doorbell for good (an event loop or Channel::recv waits on
+    // Arm the doorbell for good (an event loop or net::wait_until waits on
     // it); ring it if frames were published before arming so a
     // level-triggered poller doesn't sleep over them.
     rx_->ctl->reader_armed.store(1, std::memory_order_seq_cst);

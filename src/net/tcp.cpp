@@ -11,9 +11,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <system_error>
 
@@ -155,32 +157,58 @@ class TcpChannel final : public Channel {
   }
 
  private:
-  /// Pops one complete frame out of rx_, if available.
+  /// The least one read asks for: a frame of up to this size minus its
+  /// length prefix arrives whole in the read that sees its first byte.
+  /// A read asks for at most 16 times this, so a length prefix from the
+  /// peer never sizes the buffer beyond what one read could fill.
+  static constexpr std::size_t kReadBytes = 64 * 1024;
+
+  /// Pops one complete frame off the front of the pending bytes, if there
+  /// is one.
   std::optional<Bytes> extract_frame() {
-    if (rx_.size() < 4) return std::nullopt;
-    ByteReader r{rx_};
+    const std::size_t pending = rx_end_ - rx_begin_;
+    if (pending < 4) return std::nullopt;
+    const u8* head = rx_.get() + rx_begin_;
+    ByteReader r{std::span<const u8>{head, 4}};
     const u32 len = r.u32v();
-    if (rx_.size() < 4u + len) return std::nullopt;
-    Bytes frame{rx_.begin() + 4, rx_.begin() + 4 + len};
-    rx_.erase(rx_.begin(), rx_.begin() + 4 + len);
+    if (pending < std::size_t{4} + len) return std::nullopt;
+    Bytes frame{head + 4, head + 4 + len};
+    rx_begin_ += std::size_t{4} + len;
+    if (rx_begin_ == rx_end_) rx_begin_ = rx_end_ = 0;
     return frame;
   }
 
-  /// Reads whatever is available into rx_ without waiting.
-  /// kDeadlineExceeded when nothing was pending.
+  /// One non-blocking read of whatever is available, sized to hold at
+  /// least the rest of the pending frame. kDeadlineExceeded when nothing
+  /// was pending.
   Status fill_rx() {
     if (closed_.load(std::memory_order_relaxed)) {
       return Status{StatusCode::kAborted, "channel closed"};
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    int rc = ::poll(&pfd, 1, 0);
-    if (rc < 0) {
-      if (errno == EINTR) return Status{StatusCode::kDeadlineExceeded, ""};
-      return errno_status(StatusCode::kUnavailable, "poll");
+    const std::size_t pending = rx_end_ - rx_begin_;
+    std::size_t want = kReadBytes;
+    if (pending >= 4) {
+      ByteReader r{std::span<const u8>{rx_.get() + rx_begin_, 4}};
+      want = std::clamp(std::size_t{4} + r.u32v() - pending, kReadBytes,
+                        16 * kReadBytes);
     }
-    if (rc == 0) return Status{StatusCode::kDeadlineExceeded, "no data"};
-    u8 buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+    if (rx_begin_ > 0) {
+      // Only a partial frame is left: move it to the front.
+      std::memmove(rx_.get(), rx_.get() + rx_begin_, pending);
+      rx_begin_ = 0;
+      rx_end_ = pending;
+    }
+    if (rx_cap_ < pending + want) {
+      // Doubling keeps a frame larger than one read linear to gather. Not
+      // value-initialised: only the bytes a read writes get touched.
+      const std::size_t cap = std::max(pending + want, 2 * rx_cap_);
+      auto grown = std::make_unique_for_overwrite<u8[]>(cap);
+      if (pending > 0) std::memcpy(grown.get(), rx_.get(), pending);
+      rx_ = std::move(grown);
+      rx_cap_ = cap;
+    }
+    const ssize_t n =
+        ::recv(fd_, rx_.get() + rx_end_, rx_cap_ - rx_end_, MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         return Status{StatusCode::kDeadlineExceeded, ""};
@@ -194,14 +222,19 @@ class TcpChannel final : public Channel {
       return errno_status(StatusCode::kUnavailable, "recv");
     }
     if (n == 0) return Status{StatusCode::kAborted, "peer closed"};
-    rx_.insert(rx_.end(), buf, buf + n);
+    rx_end_ += static_cast<std::size_t>(n);
     return Status::Ok();
   }
 
   int fd_;
   std::atomic<bool> closed_{false};
   std::mutex send_mu_;
-  Bytes rx_;
+  // Received bytes not yet framed: [rx_begin_, rx_end_) of an rx_cap_-byte
+  // buffer. Frames are taken from the front by offset.
+  std::unique_ptr<u8[]> rx_;
+  std::size_t rx_cap_ = 0;
+  std::size_t rx_begin_ = 0;
+  std::size_t rx_end_ = 0;
 };
 
 int make_listener(u16* port_out) {

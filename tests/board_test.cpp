@@ -2,6 +2,7 @@
 // board-side protocol obligations exercised against a scripted HW peer
 // (mirror image of cosim_test.cpp, which scripts the board side).
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <deque>
 #include <thread>
@@ -354,6 +355,35 @@ TEST(Board, InterruptSentBeforeTheGrantIsTakenBeforeTheGrant) {
   // start of the granted quantum (tick 0), not at the freeze ending it.
   ASSERT_TRUE(dsr_tick.has_value());
   EXPECT_EQ(*dsr_tick, 0u);
+}
+
+TEST(Board, FrozenBoardSleepsOnItsLink) {
+  // A board whose master goes quiet spins only briefly, then sleeps on its
+  // channels: 100 ms frozen costs its host thread far less than 100 ms.
+  auto pair = net::make_inproc_link_pair();
+  BoardConfig cfg;
+  Board board{cfg, std::move(pair.board)};
+  ScriptedHw hw{std::move(pair.hw)};
+  std::chrono::nanoseconds cpu{};
+  std::thread bt{[&] {
+    const auto thread_cpu = [] {
+      timespec ts{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+      return std::chrono::seconds{ts.tv_sec} +
+             std::chrono::nanoseconds{ts.tv_nsec};
+    };
+    const auto from = thread_cpu();
+    board.run();
+    cpu = thread_cpu() - from;
+  }};
+  EXPECT_EQ(hw.expect_ack().board_tick, 0u);
+  std::this_thread::sleep_for(100ms);
+  // Still answering after the sleep: a grant is served as before.
+  hw.tick(100, 100);
+  EXPECT_EQ(hw.expect_ack().board_tick, 1u);
+  hw.shutdown();
+  bt.join();
+  EXPECT_LT(cpu, 10ms);
 }
 
 TEST(Board, LinkTeardownShutsBoardDown) {

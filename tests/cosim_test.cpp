@@ -2,6 +2,7 @@
 // synchronization protocol exercised against a *scripted* peer (no Board),
 // so each protocol obligation is checked in isolation.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <map>
 #include <thread>
@@ -145,6 +146,38 @@ TEST(CosimProtocol, HandshakeThenStrictTickAckAlternation) {
   EXPECT_EQ(hw.stats().syncs, 5u);
   EXPECT_EQ(hw.stats().acks_received, 5u);
   EXPECT_EQ(hw.cycle(), 50u);
+}
+
+/// CPU time the calling thread has used.
+std::chrono::nanoseconds thread_cpu() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return std::chrono::seconds{ts.tv_sec} + std::chrono::nanoseconds{ts.tv_nsec};
+}
+
+TEST(CosimProtocol, SlowAckCostsTheMasterLittleCpu) {
+  // The master spins only briefly on a gather, then sleeps on the link:
+  // an ack that takes 100 ms costs far less than 100 ms of CPU.
+  auto pair = net::make_inproc_link_pair();
+  CosimConfig cfg;
+  cfg.sync.quantum(10);
+  CosimKernel hw{std::move(pair.hw), cfg};
+  ScriptedPeer peer{std::move(pair.board)};
+  std::thread board([&] {
+    peer.send_initial_ack();
+    (void)peer.expect_tick();
+    std::this_thread::sleep_for(100ms);
+    peer.ack(1);
+  });
+  ASSERT_TRUE(hw.handshake().ok());
+  const auto cpu_from = thread_cpu();
+  const auto wall_from = std::chrono::steady_clock::now();
+  ASSERT_TRUE(hw.run_cycles(10).ok());
+  const auto cpu = thread_cpu() - cpu_from;
+  board.join();
+  EXPECT_GE(std::chrono::steady_clock::now() - wall_from, 100ms);
+  EXPECT_LT(cpu, 20ms);
+  EXPECT_EQ(hw.stats().acks_received, 1u);
 }
 
 TEST(CosimProtocol, HandshakeTimesOutWithoutBoard) {

@@ -63,7 +63,7 @@ struct FuzzConfig {
   bool threads = true;
   /// Allow tickers to create processes + signals mid-simulation.
   bool spawners = true;
-  SimTime run_time = 2500;
+  SimTime run_time = 800;
   /// Add the clock layer (FuzzClocks and its sampler).
   bool clocks = true;
   /// Evaluate every clock edge: a no-op method sensitive to each clock's
@@ -94,6 +94,7 @@ struct FuzzResult {
   SimTime end_time = 0;
   std::size_t islands = 0;
   std::size_t spawned = 0;
+  u64 ticks = 0;  // ticker runs, summed over the FuzzModules
   std::vector<FuzzTraceEntry> trace;  // canonicalized
   std::vector<FuzzLog> logs;          // one per clock-layer observer
 };
@@ -135,10 +136,10 @@ class FuzzModule : public Module {
     for (std::size_t s = 0; s < 4; ++s) {
       signals_.push_back(&traced_signal("out" + std::to_string(s)));
     }
-    // The ticker drives everything: re-arms its own timed event, mixes
-    // foreign signal values into private state, and (per its LCG stream)
-    // exercises every notification kind on the events it owns.
-    method("ticker", [this] { ticker(); });
+    // The ticker drives everything: re-arms its own timed event (and runs
+    // on it), mixes foreign signal values into private state, and (per its
+    // LCG stream) exercises every notification kind on the events it owns.
+    method("ticker", [this] { ticker(); }).sensitive(tick_);
     // The immediate-notification listener: sensitive ONLY to chain_.
     method("listener", [this] { listener(); }).sensitive(chain_)
         .dont_initialize();
@@ -167,6 +168,8 @@ class FuzzModule : public Module {
     return signals_;
   }
   [[nodiscard]] std::size_t spawned() const { return spawned_; }
+  /// Ticker runs so far: the base netlist's own activity.
+  [[nodiscard]] u64 ticks() const { return ticks_; }
 
  private:
   static constexpr std::size_t kLcgSlots = 5;
@@ -190,6 +193,7 @@ class FuzzModule : public Module {
   }
 
   void ticker() {
+    ++ticks_;
     tick_.notify_at(1 + lcg(0) % 9);
     acc_[0] = mix(acc_[0], read_foreign(0));
     switch (lcg(0) % 8) {
@@ -261,6 +265,7 @@ class FuzzModule : public Module {
   u64 lcg_[kLcgSlots] = {};
   u64 acc_[kLcgSlots] = {};
   std::size_t spawned_ = 0;
+  u64 ticks_ = 0;
 };
 
 /// The clock layer: one to three clocks (periods 2-7, start offsets 0-5),
@@ -483,7 +488,10 @@ struct FuzzNet {
   FuzzResult result() {
     FuzzResult result;
     result.finals = finals();
-    for (const FuzzModule* m : raw) result.spawned += m->spawned();
+    for (const FuzzModule* m : raw) {
+      result.spawned += m->spawned();
+      result.ticks += m->ticks();
+    }
     result.delta_count = kernel.delta_count();
     result.end_time = kernel.now();
     result.islands = kernel.island_count();

@@ -43,6 +43,9 @@ TEST(KernelParallelFuzz, BitIdenticalAcrossWorkerCounts) {
     ASSERT_FALSE(serial.trace.empty()) << "netlist produced no activity";
     total_spawned += serial.spawned;
     total_deltas += serial.delta_count;
+    // The base netlist itself stays busy: a ticker re-arms itself at most
+    // 9 time units out, so each module's fires at least run_time / 9 times.
+    EXPECT_GE(serial.ticks, cfg.n_modules * (cfg.run_time / 9));
     for (unsigned lanes : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes));
       expect_bit_identical(serial, run_fuzz_net(cfg, lanes));

@@ -25,11 +25,12 @@ FuzzConfig tsan_config(u64 seed) {
   FuzzConfig cfg;
   cfg.seed = seed;
   cfg.threads = false;  // no fibers under TSan
-  cfg.run_time = 1500;
-  // The clock layer's edges multiply a run's delta cycles ~30-fold, and
-  // under TSan a parallel delta cycle at 4-8 lanes on 4 CPUs costs up to
-  // milliseconds: only the lazy-against-eager test below adds it, on
-  // fewer seeds and lanes (the fiber suite runs it on all 30 seeds).
+  // Under TSan a parallel delta cycle at 4-8 lanes on 4 CPUs costs up to
+  // milliseconds, and every ticker keeps its netlist busy, so the runs are
+  // short. The clock layer's edges multiply a run's delta cycles ~30-fold:
+  // only the lazy-against-eager test below adds it, on fewer seeds and
+  // lanes (the fiber suite runs it on all 30 seeds).
+  cfg.run_time = 100;
   cfg.clocks = false;
   return cfg;
 }
@@ -40,6 +41,7 @@ TEST(KernelParallelFuzzTsan, BitIdenticalAcrossWorkerCounts) {
     const FuzzConfig cfg = tsan_config(seed * 104729);
     const FuzzResult serial = run_fuzz_net(cfg, 0);
     ASSERT_GT(serial.islands, 1u);
+    EXPECT_GE(serial.ticks, cfg.n_modules * (cfg.run_time / 9));
     for (unsigned lanes : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes));
       const FuzzResult par = run_fuzz_net(cfg, lanes);
@@ -61,6 +63,7 @@ TEST(KernelParallelFuzzTsan, LazyClocksMatchForcedEagerClocks) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     FuzzConfig cfg = tsan_config(seed * 104729);
     cfg.clocks = true;
+    cfg.run_time = 1500;  // long enough for the late observers to attach
     FuzzConfig eager_cfg = cfg;
     eager_cfg.force_eager_clocks = true;
     for (unsigned lanes : {0u, 2u}) {

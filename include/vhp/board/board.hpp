@@ -14,7 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
+#include <span>
 
 #include "vhp/board/channel_waiter.hpp"
 #include "vhp/common/log.hpp"
@@ -113,18 +113,23 @@ class Board {
                           rtos::Thread::Entry entry,
                           std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
-  /// Boots the comm threads and runs the RTOS until SHUTDOWN (or
-  /// kernel().shutdown()): pump() until done, waiting in net::wait_until
-  /// on the link whenever the board is starved. Call on the board's host
-  /// thread.
+  /// The one board loop, and the only code a board host thread runs. Boots
+  /// every board, then until each has taken its SHUTDOWN (or seen its link
+  /// close, or kernel().shutdown()) pumps the boards whose link delivered
+  /// something and waits in net::wait_until on the ports of every board
+  /// still live, the boards' idle polls as its readiness check. A starved
+  /// board is frozen (or idle with no alarm pending), so only a frame on
+  /// its link can move it. Call on the thread that owns the boards.
+  static void run_boards(std::span<Board* const> boards);
+
+  /// run_boards() over this board alone.
   void run();
 
-  /// ----- cooperative hosting (svc::SessionHost / fabric event loop) -----
+  /// ----- cooperative hosting (svc::SessionHost) -----
 
   /// Spawns the comm threads without entering the run loop. Idempotent;
-  /// run() calls it too. All pump() calls must come from one thread (the
-  /// board's host thread, or the event loop's) — fibers are not
-  /// migratable.
+  /// run_boards() calls it too. All pump() calls must come from one thread
+  /// (the board loop's, or the event loop's) — fibers are not migratable.
   void boot();
 
   enum class PumpStatus {
@@ -160,8 +165,9 @@ class Board {
  private:
   void systemc_thread_body();
   void channel_thread_body();
-  /// The idle thread's duty, and run()'s readiness check: drains the
-  /// link's three channels into their waiters; true if anything arrived.
+  /// The idle thread's duty, and the board loop's readiness check: drains
+  /// the link's three channels into their waiters; true if anything
+  /// arrived.
   bool idle_poll();
   /// Records the open RTOS slice as ending at `now` (armed boards only).
   void end_slice(u64 now);
@@ -217,30 +223,6 @@ class Board {
 
   bool booted_ = false;
   bool halted_ = false;
-};
-
-/// Runs a Board on a host thread of its own (Board::run(): the pump, and
-/// the one wait whenever the board is starved); joins on destruction.
-class BoardHost {
- public:
-  BoardHost(BoardConfig config, net::CosimLink link, obs::Hub* hub = nullptr);
-  ~BoardHost();
-
-  BoardHost(const BoardHost&) = delete;
-  BoardHost& operator=(const BoardHost&) = delete;
-
-  /// Valid until start() is called; configure apps/DSRs here.
-  [[nodiscard]] Board& board() { return board_; }
-
-  /// Launches the board host thread (runs Board::run()).
-  void start();
-  /// Blocks until the board shut down.
-  void join();
-
- private:
-  Board board_;
-  std::thread thread_;
-  bool started_ = false;
 };
 
 }  // namespace vhp::board

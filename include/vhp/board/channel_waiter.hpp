@@ -7,9 +7,9 @@
 // exact division of labour the paper describes for its idle state: the idle
 // thread keeps the socket connection alive, the channel/systemc threads do
 // the protocol work. Once the idle poll finds nothing the board is starved
-// and its host hands the thread back: Board::run() waits in net::wait_until
-// with the same poll as its readiness check, an event loop waits on the
-// channels' fds.
+// and its host hands the thread back: the board loop (Board::run_boards)
+// waits in net::wait_until with the same poll as its readiness check,
+// SessionHost's event loop waits on the channels' fds.
 #pragma once
 
 #include <deque>

@@ -22,8 +22,8 @@ namespace vhp::net {
 /// How long a waiter spins before it blocks, and the longest it then
 /// sleeps between two polls. Readiness is advisory, and a decorator may run
 /// a timer that no fd announces (a retransmission timeout), so every wait
-/// on a channel (wait_until, SessionHost, the fabric's board loop) re-polls
-/// at least this often.
+/// on a channel (wait_until, which the board loop and the master wait in,
+/// and SessionHost) re-polls at least this often.
 inline constexpr std::chrono::milliseconds kRepollPeriod{1};
 
 /// A bidirectional, framed, ordered, reliable byte-message channel.

@@ -89,8 +89,8 @@ class Kernel {
   /// non-idle thread has exited, if `until_quiescent`).
   void run(bool until_quiescent = false);
 
-  /// Cooperative stepping (how every board is hosted: Board::run() and
-  /// the event loops): runs the scheduler until the board is *starved* —
+  /// Cooperative stepping (how every board is hosted: the board loop,
+  /// Board::run_boards(), and SessionHost's event loop): runs the scheduler until the board is *starved* —
   /// frozen (or truly idle) with an idle poll reporting no external
   /// progress — or shut down. Fibers stay parked across calls; the caller
   /// re-invokes when new input arrives. Returns false once shut down.

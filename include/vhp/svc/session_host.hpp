@@ -1,8 +1,8 @@
 // Event-driven hosting of a CosimSession (DESIGN.md §14).
 //
-// The classic drive is one host thread per board (BoardHost: Board::run
-// pumps the RTOS until starved, then waits in net::wait_until) plus the
-// caller waiting in run_cycles() (the same wait, over the gather).
+// The classic drive is a board thread (Board::run_boards pumps the RTOS
+// until starved, then waits in net::wait_until) plus the caller waiting in
+// run_cycles() (the same wait, over the gather).
 // SessionHost runs the same two pumps without either wait, by cooperative
 // stepping on a shared svc::EventLoop: the board's RTOS runs in fibers
 // pumped until starved (Board::pump), the master kernel runs in
@@ -22,6 +22,8 @@
 //   * a fallback timer: a re-poll every net::kRepollPeriod covers
 //     decorator timers (retransmission timeouts, latency deadlines) and any
 //     transport without an fd.
+// The doorbells and the timer stay armed after the host sends SHUTDOWN,
+// until the board has halted on it: only then does the host report done.
 //
 // All SessionHosts of one loop step on the loop thread; Board fibers are
 // not migratable, so start() defers the boot to that thread too.
@@ -53,8 +55,8 @@ class SessionHost {
   /// Hosts `session` on `loop`. The session must not have start_board()
   /// called — the host pumps the board cooperatively. `on_done` runs on
   /// the loop thread once `config.cycles` cycles completed (or on the
-  /// first transport/protocol error). Both referents must outlive the
-  /// host.
+  /// first transport/protocol error) and the board has halted on its
+  /// SHUTDOWN. Both referents must outlive the host.
   SessionHost(EventLoop& loop, cosim::CosimSession& session,
               SessionHostConfig config, DoneFn on_done = {});
   ~SessionHost();
@@ -75,7 +77,11 @@ class SessionHost {
  private:
   void arm_on_loop();
   void step();
+  /// Records the final status, sends SHUTDOWN and starts halt_board().
   void finish(Status s);
+  /// Pumps the board; once it has halted, releases the watches and the
+  /// timer and reports done.
+  void halt_board();
 
   EventLoop& loop_;
   cosim::CosimSession& session_;
@@ -100,6 +106,7 @@ class SessionHost {
   bool started_ = false;
   bool armed_ = false;
   bool step_posted_ = false;  // loop-thread only: collapse wakeup storms
+  bool halting_ = false;  // loop-thread only: SHUTDOWN sent, board not halted
   Status status_ = Status::Ok();  // written on the loop thread before done_
 };
 

@@ -363,18 +363,47 @@ void Board::boot() {
   log_.debug("board booted (budget_mode={})", kernel_.budget_mode());
 }
 
-void Board::run() {
-  assert(!booted_ && "Board::run() called twice");
-  boot();
-  // The pump an event loop drives, with the one wait in between: a
-  // starved board is frozen (or idle with no alarm pending), so only a
-  // frame on its link can move it, and polling the link from here is the
-  // idle thread's poll.
-  net::Channel* const ports[] = {link_.data.get(), link_.intr.get(),
-                                 link_.clock.get()};
-  while (pump() == PumpStatus::kLive) {
-    (void)net::wait_until([this] { return idle_poll(); }, ports);
+void Board::run_boards(std::span<Board* const> boards) {
+  for (Board* board : boards) board->boot();
+  std::vector<Board*> live(boards.begin(), boards.end());
+  // Which live boards' idle polls took something: only those can move, so
+  // only those are pumped (a starved board's pump is a fiber round trip
+  // for nothing). Every board is pumped on the first pass: its boot.
+  std::vector<char> took(live.size(), 1);
+  std::vector<net::Channel*> ports;
+  for (;;) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (took[i] && live[i]->pump() == PumpStatus::kDone) continue;
+      live[kept++] = live[i];
+    }
+    if (kept == 0) return;
+    live.resize(kept);
+    took.assign(kept, 0);
+    ports.clear();
+    for (Board* board : live) {
+      ports.insert(ports.end(), {board->link_.data.get(),
+                                 board->link_.intr.get(),
+                                 board->link_.clock.get()});
+    }
+    (void)net::wait_until(
+        [&] {
+          bool any = false;
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            if (live[i]->idle_poll()) {
+              took[i] = 1;
+              any = true;
+            }
+          }
+          return any;
+        },
+        ports);
   }
+}
+
+void Board::run() {
+  Board* const self[] = {this};
+  run_boards(self);
 }
 
 Board::PumpStatus Board::pump() {
@@ -396,21 +425,6 @@ std::vector<int> Board::readable_fds() {
     if (fd >= 0) fds.push_back(fd);
   }
   return fds;
-}
-
-BoardHost::BoardHost(BoardConfig config, net::CosimLink link, obs::Hub* hub)
-    : board_(config, std::move(link), hub) {}
-
-BoardHost::~BoardHost() { join(); }
-
-void BoardHost::start() {
-  assert(!started_);
-  started_ = true;
-  thread_ = std::thread([this] { board_.run(); });
-}
-
-void BoardHost::join() {
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace vhp::board

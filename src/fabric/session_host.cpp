@@ -86,6 +86,10 @@ void SessionHost::arm_on_loop() {
 void SessionHost::step() {
   step_posted_ = false;
   if (done_.load()) return;
+  if (halting_) {
+    halt_board();
+    return;
+  }
   steps_.inc();
   const u64 t0 = mono_ns();
   cosim::CosimKernel& hw = session_.hw();
@@ -132,12 +136,17 @@ void SessionHost::step() {
 }
 
 void SessionHost::finish(Status s) {
-  status_ = s;
+  status_ = std::move(s);
   session_.finish();  // flush + SHUTDOWN (board thread was never started)
-  board::Board::PumpStatus bs = session_.board().pump();
-  if (bs != board::Board::PumpStatus::kDone) {
-    log_.warn("board did not halt on SHUTDOWN");
-  }
+  halting_ = true;
+  halt_board();
+}
+
+void SessionHost::halt_board() {
+  // The SHUTDOWN may still be in flight (a latency decorator holds it until
+  // its delivery time): the doorbells and the fallback timer keep stepping
+  // the host, and each step pumps the board alone, until it has halted.
+  if (session_.board().pump() != board::Board::PumpStatus::kDone) return;
   for (int fd : watched_fds_) loop_.unwatch(fd);
   watched_fds_.clear();
   if (fallback_timer_ != 0) {
@@ -146,7 +155,7 @@ void SessionHost::finish(Status s) {
   }
   sessions_gauge_.add(-1);
   done_.store(true);
-  if (on_done_) on_done_(std::move(s));
+  if (on_done_) on_done_(status_);
 }
 
 }  // namespace vhp::svc

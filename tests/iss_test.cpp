@@ -2,6 +2,8 @@
 // assembler, whole programs, and the firmware integration with the board.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "vhp/common/checksum.hpp"
 #include "vhp/common/rng.hpp"
 #include "vhp/iss/assemble.hpp"

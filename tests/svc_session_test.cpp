@@ -173,6 +173,30 @@ TEST(SvcSessionHost, HostedSessionMatchesBlockingRun) {
                    "hosted shm+batching");
 }
 
+TEST(SvcSessionHost, ReportsDoneOnlyOnceTheBoardHasHalted) {
+  // A 2 ms link holds the SHUTDOWN in the board-side latency decorator for
+  // 2 ms after the host sends it: the host must keep pumping the board
+  // until it has taken it, and only then report done.
+  CosimSession session{
+      SessionConfigBuilder{}.t_sync(500).link_latency(2ms).build_or_throw()};
+  svc::EventLoop loop;
+  svc::SessionHostConfig host_cfg;
+  host_cfg.cycles = 2000;
+  Status final = Status{StatusCode::kInternal, "on_done never ran"};
+  bool halted = false;
+  svc::SessionHost host{loop, session, host_cfg, [&](Status s) {
+                          final = std::move(s);
+                          halted = session.board().kernel().shutting_down();
+                          loop.stop();
+                        }};
+  host.start();
+  loop.run();
+
+  EXPECT_TRUE(final.ok()) << final;
+  EXPECT_TRUE(halted) << "on_done ran with the board still live";
+  EXPECT_EQ(host.cycles_done(), 2000u);
+}
+
 TEST(SvcSessionHost, ManySessionsShareOneLoop) {
   // The density model in miniature: 8 independent router sessions hosted
   // on ONE loop thread, no per-board host threads anywhere. Every session
@@ -242,96 +266,6 @@ TEST(SvcSessionConfig, RejectedCombinations) {
   EXPECT_TRUE(fb.shm().batching().event_loop().build().ok());
   fb.recovery(recovery);
   EXPECT_FALSE(fb.build().ok());
-}
-
-// ---------------------------------------------------------------------------
-// The sharded router across a 4-board fabric.
-
-struct FabricResult {
-  u64 emitted = 0;
-  u64 forwarded = 0;
-  u64 received = 0;
-  u64 dropped = 0;
-  u64 barriers = 0;
-  u64 ticks_sent = 0;
-  bool drained = false;
-  obs::Recording recording;
-};
-
-FabricResult run_fabric(cosim::TransportKind transport, bool batch,
-                        bool event_loop) {
-  constexpr std::size_t kPorts = 4;
-  constexpr u64 kMaxCycles = 200000;
-  router::TestbenchConfig tb_cfg = testbench_config();
-  tb_cfg.router.n_ports = kPorts;
-  tb_cfg.packets_per_port = 2;
-  tb_cfg.gap_cycles = 2000;
-  tb_cfg.payload_bytes = 16;
-
-  fabric::FabricConfigBuilder builder;
-  builder.sync(cosim::SyncPolicy{}.quantum(500).watchdog(15000ms)).record();
-  builder.transport(transport).batching(batch).event_loop(event_loop);
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    builder.add_node("port" + std::to_string(p));
-    builder.last_board().rtos.cycles_per_tick = 10;
-  }
-  fabric::Fabric fab{builder.build_or_throw()};
-  std::vector<DriverRegistry*> registries;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    registries.push_back(&fab.registry(p));
-  }
-  router::RouterTestbench tb{fab.kernel(), tb_cfg, registries};
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    fab.watch_interrupt(p, tb.router().irq(p), board::Board::kDeviceVector);
-  }
-  std::vector<std::unique_ptr<router::ChecksumApp>> apps;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    apps.push_back(
-        std::make_unique<router::ChecksumApp>(fab.board(p), app_config()));
-  }
-  fab.start_boards();
-  u64 cycles = 0;
-  while (cycles < kMaxCycles && !tb.traffic_done()) {
-    EXPECT_TRUE(fab.run_cycles(500).ok());
-    cycles += 500;
-  }
-  fab.finish();
-
-  FabricResult result;
-  result.emitted = tb.total_emitted();
-  result.forwarded = tb.router().stats().forwarded;
-  result.received = tb.total_received();
-  result.dropped = tb.router().stats().dropped_bad_checksum;
-  result.barriers = fab.coordinator().barriers();
-  result.ticks_sent = fab.coordinator().ticks_sent();
-  result.drained = tb.traffic_done();
-  result.recording.meta.side = "hw";
-  result.recording.frames = fab.obs().hw_recorder().snapshot();
-  return result;
-}
-
-TEST(SvcFabric, EventLoopShmBatchedFabricMatchesDefault) {
-  const FabricResult reference =
-      run_fabric(cosim::TransportKind::kInProc, false, false);
-  ASSERT_TRUE(reference.drained) << "reference fabric did not drain";
-  ASSERT_GT(reference.emitted, 0u);
-
-  for (const bool event_loop : {false, true}) {
-    SCOPED_TRACE(event_loop ? "event-loop boards" : "threaded boards");
-    const FabricResult svc_run =
-        run_fabric(cosim::TransportKind::kShm, true, event_loop);
-    ASSERT_TRUE(svc_run.drained) << "svc fabric did not drain";
-    EXPECT_EQ(svc_run.emitted, reference.emitted);
-    EXPECT_EQ(svc_run.forwarded, reference.forwarded);
-    EXPECT_EQ(svc_run.received, reference.received);
-    EXPECT_EQ(svc_run.dropped, reference.dropped);
-    EXPECT_EQ(svc_run.barriers, reference.barriers);
-    EXPECT_EQ(svc_run.ticks_sent, reference.ticks_sent);
-    const auto divergence = obs::diff_recordings(
-        reference.recording, svc_run.recording, &net::message_field_diff);
-    EXPECT_FALSE(divergence.has_value())
-        << "svc fabric diverged: " << divergence->to_string();
-  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <time.h>
 
 #include <deque>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "vhp/board/board.hpp"
 #include "vhp/net/inproc.hpp"
@@ -396,6 +398,37 @@ TEST(Board, LinkTeardownShutsBoardDown) {
   hw.link.close_all();  // HW vanishes without a polite SHUTDOWN
   bt.join();            // the board must still terminate
   SUCCEED();
+}
+
+TEST(Board, OneLoopServesTheLiveBoardsUntilEachHasHalted) {
+  // Three boards on one host thread. The first takes its SHUTDOWN and the
+  // second loses its link; the loop must go on serving the third, and
+  // return only once it has halted too.
+  constexpr std::size_t kBoards = 3;
+  std::vector<std::unique_ptr<Board>> boards;
+  std::vector<Board*> run;
+  std::vector<ScriptedHw> hws;
+  for (std::size_t i = 0; i < kBoards; ++i) {
+    auto pair = net::make_inproc_link_pair();
+    BoardConfig cfg;
+    cfg.rtos.cycles_per_tick = 10;
+    boards.push_back(std::make_unique<Board>(cfg, std::move(pair.board)));
+    run.push_back(boards.back().get());
+    hws.push_back(ScriptedHw{std::move(pair.hw)});
+  }
+  std::thread bt{[&] { Board::run_boards(run); }};
+  for (ScriptedHw& hw : hws) EXPECT_EQ(hw.expect_ack().board_tick, 0u);
+  hws[0].shutdown();
+  hws[1].link.close_all();
+  hws[2].tick(100, 100);
+  EXPECT_EQ(hws[2].expect_ack().board_tick, 10u);
+  hws[2].tick(200, 100);
+  EXPECT_EQ(hws[2].expect_ack().board_tick, 20u);
+  hws[2].shutdown();
+  bt.join();
+  for (const auto& board : boards) {
+    EXPECT_TRUE(board->kernel().shutting_down());
+  }
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ KernelConfig cfg(u32 cores = 1) {
 /// Two equal-priority threads yielding to each other: one op per switch.
 /// On an SMP kernel each core gets its own ping-pong pair, splitting the
 /// op count; the per-core sweep dispatch cost lands in every switch.
+/// Returns -1 unless every pair made all its yields, each one a dispatch.
 double yield_pingpong(u64 ops, u32 cores) {
   Kernel k{cfg(cores)};
   const u64 per_core = ops / cores;
@@ -50,9 +51,13 @@ double yield_pingpong(u64 ops, u32 cores) {
   }
   const auto start = std::chrono::steady_clock::now();
   k.run(true);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  const double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  const bool every_pair = std::all_of(switches.begin(), switches.end(),
+                                      [&](u64 n) { return n == per_core; });
+  return every_pair && k.stats().context_switches >= per_core * cores ? s
+                                                                      : -1.0;
 }
 
 double semaphore_pingpong(u64 ops) {

@@ -173,6 +173,7 @@ class Board {
   void end_slice(u64 now);
   /// The RTOS stopped for good: logs it and closes the open slice.
   void halted();
+  void publish_rtos_stats();
 
   BoardConfig config_;
   net::CosimLink link_;
@@ -188,6 +189,16 @@ class Board {
   obs::Counter& dev_writes_;
   obs::LatencyHistogram& dev_read_ns_;
   obs::SpanSink& spans_;
+  /// The RTOS kernel's totals, set by the board thread after every pump:
+  /// a metrics dump taken while the board runs reads these atomics, never
+  /// the kernel's plain counters (exact once the board has halted).
+  struct RtosGauges {
+    obs::Gauge& context_switches;
+    obs::Gauge& ticks;
+    obs::Gauge& freezes;
+    obs::Gauge& grants;
+    obs::Gauge& idle_cycles;
+  } rtos_gauges_;
 
   rtos::Kernel kernel_;
   rtos::DeviceTable devtab_;

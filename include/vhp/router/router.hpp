@@ -120,6 +120,11 @@ class RouterModule : public sim::Module {
   sim::BoolSignal irq_;
   std::vector<std::unique_ptr<sim::BoolSignal>> extra_irqs_;
   std::vector<Verifier> verifiers_;
+  /// The packet main_loop() is working on. It waits out the pipeline and
+  /// the verdict while holding it, so the module owns it, not the thread
+  /// process's frame: a kernel torn down mid-wait never unwinds that frame
+  /// (fiber.hpp).
+  Packet in_flight_;
   Stats stats_;
 };
 

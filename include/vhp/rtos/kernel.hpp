@@ -217,6 +217,8 @@ class Kernel {
   void make_ready(Thread* thread);
   /// Called from the exiting thread's fiber just before it finishes.
   void on_thread_exit(Thread* thread);
+  /// A sleeping thread's wakeup alarm fired: ends its delay().
+  void wake_sleeper(Thread* thread);
 
   /// Switches from the current thread back to the scheduler loop.
   void reschedule_current();
@@ -254,13 +256,15 @@ class Kernel {
   Logger log_{"rtos"};
 
   Scheduler scheduler_;
+  /// Declared before threads_ so it outlives them: each thread's wakeup
+  /// alarm is attached to this clock.
+  Counter rtc_{"rtc"};
   std::vector<std::unique_ptr<Thread>> threads_;
   Thread* current_ = nullptr;
   Thread* idle_thread_ = nullptr;
   /// Per-core idle threads; [0] == idle_thread_.
   std::vector<Thread*> idle_threads_;
 
-  Counter rtc_{"rtc"};
   SwTicks tick_count_{};
   u64 cycle_count_ = 0;
   /// Cores 1..M-1 (empty on a single-core kernel).
@@ -280,6 +284,8 @@ class Kernel {
 
   InterruptController interrupts_{*this};
   WaitQueue join_wait_{*this};
+  /// Threads in delay(), each woken by its own wakeup alarm.
+  WaitQueue sleepers_{*this};
 
   bool shutdown_ = false;
   bool need_resched_ = false;

@@ -13,6 +13,7 @@
 
 #include "vhp/common/fiber.hpp"
 #include "vhp/common/types.hpp"
+#include "vhp/rtos/timer.hpp"
 
 namespace vhp::rtos {
 
@@ -74,6 +75,10 @@ class Thread {
   Entry entry_;
   /// Priority-inheriting mutexes currently held (for boost bookkeeping).
   std::vector<Mutex*> held_pi_mutexes_;
+  /// Ends a Kernel::delay(); armed only while the thread sleeps. Owned
+  /// here, not by the sleeping fiber's frame, so a thread torn down asleep
+  /// leaves nothing behind on its stack (fiber.hpp).
+  Alarm wakeup_;
   Fiber fiber_;
   State state_ = State::kNew;
   bool comm_thread_ = false;

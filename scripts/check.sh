@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: build and test the release, asan and tsan presets back to
-# back. The tsan run only selects suites labeled "tsan" in tests/CMakeLists.txt
-# (fiber-free — ThreadSanitizer cannot follow ucontext stack switches).
+# back. The tsan run selects the suites labeled "tsan" in
+# tests/CMakeLists.txt. Every fiber switch is annotated for the sanitizers,
+# so that label takes fiber suites too; a suite left out says why there.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -88,20 +89,23 @@ rm -f /tmp/vhp_timeline_smoke.*.vhprec
 # quartile spread over interleaved repetitions, and (on hosts with >= 4
 # CPUs) at least 1.5x at 4 workers on the 32-port netlist. Then the
 # kernel micro benches, whose per-row work check exits 1 if a clocked row
-# loses edges or the unlistened clock reads a wrong level.
+# loses edges or the unlistened clock reads a wrong level, and the RTOS
+# micro benches, which exit 1 unless every yield ping-pong made all its
+# switches (or another row dropped operations).
 echo "==== [kernel-par] release gate ===="
 ctest --preset default -L kernel-par "$@"
 echo "==== [kernel-par] tsan gate ===="
 ctest --preset tsan -L kernel-par-tsan "$@"
 echo "==== [kernel-par] bench gate ===="
-cmake --build --preset default -j "$jobs" --target kernel_parallel micro_sim_kernel
+cmake --build --preset default -j "$jobs" --target kernel_parallel micro_sim_kernel micro_rtos
 ./build/bench/kernel_parallel --gate --json /tmp/kernel_parallel_gate.metrics.json
 ./build/bench/micro_sim_kernel --quick --json /tmp/micro_sim_kernel.metrics.json
+./build/bench/micro_rtos --quick --json /tmp/micro_rtos.metrics.json
 
 # Memory-hierarchy / many-core gate (ISSUE 9), same shape: the fiber-free
 # cache/bank/pipeline units plus the SMP kernel and 4-core session suites
-# on the release build (-L mem matches "mem" and "mem-tsan"), the
-# fiber-free half again under ThreadSanitizer, and the mem_contention
+# on the release build (-L mem matches "mem" and "mem-tsan"), both again
+# under ThreadSanitizer (both carry "mem-tsan"), and the mem_contention
 # bench in --gate mode, which fails if the disarmed single-core board's
 # median wall time exceeds the pre-hierarchy flat loop's by more than that
 # loop's quartile spread.

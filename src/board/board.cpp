@@ -75,6 +75,11 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
       dev_read_ns_(hub_->metrics().histogram("board.dev_read_ns")),
       spans_(hub_->timeline().sink(config.name.empty() ? "board"
                                                        : config.name)),
+      rtos_gauges_{hub_->metrics().gauge("rtos.context_switches"),
+                   hub_->metrics().gauge("rtos.ticks"),
+                   hub_->metrics().gauge("rtos.freezes"),
+                   hub_->metrics().gauge("rtos.grants"),
+                   hub_->metrics().gauge("rtos.idle_cycles")},
       kernel_(apply_mode(config.rtos, config.free_running)) {
   if (config_.memory.has_value()) {
     memsys_ = std::make_unique<mem::MemorySystem>(*config_.memory,
@@ -159,16 +164,6 @@ Board::Board(BoardConfig config, net::CosimLink link, obs::Hub* hub)
       slice_start_ns_ = now;
     });
   }
-  // RTOS kernel totals land in every metrics dump (snapshot at dump time;
-  // values are exact once the board thread has quiesced after finish()).
-  hub_->add_collector([this](obs::MetricsRegistry& m) {
-    const auto& ks = kernel_.stats();
-    m.gauge("rtos.context_switches").set(static_cast<i64>(ks.context_switches));
-    m.gauge("rtos.ticks").set(static_cast<i64>(ks.ticks));
-    m.gauge("rtos.freezes").set(static_cast<i64>(ks.freezes));
-    m.gauge("rtos.grants").set(static_cast<i64>(ks.grants));
-    m.gauge("rtos.idle_cycles").set(static_cast<i64>(ks.idle_cycles));
-  });
 }
 
 Board::~Board() { link_.close_all(); }
@@ -408,12 +403,23 @@ void Board::run() {
 
 Board::PumpStatus Board::pump() {
   assert(booted_ && "pump() before boot()");
-  if (kernel_.run_until_starved()) return PumpStatus::kLive;
+  const bool live = kernel_.run_until_starved();
+  publish_rtos_stats();
+  if (live) return PumpStatus::kLive;
   if (!halted_) {
     halted_ = true;
     halted();
   }
   return PumpStatus::kDone;
+}
+
+void Board::publish_rtos_stats() {
+  const auto& ks = kernel_.stats();
+  rtos_gauges_.context_switches.set(static_cast<i64>(ks.context_switches));
+  rtos_gauges_.ticks.set(static_cast<i64>(ks.ticks));
+  rtos_gauges_.freezes.set(static_cast<i64>(ks.freezes));
+  rtos_gauges_.grants.set(static_cast<i64>(ks.grants));
+  rtos_gauges_.idle_cycles.set(static_cast<i64>(ks.idle_cycles));
 }
 
 std::vector<int> Board::readable_fds() {

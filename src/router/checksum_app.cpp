@@ -17,13 +17,21 @@ ChecksumApp::ChecksumApp(board::Board& board, ChecksumAppConfig config)
 void ChecksumApp::app_loop() {
   for (;;) {
     pending_.wait();
-    auto data = board_.dev_read(config_.packet_addr, config_.max_packet_bytes);
-    if (!data.ok()) return;  // link torn down; board is shutting down
-    const Bytes& raw = data.value();
-    board_.kernel().consume(config_.cost_base +
-                            config_.cost_per_byte * raw.size());
-    const bool ok = packed_checksum_ok(raw);
-    const u32 id = Packet::peek_id(raw).value_or(0);
+    std::size_t bytes = 0;
+    bool ok = false;
+    u32 id = 0;
+    {
+      // The packet is released before consume() and dev_write() suspend
+      // this thread: a board torn down there never unwinds its stack.
+      auto data =
+          board_.dev_read(config_.packet_addr, config_.max_packet_bytes);
+      if (!data.ok()) return;  // link torn down; board is shutting down
+      const Bytes& raw = data.value();
+      bytes = raw.size();
+      ok = packed_checksum_ok(raw);
+      id = Packet::peek_id(raw).value_or(0);
+    }
+    board_.kernel().consume(config_.cost_base + config_.cost_per_byte * bytes);
     ++processed_;
     if (!ok) ++rejected_;
     const u32 verdict = (id << 1) | (ok ? 1u : 0u);

@@ -128,8 +128,8 @@ std::optional<bool> RouterModule::verify_remote(const Packet& packet,
 void RouterModule::main_loop() {
   const sim::SimTime period = config_.clock_period;
   std::size_t rr = 0;  // round-robin arbitration pointer
+  Packet& packet = in_flight_;
   for (;;) {
-    Packet packet;
     bool got = false;
     std::size_t in_port = 0;
     for (std::size_t k = 0; k < inputs_.size(); ++k) {

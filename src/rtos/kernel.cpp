@@ -231,13 +231,12 @@ void Kernel::delay(SwTicks ticks) {
     yield();
     return;
   }
-  WaitQueue sleep_queue{*this};
-  Thread* self = current_;
-  Alarm wakeup(rtc_, [&sleep_queue, self, this](Alarm&, u64) {
-    if (sleep_queue.remove(self)) make_ready(self);
-  });
-  wakeup.arm_in(ticks.value());
-  block_current(sleep_queue);
+  current_->wakeup_.arm_in(ticks.value());
+  block_current(sleepers_);
+}
+
+void Kernel::wake_sleeper(Thread* thread) {
+  if (sleepers_.remove(thread)) make_ready(thread);
 }
 
 void Kernel::grant_cycles(u64 cycles) {

@@ -14,6 +14,8 @@ Thread::Thread(Kernel& kernel, std::string name, int priority, Entry entry,
       priority_(priority),
       base_priority_(priority),
       entry_(std::move(entry)),
+      wakeup_(kernel.real_time_clock(),
+              [this](Alarm&, u64) { kernel_.wake_sleeper(this); }),
       fiber_(
           [this] {
             entry_();

@@ -2,9 +2,9 @@
 // arithmetic, how the config builders compose t_sync() with a policy, and
 // a SyncCoordinator in
 // adaptive mode driven over raw inproc channel pairs by plain threads that
-// answer with scripted lookaheads. No ucontext fiber runs here, so the
-// suite carries the composite "adaptive-tsan" label (selected by both
-// -L tsan and -L adaptive — same trick as fabric-tsan).
+// answer with scripted lookaheads. No fiber runs here. The suite carries
+// the composite "adaptive-tsan" label (selected by both -L tsan and
+// -L adaptive — same trick as fabric-tsan).
 #include <gtest/gtest.h>
 
 #include <chrono>

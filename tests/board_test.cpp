@@ -213,9 +213,12 @@ TEST(Board, DevReadBlocksUntilResponse) {
   Board board{cfg, std::move(pair.board)};
   Bytes got;
   board.spawn_app("reader", 8, [&] {
-    auto r = board.dev_read(0x40, 8);
-    ASSERT_TRUE(r.ok()) << r.status();
-    got = r.value();
+    {
+      // Released before shutdown() parks this fiber for good (fiber.hpp).
+      auto r = board.dev_read(0x40, 8);
+      ASSERT_TRUE(r.ok()) << r.status();
+      got = r.value();
+    }
     board.kernel().shutdown();
   });
   ScriptedHw hw{std::move(pair.hw)};

@@ -100,10 +100,13 @@ TEST_P(FabricSessionTest, BoardsUseIsolatedRegistriesAtSameAddresses) {
             board.dev_write(0x0, cosim::DriverCodec<u32>::encode(request))
                 .ok());
         sem->wait();
-        auto resp = board.dev_read(0x4, 4);
-        ASSERT_TRUE(resp.ok()) << resp.status();
         u32 value = 0;
-        ASSERT_TRUE(cosim::DriverCodec<u32>::decode(resp.value(), value));
+        {
+          // Released before consume() suspends this thread (fiber.hpp).
+          auto resp = board.dev_read(0x4, 4);
+          ASSERT_TRUE(resp.ok()) << resp.status();
+          ASSERT_TRUE(cosim::DriverCodec<u32>::decode(resp.value(), value));
+        }
         out.push_back(value);
         board.kernel().consume(50);
       }

@@ -1,8 +1,8 @@
 // The N-party virtual-tick barrier and the fabric plumbing, fiber-free:
 // SyncCoordinator driven over raw inproc channel pairs by plain threads, and
 // Fabric instances whose nodes are all *external* (the fabric spawns no
-// board, so no ucontext fiber ever runs) — this whole suite carries the
-// "tsan" label and runs under ThreadSanitizer.
+// board, so no fiber ever runs) — this whole suite carries the "tsan"
+// label and runs under ThreadSanitizer.
 //
 // Covers the ISSUE 4 straggler satellite: a node that never answers a
 // CLOCK_TICK must trip the watchdog with the offending node named in the

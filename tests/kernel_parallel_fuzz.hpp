@@ -59,7 +59,7 @@ struct FuzzConfig {
   u64 seed = 1;
   std::size_t n_modules = 6;
   /// Include a thread process per module (fiber-based dynamic waits).
-  /// Off in the TSan suite: ThreadSanitizer cannot follow swapcontext.
+  /// Off in the method-only twin (kernel_parallel_tsan_test.cpp).
   bool threads = true;
   /// Allow tickers to create processes + signals mid-simulation.
   bool spawners = true;

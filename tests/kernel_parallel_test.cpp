@@ -1,9 +1,9 @@
 // Differential fuzz tests for the deterministic parallel kernel — fiber
 // variant: every netlist includes thread processes (dynamic waits,
-// wait_with_timeout, wait_any), so this suite carries the plain
-// "kernel-par" label and stays out of the tsan preset (ThreadSanitizer
-// cannot follow swapcontext; the fiber-free twin lives in
-// kernel_parallel_tsan_test.cpp).
+// wait_with_timeout, wait_any). It carries the plain "kernel-par" label
+// and stays out of the tsan preset, where its worker-count sweep outlasts
+// the 120 s test timeout; the method-only twin lives in
+// kernel_parallel_tsan_test.cpp.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,6 +1,6 @@
 // Fiber-free parallel-kernel suite: the differential fuzzer with thread
-// processes disabled (methods only — no ucontext, so ThreadSanitizer can
-// watch the worker pool race-free), plus unit tests for the partitioner,
+// processes disabled (methods only, fast enough for ThreadSanitizer to
+// watch the worker pool), plus unit tests for the partitioner,
 // the island contract enforcement, the worker pool and the timed-queue
 // pruning fix. Carries the composite label "kernel-par-tsan" so both
 // `ctest -L tsan` (the tsan preset) and `ctest -L kernel-par` (the

@@ -1,8 +1,9 @@
 // End-to-end causal timeline: real virtual boards (RTOS fibers) under a
 // timeline-armed session/fabric, live analysis, the offline extraction path
 // on written recordings.
-// Fiber-bound, so no "tsan" label — the fiber-free timeline logic lives in
-// timeline_test.cpp.
+// Not under ThreadSanitizer (label "timeline" only): its wall-clock
+// reconciliation checks are timing-sensitive. The fiber-free timeline
+// logic lives in timeline_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -36,11 +36,8 @@ struct BoardConfig {
   std::string name;
   /// Board CPU cycles granted per simulated HW clock cycle in a CLOCK_TICK.
   u64 cycles_per_sim_cycle = 1;
-  /// Modeled driver overhead charged to the calling thread, in CPU cycles.
-  u64 dev_read_cost = 0;
+  /// Modeled driver-write cost charged to the calling thread, in cycles.
   u64 dev_write_cost = 0;
-  /// Priority of the communication threads (above applications).
-  int comm_priority = 2;
   /// Untimed mode: no budget, no freeze/ack; the board free-runs
   /// (the Figure 6 baseline).
   bool free_running = false;
@@ -69,6 +66,8 @@ class Board {
   static constexpr u32 kDeviceVector = 16;
   /// Devtab name of the remote simulated device.
   static constexpr const char* kDeviceName = "/dev/sysc";
+  /// Priority of the communication threads (above applications).
+  static constexpr int kCommPriority = 2;
 
   /// `hub` is the session's observability hub; nullptr (standalone wiring,
   /// unit tests) gets a private, disarmed hub — metric counters still run,
@@ -189,9 +188,10 @@ class Board {
   obs::Counter& dev_writes_;
   obs::LatencyHistogram& dev_read_ns_;
   obs::SpanSink& spans_;
-  /// The RTOS kernel's totals, set by the board thread after every pump:
-  /// a metrics dump taken while the board runs reads these atomics, never
-  /// the kernel's plain counters (exact once the board has halted).
+  /// The RTOS kernel's totals, set by the board thread after every pump
+  /// (with MemorySystem::publish_stats): a metrics dump taken while the
+  /// board runs reads these atomics, never the kernel's plain counters
+  /// (exact once the board has halted).
   struct RtosGauges {
     obs::Gauge& context_switches;
     obs::Gauge& ticks;

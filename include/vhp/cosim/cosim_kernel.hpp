@@ -30,6 +30,10 @@
 // One loop body (pump) serves both drives: run_cycles() is pump() plus
 // net::wait_until on the links' DATA and CLOCK ports, and an event loop
 // calls pump() directly. A two-party session is the N=1 case of a fabric.
+//
+// Armed, each stretch of cycles run between two barriers (untimed: each
+// call) is one kSimulate span in the timeline's "master" sink; with the
+// coordinator's kBarrier spans they are the stall profiler's buckets.
 #pragma once
 
 #include <functional>
@@ -139,7 +143,8 @@ class CosimKernel {
   /// handshake) it returns with *blocked=true when a board owes a frame
   /// that has not arrived. *ran reports cycles completed this
   /// call. The protocol state (mid-sync vs running) persists across calls —
-  /// resume by calling pump() again once the link shows readiness.
+  /// resume by calling pump() again once the link shows readiness. A pump
+  /// that ran cycles leaves a parallel kernel's sim.* gauges fresh.
   Status pump(u64 max_cycles, u64* ran, bool* blocked);
 
   /// True while CLOCK_TICKs are out and TIME_ACKs still owed (only pump()
@@ -213,6 +218,9 @@ class CosimKernel {
   /// pump()'s loop: runs cycles until cycle_ reaches `until` or a board
   /// owes a frame (*blocked).
   Status advance(u64 until, bool* blocked);
+  /// Sets the parallel kernel's sim.* gauges (per lane, cumulative
+  /// sim.worker<i>.busy_ns) on the thread that owns the kernel.
+  void publish_parallel_stats();
   /// Timed: the cycles after cycle_ in which the kernel has nothing to do,
   /// bounded so that the cycle after them stays at or before `until` and
   /// the next barrier.
@@ -225,7 +233,7 @@ class CosimKernel {
   // Declared before the references into it: init order matters.
   std::unique_ptr<obs::Hub> owned_hub_;
   obs::Hub* hub_;
-  obs::LatencyHistogram& sync_rtt_ns_;
+  obs::SpanSink& master_spans_;  // timeline ring "master": kSimulate spans
 
   sim::Kernel kernel_;
   sim::Clock clock_;
@@ -239,11 +247,6 @@ class CosimKernel {
   /// acks of ticks only.
   u64 boot_acks_ = 0;
   bool finished_ = false;
-  /// Timeline stamp of the barrier in flight's start (sync_rtt_ns).
-  u64 sync_start_ns_ = 0;
-  /// Per-lane busy_ns already folded into the sim.worker*.busy_ns
-  /// histograms (the collector records deltas between metric dumps).
-  std::vector<u64> lane_busy_collected_;
 };
 
 }  // namespace vhp::cosim

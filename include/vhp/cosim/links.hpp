@@ -77,8 +77,9 @@ struct RunConfig : LinkConfig {
   /// free-running, parallel evaluation lanes.
   CosimConfig cosim{};
   /// Observability (vhp::obs): off by default — the costly instruments
-  /// (spans, stall profiling, per-frame link accounting) are opt-in behind
-  /// obs.timeline.enabled; plain metric counters always run.
+  /// (spans, whose totals are the stall buckets, and per-frame link
+  /// accounting) are opt-in behind obs.timeline.enabled; plain metric
+  /// counters always run.
   obs::ObsConfig obs{};
   /// Where post-mortem flight-recorder dumps land when obs.record is on:
   /// "<prefix>.hw.jsonl" and "<prefix>.<node>.board.jsonl" on an error
@@ -147,8 +148,9 @@ class ConfigBuilder {
     config_.link_emulation.latency = one_way;
     return self();
   }
-  /// The one observability switch (ObsConfig::timeline.enabled): spans,
-  /// stall profiling, the armed histograms and per-frame link accounting.
+  /// The one observability switch (ObsConfig::timeline.enabled): spans
+  /// (and the stall buckets they total), the armed histograms and
+  /// per-frame link accounting.
   /// Armed runs stamp round ids into their CLOCK/TIME_ACK frames, so their
   /// recordings are not byte-exact against unarmed ones.
   Derived& observability(bool on = true) {
@@ -165,10 +167,6 @@ class ConfigBuilder {
   }
   Derived& record_ring(std::size_t frames) {
     config_.obs.record.ring_frames = frames;
-    return self();
-  }
-  Derived& record_payload_bytes(std::size_t bytes) {
-    config_.obs.record.max_payload_bytes = bytes;
     return self();
   }
   Derived& postmortem_prefix(std::string prefix) {

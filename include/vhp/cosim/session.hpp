@@ -68,11 +68,6 @@ class SessionConfigBuilder
     config_.board.cycles_per_sim_cycle = cycles;
     return *this;
   }
-  SessionConfigBuilder& dev_costs(u64 read_cycles, u64 write_cycles) {
-    config_.board.dev_read_cost = read_cycles;
-    config_.board.dev_write_cost = write_cycles;
-    return *this;
-  }
 
   /// Many-core board (DESIGN.md §13): M virtual cores under the SMP kernel.
   /// M > 1 requires a memory hierarchy — pair with memory(); validation

@@ -204,11 +204,11 @@ class SyncCoordinator {
 
   /// Sends this barrier's CLOCK_TICKs and fills pending_.
   Status scatter(u64 cycle);
-  /// Re-bases the ticked nodes and records the barrier's spans.
+  /// Re-bases the ticked nodes and records the barrier's wait and spans.
   void finish_barrier(u64 cycle);
   /// Records a zero-length `phase` span (evict, rejoin) for node `index`.
   void mark(std::size_t index, obs::SpanPhase phase, u64 cycle);
-  /// Starts the watchdog interval of a new gather.
+  /// Starts a gather's watchdog interval (a barrier's one stopwatch).
   void arm_watchdog();
   /// Repeats a non-blocking `step` in net::wait_until on the CLOCK
   /// channels until it is done or fails (the blocking handshake and
@@ -233,6 +233,7 @@ class SyncCoordinator {
   obs::Counter& lookahead_acks_;
   obs::Counter& lookahead_unbounded_;
   obs::LatencyHistogram& barrier_wait_ns_;
+  obs::LatencyHistogram& sync_rtt_ns_;
   obs::Timeline& timeline_;
   obs::SpanSink& spans_;  // timeline ring "fabric" (coordinator-side spans)
 
@@ -245,8 +246,7 @@ class SyncCoordinator {
   std::vector<std::size_t> ticked_;
   std::chrono::steady_clock::time_point wait_start_;
   std::chrono::steady_clock::time_point deadline_;
-  // Barrier-round stamps: the timeline scatter window.
-  u64 scatter_start_ = 0;
+  // Timeline stamp of the last CLOCK_TICK sent: the scatter's end.
   u64 scatter_end_ = 0;
   u64 round_ = 0;  // wire round id; monotone across rejoin
   bool handshaken_ = false;

@@ -10,8 +10,9 @@
 // Threading: all ports are driven from the board's single host thread (RTOS
 // threads are fibers), so the model needs no locks; per-access counters are
 // obs counters (relaxed atomics), so metric dumps from other threads see
-// monotone values. Virtual time `now` is the calling core's cycle counter —
-// cores interleave deterministically under the SMP kernel, so bank busy
+// monotone values; the bank and pipeline totals reach a dump only through
+// publish_stats(). Virtual time `now` is the calling core's cycle counter
+// — cores interleave deterministically under the SMP kernel, so bank busy
 // windows compose deterministically too.
 #pragma once
 
@@ -77,6 +78,10 @@ class MemorySystem {
   [[nodiscard]] const MemConfig& config() const { return config_; }
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
 
+  /// Copies the bank and pipeline totals into the mem.* gauges. Call on
+  /// the thread that drives the ports; a board does after every pump.
+  void publish_stats();
+
  private:
   friend class CorePort;
 
@@ -91,6 +96,7 @@ class MemorySystem {
   obs::LatencyHistogram& bank_conflict_wait_;
 
   std::vector<std::unique_ptr<CorePort>> ports_;
+  std::vector<obs::Gauge*> gauges_;  // publish_stats()'s, in its order
 };
 
 }  // namespace vhp::mem

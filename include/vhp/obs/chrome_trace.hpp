@@ -1,9 +1,9 @@
 // The one Chrome trace_event writer (chrome://tracing, Perfetto): the
 // paper's Figure 2/4 timeline of a run from the two sources that stamp on
 // one epoch, the hub's Timeline spans and its flight recorders' frames.
-// Process row "master" holds the coordinator track; each node's row holds
-// its "rounds", "rtos", "driver", "hw frames" and "board frames" tracks
-// (DESIGN.md §7).
+// Process row "master" holds the coordinator and simulate tracks; each
+// node's row holds its "rounds", "rtos", "driver", "hw frames" and "board
+// frames" tracks (DESIGN.md §7).
 #pragma once
 
 #include <map>

@@ -1,6 +1,10 @@
 // The one observability object of a co-simulation: metrics, the timeline
-// (the run's one wall-clock recorder), the stall profiler and the flight
-// recorders, with the costly instruments behind a single switch.
+// (the run's one wall-clock recorder), the stall profiler (a view over the
+// timeline's span totals) and the flight recorders, with the costly
+// instruments behind a single switch. Every gauge is set by the thread that
+// owns its state (a board after each pump, the master after each pump that
+// ran cycles), so a dump taken on any thread, mid-run included, reads only
+// atomics and locked totals.
 //
 // Ownership pattern: a fabric::Fabric owns the hubs and hands a Hub* to
 // every layer it wires (CosimKernel, Board, instrumented channels): one
@@ -12,13 +16,9 @@
 // compatibility views), spans and wall-time profiling stay off.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "vhp/common/status.hpp"
 #include "vhp/obs/flight_recorder.hpp"
@@ -35,9 +35,9 @@ struct ObsConfig {
   FlightRecorderConfig record{};
   /// The span recorder; `timeline.enabled` is the one switch for every
   /// *costly* instrument (`observability()` sets it): span rings with
-  /// round ids stamped on the CLOCK traffic, wall-time stall profiling,
-  /// the sync-RTT and dev-read histograms, per-frame link
-  /// accounting. Disarmed, each costs one branch per call site and every
+  /// round ids stamped on the CLOCK traffic (their per-phase totals are
+  /// the stall buckets), the sync-RTT and dev-read histograms, per-frame
+  /// link accounting. Disarmed, each costs one branch per call site and every
   /// frame carries round 0. Plain metric counters are always
   /// live — they are the components' stats() backing store and cost one
   /// relaxed increment each.
@@ -59,6 +59,8 @@ class Hub {
   [[nodiscard]] const ObsConfig& config() const { return config_; }
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
+  /// The stall buckets: read-only sums of the timeline's kSimulate and
+  /// kBarrier spans.
   [[nodiscard]] StallProfiler& profiler() { return profiler_; }
 
   /// Per-side flight recorders (rings stay empty unless config.record is
@@ -71,12 +73,8 @@ class Hub {
   /// board resolve their SpanSinks here.
   [[nodiscard]] Timeline& timeline() { return timeline_; }
 
-  /// Registers a pre-dump hook: called by metrics_json() so lazily-computed
-  /// series (RTOS kernel totals, profiler buckets) are fresh in the dump.
-  /// Collectors run on the dumping thread; keep them read-only snapshots.
-  void add_collector(std::function<void(MetricsRegistry&)> collector);
-
-  /// Runs the collectors, then serializes every instrument to JSON.
+  /// Refreshes the derived gauges (collect()), then serializes every
+  /// instrument to JSON.
   /// `node_prefix` is prepended to every key ("node0." makes
   /// "board.acks_sent" into "node0.board.acks_sent"), so the per-node hubs
   /// of a fabric merge into one document without key collisions — see
@@ -84,8 +82,9 @@ class Hub {
   [[nodiscard]] std::string metrics_json(std::string_view node_prefix = {});
   Status write_metrics_json(const std::string& path);
 
-  /// Runs the collectors and refreshes the lazily-computed instruments
-  /// (profiler buckets, recorder and span gauges) without serializing.
+  /// Sets the gauges derived from this hub's own instruments (profiler
+  /// buckets, recorder and span counts) without serializing. Thread-safe:
+  /// it reads only the timeline's and recorders' locked totals.
   /// merged_metrics_json() calls this per hub before emitting the combined
   /// document.
   void collect();
@@ -102,9 +101,6 @@ class Hub {
   StallProfiler profiler_;
   FlightRecorder hw_recorder_;
   FlightRecorder board_recorder_;
-
-  std::mutex collectors_mu_;
-  std::vector<std::function<void(MetricsRegistry&)>> collectors_;
 };
 
 /// Writes `text` to `path`, replacing the file: the one writer behind every
@@ -113,7 +109,7 @@ Status write_text_file(const std::string& path, const std::string& text);
 
 /// One metrics document spanning several hubs: each entry's prefix is
 /// prepended to its hub's keys ("" for the lead hub, "node0."/"node1."/...
-/// for the per-node hubs of a fabric). Runs every hub's collectors first.
+/// for the per-node hubs of a fabric). Runs every hub's collect() first.
 [[nodiscard]] std::string merged_metrics_json(
     std::span<const std::pair<std::string, Hub*>> hubs);
 

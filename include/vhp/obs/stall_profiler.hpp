@@ -3,21 +3,23 @@
 // The paper's overhead numbers (Figures 5/6) fold three very different costs
 // into one wall-clock figure: executing the HDL model, servicing driver DATA
 // traffic, and stalling for the board's TIME_ACK. The StallProfiler splits
-// them: the co-simulation kernel brackets each phase with a Timer, and the
-// accumulated per-bucket nanoseconds land in the metrics dump
-// (cosim.wall.<bucket>_ns), so a BENCH trajectory can say "94% of the
-// overhead at T_sync=10 is ack-wait" instead of just "it is 100x slower".
+// them, as a read-only view over its hub's timeline: `simulate` is the sum
+// of the master's kSimulate spans (the cycles run between two barriers),
+// `ack_wait` the sum of the coordinator's kBarrier spans (scatter to the
+// last ack). `data_service` reads 0: a timed master polls no DATA inside a
+// quantum (the barrier's DATA fence serves it), and an untimed one's
+// per-cycle poll falls inside its simulate span. The buckets land in the
+// metrics dump (cosim.wall.<bucket>_ns), so a BENCH trajectory can say "94%
+// of the overhead at T_sync=10 is ack-wait" instead of just "it is 100x
+// slower".
 //
-// Disabled (default) cost: one branch per Timer, no clock reads.
+// Disarmed (default) every bucket reads 0: the timeline records nothing.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <string_view>
 
 #include "vhp/common/types.hpp"
+#include "vhp/obs/timeline.hpp"
 
 namespace vhp::obs {
 
@@ -26,78 +28,31 @@ class MetricsRegistry;
 class StallProfiler {
  public:
   enum class Bucket : std::size_t {
-    kSimulate = 0,     // advancing the HDL model (sim::Kernel::run)
-    kDataService = 1,  // draining/answering DATA_PORT traffic
-    kAckWait = 2,      // blocked on the board's TIME_ACK
-    kCount = 3,
+    kSimulate = 0,     // the master's kSimulate spans
+    kDataService = 1,  // 0: inside the simulate spans or the barriers
+    kAckWait = 2,      // the coordinator's kBarrier spans
   };
-  static constexpr std::size_t kBucketCount =
-      static_cast<std::size_t>(Bucket::kCount);
 
-  explicit StallProfiler(bool enabled = false) : enabled_(enabled) {}
+  explicit StallProfiler(const Timeline& timeline) : timeline_(timeline) {}
 
   StallProfiler(const StallProfiler&) = delete;
   StallProfiler& operator=(const StallProfiler&) = delete;
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void add_ns(Bucket bucket, u64 ns) {
-    auto& cell = cells_[static_cast<std::size_t>(bucket)];
-    cell.ns.fetch_add(ns, std::memory_order_relaxed);
-    cell.samples.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// The timeline's switch: disarmed, every bucket stays 0.
+  [[nodiscard]] bool enabled() const { return timeline_.enabled(); }
 
   [[nodiscard]] u64 total_ns(Bucket bucket) const {
-    return cells_[static_cast<std::size_t>(bucket)].ns.load(
-        std::memory_order_relaxed);
+    return total(bucket).ns;
   }
-  [[nodiscard]] u64 samples(Bucket bucket) const {
-    return cells_[static_cast<std::size_t>(bucket)].samples.load(
-        std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] static std::string_view bucket_name(Bucket bucket);
 
   /// Publishes the buckets as gauges: cosim.wall.<bucket>_ns and
-  /// cosim.wall.<bucket>_intervals.
+  /// cosim.wall.<bucket>_intervals (the span count).
   void export_to(MetricsRegistry& metrics) const;
 
-  /// RAII phase bracket. When the profiler is disabled this is two branches
-  /// and no clock reads.
-  class Timer {
-   public:
-    Timer(StallProfiler& profiler, Bucket bucket)
-        : profiler_(profiler), bucket_(bucket) {
-      if (profiler_.enabled_) start_ = std::chrono::steady_clock::now();
-    }
-    ~Timer() {
-      if (profiler_.enabled_) {
-        const auto end = std::chrono::steady_clock::now();
-        profiler_.add_ns(
-            bucket_,
-            static_cast<u64>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                                     start_)
-                    .count()));
-      }
-    }
-    Timer(const Timer&) = delete;
-    Timer& operator=(const Timer&) = delete;
-
-   private:
-    StallProfiler& profiler_;
-    Bucket bucket_;
-    std::chrono::steady_clock::time_point start_{};
-  };
-
  private:
-  struct Cell {
-    std::atomic<u64> ns{0};
-    std::atomic<u64> samples{0};
-  };
+  [[nodiscard]] PhaseTotal total(Bucket bucket) const;
 
-  bool enabled_;
-  std::array<Cell, kBucketCount> cells_{};
+  const Timeline& timeline_;
 };
 
 }  // namespace vhp::obs

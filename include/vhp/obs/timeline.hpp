@@ -11,9 +11,11 @@
 // names the per-round straggler, and reports the slowdown factor.
 //
 // The timeline is also the run's one wall-clock recorder: the boards add
-// their RTOS thread slices and driver reads, the coordinator its evictions
-// and rejoins, and the flight recorders stamp frames against the same
-// epoch, so chrome_trace_json() lays all of them on one clock.
+// their RTOS thread slices and driver reads, the master its simulate
+// stretches, the coordinator its evictions and rejoins, and the flight
+// recorders stamp frames against the same epoch, so chrome_trace_json()
+// lays all of them on one clock. Per-phase span totals outlive the ring:
+// the stall profiler's buckets are those totals.
 //
 // Cost model (flight-recorder discipline): when disabled — the default —
 // every record call is one branch on a const bool, no clock read. When
@@ -22,6 +24,7 @@
 // counts drops, so a forgotten timeline can never grow without bound.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <map>
@@ -52,7 +55,9 @@ enum class SpanPhase : u8 {
   kDevRead = 7,   // board: a driver read, request sent until response taken
   kEvict = 8,     // coordinator: node evicted (zero length)
   kRejoin = 9,    // coordinator: node rejoined (zero length)
+  kSimulate = 10,  // master: the cycles run between two barriers
 };
+inline constexpr std::size_t kSpanPhaseCount = 11;
 
 [[nodiscard]] std::string_view to_string(SpanPhase p);
 
@@ -92,10 +97,16 @@ struct TimelineConfig {
   std::size_t ring_spans = 1u << 13;
 };
 
+/// Spans of one phase recorded so far, and their summed durations.
+struct PhaseTotal {
+  u64 count = 0;
+  u64 ns = 0;
+};
+
 /// Fixed-size overwrite-oldest span ring. One sink per recording thread
-/// (coordinator, each board, each board's RTOS slices) so hot-path
-/// contention is a short uncontended lock; snapshot() is the only
-/// cross-thread reader.
+/// (master, coordinator, each board, each board's RTOS slices) so hot-path
+/// contention is a short uncontended lock; snapshot() and the totals are
+/// the only cross-thread readers.
 class SpanSink {
  public:
   SpanSink(const TimelineConfig& config, std::string name);
@@ -110,6 +121,8 @@ class SpanSink {
 
   [[nodiscard]] u64 recorded() const;
   [[nodiscard]] u64 dropped() const;
+  /// Every span of `phase` ever recorded here, overwritten ones included.
+  [[nodiscard]] PhaseTotal total(SpanPhase phase) const;
 
   /// Ring contents oldest-first (empty for a zero-capacity ring).
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
@@ -123,6 +136,7 @@ class SpanSink {
   std::size_t next_ = 0;
   u64 recorded_ = 0;
   u64 dropped_ = 0;
+  std::array<PhaseTotal, kSpanPhaseCount> totals_{};
 };
 
 /// The per-hub timeline: a shared epoch plus named sinks. Owned by obs::Hub;
@@ -141,14 +155,19 @@ class Timeline {
   /// Nanoseconds since epoch (steady clock). Callers on the hot path must
   /// branch on enabled() first — this always reads the clock.
   [[nodiscard]] u64 now_ns() const;
+  /// `t` in nanoseconds since epoch (a watchdog's clock read as a stamp).
+  [[nodiscard]] u64 ns_at(std::chrono::steady_clock::time_point t) const;
 
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const;
   void set_epoch(std::chrono::steady_clock::time_point epoch);
 
-  /// Get-or-create a named sink ("fabric", "board", "board.rtos"). The
-  /// reference stays valid for the Timeline's lifetime; resolve once at
-  /// construction.
+  /// Get-or-create a named sink ("master", "fabric", "board",
+  /// "board.rtos"). The reference stays valid for the Timeline's lifetime;
+  /// resolve once at construction.
   [[nodiscard]] SpanSink& sink(std::string_view name);
+
+  /// SpanSink::total(phase) summed over the sinks.
+  [[nodiscard]] PhaseTotal total(SpanPhase phase) const;
 
   /// All sinks' rings merged, sorted by start_ns.
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;

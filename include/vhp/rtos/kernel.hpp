@@ -16,7 +16,6 @@
 // again.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -54,12 +53,6 @@ struct KernelConfig {
   /// grant; the timer interrupt (RTC, timeslices) stays on core 0, the
   /// boot core — as on real SMP hardware with one global timer.
   u32 cores = 1;
-  /// Real-time pacing (standalone mode only, ignored under budget_mode):
-  /// when nonzero, idle-driven ticks are paced to this wall-clock period —
-  /// the virtual board then behaves like the real one, whose HW timer
-  /// interrupts every millisecond of real time. Application consume() is
-  /// still work-based; pacing applies to waiting (delays, alarms).
-  std::chrono::microseconds real_time_tick{0};
 };
 
 class Kernel {
@@ -294,8 +287,6 @@ class Kernel {
   /// core-0 idle poll reports no progress while nothing can advance.
   bool step_mode_ = false;
   bool starved_ = false;
-  /// Next wall-clock tick deadline in real-time pacing mode.
-  std::chrono::steady_clock::time_point rt_next_tick_{};
 
   Stats stats_;
 };

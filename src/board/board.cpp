@@ -205,7 +205,6 @@ Result<Bytes> Board::dev_read(u32 addr, u32 nbytes) {
   dev_reads_.inc();
   const obs::Timeline& timeline = hub_->timeline();
   const u64 read_start = timeline.enabled() ? timeline.now_ns() : 0;
-  if (config_.dev_read_cost > 0) kernel_.consume(config_.dev_read_cost);
   Status s = net::send_msg(*link_.data, net::DataReadReq{addr, nbytes});
   if (s.ok()) ++data_sent_;
   // The request must reach the master now — this thread is about to block
@@ -272,7 +271,7 @@ void Board::attach_interrupt(u32 vector, std::function<void(u32)> dsr) {
 rtos::Thread& Board::spawn_app(std::string name, int priority,
                                rtos::Thread::Entry entry,
                                std::size_t stack_bytes) {
-  assert(priority > config_.comm_priority &&
+  assert(priority > kCommPriority &&
          "application threads must run below the communication threads");
   return kernel_.spawn(std::move(name), priority, std::move(entry),
                        stack_bytes);
@@ -349,10 +348,10 @@ void Board::channel_thread_body() {
 void Board::boot() {
   if (booted_) return;
   booted_ = true;
-  auto& sysc = kernel_.spawn("systemc", config_.comm_priority,
+  auto& sysc = kernel_.spawn("systemc", kCommPriority,
                              [this] { systemc_thread_body(); });
   sysc.set_comm_thread(true);
-  auto& chan = kernel_.spawn("channel", config_.comm_priority,
+  auto& chan = kernel_.spawn("channel", kCommPriority,
                              [this] { channel_thread_body(); });
   chan.set_comm_thread(true);
   log_.debug("board booted (budget_mode={})", kernel_.budget_mode());
@@ -405,6 +404,7 @@ Board::PumpStatus Board::pump() {
   assert(booted_ && "pump() before boot()");
   const bool live = kernel_.run_until_starved();
   publish_rtos_stats();
+  if (memsys_) memsys_->publish_stats();
   if (live) return PumpStatus::kLive;
   if (!halted_) {
     halted_ = true;

@@ -45,7 +45,7 @@ CosimKernel::CosimKernel(std::vector<MasterLink> links, CosimConfig config,
       config_status_(config_.validate()),
       owned_hub_(hub != nullptr ? nullptr : new obs::Hub()),
       hub_(hub != nullptr ? hub : owned_hub_.get()),
-      sync_rtt_ns_(hub_->metrics().histogram("cosim.sync_rtt_ns")),
+      master_spans_(hub_->timeline().sink("master")),
       // Guard against a period sim::Clock refuses; the invalid config is
       // surfaced by run_cycles()/handshake().
       clock_(kernel_, "clk",
@@ -72,31 +72,6 @@ CosimKernel::CosimKernel(std::vector<MasterLink> links, CosimConfig config,
       config_.sync, std::move(clocks), std::move(names), hub_);
   if (config_status_.ok() && config_.parallel_workers > 0) {
     kernel_.set_parallel(static_cast<unsigned>(config_.parallel_workers));
-    // Parallel-kernel telemetry: island count, parallel delta cycles and
-    // per-lane busy time land in every metrics dump. Registered only when
-    // the parallel kernel is armed so serial runs keep their exact metric
-    // key set.
-    hub_->add_collector([this](obs::MetricsRegistry& m) {
-      const auto ps = kernel_.parallel_stats();
-      m.gauge("sim.islands").set(static_cast<i64>(ps.islands));
-      m.gauge("sim.parallel_deltas").set(static_cast<i64>(ps.parallel_deltas));
-      m.gauge("sim.repartitions").set(static_cast<i64>(ps.repartitions));
-      for (std::size_t i = 0; i < ps.lanes.size(); ++i) {
-        const auto tag = strformat("sim.worker{}", i);
-        m.gauge(tag + ".islands_run")
-            .set(static_cast<i64>(ps.lanes[i].islands_run));
-        // Busy-time histogram: one sample per collection interval, so the
-        // distribution shows how evaluation work spread across the lanes
-        // over the run.
-        auto& prev = lane_busy_collected_;
-        if (prev.size() <= i) prev.resize(i + 1, 0);
-        if (ps.lanes[i].busy_ns >= prev[i]) {
-          m.histogram(tag + ".busy_ns")
-              .record_ns(ps.lanes[i].busy_ns - prev[i]);
-          prev[i] = ps.lanes[i].busy_ns;
-        }
-      }
-    });
   }
 }
 
@@ -205,11 +180,9 @@ Status CosimKernel::sample_interrupts() {
 }
 
 Status CosimKernel::barrier_step(bool* done) {
-  // The barrier itself is the coordinator's kBarrier span; the kernel times
-  // its side (flush + scatter + gather) for the sync-RTT histogram.
-  const obs::Timeline& timeline = hub_->timeline();
+  // The coordinator times the barrier (kBarrier span, sync-RTT and
+  // barrier-wait histograms) from its scatter to its last ack.
   if (!coordinator_->gathering()) {
-    sync_start_ns_ = timeline.enabled() ? timeline.now_ns() : 0;
     // Batching flush rule (DESIGN.md §14): this quantum's DATA and INT
     // frames must cross before the grant they belong to (no-op on
     // unbatched links).
@@ -225,11 +198,7 @@ Status CosimKernel::barrier_step(bool* done) {
       }
     }
   }
-  Status s = coordinator_->step_barrier(cycle_, service_, done);
-  if (s.ok() && *done && timeline.enabled()) {
-    sync_rtt_ns_.record_ns(timeline.now_ns() - sync_start_ns_);
-  }
-  return s;
+  return coordinator_->step_barrier(cycle_, service_, done);
 }
 
 Status CosimKernel::run_cycles(u64 cycles) {
@@ -238,26 +207,22 @@ Status CosimKernel::run_cycles(u64 cycles) {
   Status s = pump(cycles, &ran, &blocked);
   while (s.ok() && blocked) {
     cycles -= ran;
-    {
-      // A board owes a TIME_ACK (or DATA its ack counts): wait on the
-      // ports it answers on, re-running the gather. The policy's watchdog,
-      // which the gather applies, bounds the wait.
-      obs::StallProfiler::Timer timer(hub_->profiler(),
-                                      obs::StallProfiler::Bucket::kAckWait);
-      std::vector<net::Channel*> ports;
-      ports.reserve(2 * slots_.size());
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!coordinator_->alive(i)) continue;
-        ports.push_back(slots_[i].link.data.get());
-        ports.push_back(slots_[i].link.clock.get());
-      }
-      (void)net::wait_until(
-          [&] {
-            s = pump(0, &ran, &blocked);
-            return !s.ok() || !blocked;
-          },
-          ports);
+    // A board owes a TIME_ACK (or DATA its ack counts): wait on the ports
+    // it answers on, re-running the gather. The policy's watchdog, which
+    // the gather applies, bounds the wait.
+    std::vector<net::Channel*> ports;
+    ports.reserve(2 * slots_.size());
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!coordinator_->alive(i)) continue;
+      ports.push_back(slots_[i].link.data.get());
+      ports.push_back(slots_[i].link.clock.get());
     }
+    (void)net::wait_until(
+        [&] {
+          s = pump(0, &ran, &blocked);
+          return !s.ok() || !blocked;
+        },
+        ports);
     if (s.ok()) s = pump(cycles, &ran, &blocked);
   }
   return s;
@@ -268,7 +233,24 @@ Status CosimKernel::pump(u64 max_cycles, u64* ran, bool* blocked) {
   *blocked = false;
   Status s = advance(start + max_cycles, blocked);
   *ran = cycle_ - start;
+  // Published only when the parallel kernel is armed, so serial runs keep
+  // their exact metric key set.
+  if (*ran > 0 && config_.parallel_workers > 0) publish_parallel_stats();
   return s;
+}
+
+void CosimKernel::publish_parallel_stats() {
+  const auto ps = kernel_.parallel_stats();
+  obs::MetricsRegistry& m = hub_->metrics();
+  m.gauge("sim.islands").set(static_cast<i64>(ps.islands));
+  m.gauge("sim.parallel_deltas").set(static_cast<i64>(ps.parallel_deltas));
+  m.gauge("sim.repartitions").set(static_cast<i64>(ps.repartitions));
+  for (std::size_t i = 0; i < ps.lanes.size(); ++i) {
+    const auto tag = strformat("sim.worker{}", i);
+    m.gauge(tag + ".islands_run")
+        .set(static_cast<i64>(ps.lanes[i].islands_run));
+    m.gauge(tag + ".busy_ns").set(static_cast<i64>(ps.lanes[i].busy_ns));
+  }
 }
 
 Status CosimKernel::advance(u64 until, bool* blocked) {
@@ -286,8 +268,21 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
     }
     boot_acks_ = coordinator_->acks_received();
   }
-  obs::StallProfiler& profiler = hub_->profiler();
-  using Bucket = obs::StallProfiler::Bucket;
+  // Armed, each stretch of cycles between two barriers (untimed: the whole
+  // call) is one kSimulate span: two clock reads per stretch, none per
+  // kernel run.
+  const obs::Timeline& timeline = hub_->timeline();
+  const bool armed = timeline.enabled();
+  u64 stretch_from = cycle_;
+  u64 stretch_start_ns = 0;
+  const auto end_stretch = [&] {
+    if (armed && cycle_ > stretch_from) {
+      master_spans_.record({coordinator_->rounds(), 0,
+                            obs::SpanPhase::kSimulate, stretch_start_ns,
+                            timeline.now_ns(), stretch_from});
+    }
+    stretch_from = cycle_;
+  };
   for (;;) {
     // A barrier due at this cycle (or still gathering from the previous
     // call) completes before the next cycle runs. The check sits above the
@@ -295,6 +290,7 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
     // whenever the acks are in: no outstanding tick.
     if (timed && (coordinator_->gathering() ||
                   coordinator_->next_due() == cycle_)) {
+      end_stretch();
       bool done = false;
       Status s = barrier_step(&done);
       if (!s.ok()) return s;
@@ -303,25 +299,24 @@ Status CosimKernel::advance(u64 until, bool* blocked) {
         return Status::Ok();
       }
     }
-    if (cycle_ >= until) return Status::Ok();
+    if (cycle_ >= until) {
+      end_stretch();
+      return Status::Ok();
+    }
+    if (armed && cycle_ == stretch_from) stretch_start_ns = timeline.now_ns();
     // Timed, the boards are frozen until the next barrier, whose fence
     // serves whatever they sent; only a free-running board needs the
     // per-cycle poll.
     if (!timed) {
-      obs::StallProfiler::Timer timer(profiler, Bucket::kDataService);
       Status s = service_links();
       if (!s.ok()) return s;
     }
-    {
-      // Cycles in which the kernel has nothing to do are jumped over in
-      // the same run() as the next cycle that has: their interrupt samples
-      // would repeat the previous one, as no level changes without kernel
-      // activity.
-      obs::StallProfiler::Timer timer(profiler, Bucket::kSimulate);
-      const u64 cycles = 1 + (timed ? quiet_cycles(until) : 0);
-      kernel_.run(cycles * config_.clock_period);
-      cycle_ += cycles;
-    }
+    // Cycles in which the kernel has nothing to do are jumped over in the
+    // same run() as the next cycle that has: their interrupt samples would
+    // repeat the previous one, as no level changes without kernel activity.
+    const u64 cycles = 1 + (timed ? quiet_cycles(until) : 0);
+    kernel_.run(cycles * config_.clock_period);
+    cycle_ += cycles;
     Status s = sample_interrupts();
     if (!s.ok()) return s;
   }

@@ -27,6 +27,7 @@ SyncCoordinator::SyncCoordinator(SyncPolicy policy,
       lookahead_unbounded_(
           hub_->metrics().counter("fabric.lookahead_unbounded")),
       barrier_wait_ns_(hub_->metrics().histogram("fabric.barrier_wait_ns")),
+      sync_rtt_ns_(hub_->metrics().histogram("cosim.sync_rtt_ns")),
       timeline_(hub_->timeline()),
       spans_(timeline_.sink("fabric")) {
   if (!config_status_.ok()) {
@@ -209,13 +210,12 @@ void SyncCoordinator::arm_watchdog() {
 
 Status SyncCoordinator::scatter(u64 cycle) {
   barriers_.inc();
-  arm_watchdog();
+  arm_watchdog();  // the barrier's start, too
   // Stamp the round only when the timeline is armed, so default runs keep
   // round 0 and their frame bytes (bit-exact recording parity). Boards
   // echo whatever they received.
   const bool timed_spans = timeline_.enabled();
   if (timed_spans) ++round_;
-  scatter_start_ = timed_spans ? timeline_.now_ns() : 0;
 
   // Scatter: one CLOCK_TICK per due node, granting the cycles elapsed since
   // its previous grant (== its quantum unless due-cycles coincide oddly).
@@ -270,14 +270,17 @@ void SyncCoordinator::finish_barrier(u64 cycle) {
   }
   update_next_due();
 
-  barrier_wait_ns_.record_ns(static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wait_start_)
-          .count()));
+  // With the scatter's, the barrier's one stopwatch: histograms and span.
+  const auto end = std::chrono::steady_clock::now();
+  const auto wait_ns = static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - wait_start_)
+          .count());
+  barrier_wait_ns_.record_ns(wait_ns);
   if (timeline_.enabled() && !ticked_.empty()) {
-    const u64 now = timeline_.now_ns();
-    spans_.record({round_, 0, obs::SpanPhase::kScatter, scatter_start_,
-                   scatter_end_, cycle});
+    sync_rtt_ns_.record_ns(wait_ns);
+    const u64 start = timeline_.ns_at(wait_start_);
+    spans_.record({round_, 0, obs::SpanPhase::kScatter, start, scatter_end_,
+                   cycle});
     u64 last_ack = scatter_end_;
     for (std::size_t i : ticked_) {
       const Node& node = nodes_[i];
@@ -289,8 +292,8 @@ void SyncCoordinator::finish_barrier(u64 cycle) {
     }
     spans_.record({round_, 0, obs::SpanPhase::kGather, scatter_end_, last_ack,
                    cycle});
-    spans_.record({round_, 0, obs::SpanPhase::kBarrier, scatter_start_, now,
-                   cycle});
+    spans_.record({round_, 0, obs::SpanPhase::kBarrier, start,
+                   timeline_.ns_at(end), cycle});
   }
 }
 

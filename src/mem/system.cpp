@@ -73,32 +73,39 @@ MemorySystem::MemorySystem(MemConfig config, u32 cores, obs::Hub* hub)
   for (u32 c = 0; c < cores; ++c) {
     ports_.emplace_back(new CorePort(*this, c, config_, *hub_));
   }
-  // Per-bank totals and per-core pipeline stalls are plain u64s on the
-  // board thread; snapshot them into gauges at dump time (exact once the
-  // board has quiesced, same contract as the RTOS kernel totals).
-  hub_->add_collector([this](obs::MetricsRegistry& m) {
-    m.gauge("mem.requests").set(static_cast<i64>(banked_.requests()));
-    for (u32 b = 0; b < banked_.config().banks; ++b) {
-      m.gauge(strformat("mem.bank{}.requests", b))
-          .set(static_cast<i64>(banked_.bank_requests(b)));
-      m.gauge(strformat("mem.bank{}.conflicts", b))
-          .set(static_cast<i64>(banked_.bank_conflicts(b)));
+  obs::MetricsRegistry& m = hub_->metrics();
+  gauges_.push_back(&m.gauge("mem.requests"));
+  for (u32 b = 0; b < banked_.config().banks; ++b) {
+    gauges_.push_back(&m.gauge(strformat("mem.bank{}.requests", b)));
+    gauges_.push_back(&m.gauge(strformat("mem.bank{}.conflicts", b)));
+  }
+  for (u32 c = 0; c < cores; ++c) {
+    for (const char* what : {"instructions", "busy_cycles",
+                             "fetch_stall_cycles", "data_stall_cycles"}) {
+      gauges_.push_back(&m.gauge(strformat("mem.core{}.{}", c, what)));
     }
-    for (const auto& port : ports_) {
-      const PipelineStats& ps = port->pipeline().stats();
-      const u32 c = port->core();
-      m.gauge(strformat("mem.core{}.instructions", c))
-          .set(static_cast<i64>(ps.instructions));
-      m.gauge(strformat("mem.core{}.busy_cycles", c))
-          .set(static_cast<i64>(ps.total_cycles));
-      m.gauge(strformat("mem.core{}.fetch_stall_cycles", c))
-          .set(static_cast<i64>(ps.fetch_stall_cycles));
-      m.gauge(strformat("mem.core{}.data_stall_cycles", c))
-          .set(static_cast<i64>(ps.data_stall_cycles));
-    }
-  });
+  }
 }
 
 MemorySystem::~MemorySystem() = default;
+
+void MemorySystem::publish_stats() {
+  auto gauge = gauges_.begin();
+  const auto set = [&gauge](u64 value) {
+    (*gauge++)->set(static_cast<i64>(value));
+  };
+  set(banked_.requests());
+  for (u32 b = 0; b < banked_.config().banks; ++b) {
+    set(banked_.bank_requests(b));
+    set(banked_.bank_conflicts(b));
+  }
+  for (const auto& port : ports_) {
+    const PipelineStats& ps = port->pipeline().stats();
+    set(ps.instructions);
+    set(ps.total_cycles);
+    set(ps.fetch_stall_cycles);
+    set(ps.data_stall_cycles);
+  }
+}
 
 }  // namespace vhp::mem

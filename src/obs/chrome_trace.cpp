@@ -14,7 +14,9 @@ namespace vhp::obs {
 namespace {
 
 constexpr u32 kMasterPid = 1;
+// Tracks of the master's row.
 constexpr u32 kCoordinatorTid = 1;
+constexpr u32 kSimulateTid = 2;
 // Tracks of a node's process row.
 constexpr u32 kRoundsTid = 1;
 constexpr u32 kRtosTid = 2;
@@ -100,6 +102,11 @@ void write_span(TraceWriter& w, const SpanRecord& s) {
       tid = kDriverTid;
       track = "driver";
       arg = strformat(",\"address\":{}", s.arg);
+      break;
+    case SpanPhase::kSimulate:
+      pid = kMasterPid;
+      tid = kSimulateTid;
+      track = "simulate";
       break;
     case SpanPhase::kEvict:
     case SpanPhase::kRejoin:

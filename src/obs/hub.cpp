@@ -29,20 +29,11 @@ Status ObsConfig::validate(std::string_view owner) const {
 Hub::Hub(ObsConfig config)
     : config_(config),
       timeline_(config.timeline),
-      profiler_(config.timeline.enabled),
+      profiler_(timeline_),
       hw_recorder_(config.record, "hw", timeline_),
       board_recorder_(config.record, "board", timeline_) {}
 
-void Hub::add_collector(std::function<void(MetricsRegistry&)> collector) {
-  std::scoped_lock lock(collectors_mu_);
-  collectors_.push_back(std::move(collector));
-}
-
 void Hub::collect() {
-  {
-    std::scoped_lock lock(collectors_mu_);
-    for (auto& collector : collectors_) collector(metrics_);
-  }
   profiler_.export_to(metrics_);
   hw_recorder_.export_to(metrics_);
   board_recorder_.export_to(metrics_);

@@ -1,28 +1,27 @@
 #include "vhp/obs/stall_profiler.hpp"
 
 #include <string>
+#include <utility>
 
 #include "vhp/obs/metrics.hpp"
 
 namespace vhp::obs {
 
-std::string_view StallProfiler::bucket_name(Bucket bucket) {
-  switch (bucket) {
-    case Bucket::kSimulate: return "simulate";
-    case Bucket::kDataService: return "data_service";
-    case Bucket::kAckWait: return "ack_wait";
-    case Bucket::kCount: break;
-  }
-  return "?";
+PhaseTotal StallProfiler::total(Bucket bucket) const {
+  if (bucket == Bucket::kSimulate) return timeline_.total(SpanPhase::kSimulate);
+  if (bucket == Bucket::kAckWait) return timeline_.total(SpanPhase::kBarrier);
+  return {};
 }
 
 void StallProfiler::export_to(MetricsRegistry& metrics) const {
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    const auto bucket = static_cast<Bucket>(i);
-    const std::string base = "cosim.wall." + std::string(bucket_name(bucket));
-    metrics.gauge(base + "_ns").set(static_cast<i64>(total_ns(bucket)));
-    metrics.gauge(base + "_intervals")
-        .set(static_cast<i64>(samples(bucket)));
+  for (const auto& [bucket, name] :
+       {std::pair{Bucket::kSimulate, "simulate"},
+        std::pair{Bucket::kDataService, "data_service"},
+        std::pair{Bucket::kAckWait, "ack_wait"}}) {
+    const PhaseTotal t = total(bucket);
+    const std::string base = std::string("cosim.wall.") + name;
+    metrics.gauge(base + "_ns").set(static_cast<i64>(t.ns));
+    metrics.gauge(base + "_intervals").set(static_cast<i64>(t.count));
   }
 }
 

@@ -21,6 +21,7 @@ std::string_view to_string(SpanPhase p) {
     case SpanPhase::kDevRead: return "dev_read";
     case SpanPhase::kEvict: return "evict";
     case SpanPhase::kRejoin: return "rejoin";
+    case SpanPhase::kSimulate: return "simulate";
   }
   return "unknown";
 }
@@ -67,6 +68,9 @@ void SpanSink::record(const SpanRecord& span) {
   }
   ++next_;
   ++recorded_;
+  PhaseTotal& total = totals_[static_cast<std::size_t>(span.phase)];
+  ++total.count;
+  total.ns += span.end_ns - std::min(span.start_ns, span.end_ns);
 }
 
 u64 SpanSink::recorded() const {
@@ -77,6 +81,11 @@ u64 SpanSink::recorded() const {
 u64 SpanSink::dropped() const {
   std::scoped_lock lock(mu_);
   return dropped_;
+}
+
+PhaseTotal SpanSink::total(SpanPhase phase) const {
+  std::scoped_lock lock(mu_);
+  return totals_[static_cast<std::size_t>(phase)];
 }
 
 std::vector<SpanRecord> SpanSink::snapshot() const {
@@ -96,9 +105,13 @@ Timeline::Timeline(TimelineConfig config)
     : config_(config), epoch_(std::chrono::steady_clock::now()) {}
 
 u64 Timeline::now_ns() const {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - epoch_)
-                              .count());
+  return ns_at(std::chrono::steady_clock::now());
+}
+
+u64 Timeline::ns_at(std::chrono::steady_clock::time_point t) const {
+  return static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
+          .count());
 }
 
 std::chrono::steady_clock::time_point Timeline::epoch() const {
@@ -116,6 +129,17 @@ SpanSink& Timeline::sink(std::string_view name) {
   }
   sinks_.push_back(std::make_unique<SpanSink>(config_, std::string(name)));
   return *sinks_.back();
+}
+
+PhaseTotal Timeline::total(SpanPhase phase) const {
+  PhaseTotal sum;
+  std::scoped_lock lock(mu_);
+  for (const auto& s : sinks_) {
+    const PhaseTotal t = s->total(phase);
+    sum.count += t.count;
+    sum.ns += t.ns;
+  }
+  return sum;
 }
 
 std::vector<SpanRecord> Timeline::snapshot() const {

@@ -324,16 +324,7 @@ void Kernel::idle_loop(u32 core) {
         }
       } else if (core == 0 && rtc_.has_pending_alarms()) {
         // Standalone mode: advance virtual time only when someone is
-        // waiting for it — as fast as the host allows, or paced to the
-        // wall clock when real_time_tick is set (the physical board's
-        // 1 ms HW timer behaviour).
-        if (config_.real_time_tick.count() > 0) {
-          if (rt_next_tick_ == std::chrono::steady_clock::time_point{}) {
-            rt_next_tick_ = std::chrono::steady_clock::now();
-          }
-          rt_next_tick_ += config_.real_time_tick;
-          std::this_thread::sleep_until(rt_next_tick_);
-        }
+        // waiting for it, as fast as the host allows.
         const u64 chunk =
             config_.cycles_per_tick - (cycle_count_ % config_.cycles_per_tick);
         stats_.idle_cycles += chunk;

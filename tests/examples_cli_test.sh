@@ -4,10 +4,13 @@
 # usage line on stderr and exits 2 — never an uncaught exception (exit 134).
 # Every such case stops before a simulation starts. One short run
 # (router_cosim 1000 8, ~0.1 s) checks that --trace-json writes a Chrome
-# trace that parses and shows a barrier per sync, a dev_read, an RTOS thread
-# and a CLOCK frame. Another records a run with the default flags, which
-# must write the hw file and the one node's board file, and replays its hw
-# side, which must report "replay ok".
+# trace that parses and shows a barrier per sync, at least one simulate span
+# on the master row per barrier, a dev_read, an RTOS thread and a CLOCK
+# frame, and that its metrics carry nonzero stall buckets
+# (cosim.wall.simulate_ns and cosim.wall.ack_wait_ns). Another records a
+# run with the default flags, which must write the hw file and the one
+# node's board file, and replays its hw side, which must report "replay
+# ok".
 #
 # Usage: examples_cli_test.sh <path-to-router_cosim> <path-to-router_fabric>
 set -u
@@ -65,16 +68,24 @@ import json, re, sys
 workdir = sys.argv[1]
 events = json.load(open(f"{workdir}/run.trace.json"))["traceEvents"]
 names = [e["name"] for e in events if e["ph"] != "M"]
+master_simulate = sum(1 for e in events if e["ph"] == "X" and
+                      e["pid"] == 1 and e["name"] == "simulate")
+gauges = json.load(open(f"{workdir}/run.metrics.json"))["gauges"]
 syncs = int(re.search(r"sync round trips\s+(\d+)",
                       open(f"{workdir}/run.out").read()).group(1))
 checks = {
     "one barrier span per sync": names.count("barrier") == syncs > 0,
+    "a master simulate span per barrier": master_simulate >= syncs > 0,
+    "nonzero cosim.wall.simulate_ns":
+        gauges.get("cosim.wall.simulate_ns", 0) > 0,
+    "nonzero cosim.wall.ack_wait_ns":
+        gauges.get("cosim.wall.ack_wait_ns", 0) > 0,
     "a dev_read span": "dev_read" in names,
     "an RTOS thread slice": "checksum_app" in names,
     "a CLOCK frame": any(n.startswith("clock.") for n in names),
 }
 for what, ok in checks.items():
-    print(("ok: " if ok else "FAIL: ") + "router_cosim trace has " + what,
+    print(("ok: " if ok else "FAIL: ") + "router_cosim run has " + what,
           file=sys.stdout if ok else sys.stderr)
 sys.exit(0 if all(checks.values()) else 1)
 PY

@@ -247,7 +247,7 @@ TEST(MemorySystemTest, MetricsCollectorPublishesGauges) {
   (void)sys.port(0).fetch(0x0, 0);
   (void)sys.port(1).fetch(0x0, 0);  // same line, other core: its own miss
   (void)sys.port(0).pipeline().instruction(1, 13, 0);
-  sys.obs().collect();
+  sys.publish_stats();
   auto& metrics = sys.obs().metrics();
   EXPECT_EQ(metrics.gauge("mem.requests").value(), 2);
   EXPECT_EQ(metrics.gauge("mem.core0.instructions").value(), 1);

@@ -4,6 +4,7 @@
 // memory hierarchy in the timing path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -319,6 +320,71 @@ TEST(MultiCoreSession, TimedFourCoreSessionIsDeterministic) {
   EXPECT_EQ(first, run_once());
   // Sanity: the firmware actually completed inside the granted window.
   EXPECT_EQ(first.back(), 1u);
+}
+
+/// Firmware that streams loads through 64 KiB (16 times the default
+/// D-cache) without end: every load misses and queues on the shared banks.
+iss::Asm streaming_load_program() {
+  iss::Asm a;
+  a.li(5, 0x10000);  // x5 = stream base
+  a.li(7, 0x20000);  // x7 = stream end
+  a.addi(6, 5, 0);   // x6 = cursor
+  const auto loop = a.make_label();
+  a.bind(loop);
+  a.lw(8, 6, 0);
+  a.addi(6, 6, 32);  // next line
+  a.bne(6, 7, loop);
+  a.addi(6, 5, 0);
+  a.j(loop);
+  return a;
+}
+
+TEST(MultiCoreSession, MetricsDumpedWhileTheBoardRunsReadOnlyGauges) {
+  // Another thread dumps the metrics while two cores hammer the banks. The
+  // bank and pipeline totals are the board thread's plain counters; the
+  // dump may read only the gauges the board publishes after each pump
+  // (the tsan preset runs this test to hold that).
+  auto cfg = cosim::SessionConfigBuilder{}
+                 .inproc()
+                 .t_sync(200)
+                 .cycles_per_tick(10)
+                 .cores(2)
+                 .memory(mem::MemConfig{})
+                 .build_or_throw();
+  cosim::CosimSession session{cfg};
+  sim::Memory ram{"ram"};
+  streaming_load_program().load_into(ram, 0x1000);
+  iss::MultiCoreBoardConfig mc;
+  mc.entry_pcs = {0x1000, 0x1000};
+  iss::MultiCoreBoard cores{session.board(), ram, mc};
+
+  std::atomic<bool> running{true};
+  std::atomic<u64> dumps{0};
+  std::thread dumper{[&] {
+    while (running.load()) {
+      (void)session.obs().metrics_json();
+      dumps.fetch_add(1);
+    }
+  }};
+  session.start_board();
+  for (int chunk = 0; chunk < 20; ++chunk) {
+    EXPECT_TRUE(session.run_cycles(1000).ok());
+  }
+  running = false;
+  dumper.join();
+  session.finish();
+  EXPECT_GT(dumps.load(), 0u);
+
+  // The board thread has been joined: its last publish is the model's
+  // final totals.
+  auto& metrics = session.obs().metrics();
+  const u64 requests = cores.memory().memory().requests();
+  EXPECT_GT(requests, 0u);
+  EXPECT_EQ(metrics.gauge("mem.requests").value(),
+            static_cast<i64>(requests));
+  EXPECT_EQ(metrics.gauge("mem.core1.instructions").value(),
+            static_cast<i64>(
+                cores.memory().port(1).pipeline().stats().instructions));
 }
 
 TEST(MultiCoreSession, SingleCoreDefaultKeepsFlatTiming) {

@@ -170,20 +170,6 @@ TEST(RtosKernel, StatsCountSwitchesAndTicks) {
   EXPECT_EQ(k.stats().ticks, 10u);
 }
 
-TEST(RtosKernel, RealTimePacingSlowsIdleTicks) {
-  // With a 2 ms wall period per tick, sleeping 5 virtual ticks must take
-  // at least ~10 ms of wall time (and far more than the unpaced run).
-  KernelConfig cfg = fast_cfg();
-  cfg.real_time_tick = std::chrono::milliseconds{2};
-  Kernel k{cfg};
-  k.spawn("sleeper", 5, [&] { k.delay(SwTicks{5}); });
-  const auto start = std::chrono::steady_clock::now();
-  k.run(true);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(elapsed, std::chrono::milliseconds{9});
-  EXPECT_EQ(k.tick_count().value(), 5u);
-}
-
 TEST(RtosKernel, ManyThreadsAllComplete) {
   Kernel k{fast_cfg()};
   int completed = 0;

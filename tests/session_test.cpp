@@ -10,6 +10,8 @@
 #include "vhp/obs/flight_recorder.hpp"
 #include "vhp/rtos/sync.hpp"
 #include "vhp/sim/module.hpp"
+#include "vhp/svc/event_loop.hpp"
+#include "vhp/svc/session_host.hpp"
 
 namespace vhp::cosim {
 namespace {
@@ -480,6 +482,83 @@ TEST(SessionObsTest, DisabledSessionKeepsCountersButNoTrace) {
   EXPECT_EQ(session.obs().metrics().counter("fabric.ticks_sent").value(),
             session.hw().stats().syncs);
   EXPECT_GT(session.hw().stats().syncs, 0u);
+}
+
+// One source per number: the stall buckets are the timeline's span totals,
+// and each barrier's one stopwatch feeds the kBarrier span, the sync-RTT
+// histogram and the barrier-wait histogram alike.
+using Bucket = obs::StallProfiler::Bucket;
+
+u64 summed_spans(const std::vector<obs::SpanRecord>& spans,
+                 obs::SpanPhase phase) {
+  u64 sum = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.phase == phase) sum += s.end_ns - s.start_ns;
+  }
+  return sum;
+}
+
+TEST(SessionObsTest, EveryWallClockNumberHasOneSource) {
+  auto cfg = SessionConfigBuilder{}.t_sync(40).observability().build_or_throw();
+  CosimSession session{cfg};
+  EchoDevice echo{session.hw()};
+  auto& board = session.board();
+  board.spawn_app("writer", 8, [&] {
+    for (u32 i = 0; i < 5; ++i) {
+      ASSERT_TRUE(board.dev_write(0x0, DriverCodec<u32>::encode(i)).ok());
+      board.kernel().consume(30);
+    }
+  });
+  session.start_board();
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    ASSERT_TRUE(session.run_cycles(200).ok());
+  }
+  session.finish();
+
+  obs::Hub& hub = session.obs();
+  const auto spans = hub.timeline().snapshot();
+  ASSERT_EQ(hub.timeline().sink("fabric").dropped(), 0u);
+  ASSERT_EQ(hub.timeline().sink("master").dropped(), 0u);
+  const u64 barriers = summed_spans(spans, obs::SpanPhase::kBarrier);
+  EXPECT_GT(barriers, 0u);
+  EXPECT_EQ(hub.profiler().total_ns(Bucket::kAckWait), barriers);
+  EXPECT_EQ(hub.metrics().histogram("cosim.sync_rtt_ns").sum_ns(), barriers);
+  EXPECT_EQ(hub.metrics().histogram("fabric.barrier_wait_ns").sum_ns(),
+            barriers);
+
+  const u64 simulate = summed_spans(spans, obs::SpanPhase::kSimulate);
+  EXPECT_GT(simulate, 0u);
+  EXPECT_EQ(hub.profiler().total_ns(Bucket::kSimulate), simulate);
+  EXPECT_EQ(hub.profiler().total_ns(Bucket::kDataService), 0u);
+  // Each of the 50 quanta is one stretch between two barriers (the calls
+  // end on barrier cycles, so none splits a quantum).
+  EXPECT_EQ(hub.timeline().total(obs::SpanPhase::kSimulate).count,
+            session.hw().stats().syncs);
+}
+
+TEST(SessionObsTest, HostedSessionReportsAckWait) {
+  // svc::SessionHost drives the master through pump() alone; its barriers
+  // are timed all the same.
+  CosimSession session{
+      SessionConfigBuilder{}.t_sync(100).observability().build_or_throw()};
+  svc::EventLoop loop;
+  svc::SessionHostConfig host_cfg;
+  host_cfg.cycles = 2000;
+  host_cfg.cycles_per_step = 300;
+  Status final = Status{StatusCode::kInternal, "on_done never ran"};
+  svc::SessionHost host{loop, session, host_cfg, [&](Status s) {
+                          final = std::move(s);
+                          loop.stop();
+                        }};
+  host.start();
+  loop.run();
+  ASSERT_TRUE(final.ok()) << final;
+
+  obs::Hub& hub = session.obs();
+  EXPECT_GT(hub.profiler().total_ns(Bucket::kAckWait), 0u);
+  EXPECT_EQ(hub.profiler().total_ns(Bucket::kAckWait),
+            hub.metrics().histogram("fabric.barrier_wait_ns").sum_ns());
+  EXPECT_GT(hub.profiler().total_ns(Bucket::kSimulate), 0u);
 }
 
 }  // namespace

@@ -102,6 +102,7 @@ TEST(SpanSinkTest, DisabledSinkRecordsNothing) {
   sink.record({1, 0, SpanPhase::kBarrier, 10, 20, 100});
   EXPECT_EQ(sink.recorded(), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(sink.total(SpanPhase::kBarrier).count, 0u);
   EXPECT_TRUE(sink.snapshot().empty());
 }
 

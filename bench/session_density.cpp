@@ -6,7 +6,10 @@
 // svc::EventLoop thread — no per-board host threads, no blocked callers.
 // The headline metric is per-session quantum overhead: wall time divided
 // by total quanta driven across all sessions. The classic drive pays a
-// parked OS thread per board; the loop pays one step callback.
+// parked OS thread per board; the loop pays one step callback. Each row
+// also prints how many loop timers fired: a hosted session holds both
+// ends of every frame, so each step re-posts the next one and none ever
+// parks on its re-poll timer.
 //
 // Part 2 (batching ratio): the sharded-router fabric over real TCP
 // loopback with per-quantum batching. Each node board additionally runs a
@@ -20,7 +23,8 @@
 // are reported for contrast, not gated.
 //
 // --gate (scripts/check.sh): requires the 256-session row to complete
-// cleanly at µs-level per-session quantum overhead and the board DATA
+// cleanly at µs-level per-session quantum overhead, no part-1 row to fire
+// a loop timer (a count, so host noise cannot trip it) and the board DATA
 // batching ratio to reach 4x. Auto-skips on hosts with <4 cores.
 #include <sys/resource.h>
 
@@ -57,6 +61,7 @@ struct DensityResult {
   u64 quanta = 0;        // syncs summed over every session
   u64 failed = 0;        // sessions that did not finish Ok
   u64 undrained = 0;     // sessions whose traffic did not complete
+  u64 timers = 0;        // loop timers fired: sessions that parked
   double us_per_quantum_per_session() const {
     return quanta == 0 ? 0 : wall_seconds * 1e6 / static_cast<double>(quanta);
   }
@@ -138,6 +143,7 @@ DensityResult run_density(std::size_t n_sessions, bool router) {
     r.failed += h.host->status().ok() ? 0 : 1;
     r.undrained += (h.tb != nullptr && !h.tb->traffic_done()) ? 1 : 0;
   }
+  r.timers = loop.timers_fired();
   r.metrics_json = loop.obs().metrics_json();
   return r;
 }
@@ -297,14 +303,20 @@ int main(int argc, char** argv) {
   // ---- density sweep ----
   std::vector<std::size_t> sweep{1, 8, 64, 256};
   if (quick) sweep = {1, 8, 64};
-  std::printf("%8s %9s %9s %12s %14s %8s\n", "workload", "sessions",
-              "quanta", "wall_s", "us/quantum", "status");
+  std::printf("%8s %9s %9s %12s %14s %8s %8s\n", "workload", "sessions",
+              "quanta", "wall_s", "us/quantum", "timers", "status");
   auto density_row = [&](std::size_t n, bool router) {
     const DensityResult r = run_density(n, router);
     const bool ok = r.failed == 0 && r.undrained == 0;
-    std::printf("%8s %9zu %9" PRIu64 " %12.3f %14.2f %8s\n",
+    std::printf("%8s %9zu %9" PRIu64 " %12.3f %14.2f %8" PRIu64 " %8s\n",
                 router ? "router" : "idle", n, r.quanta, r.wall_seconds,
-                r.us_per_quantum_per_session(), ok ? "ok" : "FAIL");
+                r.us_per_quantum_per_session(), r.timers, ok ? "ok" : "FAIL");
+    if (gate && r.timers > 0) {
+      std::printf("gate: %" PRIu64 " loop timer(s) fired at N=%zu: a "
+                  "self-contained session parked\n",
+                  r.timers, n);
+      ++failures;
+    }
     if (gate && n >= 256) {
       if (!ok) {
         std::printf("gate: %" PRIu64 " session(s) failed, %" PRIu64

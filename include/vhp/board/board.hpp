@@ -129,6 +129,8 @@ class Board {
   /// Spawns the comm threads without entering the run loop. Idempotent;
   /// run_boards() calls it too. All pump() calls must come from one thread
   /// (the board loop's, or the event loop's) — fibers are not migratable.
+  /// A SessionHost pumps its board after every master slice and never
+  /// waits on the link: it sent every frame the board is starved for.
   void boot();
 
   enum class PumpStatus {
@@ -140,10 +142,6 @@ class Board {
   /// any channel) or shut down. Non-blocking in host terms: it never waits
   /// for the link. Requires boot().
   PumpStatus pump();
-
-  /// Readiness fds of the board side of the link (DATA/INT/CLOCK rx), for
-  /// event-loop registration; channels without one are omitted.
-  [[nodiscard]] std::vector<int> readable_fds();
 
   [[nodiscard]] obs::Hub& obs() { return *hub_; }
 

@@ -8,8 +8,8 @@
 // thread keeps the socket connection alive, the channel/systemc threads do
 // the protocol work. Once the idle poll finds nothing the board is starved
 // and its host hands the thread back: the board loop (Board::run_boards)
-// waits in net::wait_until with the same poll as its readiness check,
-// SessionHost's event loop waits on the channels' fds.
+// waits in net::wait_until with the same poll as its readiness check, and
+// svc::SessionHost steps the master, whose next frame the board waits for.
 #pragma once
 
 #include <deque>

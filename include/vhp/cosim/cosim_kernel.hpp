@@ -153,10 +153,6 @@ class CosimKernel {
     return coordinator_->gathering();
   }
 
-  /// Readiness fds of the hw side of every link (DATA/INT/CLOCK rx), for
-  /// event-loop registration; channels without one are omitted.
-  [[nodiscard]] std::vector<int> readable_fds();
-
   /// Current cycle count (completed cycles).
   [[nodiscard]] u64 cycle() const { return cycle_; }
 

@@ -25,7 +25,6 @@
 #include "vhp/cosim/cosim_kernel.hpp"
 #include "vhp/fault/plan.hpp"
 #include "vhp/fault/reliable.hpp"
-#include "vhp/net/batching.hpp"
 #include "vhp/net/channel.hpp"
 #include "vhp/net/latency.hpp"
 #include "vhp/obs/hub.hpp"
@@ -50,7 +49,6 @@ struct LinkConfig {
   /// Recordings stay bit-identical — the batcher sits below every
   /// decorator.
   bool batch_frames = false;
-  net::BatchingConfig batching{};
   /// Deterministic fault injection on the hw side of every link (see
   /// vhp/fault/plan.hpp); an empty plan is zero-hop. A plan that can lose
   /// or mutate frames requires recovery.enabled.

@@ -27,22 +27,15 @@
 
 namespace vhp::net {
 
-struct BatchingConfig {
-  /// Safety valve: auto-flush once this many bytes are pending, so a
-  /// pathological quantum cannot buffer unbounded memory. Generous by
-  /// default — the protocol flush points are the intended trigger.
-  std::size_t max_pending_bytes = std::size_t{1} << 20;
-  /// Auto-flush after this many pending frames (same safety valve).
-  std::size_t max_pending_frames = 4096;
-};
-
 class BatchingChannel final : public Channel {
  public:
   /// `name` tags the obs counters: net.batch.<name>.frames / .flushes
   /// (frames ÷ flushes = frames-per-flush, the syscall amplification the
-  /// batcher removed).
-  BatchingChannel(ChannelPtr inner, BatchingConfig config = {},
-                  obs::Hub* hub = nullptr, std::string name = {});
+  /// batcher removed). A safety valve flushes without a protocol flush
+  /// point once 1 MiB or 4096 frames are pending, so a pathological quantum
+  /// cannot buffer unbounded memory.
+  BatchingChannel(ChannelPtr inner, obs::Hub* hub = nullptr,
+                  std::string name = {});
   ~BatchingChannel() override;
 
   Status send(std::span<const u8> frame) override;
@@ -62,7 +55,6 @@ class BatchingChannel final : public Channel {
   Status flush_locked();
 
   ChannelPtr inner_;
-  BatchingConfig config_;
   mutable std::mutex mu_;  // sender-side state (send + flush may race)
   std::vector<Bytes> pending_;
   std::size_t pending_bytes_ = 0;
@@ -75,9 +67,8 @@ class BatchingChannel final : public Channel {
 /// Wraps the DATA and INT channels of one link side in batchers (CLOCK
 /// stays direct: ticks/acks are the flush boundaries themselves and must
 /// never sit in a buffer). `side` tags the counters ("hw", "board",
-/// "node3.hw", ...). Returns the link unchanged when `enabled` is false.
-[[nodiscard]] CosimLink batch_link(CosimLink link, bool enabled,
-                                   const BatchingConfig& config,
-                                   obs::Hub* hub, const std::string& side);
+/// "node3.hw", ...).
+[[nodiscard]] CosimLink batch_link(CosimLink link, obs::Hub* hub,
+                                   const std::string& side);
 
 }  // namespace vhp::net

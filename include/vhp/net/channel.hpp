@@ -22,8 +22,9 @@ namespace vhp::net {
 /// How long a waiter spins before it blocks, and the longest it then
 /// sleeps between two polls. Readiness is advisory, and a decorator may run
 /// a timer that no fd announces (a retransmission timeout), so every wait
-/// on a channel (wait_until, which the board loop and the master wait in,
-/// and SessionHost) re-polls at least this often.
+/// on a channel re-polls at least this often: wait_until, which the board
+/// loop and the master wait in, and a parked svc::SessionHost's re-poll
+/// timer.
 inline constexpr std::chrono::milliseconds kRepollPeriod{1};
 
 /// A bidirectional, framed, ordered, reliable byte-message channel.
@@ -75,9 +76,9 @@ class Channel {
 
   /// A pollable fd that becomes readable when a frame may be pending, or
   /// -1 when the transport has none (callers must then poll try_recv()).
-  /// Calling this may arm a doorbell: in-process queues lazily create an
-  /// eventfd the first time any waiter asks (an event loop or
-  /// wait_until), and it stays armed for good. Readiness is advisory and
+  /// wait_until is the one caller; decorators forward it. Calling this may
+  /// arm a doorbell: in-process queues lazily create an eventfd the first
+  /// time a wait asks, and it stays armed for good. Readiness is advisory and
   /// level-triggered; always confirm with try_recv(), and drain with it
   /// until it reports nothing pending before waiting on the fd again. The
   /// in-memory doorbells follow one drain rule: the consumer drains its

@@ -83,10 +83,11 @@ class Kernel {
   void run(bool until_quiescent = false);
 
   /// Cooperative stepping (how every board is hosted: the board loop,
-  /// Board::run_boards(), and SessionHost's event loop): runs the scheduler until the board is *starved* —
-  /// frozen (or truly idle) with an idle poll reporting no external
-  /// progress — or shut down. Fibers stay parked across calls; the caller
-  /// re-invokes when new input arrives. Returns false once shut down.
+  /// Board::run_boards(), and svc::SessionHost's steps): runs the scheduler
+  /// until the board is *starved* — frozen (or truly idle) with an idle
+  /// poll reporting no external progress — or shut down. Fibers stay
+  /// parked across calls; the caller re-invokes when new input arrives.
+  /// Returns false once shut down.
   bool run_until_starved();
 
   /// Requests run() to return at the next safe point. Callable from thread

@@ -1,34 +1,31 @@
-// Single-threaded readiness loop for the co-simulation session server
+// Single-threaded task loop for the co-simulation session server
 // (DESIGN.md §14).
 //
-// One EventLoop multiplexes many concurrent sessions per process: instead
-// of one blocked host thread per board, sessions register readiness fds
-// (transport doorbells) and get stepped from callbacks. The loop is an
-// epoll reactor with three wakeup sources:
-//   * watched fds (level-triggered EPOLLIN) — transport doorbells,
-//     listener sockets, anything with a readable_fd();
-//   * a posted-task queue (eventfd-backed, thread-safe post()) — the
-//     "keep stepping while progressing" drive of self-contained sessions;
-//   * a timer heap (timerfd-backed, monotonic clock) — fallback polls,
-//     retransmission timeouts, watchdogs.
+// One EventLoop runs many concurrent sessions per process on one thread:
+// instead of one blocked host thread per board, every session is stepped
+// from callbacks (svc::SessionHost). The loop holds two kinds of work
+// under one mutex:
+//   * a posted-task queue (thread-safe post()) — the "keep stepping while
+//     progressing" drive of hosted sessions;
+//   * a timer heap (steady clock) — a parked session's re-poll, watchdogs.
+// run() sleeps on one condition variable until a post, a stop() or the
+// earliest timer is due, then runs the due timers and one batch of posted
+// tasks. While it has work it makes no system call of its own. It waits
+// on no fd: nothing but a post, a stop or a timer wakes it.
 //
 // Dispatch is strictly single-threaded: all callbacks run on the thread
-// inside run(). watch/unwatch/post/schedule/cancel are safe from any
-// thread *and* from inside callbacks (reentrancy-safe: the loop snapshots
-// nothing across a callback, it re-reads the registration table per
-// event).
+// inside run(). post/schedule/cancel/stop are safe from any thread *and*
+// from inside callbacks (callbacks run outside the lock).
 #pragma once
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "vhp/common/log.hpp"
-#include "vhp/common/status.hpp"
+#include "vhp/common/types.hpp"
 #include "vhp/obs/hub.hpp"
 
 namespace vhp::svc {
@@ -38,20 +35,11 @@ class EventLoop {
   using Task = std::function<void()>;
   using TimerId = u64;
 
-  /// `hub` receives the svc.loop.* instruments; nullptr gets a private
-  /// hub (counters still run, they back the accessors).
-  explicit EventLoop(obs::Hub* hub = nullptr);
-  ~EventLoop();
+  /// The svc.loop.* instruments live on the loop's own hub (obs()).
+  EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  /// Watches `fd` for readability (level-triggered); `cb` runs on the loop
-  /// thread every iteration the fd is readable. Re-watching an fd replaces
-  /// its callback. The caller keeps ownership of the fd and must unwatch
-  /// before closing it.
-  Status watch(int fd, Task cb);
-  void unwatch(int fd);
 
   /// Enqueues `task` to run on the loop thread and wakes the loop.
   /// Thread-safe; usable before run() (tasks run once the loop starts).
@@ -66,50 +54,38 @@ class EventLoop {
   /// Dispatches until stop(). Call from exactly one thread — that thread
   /// becomes the loop thread, and every callback runs on it.
   void run();
-  /// Makes run() return after the current iteration. Thread-safe.
+  /// Makes run() return after the current iteration. Thread-safe; a stop
+  /// that lands before run() makes that run() return at once.
   void stop();
 
   [[nodiscard]] u64 iterations() const { return iterations_.value(); }
   [[nodiscard]] u64 tasks_run() const { return tasks_run_.value(); }
-  [[nodiscard]] u64 fd_events() const { return fd_events_.value(); }
   [[nodiscard]] u64 timers_fired() const { return timers_fired_.value(); }
 
-  [[nodiscard]] obs::Hub& obs() { return *hub_; }
+  [[nodiscard]] obs::Hub& obs() { return hub_; }
 
  private:
-  void wake();
-  void drain_wakeup();
-  void rearm_timerfd_locked();
-  void run_due_timers();
-  void run_posted_tasks();
+  using Clock = std::chrono::steady_clock;
 
-  Logger log_{"svc"};
-  std::unique_ptr<obs::Hub> owned_hub_;
-  obs::Hub* hub_;
+  obs::Hub hub_;
   obs::Counter& iterations_;
   obs::Counter& tasks_run_;
-  obs::Counter& fd_events_;
   obs::Counter& timers_fired_;
-  /// Iteration dispatch time (poll return to poll re-entry) — the loop
-  /// latency a hosted session sees on top of its own step cost.
+  /// One iteration's dispatch time (due timers plus one task batch) — the
+  /// loop latency a hosted session sees on top of its own step cost.
   obs::LatencyHistogram& dispatch_ns_;
 
-  int epoll_fd_ = -1;
-  int wakeup_fd_ = -1;  // eventfd: post()/stop()
-  int timer_fd_ = -1;   // timerfd: earliest deadline of timers_
-
-  std::mutex mu_;  // guards watches_, posted_, timers_, next_timer_id_
-  std::map<int, std::shared_ptr<Task>> watches_;
+  std::mutex mu_;  // guards everything below
+  std::condition_variable wake_;
   std::vector<Task> posted_;
   struct Timer {
     TimerId id;
     Task task;
   };
-  std::multimap<std::chrono::steady_clock::time_point, Timer> timers_;
+  std::multimap<Clock::time_point, Timer> timers_;
   TimerId next_timer_id_ = 1;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
+  /// Set by stop(), cleared when run() returns.
+  bool stop_ = false;
 };
 
 }  // namespace vhp::svc

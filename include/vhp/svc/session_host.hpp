@@ -6,24 +6,21 @@
 // SessionHost runs the same two pumps without either wait, by cooperative
 // stepping on a shared svc::EventLoop: the board's RTOS runs in fibers
 // pumped until starved (Board::pump), the master kernel runs in
-// non-blocking slices (CosimKernel::pump), and the host re-posts itself
-// while either side makes progress. When neither does it returns, and the
-// loop waits on the fds below. Hundreds of sessions share one loop thread
-// this way — per-session cost is one step callback per quantum, not one
-// parked OS thread.
+// non-blocking slices (CosimKernel::pump). Hundreds of sessions share one
+// loop thread this way — per-session cost is one step callback per
+// quantum, not one parked OS thread.
 //
-// Wakeup sources, in order of preference:
-//   * self-posting: a step that made progress posts the next step — the
-//     hot path for self-contained (inproc/shm) sessions never touches
-//     epoll timeouts;
-//   * transport doorbells: every readable_fd() of both link sides is
-//     watched, so an external peer (or a latency-emulation thread)
-//     delivering a frame wakes exactly the right session;
-//   * a fallback timer: a re-poll every net::kRepollPeriod covers
-//     decorator timers (retransmission timeouts, latency deadlines) and any
-//     transport without an fd.
-// The doorbells and the timer stay armed after the host sends SHUTDOWN,
-// until the board has halted on it: only then does the host report done.
+// The host holds both ends of every frame of its session (a session is a
+// one-node fabric whose node is never external), so every frame a step
+// waits for was sent by an earlier step, and one rule after every step
+// drives it:
+//   * a step that moved the session (ran cycles or completed a gather)
+//     posts the next step;
+//   * any other step schedules one re-poll timer net::kRepollPeriod out.
+//     It is parked on what no fd announces: a latency decorator's held
+//     frame or a retransmission timeout.
+// After the host sends SHUTDOWN the same rule steps the board alone until
+// it has halted on it: only then does the host report done.
 //
 // All SessionHosts of one loop step on the loop thread; Board fibers are
 // not migratable, so start() defers the boot to that thread too.
@@ -64,9 +61,8 @@ class SessionHost {
   SessionHost(const SessionHost&) = delete;
   SessionHost& operator=(const SessionHost&) = delete;
 
-  /// Arms the host: boots the board, registers doorbells and the fallback
-  /// timer, posts the first step. Safe from any thread (defers to the
-  /// loop thread); call at most once.
+  /// Arms the host: boots the board and posts the first step. Safe from
+  /// any thread (defers to the loop thread); call at most once.
   void start();
 
   [[nodiscard]] bool done() const { return done_.load(); }
@@ -75,19 +71,19 @@ class SessionHost {
   [[nodiscard]] u64 cycles_done() const { return cycles_done_.load(); }
 
  private:
-  void arm_on_loop();
   void step();
+  /// The rule for a step that did not move the session: re-poll it
+  /// net::kRepollPeriod out.
+  void park();
   /// Records the final status, sends SHUTDOWN and starts halt_board().
   void finish(Status s);
-  /// Pumps the board; once it has halted, releases the watches and the
-  /// timer and reports done.
+  /// Pumps the board; once it has halted, reports done, else parks.
   void halt_board();
 
   EventLoop& loop_;
   cosim::CosimSession& session_;
   SessionHostConfig config_;
   DoneFn on_done_;
-  Logger log_{"svc"};
 
   obs::Counter& steps_;
   obs::LatencyHistogram& step_ns_;
@@ -95,17 +91,12 @@ class SessionHost {
   /// currently live (armed, not done).
   obs::Gauge& sessions_gauge_;
 
-  std::vector<int> watched_fds_;
-  /// Re-schedules itself (by copy) until done; owned here so the pending
-  /// timer's copy holds no reference cycle.
-  std::function<void()> fallback_tick_;
-  EventLoop::TimerId fallback_timer_ = 0;
+  /// The pending re-poll timer of a parked host; 0 when none.
+  EventLoop::TimerId parked_timer_ = 0;
 
   std::atomic<bool> done_{false};
   std::atomic<u64> cycles_done_{0};
   bool started_ = false;
-  bool armed_ = false;
-  bool step_posted_ = false;  // loop-thread only: collapse wakeup storms
   bool halting_ = false;  // loop-thread only: SHUTDOWN sent, board not halted
   Status status_ = Status::Ok();  // written on the loop thread before done_
 };

@@ -122,7 +122,10 @@ cmake --build --preset default -j "$jobs" --target mem_contention
 # build (-L svc matches "svc" and "svc-tsan"), the fiber-free half again
 # under ThreadSanitizer, and the session_density bench in --gate mode:
 # 256 shm+batched sessions on one event-loop thread must complete at
-# µs-level per-session quantum overhead, and board-side DATA batching on
+# µs-level per-session quantum overhead, no density row may fire a loop
+# timer (every such session holds both ends of its link, so a host that
+# parks on its re-poll timer waited for a frame it had sent itself; a
+# count, so host noise cannot trip it), and board-side DATA batching on
 # the sharded-router-with-telemetry workload must coalesce >= 4 frames
 # per flush. The bench auto-skips its verdict on hosts with < 4 cores.
 echo "==== [svc] release gate ===="

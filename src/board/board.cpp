@@ -422,15 +422,4 @@ void Board::publish_rtos_stats() {
   rtos_gauges_.idle_cycles.set(static_cast<i64>(ks.idle_cycles));
 }
 
-std::vector<int> Board::readable_fds() {
-  std::vector<int> fds;
-  for (net::Channel* ch : {link_.data.get(), link_.intr.get(),
-                           link_.clock.get()}) {
-    if (ch == nullptr) continue;
-    const int fd = ch->readable_fd();
-    if (fd >= 0) fds.push_back(fd);
-  }
-  return fds;
-}
-
 }  // namespace vhp::board

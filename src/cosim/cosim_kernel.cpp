@@ -337,19 +337,6 @@ u64 CosimKernel::quiet_cycles(u64 until) {
   return quiet;
 }
 
-std::vector<int> CosimKernel::readable_fds() {
-  std::vector<int> fds;
-  for (const Slot& slot : slots_) {
-    for (net::Channel* ch : {slot.link.data.get(), slot.link.intr.get(),
-                             slot.link.clock.get()}) {
-      if (ch == nullptr) continue;
-      const int fd = ch->readable_fd();
-      if (fd >= 0) fds.push_back(fd);
-    }
-  }
-  return fds;
-}
-
 void CosimKernel::finish() {
   if (finished_) return;
   finished_ = true;

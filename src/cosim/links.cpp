@@ -5,6 +5,7 @@
 
 #include "vhp/common/format.hpp"
 #include "vhp/fault/inject.hpp"
+#include "vhp/net/batching.hpp"
 #include "vhp/net/inproc.hpp"
 #include "vhp/net/instrumented.hpp"
 #include "vhp/net/shm_ring.hpp"
@@ -78,10 +79,8 @@ Links make_links(const LinkConfig& config, obs::Hub& hw_hub,
     const std::string& label = hw_labels[i];
     const u32 node = static_cast<u32>(i);
     if (config.batch_frames) {
-      pair.hw = net::batch_link(std::move(pair.hw), true, config.batching,
-                                &hw_hub, label);
-      pair.board = net::batch_link(std::move(pair.board), true,
-                                   config.batching, &board_hub, "board");
+      pair.hw = net::batch_link(std::move(pair.hw), &hw_hub, label);
+      pair.board = net::batch_link(std::move(pair.board), &board_hub, "board");
     }
     pair = net::emulate_latency(std::move(pair), config.link_emulation);
     if (links.schedule) {

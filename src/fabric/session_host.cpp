@@ -28,8 +28,7 @@ SessionHost::~SessionHost() {
   // The loop must not call into a destroyed host. Callers normally run the
   // session to done() before teardown; this is the safety net for early
   // destruction while the loop is already stopped.
-  for (int fd : watched_fds_) loop_.unwatch(fd);
-  if (fallback_timer_ != 0) loop_.cancel(fallback_timer_);
+  if (parked_timer_ != 0) loop_.cancel(parked_timer_);
 }
 
 Status SessionHost::status() const {
@@ -39,53 +38,21 @@ Status SessionHost::status() const {
 void SessionHost::start() {
   if (started_) return;
   started_ = true;
-  loop_.post([this] { arm_on_loop(); });
+  loop_.post([this] {
+    sessions_gauge_.add(1);
+    session_.board().boot();
+    loop_.post([this] { step(); });
+  });
 }
 
-void SessionHost::arm_on_loop() {
-  if (armed_) return;
-  armed_ = true;
-  sessions_gauge_.add(1);
-  session_.board().boot();
-  // Watch every transport doorbell of both sides; an external frame wakes
-  // exactly this session. Self-contained sessions rarely need these — the
-  // self-posting step keeps them hot — but a latency-emulation thread or a
-  // remote peer delivers through here.
-  watched_fds_ = session_.hw().readable_fds();
-  for (int fd : session_.board().readable_fds()) watched_fds_.push_back(fd);
-  std::sort(watched_fds_.begin(), watched_fds_.end());
-  watched_fds_.erase(
-      std::unique(watched_fds_.begin(), watched_fds_.end()),
-      watched_fds_.end());
-  for (int fd : watched_fds_) {
-    Status s = loop_.watch(fd, [this] {
-      if (!done_.load() && !step_posted_) {
-        step_posted_ = true;
-        loop_.post([this] { step(); });
-      }
-    });
-    if (!s.ok()) log_.warn("watch({}) failed: {}", fd, s.to_string());
-  }
-  // Periodic re-poll: covers decorator timers and fd-less transports.
-  // One-shot chain (schedule() has no periodic mode): the tick lives in
-  // the host and re-schedules a copy of itself, so there is no
-  // self-referential ownership — cancel() in finish() ends the chain.
-  fallback_tick_ = [this] {
-    if (done_.load()) return;
-    fallback_timer_ = loop_.schedule(net::kRepollPeriod, fallback_tick_);
-    if (!step_posted_) {
-      step_posted_ = true;
-      loop_.post([this] { step(); });
-    }
-  };
-  fallback_timer_ = loop_.schedule(net::kRepollPeriod, fallback_tick_);
-  step_posted_ = true;
-  loop_.post([this] { step(); });
+void SessionHost::park() {
+  parked_timer_ = loop_.schedule(net::kRepollPeriod, [this] {
+    parked_timer_ = 0;
+    step();
+  });
 }
 
 void SessionHost::step() {
-  step_posted_ = false;
-  if (done_.load()) return;
   if (halting_) {
     halt_board();
     return;
@@ -107,30 +74,22 @@ void SessionHost::step() {
   if (!s.ok()) {
     session_.dump_postmortem(s.to_string());
     finish(s);
-    step_ns_.record_ns(mono_ns() - t0);
-    return;
-  }
-  // Deliver this slice's grants and frames to the board.
-  const board::Board::PumpStatus bs = board.pump();
-  if (cycles_done_.load() >= config_.cycles && !hw.awaiting_ack()) {
-    finish(Status::Ok());
-    step_ns_.record_ns(mono_ns() - t0);
-    return;
-  }
-  if (blocked && ran == 0 && bs == board::Board::PumpStatus::kDone) {
-    // The board halted (app shutdown, link teardown) but the master still
-    // owes cycles — without this the host would park forever.
-    finish(Status{StatusCode::kAborted,
-                  "board halted before the cycle target"});
-    step_ns_.record_ns(mono_ns() - t0);
-    return;
-  }
-  if (ran > 0 || !blocked) {
-    // Progress (or an un-exhausted slice budget): keep stepping. A parked
-    // session costs nothing — the doorbells and the fallback timer take
-    // over.
-    step_posted_ = true;
-    loop_.post([this] { step(); });
+  } else {
+    // Deliver this slice's grants and frames to the board.
+    const board::Board::PumpStatus bs = board.pump();
+    if (cycles_done_.load() >= config_.cycles && !hw.awaiting_ack()) {
+      finish(Status::Ok());
+    } else if (blocked && ran == 0 && bs == board::Board::PumpStatus::kDone) {
+      // The board halted (app shutdown, link teardown) but the master still
+      // owes cycles — without this the host would park forever.
+      finish(Status{StatusCode::kAborted,
+                    "board halted before the cycle target"});
+    } else if (ran > 0 || !blocked) {
+      // Moved (ran cycles or completed a gather): the next step can too.
+      loop_.post([this] { step(); });
+    } else {
+      park();
+    }
   }
   step_ns_.record_ns(mono_ns() - t0);
 }
@@ -144,14 +103,11 @@ void SessionHost::finish(Status s) {
 
 void SessionHost::halt_board() {
   // The SHUTDOWN may still be in flight (a latency decorator holds it until
-  // its delivery time): the doorbells and the fallback timer keep stepping
-  // the host, and each step pumps the board alone, until it has halted.
-  if (session_.board().pump() != board::Board::PumpStatus::kDone) return;
-  for (int fd : watched_fds_) loop_.unwatch(fd);
-  watched_fds_.clear();
-  if (fallback_timer_ != 0) {
-    loop_.cancel(fallback_timer_);
-    fallback_timer_ = 0;
+  // its delivery time): the host parks, and each re-poll pumps the board
+  // alone, until it has halted.
+  if (session_.board().pump() != board::Board::PumpStatus::kDone) {
+    park();
+    return;
   }
   sessions_gauge_.add(-1);
   done_.store(true);

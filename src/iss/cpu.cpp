@@ -190,7 +190,11 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
   return it->second.get();
 }
 
-StepResult Cpu::run(u64 budget_cycles, u64 retire_limit) {
+// Cache-line aligned, so that the interpreter's dispatch keeps one layout
+// however much code precedes it in the binary: unpinned, its speed on
+// perfbench iss_firmware moved by ~15 % with the size of unrelated code.
+[[gnu::aligned(64)]] StepResult Cpu::run(u64 budget_cycles,
+                                         u64 retire_limit) {
   // The loop keeps pc, the retired count and the summed cycles in locals
   // and only stores pc_ and retired_, so no step waits on the previous
   // step's store.

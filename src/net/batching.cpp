@@ -4,9 +4,18 @@
 
 namespace vhp::net {
 
-BatchingChannel::BatchingChannel(ChannelPtr inner, BatchingConfig config,
-                                 obs::Hub* hub, std::string name)
-    : inner_(std::move(inner)), config_(config) {
+namespace {
+
+// The safety valve's caps: generous, because the protocol flush points are
+// the intended trigger.
+constexpr std::size_t kMaxPendingBytes = std::size_t{1} << 20;
+constexpr std::size_t kMaxPendingFrames = 4096;
+
+}  // namespace
+
+BatchingChannel::BatchingChannel(ChannelPtr inner, obs::Hub* hub,
+                                 std::string name)
+    : inner_(std::move(inner)) {
   // Plain counters stay live even with obs disarmed (repo convention:
   // metric counters always land in metrics_json; only costly instruments
   // gate on the obs switch).
@@ -32,8 +41,8 @@ Status BatchingChannel::send(std::span<const u8> frame) {
   pending_bytes_ += frame.size();
   ++frames_batched_;
   if (frames_counter_ != nullptr) frames_counter_->inc();
-  if (pending_bytes_ >= config_.max_pending_bytes ||
-      pending_.size() >= config_.max_pending_frames) {
+  if (pending_bytes_ >= kMaxPendingBytes ||
+      pending_.size() >= kMaxPendingFrames) {
     return flush_locked();
   }
   return Status::Ok();
@@ -47,8 +56,8 @@ Status BatchingChannel::send_many(std::span<const Bytes> frames) {
     ++frames_batched_;
     if (frames_counter_ != nullptr) frames_counter_->inc();
   }
-  if (pending_bytes_ >= config_.max_pending_bytes ||
-      pending_.size() >= config_.max_pending_frames) {
+  if (pending_bytes_ >= kMaxPendingBytes ||
+      pending_.size() >= kMaxPendingFrames) {
     return flush_locked();
   }
   return Status::Ok();
@@ -103,14 +112,11 @@ std::size_t BatchingChannel::pending_frames() const {
   return pending_.size();
 }
 
-CosimLink batch_link(CosimLink link, bool enabled,
-                     const BatchingConfig& config, obs::Hub* hub,
-                     const std::string& side) {
-  if (!enabled) return link;
-  link.data = std::make_unique<BatchingChannel>(std::move(link.data), config,
-                                                hub, side + ".data");
-  link.intr = std::make_unique<BatchingChannel>(std::move(link.intr), config,
-                                                hub, side + ".int");
+CosimLink batch_link(CosimLink link, obs::Hub* hub, const std::string& side) {
+  link.data = std::make_unique<BatchingChannel>(std::move(link.data), hub,
+                                                side + ".data");
+  link.intr = std::make_unique<BatchingChannel>(std::move(link.intr), hub,
+                                                side + ".int");
   return link;
 }
 

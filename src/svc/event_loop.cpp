@@ -1,24 +1,11 @@
 #include "vhp/svc/event_loop.hpp"
 
-#include <errno.h>
-#include <string.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/timerfd.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
-
-#include "vhp/common/format.hpp"
 
 namespace vhp::svc {
 
 namespace {
-
-// Big enough that a dense loop (hundreds of sessions) drains one epoll_wait
-// per iteration; the kernel caps the copy at what is actually ready.
-constexpr int kMaxEvents = 128;
 
 u64 mono_ns() {
   return static_cast<u64>(
@@ -29,213 +16,95 @@ u64 mono_ns() {
 
 }  // namespace
 
-EventLoop::EventLoop(obs::Hub* hub)
-    : owned_hub_(hub != nullptr ? nullptr : new obs::Hub()),
-      hub_(hub != nullptr ? hub : owned_hub_.get()),
-      iterations_(hub_->metrics().counter("svc.loop.iterations")),
-      tasks_run_(hub_->metrics().counter("svc.loop.tasks")),
-      fd_events_(hub_->metrics().counter("svc.loop.fd_events")),
-      timers_fired_(hub_->metrics().counter("svc.loop.timers")),
-      dispatch_ns_(hub_->metrics().histogram("svc.loop.dispatch_ns")) {
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wakeup_fd_ < 0 || timer_fd_ < 0) {
-    log_.error("EventLoop fd setup failed: {}", strerror(errno));
-    return;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wakeup_fd_;
-  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wakeup_fd_, &ev);
-  ev.data.fd = timer_fd_;
-  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev);
-}
-
-EventLoop::~EventLoop() {
-  if (timer_fd_ >= 0) ::close(timer_fd_);
-  if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-}
-
-Status EventLoop::watch(int fd, Task cb) {
-  if (fd < 0 || !cb) {
-    return Status{StatusCode::kInvalidArgument,
-                  "EventLoop::watch: bad fd or empty callback"};
-  }
-  std::scoped_lock lock(mu_);
-  auto [it, inserted] =
-      watches_.emplace(fd, std::make_shared<Task>(std::move(cb)));
-  if (!inserted) {
-    *it->second = std::move(cb);
-    return Status::Ok();
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;  // level-triggered: doorbells stay ready until drained
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    watches_.erase(it);
-    return Status{StatusCode::kInternal,
-                  strformat("epoll_ctl(ADD, {}): {}", fd, strerror(errno))};
-  }
-  return Status::Ok();
-}
-
-void EventLoop::unwatch(int fd) {
-  std::scoped_lock lock(mu_);
-  if (watches_.erase(fd) > 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-}
+EventLoop::EventLoop()
+    : iterations_(hub_.metrics().counter("svc.loop.iterations")),
+      tasks_run_(hub_.metrics().counter("svc.loop.tasks")),
+      timers_fired_(hub_.metrics().counter("svc.loop.timers")),
+      dispatch_ns_(hub_.metrics().histogram("svc.loop.dispatch_ns")) {}
 
 void EventLoop::post(Task task) {
   {
     std::scoped_lock lock(mu_);
     posted_.push_back(std::move(task));
   }
-  wake();
+  wake_.notify_one();
 }
 
 EventLoop::TimerId EventLoop::schedule(std::chrono::nanoseconds delay,
                                        Task task) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::max(delay, std::chrono::nanoseconds{0});
-  std::scoped_lock lock(mu_);
-  const TimerId id = next_timer_id_++;
-  const bool new_earliest =
-      timers_.empty() || deadline < timers_.begin()->first;
-  timers_.emplace(deadline, Timer{id, std::move(task)});
-  if (new_earliest) rearm_timerfd_locked();
+  const auto deadline =
+      Clock::now() + std::max(delay, std::chrono::nanoseconds{0});
+  bool new_earliest = false;
+  TimerId id = 0;
+  {
+    std::scoped_lock lock(mu_);
+    id = next_timer_id_++;
+    new_earliest = timers_.empty() || deadline < timers_.begin()->first;
+    timers_.emplace(deadline, Timer{id, std::move(task)});
+  }
+  // A sleeping loop re-reads the earliest deadline.
+  if (new_earliest) wake_.notify_one();
   return id;
 }
 
 bool EventLoop::cancel(TimerId id) {
   std::scoped_lock lock(mu_);
-  for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (it->second.id == id) {
-      const bool was_earliest = it == timers_.begin();
-      timers_.erase(it);
-      if (was_earliest) rearm_timerfd_locked();
-      return true;
-    }
-  }
-  return false;
-}
-
-void EventLoop::wake() {
-  const u64 one = 1;
-  ssize_t n;
-  do {
-    n = ::write(wakeup_fd_, &one, sizeof(one));
-  } while (n < 0 && errno == EINTR);
-  // EAGAIN means the counter is saturated — the loop is awake anyway.
-}
-
-void EventLoop::drain_wakeup() {
-  u64 value = 0;
-  while (::read(wakeup_fd_, &value, sizeof(value)) > 0) {
-  }
-}
-
-void EventLoop::rearm_timerfd_locked() {
-  itimerspec spec{};
-  if (!timers_.empty()) {
-    const auto deadline = timers_.begin()->first;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        deadline.time_since_epoch())
-                        .count();
-    spec.it_value.tv_sec = ns / 1'000'000'000;
-    spec.it_value.tv_nsec = ns % 1'000'000'000;
-    // A deadline in the past must still fire: tv_sec==0 && tv_nsec==0
-    // disarms, so clamp to 1ns.
-    if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
-      spec.it_value.tv_nsec = 1;
-    }
-  }
-  (void)::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr);
-}
-
-void EventLoop::run_due_timers() {
-  u64 expirations = 0;
-  while (::read(timer_fd_, &expirations, sizeof(expirations)) > 0) {
-  }
-  for (;;) {
-    Task task;
-    {
-      std::scoped_lock lock(mu_);
-      if (timers_.empty() ||
-          timers_.begin()->first > std::chrono::steady_clock::now()) {
-        rearm_timerfd_locked();
-        break;
-      }
-      task = std::move(timers_.begin()->second.task);
-      timers_.erase(timers_.begin());
-    }
-    timers_fired_.inc();
-    task();  // outside the lock: may schedule()/cancel() reentrantly
-  }
-}
-
-void EventLoop::run_posted_tasks() {
-  // Swap out the current batch; tasks posted *by* these tasks land in the
-  // next iteration (the post() already rang the wakeup fd).
-  std::vector<Task> batch;
-  {
-    std::scoped_lock lock(mu_);
-    batch.swap(posted_);
-  }
-  for (Task& task : batch) {
-    tasks_run_.inc();
-    task();
-  }
+  const auto it = std::find_if(timers_.begin(), timers_.end(), [id](auto& t) {
+    return t.second.id == id;
+  });
+  if (it == timers_.end()) return false;
+  timers_.erase(it);
+  return true;
 }
 
 void EventLoop::run() {
-  running_.store(true);
-  stop_.store(false);
-  epoll_event events[kMaxEvents];
-  while (!stop_.load()) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      log_.error("epoll_wait: {}", strerror(errno));
-      break;
+  const auto due = [this] {
+    return !timers_.empty() && timers_.begin()->first <= Clock::now();
+  };
+  std::unique_lock lock(mu_);
+  while (!stop_) {
+    if (posted_.empty() && !due()) {
+      if (timers_.empty()) {
+        wake_.wait(lock);
+      } else {
+        wake_.wait_until(lock, timers_.begin()->first);
+      }
+      continue;  // re-check: a post, a stop, a due timer or a spurious wake
     }
     iterations_.inc();
     const u64 t0 = mono_ns();
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wakeup_fd_) {
-        drain_wakeup();
-        continue;
-      }
-      if (fd == timer_fd_) {
-        run_due_timers();
-        continue;
-      }
-      // Re-read the registration per event: a callback earlier in this
-      // batch may have unwatched this fd. The shared_ptr copy keeps the
-      // callable alive if the callback unwatches *itself*.
-      std::shared_ptr<Task> cb;
-      {
-        std::scoped_lock lock(mu_);
-        auto it = watches_.find(fd);
-        if (it != watches_.end()) cb = it->second;
-      }
-      if (cb) {
-        fd_events_.inc();
-        (*cb)();
-      }
+    // Callbacks run, and are destroyed, outside the lock: they may post,
+    // schedule and cancel.
+    while (due()) {
+      Task task = std::move(timers_.begin()->second.task);
+      timers_.erase(timers_.begin());
+      lock.unlock();
+      timers_fired_.inc();
+      task();
+      task = nullptr;
+      lock.lock();
     }
-    run_posted_tasks();
+    // One batch: tasks posted *by* these tasks run in the next iteration.
+    std::vector<Task> batch;
+    batch.swap(posted_);
+    lock.unlock();
+    for (Task& task : batch) {
+      tasks_run_.inc();
+      task();
+    }
+    batch.clear();
     dispatch_ns_.record_ns(mono_ns() - t0);
+    lock.lock();
   }
-  running_.store(false);
+  stop_ = false;
 }
 
 void EventLoop::stop() {
-  stop_.store(true);
-  wake();
+  {
+    std::scoped_lock lock(mu_);
+    stop_ = true;
+  }
+  wake_.notify_one();
 }
 
 }  // namespace vhp::svc

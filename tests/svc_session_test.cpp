@@ -125,6 +125,9 @@ RunResult run_hosted(TransportKind transport, bool batch,
   EXPECT_TRUE(host.done());
   EXPECT_TRUE(host.status().ok()) << host.status();
   EXPECT_EQ(host.cycles_done(), kTotalCycles);
+  // The host holds both ends of every frame: every frame a step waits for
+  // was sent by an earlier step, so the host never parks on a timer.
+  EXPECT_EQ(loop.timers_fired(), 0u);
 
   RunResult result;
   collect(result, tb, session);
@@ -195,6 +198,8 @@ TEST(SvcSessionHost, ReportsDoneOnlyOnceTheBoardHasHalted) {
   EXPECT_TRUE(final.ok()) << final;
   EXPECT_TRUE(halted) << "on_done ran with the board still live";
   EXPECT_EQ(host.cycles_done(), 2000u);
+  // No fd announces a held frame: the host parked on its re-poll timer.
+  EXPECT_GT(loop.timers_fired(), 0u);
 }
 
 TEST(SvcSessionHost, ManySessionsShareOneLoop) {
@@ -239,6 +244,7 @@ TEST(SvcSessionHost, ManySessionsShareOneLoop) {
   loop.run();
 
   EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(loop.timers_fired(), 0u) << "a self-contained session parked";
   for (std::size_t i = 0; i < kSessions; ++i) {
     SCOPED_TRACE("session " + std::to_string(i));
     const Hosted& h = hosted[i];

@@ -2,7 +2,7 @@
 // backpressure, doorbell ordering), per-quantum batching (buffer/flush
 // semantics, counters), the TCP send_many/backlog satellites, the inproc
 // doorbells, the empty-poll and doorbell-level contract both in-memory
-// transports share, and the svc::EventLoop reactor. Everything here runs plain
+// transports share, and the svc::EventLoop. Everything here runs plain
 // threads only, so the suite carries the composite "svc-tsan" label:
 // selected by -L svc (the scripts/check.sh gate) and -L tsan (the TSan
 // preset), where the Lamport ring's memory ordering actually gets checked.
@@ -221,29 +221,36 @@ TEST(Batching, BuffersUntilFlush) {
 }
 
 TEST(Batching, AutoFlushAtFrameCap) {
-  net::BatchingConfig config;
-  config.max_pending_frames = 3;
-  auto [tx_inner, rx] = net::make_inproc_channel_pair();
-  net::BatchingChannel tx{std::move(tx_inner), config};
-  ASSERT_TRUE(tx.send(Bytes{1}).ok());
-  ASSERT_TRUE(tx.send(Bytes{2}).ok());
-  ASSERT_TRUE(tx.send(Bytes{3}).ok());  // cap hit: flushes without help
+  // The 4096-frame cap: the inproc queue holds the whole flushed batch.
+  constexpr std::size_t kCap = 4096;
+  auto [tx_inner, rx] = net::make_inproc_channel_pair(kCap);
+  net::BatchingChannel tx{std::move(tx_inner)};
+  for (std::size_t i = 0; i + 1 < kCap; ++i) {
+    ASSERT_TRUE(tx.send(Bytes{1}).ok());
+  }
+  EXPECT_EQ(tx.pending_frames(), kCap - 1);
+  EXPECT_EQ(tx.flushes(), 0u);
+  ASSERT_TRUE(tx.send(Bytes{2}).ok());  // cap hit: flushes without help
+  EXPECT_EQ(tx.pending_frames(), 0u);
   auto got = rx->recv(1000ms);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got.value(), Bytes{1});
   EXPECT_EQ(tx.flushes(), 1u);
-  EXPECT_EQ(tx.frames_batched(), 3u);
+  EXPECT_EQ(tx.frames_batched(), kCap);
 }
 
 TEST(Batching, AutoFlushAtByteCap) {
-  net::BatchingConfig config;
-  config.max_pending_bytes = 100;
+  // The 1 MiB cap: sixteen 64 KiB frames reach it.
+  constexpr std::size_t kFrameBytes = 64 * 1024;
   auto [tx_inner, rx] = net::make_inproc_channel_pair();
-  net::BatchingChannel tx{std::move(tx_inner), config};
-  ASSERT_TRUE(tx.send(Bytes(80, 1)).ok());
-  EXPECT_EQ(tx.pending_frames(), 1u);
-  ASSERT_TRUE(tx.send(Bytes(80, 2)).ok());  // 160 > 100: flushed
+  net::BatchingChannel tx{std::move(tx_inner)};
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(tx.send(Bytes(kFrameBytes, 1)).ok());
+  }
+  EXPECT_EQ(tx.pending_frames(), 15u);
+  ASSERT_TRUE(tx.send(Bytes(kFrameBytes, 2)).ok());  // 1 MiB: flushed
   EXPECT_EQ(tx.pending_frames(), 0u);
+  EXPECT_EQ(tx.flushes(), 1u);
 }
 
 TEST(Batching, RecvFlushesOwnPendingFirst) {
@@ -287,7 +294,7 @@ TEST(Batching, CountersMeasureFramesPerFlush) {
 
 TEST(Batching, BatchLinkLeavesClockDirect) {
   auto pair = net::make_inproc_link_pair();
-  auto batched = net::batch_link(std::move(pair.hw), true, {}, nullptr, "hw");
+  auto batched = net::batch_link(std::move(pair.hw), nullptr, "hw");
   ASSERT_TRUE(batched.clock->send(Bytes{1}).ok());
   auto got = pair.board.clock->try_recv();  // no flush needed: direct
   ASSERT_TRUE(got.ok());
@@ -406,7 +413,7 @@ const struct {
 
 TEST(EmptyPoll, MakesNoSystemCall) {
   // The per-cycle DATA check: a poll that finds nothing must not enter the
-  // kernel, even with the doorbell armed for an event loop and after the
+  // kernel, even with the doorbell armed by a waiter and after the
   // channel has carried (and the consumer drained) a frame. One read(2)
   // per poll costs over 100 ms of system time per million polls.
   constexpr int kPolls = 1'000'000;
@@ -539,27 +546,6 @@ TEST(EventLoop, TasksPostedByTasksRun) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST(EventLoop, WatchFiresWhileFdReadable) {
-  EventLoop loop;
-  auto [a, b] = net::make_inproc_channel_pair();
-  const int fd = b->readable_fd();
-  ASSERT_GE(fd, 0);
-  int fires = 0;
-  ASSERT_TRUE(loop.watch(fd, [&] {
-    ++fires;
-    // Drain; the level-triggered watch would otherwise fire forever.
-    auto got = b->try_recv();
-    ASSERT_TRUE(got.ok());
-    while (got.ok() && got.value().has_value()) got = b->try_recv();
-    loop.unwatch(fd);
-    loop.stop();
-  }).ok());
-  ASSERT_TRUE(a->send(Bytes{1}).ok());
-  loop.run();
-  EXPECT_EQ(fires, 1);
-  EXPECT_GE(loop.fd_events(), 1u);
-}
-
 TEST(EventLoop, TimerFiresOnceAfterDelay) {
   EventLoop loop;
   const auto start = std::chrono::steady_clock::now();
@@ -617,9 +603,47 @@ TEST(EventLoop, StopFromAnotherThread) {
     std::this_thread::sleep_for(30ms);
     loop.stop();
   });
-  loop.run();  // must wake with no fd traffic at all
+  loop.run();  // must wake with nothing posted or scheduled at all
   stopper.join();
   SUCCEED();
+}
+
+TEST(EventLoop, StopBeforeRunReturnsAtOnce) {
+  // A stop that lands before run() (say, from a thread that finished
+  // before the loop thread got there) holds until run() returns. Lost, the
+  // loop would run until the 5 s timer below stops it.
+  EventLoop loop;
+  bool fired = false;
+  loop.stop();
+  loop.schedule(5s, [&] {
+    fired = true;
+    loop.stop();
+  });
+  loop.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(loop.timers_fired(), 0u);
+}
+
+TEST(EventLoop, PostFromAnotherThreadWakesTheLoop) {
+  // The loop sleeps until its only timer, 10 s out; a post from another
+  // thread must wake it at once.
+  EventLoop loop;
+  bool fired = false;
+  loop.schedule(10s, [&] {
+    fired = true;
+    loop.stop();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  std::thread poster([&] {
+    std::this_thread::sleep_for(30ms);
+    loop.post([&] { loop.stop(); });
+  });
+  loop.run();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  poster.join();
+  EXPECT_FALSE(fired);
+  EXPECT_LT(waited, 5s);
+  EXPECT_EQ(loop.tasks_run(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "vhp/iss/cpu.hpp"
 
+#include <algorithm>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
 
 namespace vhp::iss {
 
@@ -53,6 +56,22 @@ enum class OpKind : u8 {
   kFence, kEcall, kEbreak,
 };
 
+/// Cycles an op costs; a branch's when taken (an untaken one costs 1).
+constexpr u16 op_cycles(OpKind k) {
+  using K = OpKind;
+  if (k >= K::kDiv && k <= K::kRemu) return 8;
+  if (k >= K::kMul && k <= K::kMulhu) return 3;
+  if (k >= K::kJal && k <= K::kSw) return 2;  // jumps, branches, memory
+  return 1;
+}
+
+/// Whether an op ends its basic block: it jumps, may branch, or traps.
+constexpr bool ends_block(OpKind k) {
+  using K = OpKind;
+  return k == K::kIllegal || (k >= K::kJal && k <= K::kBgeu) ||
+         k == K::kEcall || k == K::kEbreak;
+}
+
 /// Version of an op that was never decoded; sim::Memory page versions
 /// count writes and never reach it.
 constexpr u64 kNeverDecoded = ~u64{0};
@@ -68,7 +87,14 @@ struct Op {
   u8 rd = kSinkReg;
   u8 rs1 = 0;
   u8 rs2 = 0;
+  /// Ops from this one to the end of its basic block, both included, and
+  /// their summed op_cycles(): the block builder stamps both.
+  u16 run_len = 1;
+  u16 run_cycles = 0;
 };
+// run_len and run_cycles sit in what was padding: a decoded page stays
+// 1024 x 24 bytes.
+static_assert(sizeof(Op) == 24);
 
 Op decode(u32 ins) {
   const u32 rd = (ins >> 7) & 0x1fu;
@@ -98,7 +124,7 @@ Op decode(u32 ins) {
       op.imm = sext(imm_j(ins), 21);
       break;
     case kOpJalr:
-      op.kind = K::kJalr;
+      op.kind = pick({K::kJalr});  // funct3 != 0 is reserved
       op.imm = sext(imm_i(ins), 12);
       break;
     case kOpBranch:
@@ -140,7 +166,9 @@ Op decode(u32 ins) {
       }
       break;
     case kOpFence:
-      op.kind = K::kFence;  // single hart: FENCE/FENCE.I are no-ops
+      // Single hart: FENCE and FENCE.I are no-ops; other funct3 values
+      // are reserved.
+      op.kind = pick({K::kFence, K::kFence});
       break;
     case kOpSystem:
       if (ins == 0x00000073) {
@@ -160,21 +188,43 @@ Op decode(u32 ins) {
 struct Cpu::DecodedPage {
   explicit DecodedPage(const sim::Memory::Page& page) : ram(page) {}
 
-  /// Decodes the word at `pc` from the RAM page as it is now.
-  void redecode(Op& op, u32 pc) const {
-    u32 word = 0;
-    if (ram.bytes) {
-      const u8* p = ram.bytes->data() + (pc & (kPageBytes - 4));
-      word = static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
-             (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
-    }
-    op = decode(word);
-    op.version = ram.version;
-  }
+  /// Builds the block entered at `entry` under the page's version: decodes
+  /// and stamps every op from `entry` to the block end, which is the first
+  /// op that ends_block() or the page's last op. It stops early at an op
+  /// already stamped under this version, because a build stamps ops up to
+  /// their block end: a current op's run_len and run_cycles are current.
+  void build(Op* entry);
 
   const sim::Memory::Page& ram;
   std::array<Op, kPageBytes / 4> ops{};
 };
+
+// Out of line: inlined, it takes registers from run()'s handlers.
+[[gnu::noinline]] void Cpu::DecodedPage::build(Op* entry) {
+  const u64 version = ram.version;
+  Op* const last = &ops.back();
+  Op* end = entry;
+  while (end->version != version) {
+    u32 word = 0;
+    if (ram.bytes) {
+      const u8* p = ram.bytes->data() + 4 * (end - ops.data());
+      word = static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+             (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
+    }
+    *end = decode(word);
+    end->version = version;
+    if (end == last || ends_block(end->kind)) {
+      end->run_cycles = op_cycles(end->kind);
+      break;
+    }
+    ++end;
+  }
+  for (; end != entry; --end) {
+    end[-1].run_len = static_cast<u16>(end->run_len + 1);
+    end[-1].run_cycles =
+        static_cast<u16>(end->run_cycles + op_cycles(end[-1].kind));
+  }
+}
 
 Cpu::Cpu(Bus& bus) : bus_(bus) {}
 Cpu::~Cpu() = default;
@@ -190,170 +240,322 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
   return it->second.get();
 }
 
+// The executor is direct-threaded (GCC/Clang labels-as-values): each op's
+// handler ends in its own indirect jump to the next op's handler, so the
+// host's branch predictor sees the guest's op sequence. An op that falls
+// through checks only whether it is the block's stop op; a load or store
+// also ends the block when the access moved the page's version.
+#define VHP_ISS_DISPATCH() goto* kHandlers[static_cast<u8>(op->kind)]
+#define VHP_ISS_NEXT()               \
+  do {                               \
+    if (op == stop) goto fell_through; \
+    ++op;                            \
+    VHP_ISS_DISPATCH();              \
+  } while (0)
+#define VHP_ISS_NEXT_AFTER_ACCESS()                   \
+  do {                                                \
+    if (*version != entry_version) goto moved;       \
+    VHP_ISS_NEXT();                                   \
+  } while (0)
+
 // Cache-line aligned, so that the interpreter's dispatch keeps one layout
 // however much code precedes it in the binary: unpinned, its speed on
 // perfbench iss_firmware moved by ~15 % with the size of unrelated code.
 [[gnu::aligned(64)]] StepResult Cpu::run(u64 budget_cycles,
                                          u64 retire_limit) {
-  // The loop keeps pc, the retired count and the summed cycles in locals
-  // and only stores pc_ and retired_, so no step waits on the previous
-  // step's store.
+  // Indexed by OpKind.
+  static const void* const kHandlers[] = {
+      &&op_illegal, &&op_lui,   &&op_auipc, &&op_jal,    &&op_jalr,
+      &&op_beq,     &&op_bne,   &&op_blt,   &&op_bge,    &&op_bltu,
+      &&op_bgeu,    &&op_lb,    &&op_lh,    &&op_lw,     &&op_lbu,
+      &&op_lhu,     &&op_sb,    &&op_sh,    &&op_sw,     &&op_addi,
+      &&op_slti,    &&op_sltiu, &&op_xori,  &&op_ori,    &&op_andi,
+      &&op_slli,    &&op_srli,  &&op_srai,  &&op_add,    &&op_sub,
+      &&op_sll,     &&op_slt,   &&op_sltu,  &&op_xor,    &&op_srl,
+      &&op_sra,     &&op_or,    &&op_and,   &&op_mul,    &&op_mulh,
+      &&op_mulhsu,  &&op_mulhu, &&op_div,   &&op_divu,   &&op_rem,
+      &&op_remu,    &&op_fence, &&op_ecall, &&op_ebreak,
+  };
+  static_assert(std::size(kHandlers) ==
+                static_cast<std::size_t>(OpKind::kEbreak) + 1);
+  // The version an uncached op's one-op block runs under: nothing moves it.
+  static constexpr u64 kUncachedVersion = 0;
+
+  // pc, the retired count and the summed cycles live in locals; pc_ and
+  // retired_ are stored before each load or store, so that an MMIO
+  // handler sees them as a one-instruction loop would leave them, and at
+  // the end.
   StepResult out;
-  u64 cycles_sum = 0;
+  u64 cycles = 0;
   u32 pc = pc_;
   u64 retired = retired_;
-  Op uncached;
+  u32* const x = x_.data();
+  const Op* op = nullptr;
+  // An op fetched through the bus, left unconstructed until one is: the
+  // stores of its initializers would cost every step() from RAM.
+  union Uncached {
+    Uncached() {}
+    Op op;
+  } uncached;
   while (retired < retire_limit) {
     if ((pc & 3u) != 0) {
       out.trap = TrapKind::kMisalignedFetch;
-      out.instruction = 0;
-      cycles_sum += 1;
+      cycles += 1;
+      op = nullptr;
       break;
     }
     if (pc / kPageBytes != cur_index_) {
       cur_ = decoded_page(pc);
       cur_index_ = pc / kPageBytes;
     }
-    const Op* op = &uncached;
+    const Op* entry = nullptr;
+    const u64* version = &kUncachedVersion;
     if (cur_ != nullptr) {
-      Op& cached = cur_->ops[(pc % kPageBytes) / 4];
-      if (cached.version != cur_->ram.version) cur_->redecode(cached, pc);
-      op = &cached;
+      Op& first = cur_->ops[(pc % kPageBytes) / 4];
+      version = &cur_->ram.version;
+      if (first.version != *version) cur_->build(&first);
+      entry = &first;
     } else {
-      uncached = decode(bus_.fetch(pc));
+      entry = std::construct_at(&uncached.op, decode(bus_.fetch(pc)));
     }
-    out.instruction = op->raw;
+    const u64 entry_version = *version;
 
-    const u32 a = x_[op->rs1];
-    const u32 b = x_[op->rs2];
-    const u32 imm = op->imm;
-    u32& rd = x_[op->rd];
-    u32 next_pc = pc + 4;
-    u64 cycles = 1;
-    TrapKind trap = TrapKind::kNone;
-    using K = OpKind;
-    switch (op->kind) {
-      case K::kIllegal:
-        trap = TrapKind::kIllegalInstruction;
-        break;
-      case K::kLui: rd = imm; break;
-      case K::kAuipc: rd = pc + imm; break;
-      case K::kJal:
-        rd = pc + 4;
-        next_pc = pc + imm;
-        cycles = 2;
-        break;
-      case K::kJalr:
-        next_pc = (a + imm) & ~1u;  // before rd: rd may be rs1
-        rd = pc + 4;
-        cycles = 2;
-        break;
-      case K::kBeq: if (a == b) { next_pc = pc + imm; cycles = 2; } break;
-      case K::kBne: if (a != b) { next_pc = pc + imm; cycles = 2; } break;
-      case K::kBlt:
-        if (static_cast<i32>(a) < static_cast<i32>(b)) {
-          next_pc = pc + imm;
-          cycles = 2;
-        }
-        break;
-      case K::kBge:
-        if (static_cast<i32>(a) >= static_cast<i32>(b)) {
-          next_pc = pc + imm;
-          cycles = 2;
-        }
-        break;
-      case K::kBltu: if (a < b) { next_pc = pc + imm; cycles = 2; } break;
-      case K::kBgeu: if (a >= b) { next_pc = pc + imm; cycles = 2; } break;
-      // Loads into x0 still access the bus: MMIO reads have side effects.
-      case K::kLb: rd = sext(bus_.load(a + imm, 1), 8); cycles = 2; break;
-      case K::kLh: rd = sext(bus_.load(a + imm, 2), 16); cycles = 2; break;
-      case K::kLw: rd = bus_.load(a + imm, 4); cycles = 2; break;
-      case K::kLbu: rd = bus_.load(a + imm, 1); cycles = 2; break;
-      case K::kLhu: rd = bus_.load(a + imm, 2); cycles = 2; break;
-      case K::kSb: bus_.store(a + imm, b, 1); cycles = 2; break;
-      case K::kSh: bus_.store(a + imm, b, 2); cycles = 2; break;
-      case K::kSw: bus_.store(a + imm, b, 4); cycles = 2; break;
-      case K::kAddi: rd = a + imm; break;
-      case K::kSlti: rd = static_cast<i32>(a) < static_cast<i32>(imm); break;
-      case K::kSltiu: rd = a < imm; break;
-      case K::kXori: rd = a ^ imm; break;
-      case K::kOri: rd = a | imm; break;
-      case K::kAndi: rd = a & imm; break;
-      case K::kSlli: rd = a << imm; break;
-      case K::kSrli: rd = a >> imm; break;
-      case K::kSrai:
-        rd = static_cast<u32>(static_cast<i32>(a) >> imm);
-        break;
-      case K::kAdd: rd = a + b; break;
-      case K::kSub: rd = a - b; break;
-      case K::kSll: rd = a << (b & 0x1f); break;
-      case K::kSlt: rd = static_cast<i32>(a) < static_cast<i32>(b); break;
-      case K::kSltu: rd = a < b; break;
-      case K::kXor: rd = a ^ b; break;
-      case K::kSrl: rd = a >> (b & 0x1f); break;
-      case K::kSra:
-        rd = static_cast<u32>(static_cast<i32>(a) >> (b & 0x1f));
-        break;
-      case K::kOr: rd = a | b; break;
-      case K::kAnd: rd = a & b; break;
-      case K::kMul: rd = a * b; cycles = 3; break;
-      case K::kMulh:
-        rd = static_cast<u32>((static_cast<i64>(static_cast<i32>(a)) *
-                               static_cast<i64>(static_cast<i32>(b))) >> 32);
-        cycles = 3;
-        break;
-      case K::kMulhsu:
-        rd = static_cast<u32>((static_cast<i64>(static_cast<i32>(a)) *
-                               static_cast<i64>(static_cast<u64>(b))) >> 32);
-        cycles = 3;
-        break;
-      case K::kMulhu:
-        rd = static_cast<u32>((static_cast<u64>(a) * static_cast<u64>(b)) >>
-                              32);
-        cycles = 3;
-        break;
-      case K::kDiv:
-        if (b == 0) {
-          rd = 0xffffffffu;
-        } else if (a == 0x80000000u && b == 0xffffffffu) {
-          rd = 0x80000000u;
-        } else {
-          rd = static_cast<u32>(static_cast<i32>(a) / static_cast<i32>(b));
-        }
-        cycles = 8;  // div slower than mul
-        break;
-      case K::kDivu: rd = b == 0 ? 0xffffffffu : a / b; cycles = 8; break;
-      case K::kRem:
-        if (b == 0) {
-          rd = a;
-        } else if (a == 0x80000000u && b == 0xffffffffu) {
-          rd = 0;
-        } else {
-          rd = static_cast<u32>(static_cast<i32>(a) % static_cast<i32>(b));
-        }
-        cycles = 8;
-        break;
-      case K::kRemu: rd = b == 0 ? a : a % b; cycles = 8; break;
-      case K::kFence: break;
-      case K::kEcall: trap = TrapKind::kEcall; break;
-      case K::kEbreak: trap = TrapKind::kEbreak; break;
+    // The stop op: the one after which a one-instruction loop would stop.
+    // That is the block's last op, cut earlier by the retire limit and by
+    // the first op that meets the cycle budget. Every op before the last
+    // has a static cost, so the run_cycles suffix sums find that op.
+    u64 last = 0;  // the stop op's index in the block
+    const u64 left = budget_cycles > cycles ? budget_cycles - cycles : 0;
+    if (left > 1) {  // else any single op meets the budget
+      last = std::min<u64>(entry->run_len, retire_limit - retired) - 1;
+      if (u64{entry->run_cycles} - entry[last].run_cycles >= left) {
+        const int until = entry->run_cycles - static_cast<int>(left);
+        last = 0;
+        while (entry[last + 1].run_cycles > until) ++last;
+      }
     }
-    cycles_sum += cycles;
-    if (trap == TrapKind::kIllegalInstruction) {  // pc stays AT the offender
-      out.trap = trap;
-      break;
+    const Op* const stop = entry + last;
+    const u32 stop_pc = pc + 4 * static_cast<u32>(last);
+    // The pc of `op`, an op of this block.
+    const auto pc_of = [&] { return pc + 4 * static_cast<u32>(op - entry); };
+    const auto before_access = [&] {
+      pc_ = pc_of();
+      retired_ = retired + static_cast<u64>(op - entry);
+    };
+    op = entry;
+    VHP_ISS_DISPATCH();
+
+  op_lui: x[op->rd] = op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_auipc: x[op->rd] = pc_of() + op->imm; cycles += 1; VHP_ISS_NEXT();
+  // Loads into x0 still access the bus: MMIO reads have side effects.
+  op_lb:
+    before_access();
+    x[op->rd] = sext(bus_.load(x[op->rs1] + op->imm, 1), 8);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_lh:
+    before_access();
+    x[op->rd] = sext(bus_.load(x[op->rs1] + op->imm, 2), 16);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_lw:
+    before_access();
+    x[op->rd] = bus_.load(x[op->rs1] + op->imm, 4);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_lbu:
+    before_access();
+    x[op->rd] = bus_.load(x[op->rs1] + op->imm, 1);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_lhu:
+    before_access();
+    x[op->rd] = bus_.load(x[op->rs1] + op->imm, 2);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_sb:
+    before_access();
+    bus_.store(x[op->rs1] + op->imm, x[op->rs2], 1);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_sh:
+    before_access();
+    bus_.store(x[op->rs1] + op->imm, x[op->rs2], 2);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_sw:
+    before_access();
+    bus_.store(x[op->rs1] + op->imm, x[op->rs2], 4);
+    cycles += 2;
+    VHP_ISS_NEXT_AFTER_ACCESS();
+  op_addi: x[op->rd] = x[op->rs1] + op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_slti:
+    x[op->rd] = static_cast<i32>(x[op->rs1]) < static_cast<i32>(op->imm);
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_sltiu: x[op->rd] = x[op->rs1] < op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_xori: x[op->rd] = x[op->rs1] ^ op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_ori: x[op->rd] = x[op->rs1] | op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_andi: x[op->rd] = x[op->rs1] & op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_slli: x[op->rd] = x[op->rs1] << op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_srli: x[op->rd] = x[op->rs1] >> op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_srai:
+    x[op->rd] = static_cast<u32>(static_cast<i32>(x[op->rs1]) >> op->imm);
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_add: x[op->rd] = x[op->rs1] + x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_sub: x[op->rd] = x[op->rs1] - x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_sll:
+    x[op->rd] = x[op->rs1] << (x[op->rs2] & 0x1f);
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_slt:
+    x[op->rd] = static_cast<i32>(x[op->rs1]) < static_cast<i32>(x[op->rs2]);
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_sltu: x[op->rd] = x[op->rs1] < x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_xor: x[op->rd] = x[op->rs1] ^ x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_srl:
+    x[op->rd] = x[op->rs1] >> (x[op->rs2] & 0x1f);
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_sra:
+    x[op->rd] = static_cast<u32>(static_cast<i32>(x[op->rs1]) >>
+                                 (x[op->rs2] & 0x1f));
+    cycles += 1;
+    VHP_ISS_NEXT();
+  op_or: x[op->rd] = x[op->rs1] | x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_and: x[op->rd] = x[op->rs1] & x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
+  op_mul: x[op->rd] = x[op->rs1] * x[op->rs2]; cycles += 3; VHP_ISS_NEXT();
+  op_mulh:
+    x[op->rd] = static_cast<u32>(
+        (static_cast<i64>(static_cast<i32>(x[op->rs1])) *
+         static_cast<i64>(static_cast<i32>(x[op->rs2]))) >> 32);
+    cycles += 3;
+    VHP_ISS_NEXT();
+  op_mulhsu:
+    x[op->rd] = static_cast<u32>(
+        (static_cast<i64>(static_cast<i32>(x[op->rs1])) *
+         static_cast<i64>(static_cast<u64>(x[op->rs2]))) >> 32);
+    cycles += 3;
+    VHP_ISS_NEXT();
+  op_mulhu:
+    x[op->rd] = static_cast<u32>(
+        (static_cast<u64>(x[op->rs1]) * static_cast<u64>(x[op->rs2])) >> 32);
+    cycles += 3;
+    VHP_ISS_NEXT();
+  op_div: {
+    const u32 a = x[op->rs1];
+    const u32 b = x[op->rs2];
+    if (b == 0) {
+      x[op->rd] = 0xffffffffu;
+    } else if (a == 0x80000000u && b == 0xffffffffu) {
+      x[op->rd] = 0x80000000u;
+    } else {
+      x[op->rd] = static_cast<u32>(static_cast<i32>(a) / static_cast<i32>(b));
     }
-    pc = next_pc;
-    pc_ = pc;
-    retired_ = ++retired;
-    if (trap != TrapKind::kNone) {
-      out.trap = trap;
-      break;
-    }
-    if (cycles_sum >= budget_cycles) break;
+    cycles += 8;  // div slower than mul
+    VHP_ISS_NEXT();
   }
-  out.cycles = cycles_sum;
+  op_divu: {
+    const u32 b = x[op->rs2];
+    x[op->rd] = b == 0 ? 0xffffffffu : x[op->rs1] / b;
+    cycles += 8;
+    VHP_ISS_NEXT();
+  }
+  op_rem: {
+    const u32 a = x[op->rs1];
+    const u32 b = x[op->rs2];
+    if (b == 0) {
+      x[op->rd] = a;
+    } else if (a == 0x80000000u && b == 0xffffffffu) {
+      x[op->rd] = 0;
+    } else {
+      x[op->rd] = static_cast<u32>(static_cast<i32>(a) % static_cast<i32>(b));
+    }
+    cycles += 8;
+    VHP_ISS_NEXT();
+  }
+  op_remu: {
+    const u32 a = x[op->rs1];
+    const u32 b = x[op->rs2];
+    x[op->rd] = b == 0 ? a : a % b;
+    cycles += 8;
+    VHP_ISS_NEXT();
+  }
+  op_fence: cycles += 1; VHP_ISS_NEXT();
+
+  // Ops that end the block. A block runs up to its stop op, so an op that
+  // ends it is that op and sits at stop_pc.
+  op_jal:
+    x[op->rd] = stop_pc + 4;
+    pc = stop_pc + op->imm;
+    cycles += 2;
+    goto retire_block;
+  op_jalr: {
+    const u32 target = (x[op->rs1] + op->imm) & ~1u;  // before rd: rd may
+    x[op->rd] = stop_pc + 4;                          // be rs1
+    pc = target;
+    cycles += 2;
+    goto retire_block;
+  }
+  op_beq: if (x[op->rs1] == x[op->rs2]) goto taken; goto not_taken;
+  op_bne: if (x[op->rs1] != x[op->rs2]) goto taken; goto not_taken;
+  op_blt:
+    if (static_cast<i32>(x[op->rs1]) < static_cast<i32>(x[op->rs2])) {
+      goto taken;
+    }
+    goto not_taken;
+  op_bge:
+    if (static_cast<i32>(x[op->rs1]) >= static_cast<i32>(x[op->rs2])) {
+      goto taken;
+    }
+    goto not_taken;
+  op_bltu: if (x[op->rs1] < x[op->rs2]) goto taken; goto not_taken;
+  op_bgeu: if (x[op->rs1] >= x[op->rs2]) goto taken; goto not_taken;
+  taken:
+    pc = stop_pc + op->imm;
+    cycles += 2;
+    goto retire_block;
+  not_taken:
+    cycles += 1;
+  fell_through:
+    pc = stop_pc + 4;
+  retire_block:
+    retired += last + 1;
+    if (cycles >= budget_cycles) break;
+    continue;
+  moved:  // a load or store moved the page's version: end after it
+    pc = pc_of() + 4;
+    retired += static_cast<u64>(op - entry) + 1;
+    if (cycles >= budget_cycles) break;
+    continue;
+  op_ecall:
+    out.trap = TrapKind::kEcall;
+    goto trapped;
+  op_ebreak:
+    out.trap = TrapKind::kEbreak;
+  trapped:
+    pc = stop_pc + 4;
+    retired += last + 1;
+    cycles += 1;
+    break;
+  op_illegal:  // the pc stays AT the offender, which does not retire
+    out.trap = TrapKind::kIllegalInstruction;
+    pc = stop_pc;
+    retired += last;
+    cycles += 1;
+    break;
+  }
+  pc_ = pc;
+  retired_ = retired;
+  out.cycles = cycles;
+  out.instruction = op != nullptr ? op->raw : 0;
   return out;
 }
+
+#undef VHP_ISS_NEXT_AFTER_ACCESS
+#undef VHP_ISS_NEXT
+#undef VHP_ISS_DISPATCH
 
 }  // namespace vhp::iss

@@ -3,7 +3,13 @@
 // instruction, StepResult cycles straight to the budget), batched
 // (Cpu::run() in 64-cycle batches, as IssRunner's flat path runs firmware)
 // and pipelined (every step priced through the vhp::mem hierarchy —
-// I-cache fetch, D-cache data access, banked memory).
+// I-cache fetch, D-cache data access, banked memory). The batched rows
+// run whole basic blocks through the threaded executor; the flat and
+// pipelined rows price its per-call cost, a one-op block per step().
+//
+// Exits 1 when a row retired other than its n instructions, or when a
+// workload's batched run sums other simulated cycles than its flat run:
+// both are counts, so host noise cannot trip them.
 //
 // Output: BENCH_micro_iss.metrics.json — one row per workload x model with
 // host MIPS and the timing-model counters of the run, so a trajectory of
@@ -91,6 +97,7 @@ Asm firmware_loop() {
 struct RunResult {
   double wall_s = 0;
   u64 sim_cycles = 0;      // virtual cycles the instructions cost
+  u64 retired = 0;         // instructions the Cpu retired
   std::string metrics;     // JSON object body of model counters
 };
 
@@ -108,6 +115,7 @@ RunResult run_flat(const Asm& prog, u64 n) {
   RunResult r;
   r.wall_s = std::chrono::duration<double>(end - start).count();
   r.sim_cycles = cycles;
+  r.retired = cpu.instructions_retired();
   r.metrics = "{\"sim_cycles\":" + std::to_string(cycles) + "}";
   return r;
 }
@@ -127,6 +135,7 @@ RunResult run_batched(const Asm& prog, u64 n) {
   RunResult r;
   r.wall_s = std::chrono::duration<double>(end - start).count();
   r.sim_cycles = cycles;
+  r.retired = cpu.instructions_retired();
   r.metrics = "{\"sim_cycles\":" + std::to_string(cycles) + "}";
   return r;
 }
@@ -159,6 +168,7 @@ RunResult run_pipelined(const Asm& prog, u64 n) {
   RunResult r;
   r.wall_s = std::chrono::duration<double>(end - start).count();
   r.sim_cycles = now;
+  r.retired = cpu.instructions_retired();
   const auto& p = port.pipeline().stats();
   r.metrics = strformat(
       "{\"sim_cycles\":{},\"icache_hits\":{},\"icache_misses\":{},"
@@ -190,6 +200,7 @@ int main(int argc, char** argv) {
                    {"firmware_loop", firmware_loop()}};
 
   std::vector<bench::JsonRow> rows;
+  int failures = 0;
   std::printf("%14s %10s %12s %10s %14s\n", "workload", "model", "wall_min_s",
               "host_mips", "cycles_per_ins");
   for (const auto& w : workloads) {
@@ -199,6 +210,7 @@ int main(int argc, char** argv) {
     } models[] = {{"flat", run_flat},
                   {"batched", run_batched},
                   {"pipelined", run_pipelined}};
+    u64 flat_cycles = 0;
     for (const auto& m : models) {
       RunResult best;
       best.wall_s = 1e100;
@@ -212,6 +224,20 @@ int main(int argc, char** argv) {
                          static_cast<double>(n);
       std::printf("%14s %10s %12.4f %10.1f %14.2f\n", w.name, m.name,
                   best.wall_s, mips, cpi);
+      if (best.retired != n) {
+        std::fprintf(stderr, "%s %s: retired %llu instructions, not %llu\n",
+                     w.name, m.name,
+                     static_cast<unsigned long long>(best.retired),
+                     static_cast<unsigned long long>(n));
+        ++failures;
+      }
+      if (m.run == run_flat) flat_cycles = best.sim_cycles;
+      if (m.run == run_batched && best.sim_cycles != flat_cycles) {
+        std::fprintf(stderr, "%s: batched run summed %llu cycles, flat %llu\n",
+                     w.name, static_cast<unsigned long long>(best.sim_cycles),
+                     static_cast<unsigned long long>(flat_cycles));
+        ++failures;
+      }
       bench::JsonRow row;
       row.params = strformat(
           "\"workload\":\"{}\",\"model\":\"{}\",\"instructions\":{},"
@@ -230,5 +256,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("\nwrote %s\n", path.c_str());
+  if (failures > 0) {
+    std::fprintf(stderr, "micro_iss: %d row(s) failed the work check\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

@@ -26,8 +26,6 @@
 // cleanly at µs-level per-session quantum overhead, no part-1 row to fire
 // a loop timer (a count, so host noise cannot trip it) and the board DATA
 // batching ratio to reach 4x. Auto-skips on hosts with <4 cores.
-#include <sys/resource.h>
-
 #include <array>
 #include <atomic>
 #include <cinttypes>
@@ -45,16 +43,6 @@
 
 namespace vhp::bench {
 namespace {
-
-// 256 shm sessions hold ~12 eventfds each (doorbells on three ports, both
-// directions); the default 1024-fd soft limit is far too small.
-void raise_fd_limit() {
-  rlimit lim{};
-  if (getrlimit(RLIMIT_NOFILE, &lim) == 0 && lim.rlim_cur < lim.rlim_max) {
-    lim.rlim_cur = lim.rlim_max;
-    (void)setrlimit(RLIMIT_NOFILE, &lim);
-  }
-}
 
 struct DensityResult {
   double wall_seconds = 0;
@@ -285,7 +273,6 @@ int main(int argc, char** argv) {
   using namespace vhp;
   using namespace vhp::bench;
 
-  raise_fd_limit();
   bool gate = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--gate") gate = true;

@@ -11,14 +11,15 @@
 // optimization).
 //
 // Wakeups use eventfd doorbells, rung only when the other side said it
-// is (or may be) waiting: the consumer's doorbell is the channel's
-// readable_fd(), and the first readable_fd() call (by net::wait_until
-// once its spin is over) arms it for good: from then on every publish
+// is (or may be) waiting, and opened only then: a pair opens no fd when
+// it is built. The consumer's doorbell is the channel's readable_fd(),
+// and the first readable_fd() call (by net::wait_until once its spin is
+// over) opens and arms it for good: from then on every publish
 // rings it and then raises a `rung` flag in the mapping. The
 // consumer drains the bell only while that flag is up, so a pop of an
 // empty ring is loads only — no system call, armed or not. The
-// producer's "space" doorbell is rung by the consumer only while a writer
-// is blocked on a full ring.
+// producer's "space" doorbell opens when the producer first blocks on a
+// full ring and is rung by the consumer only while a writer is blocked.
 //
 // The ring lives in MAP_SHARED|MAP_ANONYMOUS memory: both endpoints of a
 // pair are in-process today (the svc session server's fast path), but

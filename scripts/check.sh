@@ -89,18 +89,22 @@ rm -f /tmp/vhp_timeline_smoke.*.vhprec
 # quartile spread over interleaved repetitions, and (on hosts with >= 4
 # CPUs) at least 1.5x at 4 workers on the 32-port netlist. Then the
 # kernel micro benches, whose per-row work check exits 1 if a clocked row
-# loses edges or the unlistened clock reads a wrong level, and the RTOS
+# loses edges or the unlistened clock reads a wrong level, the RTOS
 # micro benches, which exit 1 unless every yield ping-pong made all its
-# switches (or another row dropped operations).
+# switches (or another row dropped operations), and the ISS micro benches,
+# which exit 1 when a row retired other than its instruction count or a
+# workload's batched run (whole basic blocks) summed other simulated
+# cycles than its flat run (one step() per instruction).
 echo "==== [kernel-par] release gate ===="
 ctest --preset default -L kernel-par "$@"
 echo "==== [kernel-par] tsan gate ===="
 ctest --preset tsan -L kernel-par-tsan "$@"
 echo "==== [kernel-par] bench gate ===="
-cmake --build --preset default -j "$jobs" --target kernel_parallel micro_sim_kernel micro_rtos
+cmake --build --preset default -j "$jobs" --target kernel_parallel micro_sim_kernel micro_rtos micro_iss
 ./build/bench/kernel_parallel --gate --json /tmp/kernel_parallel_gate.metrics.json
 ./build/bench/micro_sim_kernel --quick --json /tmp/micro_sim_kernel.metrics.json
 ./build/bench/micro_rtos --quick --json /tmp/micro_rtos.metrics.json
+./build/bench/micro_iss --quick --json /tmp/micro_iss.metrics.json
 
 # Memory-hierarchy / many-core gate (ISSUE 9), same shape: the fiber-free
 # cache/bank/pipeline units plus the SMP kernel and 4-core session suites

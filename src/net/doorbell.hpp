@@ -8,11 +8,18 @@
 // queue or a ring is outstanding, re-checking the queue after the drain.
 // A poll that merely finds the queue empty never drains, so it costs no
 // system call.
+//
+// A bell opens its eventfd on first use, when a waiter arms it; until
+// then ring(), drain() and wait() are no-ops, because nothing can be
+// waiting on it. The fd is atomic: a shm endpoint's close() rings every
+// bell from either side while the other side may be opening one.
 #pragma once
 
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
+
+#include <atomic>
 
 #include "vhp/common/types.hpp"
 
@@ -22,43 +29,54 @@ class Doorbell {
  public:
   Doorbell() = default;
   ~Doorbell() {
-    if (fd_ >= 0) ::close(fd_);
+    if (const int fd = this->fd(); fd >= 0) ::close(fd);
   }
   Doorbell(const Doorbell&) = delete;
   Doorbell& operator=(const Doorbell&) = delete;
 
   /// Creates the eventfd on first use and returns it (-1 if that failed).
   int open() {
-    if (fd_ < 0) fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    return fd_;
+    int fd = this->fd();
+    if (fd < 0) {
+      const int made = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (made >= 0 && !fd_.compare_exchange_strong(fd, made)) {
+        ::close(made);  // opened by another thread meanwhile: use that fd
+        return fd;
+      }
+      fd = made;
+    }
+    return fd;
   }
 
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] int fd() const { return fd_.load(); }
 
   /// Makes the fd readable. No-op before open().
   void ring() const {
-    if (fd_ < 0) return;
+    const int fd = this->fd();
+    if (fd < 0) return;
     const u64 one = 1;
-    [[maybe_unused]] ssize_t n = ::write(fd_, &one, sizeof one);
+    [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof one);
   }
 
   /// Makes the fd unreadable until the next ring. No-op before open().
   void drain() const {
-    if (fd_ < 0) return;
+    const int fd = this->fd();
+    if (fd < 0) return;
     u64 value = 0;
-    [[maybe_unused]] ssize_t n = ::read(fd_, &value, sizeof value);
+    [[maybe_unused]] ssize_t n = ::read(fd, &value, sizeof value);
   }
 
   /// Waits up to wait_ms (-1 = forever) for a ring. EINTR counts as a
   /// wakeup (callers loop and re-check state anyway).
   void wait(int wait_ms) const {
-    if (fd_ < 0) return;
-    pollfd pfd{fd_, POLLIN, 0};
+    const int fd = this->fd();
+    if (fd < 0) return;
+    pollfd pfd{fd, POLLIN, 0};
     (void)::poll(&pfd, 1, wait_ms);
   }
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
 };
 
 }  // namespace vhp::net

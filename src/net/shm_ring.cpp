@@ -35,7 +35,9 @@ struct RingCtl {
 /// One direction: control block + data window inside the mapping, plus
 /// its two doorbells (process-local fds; the mapping itself holds no
 /// pointers or fds, so a cross-process variant only needs to pass the
-/// eventfds over SCM_RIGHTS).
+/// eventfds over SCM_RIGHTS). A bell opens when its waiter arms it: the
+/// consumer in readable_fd(), the producer when it blocks on a full ring.
+/// A hosted session arms neither, so it opens no fd.
 struct RingDir {
   RingCtl* ctl = nullptr;
   u8* data = nullptr;
@@ -86,8 +88,6 @@ std::shared_ptr<ShmRegion> make_region(std::size_t capacity_bytes) {
     dir.ctl = new (p) RingCtl{};
     dir.data = p + ctl_bytes;
     dir.cap = cap;
-    dir.publish_bell.open();
-    dir.space_bell.open();
     p += ctl_bytes + cap;
   };
   init_dir(region->a2b);
@@ -158,16 +158,17 @@ class ShmRingChannel final : public Channel {
   }
 
   int readable_fd() override {
-    // Arm the doorbell for good (net::wait_until waits on it); ring it if
-    // frames were published before arming so a level-triggered poller
-    // doesn't sleep over them.
+    // Open the doorbell and arm it for good (net::wait_until waits on it);
+    // ring it if frames were published, or the channel closed, before
+    // arming, so a level-triggered poller doesn't sleep over them.
+    const int fd = rx_->publish_bell.open();
     rx_->ctl->reader_armed.store(1, std::memory_order_seq_cst);
     if (rx_->ctl->head.load(std::memory_order_seq_cst) !=
             rx_->ctl->tail.load(std::memory_order_relaxed) ||
-        rx_->ctl->closed.load(std::memory_order_relaxed) != 0) {
+        rx_->ctl->closed.load(std::memory_order_seq_cst) != 0) {
       rx_->ring_publish();
     }
-    return rx_->publish_bell.fd();
+    return fd;
   }
 
  private:
@@ -191,8 +192,10 @@ class ShmRingChannel final : public Channel {
       }
       if (free >= need) break;
       // Ring full: publish whatever we staged (the consumer cannot drain
-      // unpublished bytes), flag ourselves waiting, re-check, then sleep.
+      // unpublished bytes), open our bell, flag ourselves waiting,
+      // re-check, then sleep.
       publish();
+      tx_->space_bell.open();
       ctl.writer_waiting.store(1, std::memory_order_seq_cst);
       cached_tail_ = ctl.tail.load(std::memory_order_seq_cst);
       free = tx_->cap - (staged_head_ - cached_tail_);

@@ -1,7 +1,7 @@
-// The ISS decode cache: a decoded op runs only while its RAM page is
-// unchanged, run() batches stop exactly where a step() loop would, and
-// fetches from MMIO windows stay uncached. Fiber-free (no board, no RTOS),
-// so ThreadSanitizer covers it.
+// The ISS decode cache and its basic blocks: a decoded op runs only while
+// its RAM page is unchanged, run() batches stop exactly where a step()
+// loop would, and fetches from MMIO windows stay uncached. Fiber-free (no
+// board, no RTOS), so ThreadSanitizer covers it.
 #include <gtest/gtest.h>
 
 #include "vhp/common/rng.hpp"
@@ -383,6 +383,252 @@ TEST_P(IssRunMatchesStep, RandomProgramsEndInTheSameState) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IssRunMatchesStep,
                          ::testing::Values(1, 7, 42, 2024));
+
+// ---------- basic blocks against single steps ----------
+
+/// Where a random block program lives. Both layouts start 64 bytes before
+/// a page end, so the program straddles it; in the second, the page after
+/// it is overlapped by the MMIO window and fetched through the bus.
+constexpr u32 kStraddleCached = 0x2000 - 64;
+constexpr u32 kStraddleUncached = 0x5000 - 64;
+/// The MMIO window; its page, 0x5000, holds code in the second layout.
+constexpr u32 kMmio = 0x5f00;
+/// Registers the generator keeps for itself: random ops write x0..x23.
+constexpr u32 kInnerCount = 26;
+constexpr u32 kLink = 27;
+constexpr u32 kPatchWord = 28;
+constexpr u32 kPatchAddr = 29;
+constexpr u32 kOuterCount = 30;
+constexpr u32 kDataBase = 31;
+
+/// A benign word to patch over a slot: an ALU-immediate op into x1..x23.
+u32 patch_word(u64 seed) {
+  constexpr u32 kFunct3[] = {0, 2, 3, 4, 6, 7};
+  return enc::i_type(static_cast<i32>(seed % 4096) - 2048,
+                     static_cast<u32>((seed >> 12) % 32),
+                     kFunct3[(seed >> 17) % 6],
+                     1 + static_cast<u32>((seed >> 20) % 23), 0x13);
+}
+
+/// A seeded random program for the block executor, with the features that
+/// end or cut a block: forward and backward branches, JAL, JALR, stores
+/// into the running code (into slots, nops kept for patching: an earlier
+/// slot of the current block, the op right after the store, or any slot),
+/// MMIO loads, ECALLs and illegal words mid-program. Ends in EBREAK.
+struct BlockProgram {
+  Asm code;
+  u32 base = 0;
+  std::vector<u32> slots;    // addresses of the patchable nops
+  std::vector<u32> illegal;  // addresses to overwrite with illegal words
+};
+
+BlockProgram block_program(Rng& rng, u32 base) {
+  BlockProgram p;
+  p.base = base;
+  Asm& a = p.code;
+  std::vector<u32> block_slots;  // slots since the last control transfer
+  const auto slot = [&] {
+    p.slots.push_back(base + a.bytes());
+    block_slots.push_back(p.slots.back());
+    a.nop();
+  };
+  const auto transfer = [&] { block_slots.clear(); };
+  const auto rd = [&] { return static_cast<u32>(rng.below(24)); };
+  const auto rs = [&] { return static_cast<u32>(rng.below(32)); };
+  const auto imm12 = [&] { return static_cast<i32>(rng.below(4096)) - 2048; };
+  const auto alu = [&] {
+    const u32 d = rd();
+    switch (rng.below(6)) {
+      case 0: a.addi(d, rs(), imm12()); break;
+      case 1: a.xor_(d, rs(), rs()); break;
+      case 2: a.mul(d, rs(), rs()); break;
+      case 3: a.divu(d, rs(), rs()); break;
+      case 4: a.sltu(d, rs(), rs()); break;
+      default: a.auipc(d, static_cast<u32>(rng.below(1u << 20))); break;
+    }
+  };
+
+  a.li(kDataBase, kData);
+  a.addi(kOuterCount, 0, static_cast<i32>(rng.range(2, 4)));
+  for (u32 r = 1; r < 24; ++r) a.li(r, static_cast<u32>(rng.next()));
+  const auto loop = a.make_label();
+  a.bind(loop);
+  transfer();
+  std::vector<std::pair<Asm::Label, int>> pending;  // forward branches
+  const int body = static_cast<int>(rng.range(30, 120));
+  for (int i = 0; i < body; ++i) {
+    for (auto& [label, left] : pending) {
+      if (left-- == 0) {
+        a.bind(label);
+        transfer();
+      }
+    }
+    std::erase_if(pending, [](const auto& e) { return e.second < 0; });
+    switch (rng.below(14)) {
+      case 0: case 1: case 2: alu(); break;
+      case 3: slot(); break;
+      case 4: a.lw(rd(), kDataBase, static_cast<i32>(rng.below(512)) * 4); break;
+      case 5: a.sw(rs(), kDataBase, static_cast<i32>(rng.below(512)) * 4); break;
+      case 6: {  // store into the code: li, li, sw, then maybe the target
+        a.li(kPatchWord, patch_word(rng.next()));
+        const u32 next = base + a.bytes() + 12;  // right after the sw
+        const u64 pick = rng.below(3);
+        u32 target = next;
+        if (pick == 0 && !block_slots.empty()) {
+          target = block_slots[rng.below(block_slots.size())];
+        } else if (pick == 1 && !p.slots.empty()) {
+          target = p.slots[rng.below(p.slots.size())];
+        }
+        a.li(kPatchAddr, target);
+        a.sw(kPatchWord, kPatchAddr, 0);
+        if (target == next) slot();
+        break;
+      }
+      case 7: {  // forward branch over 0-3 items
+        const auto skip = a.make_label();
+        if (rng.below(2) == 0) {
+          a.beq(rs(), rs(), skip);
+        } else {
+          a.bltu(rs(), rs(), skip);
+        }
+        transfer();
+        pending.emplace_back(skip, static_cast<int>(rng.range(0, 3)));
+        break;
+      }
+      case 8: {  // backward branch: an inner loop of 1-3 passes
+        a.addi(kInnerCount, 0, static_cast<i32>(rng.range(1, 3)));
+        const auto inner = a.make_label();
+        a.bind(inner);
+        transfer();
+        for (u64 n = rng.range(1, 3); n > 0; --n) alu();
+        a.addi(kInnerCount, kInnerCount, -1);
+        a.bne(kInnerCount, 0, inner);
+        transfer();
+        break;
+      }
+      case 9: {  // JAL over one op
+        const auto over = a.make_label();
+        a.jal(kLink, over);
+        alu();
+        a.bind(over);
+        transfer();
+        break;
+      }
+      case 10: {  // JALR over one op, linking into its own base register
+        a.auipc(kLink, 0);
+        a.addi(kLink, kLink, 16);
+        a.jalr(kLink, kLink, 0);
+        alu();
+        transfer();
+        break;
+      }
+      case 11: {  // an MMIO load, whose handler patches a code slot
+        a.li(kPatchAddr, kMmio);
+        a.lw(rd(), kPatchAddr, 0);
+        break;
+      }
+      case 12: a.ecall(); transfer(); break;
+      default:
+        p.illegal.push_back(base + a.bytes());
+        a.nop();
+        transfer();
+        break;
+    }
+  }
+  for (auto& [label, left] : pending) a.bind(label);
+  a.addi(kOuterCount, kOuterCount, -1);
+  a.bne(kOuterCount, 0, loop);
+  a.ebreak();
+  return p;
+}
+
+/// A machine for block_program(): RAM, the MMIO window and a Cpu. The
+/// window's load handler writes a patch word over a code slot, as another
+/// core would while this one waits on the device.
+struct BlockMachine {
+  sim::Memory ram{"ram"};
+  MemoryBus bus{ram};
+  Cpu cpu{bus};
+  u64 mmio_loads = 0;
+
+  explicit BlockMachine(const BlockProgram& p) {
+    p.code.load_into(ram, p.base);
+    for (u32 addr : p.illegal) ram.write_u32(addr, 0xffffffffu);
+    bus.map_mmio(
+        kMmio, 0x100,
+        [this, slots = p.slots](u32, unsigned) {
+          ++mmio_loads;
+          if (!slots.empty()) {
+            ram.write_u32(slots[mmio_loads % slots.size()],
+                          patch_word(mmio_loads * 0x9e3779b97f4a7c15ull));
+          }
+          return static_cast<u32>(mmio_loads);
+        },
+        nullptr);
+    cpu.set_pc(p.base);
+  }
+};
+
+class IssBlocks : public ::testing::TestWithParam<u64> {};
+
+TEST_P(IssBlocks, RunMatchesStepAtEveryBatchEnd) {
+  Rng rng{GetParam()};
+  for (int round = 0; round < 20; ++round) {
+    const BlockProgram program =
+        block_program(rng, round % 2 == 0 ? kStraddleCached
+                                          : kStraddleUncached);
+    BlockMachine stepped{program};
+    BlockMachine batched{program};
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+
+    bool halted = false;
+    for (int batch = 0; batch < 20000 && !halted; ++batch) {
+      const u64 budget = rng.below(81);
+      const u64 limit = rng.below(8) == 0
+                            ? kNoLimit
+                            : batched.cpu.instructions_retired() + rng.below(50);
+      const StepResult got = batched.cpu.run(budget, limit);
+
+      // The reference: one instruction at a time, stopping where run()
+      // promises to stop.
+      StepResult want;
+      want.cycles = 0;
+      while (stepped.cpu.instructions_retired() < limit) {
+        const StepResult one = stepped.cpu.step();
+        want.cycles += one.cycles;
+        want.trap = one.trap;
+        want.instruction = one.instruction;
+        if (one.trap != TrapKind::kNone || want.cycles >= budget) break;
+      }
+
+      SCOPED_TRACE(::testing::Message() << "batch " << batch);
+      ASSERT_EQ(got.cycles, want.cycles);
+      ASSERT_EQ(got.trap, want.trap);
+      ASSERT_EQ(got.instruction, want.instruction);
+      ASSERT_EQ(batched.cpu.pc(), stepped.cpu.pc());
+      ASSERT_EQ(batched.cpu.instructions_retired(),
+                stepped.cpu.instructions_retired());
+      for (unsigned r = 0; r < 32; ++r) {
+        ASSERT_EQ(batched.cpu.reg(r), stepped.cpu.reg(r)) << "x" << r;
+      }
+      ASSERT_EQ(batched.mmio_loads, stepped.mmio_loads);
+      ASSERT_EQ(batched.ram.read(kData, sim::Memory::kPageBytes),
+                stepped.ram.read(kData, sim::Memory::kPageBytes));
+      ASSERT_EQ(batched.ram.read(program.base, 2 * sim::Memory::kPageBytes),
+                stepped.ram.read(program.base, 2 * sim::Memory::kPageBytes));
+
+      if (got.trap == TrapKind::kIllegalInstruction) {  // skip the word
+        batched.cpu.set_pc(batched.cpu.pc() + 4);
+        stepped.cpu.set_pc(stepped.cpu.pc() + 4);
+      }
+      ASSERT_NE(got.trap, TrapKind::kMisalignedFetch);
+      halted = got.trap == TrapKind::kEbreak;
+    }
+    EXPECT_TRUE(halted);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IssBlocks, ::testing::Values(3, 11, 99, 4242));
 
 TEST(IssRun, StopsAtTheBudgetTheLimitOrATrap) {
   Machine m{counting_loop()};

@@ -259,6 +259,39 @@ TEST(IssTraps, IllegalInstruction) {
   EXPECT_EQ(cpu.pc(), kBase);  // pc not advanced past the offender
 }
 
+TEST(IssTraps, ReservedJalrAndFenceEncodingsAreIllegal) {
+  // JALR with funct3 != 0 and MISC-MEM with funct3 other than FENCE (0) and
+  // FENCE.I (1) are reserved.
+  const u32 reserved[] = {
+      enc::i_type(0, 1, 1, 1, 0x67), enc::i_type(8, 2, 7, 0, 0x67),
+      enc::i_type(0, 0, 2, 0, 0x0f), enc::i_type(0, 0, 7, 0, 0x0f)};
+  for (const u32 word : reserved) {
+    sim::Memory ram{"ram"};
+    ram.write_u32(kBase, word);
+    MemoryBus bus{ram};
+    Cpu cpu{bus};
+    cpu.set_pc(kBase);
+    cpu.set_reg(1, kBase + 0x100);
+    const StepResult r = cpu.run(1000, ~u64{0});
+    EXPECT_EQ(r.trap, TrapKind::kIllegalInstruction) << std::hex << word;
+    EXPECT_EQ(r.instruction, word);
+    EXPECT_EQ(cpu.pc(), kBase);
+    EXPECT_EQ(cpu.instructions_retired(), 0u);
+    EXPECT_EQ(cpu.reg(1), kBase + 0x100);  // the JALR linked nothing
+  }
+  // FENCE and FENCE.I still run as no-ops.
+  sim::Memory ram{"ram"};
+  ram.write_u32(kBase, enc::i_type(0x0ff, 0, 0, 0, 0x0f));  // fence rw, rw
+  ram.write_u32(kBase + 4, enc::i_type(0, 0, 1, 0, 0x0f));  // fence.i
+  ram.write_u32(kBase + 8, 0x00000073);                     // ecall
+  MemoryBus bus{ram};
+  Cpu cpu{bus};
+  cpu.set_pc(kBase);
+  EXPECT_EQ(cpu.run(1000, ~u64{0}).trap, TrapKind::kEcall);
+  EXPECT_EQ(cpu.pc(), kBase + 12);
+  EXPECT_EQ(cpu.instructions_retired(), 3u);
+}
+
 TEST(IssTraps, MisalignedFetch) {
   sim::Memory ram{"ram"};
   MemoryBus bus{ram};

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +163,39 @@ TEST(ShmRing, ReadableFdIsLevelAccurate) {
   ASSERT_TRUE(b->try_recv().ok());
   ASSERT_TRUE(a->send(Bytes{3}).ok());
   EXPECT_TRUE(fd_readable(fd, 1000));
+}
+
+/// File descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShmRing, DoorbellsOpenOnlyWhenAWaiterArmsThem) {
+  const std::size_t before = open_fds();
+  std::vector<net::LinkPair> pairs;
+  for (int i = 0; i < 64; ++i) pairs.push_back(net::make_shm_link_pair());
+  // Built eagerly, their doorbells would hold 64 x 12 eventfds.
+  EXPECT_EQ(open_fds(), before);
+  const int fd = pairs[0].board.data->readable_fd();
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(open_fds(), before + 1);
+  EXPECT_EQ(pairs[0].board.data->readable_fd(), fd);  // armed once
+  EXPECT_EQ(open_fds(), before + 1);
+  // Frames still flow through the unarmed pairs, and closing rings the
+  // unopened bells as a no-op.
+  ASSERT_TRUE(pairs[1].hw.data->send(Bytes{7}).ok());
+  auto got = pairs[1].board.data->try_recv();
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(got.value().has_value());
+  pairs[1].hw.close_all();
+  EXPECT_EQ(open_fds(), before + 1);
+  pairs.clear();
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(ShmRing, SendManyArrivesInOrder) {

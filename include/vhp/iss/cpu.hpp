@@ -9,6 +9,25 @@
 // the next fetch without a FENCE.I. Code in a page an MMIO window overlaps
 // is fetched through the bus and decoded on every execution.
 //
+// Basic blocks: a decoded page is cut, lazily on first entry, into blocks
+// that run from an entry pc to the first branch, JAL/JALR, ECALL/EBREAK or
+// illegal word, or to the page's last op. One build decodes and stamps a
+// whole block under the page's version, so a block whose entry op is
+// current is current throughout.
+//
+// Threaded dispatch: run() executes a block's ops back to back through a
+// table of handler labels; each handler ends in its own indirect jump to
+// the next op's handler. At block entry run() finds the op after which a
+// one-instruction loop would stop — the block's last op, cut earlier by
+// the retire limit and by the op that meets the cycle budget — and each
+// op checks only whether it is that op. After a load or store the block
+// also ends when the page's version moved (a store into the running code,
+// or another core's store while an MMIO access ran), and the pc and the
+// retired count are stored before the access, so an MMIO handler sees
+// them as after the previous instruction. So every batch ends on the same
+// instruction, with the same cycles, as a loop of step() calls; an op
+// fetched through the bus runs as a one-op block.
+//
 // Traps (ECALL/EBREAK/illegal/misaligned) are returned to the embedder
 // rather than vectored, because the embedder here is the virtual board,
 // which maps ECALL onto RTOS services (exit, wait-for-interrupt, tick

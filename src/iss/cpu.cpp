@@ -56,7 +56,8 @@ enum class OpKind : u8 {
   kFence, kEcall, kEbreak,
 };
 
-/// Cycles an op costs; a branch's when taken (an untaken one costs 1).
+/// Cycles an op costs; a branch's when taken (kUntakenCycles when not).
+/// The block builder and every handler of run() read costs from here.
 constexpr u16 op_cycles(OpKind k) {
   using K = OpKind;
   if (k >= K::kDiv && k <= K::kRemu) return 8;
@@ -64,6 +65,7 @@ constexpr u16 op_cycles(OpKind k) {
   if (k >= K::kJal && k <= K::kSw) return 2;  // jumps, branches, memory
   return 1;
 }
+constexpr u16 kUntakenCycles = 1;
 
 /// Whether an op ends its basic block: it jumps, may branch, or traps.
 constexpr bool ends_block(OpKind k) {
@@ -246,16 +248,32 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
 // through checks only whether it is the block's stop op; a load or store
 // also ends the block when the access moved the page's version.
 #define VHP_ISS_DISPATCH() goto* kHandlers[static_cast<u8>(op->kind)]
-#define VHP_ISS_NEXT()               \
-  do {                               \
+#define VHP_ISS_ADVANCE()              \
+  do {                                 \
     if (op == stop) goto fell_through; \
-    ++op;                            \
-    VHP_ISS_DISPATCH();              \
+    ++op;                              \
+    VHP_ISS_DISPATCH();                \
   } while (0)
-#define VHP_ISS_NEXT_AFTER_ACCESS()                   \
-  do {                                                \
-    if (*version != entry_version) goto moved;       \
-    VHP_ISS_NEXT();                                   \
+// Each handler adds its op's cost from op_cycles(), as the block builder
+// does, so a batch's stop op and the cycles it sums cannot disagree.
+#define VHP_ISS_NEXT(kind)             \
+  do {                                 \
+    cycles += op_cycles(OpKind::kind); \
+    VHP_ISS_ADVANCE();                 \
+  } while (0)
+#define VHP_ISS_NEXT_AFTER_ACCESS(kind)        \
+  do {                                         \
+    cycles += op_cycles(OpKind::kind);         \
+    if (*version != entry_version) goto moved; \
+    VHP_ISS_ADVANCE();                         \
+  } while (0)
+#define VHP_ISS_BRANCH(kind, taken_if)     \
+  do {                                     \
+    if (taken_if) {                        \
+      cycles += op_cycles(OpKind::kind);   \
+      goto taken;                          \
+    }                                      \
+    goto not_taken;                        \
   } while (0)
 
 // Cache-line aligned, so that the interpreter's dispatch keeps one layout
@@ -345,105 +363,84 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
     op = entry;
     VHP_ISS_DISPATCH();
 
-  op_lui: x[op->rd] = op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_auipc: x[op->rd] = pc_of() + op->imm; cycles += 1; VHP_ISS_NEXT();
+  op_lui: x[op->rd] = op->imm; VHP_ISS_NEXT(kLui);
+  op_auipc: x[op->rd] = pc_of() + op->imm; VHP_ISS_NEXT(kAuipc);
   // Loads into x0 still access the bus: MMIO reads have side effects.
   op_lb:
     before_access();
     x[op->rd] = sext(bus_.load(x[op->rs1] + op->imm, 1), 8);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kLb);
   op_lh:
     before_access();
     x[op->rd] = sext(bus_.load(x[op->rs1] + op->imm, 2), 16);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kLh);
   op_lw:
     before_access();
     x[op->rd] = bus_.load(x[op->rs1] + op->imm, 4);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kLw);
   op_lbu:
     before_access();
     x[op->rd] = bus_.load(x[op->rs1] + op->imm, 1);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kLbu);
   op_lhu:
     before_access();
     x[op->rd] = bus_.load(x[op->rs1] + op->imm, 2);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kLhu);
   op_sb:
     before_access();
     bus_.store(x[op->rs1] + op->imm, x[op->rs2], 1);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kSb);
   op_sh:
     before_access();
     bus_.store(x[op->rs1] + op->imm, x[op->rs2], 2);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
+    VHP_ISS_NEXT_AFTER_ACCESS(kSh);
   op_sw:
     before_access();
     bus_.store(x[op->rs1] + op->imm, x[op->rs2], 4);
-    cycles += 2;
-    VHP_ISS_NEXT_AFTER_ACCESS();
-  op_addi: x[op->rd] = x[op->rs1] + op->imm; cycles += 1; VHP_ISS_NEXT();
+    VHP_ISS_NEXT_AFTER_ACCESS(kSw);
+  op_addi: x[op->rd] = x[op->rs1] + op->imm; VHP_ISS_NEXT(kAddi);
   op_slti:
     x[op->rd] = static_cast<i32>(x[op->rs1]) < static_cast<i32>(op->imm);
-    cycles += 1;
-    VHP_ISS_NEXT();
-  op_sltiu: x[op->rd] = x[op->rs1] < op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_xori: x[op->rd] = x[op->rs1] ^ op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_ori: x[op->rd] = x[op->rs1] | op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_andi: x[op->rd] = x[op->rs1] & op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_slli: x[op->rd] = x[op->rs1] << op->imm; cycles += 1; VHP_ISS_NEXT();
-  op_srli: x[op->rd] = x[op->rs1] >> op->imm; cycles += 1; VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kSlti);
+  op_sltiu: x[op->rd] = x[op->rs1] < op->imm; VHP_ISS_NEXT(kSltiu);
+  op_xori: x[op->rd] = x[op->rs1] ^ op->imm; VHP_ISS_NEXT(kXori);
+  op_ori: x[op->rd] = x[op->rs1] | op->imm; VHP_ISS_NEXT(kOri);
+  op_andi: x[op->rd] = x[op->rs1] & op->imm; VHP_ISS_NEXT(kAndi);
+  op_slli: x[op->rd] = x[op->rs1] << op->imm; VHP_ISS_NEXT(kSlli);
+  op_srli: x[op->rd] = x[op->rs1] >> op->imm; VHP_ISS_NEXT(kSrli);
   op_srai:
     x[op->rd] = static_cast<u32>(static_cast<i32>(x[op->rs1]) >> op->imm);
-    cycles += 1;
-    VHP_ISS_NEXT();
-  op_add: x[op->rd] = x[op->rs1] + x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_sub: x[op->rd] = x[op->rs1] - x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_sll:
-    x[op->rd] = x[op->rs1] << (x[op->rs2] & 0x1f);
-    cycles += 1;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kSrai);
+  op_add: x[op->rd] = x[op->rs1] + x[op->rs2]; VHP_ISS_NEXT(kAdd);
+  op_sub: x[op->rd] = x[op->rs1] - x[op->rs2]; VHP_ISS_NEXT(kSub);
+  op_sll: x[op->rd] = x[op->rs1] << (x[op->rs2] & 0x1f); VHP_ISS_NEXT(kSll);
   op_slt:
     x[op->rd] = static_cast<i32>(x[op->rs1]) < static_cast<i32>(x[op->rs2]);
-    cycles += 1;
-    VHP_ISS_NEXT();
-  op_sltu: x[op->rd] = x[op->rs1] < x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_xor: x[op->rd] = x[op->rs1] ^ x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_srl:
-    x[op->rd] = x[op->rs1] >> (x[op->rs2] & 0x1f);
-    cycles += 1;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kSlt);
+  op_sltu: x[op->rd] = x[op->rs1] < x[op->rs2]; VHP_ISS_NEXT(kSltu);
+  op_xor: x[op->rd] = x[op->rs1] ^ x[op->rs2]; VHP_ISS_NEXT(kXor);
+  op_srl: x[op->rd] = x[op->rs1] >> (x[op->rs2] & 0x1f); VHP_ISS_NEXT(kSrl);
   op_sra:
     x[op->rd] = static_cast<u32>(static_cast<i32>(x[op->rs1]) >>
                                  (x[op->rs2] & 0x1f));
-    cycles += 1;
-    VHP_ISS_NEXT();
-  op_or: x[op->rd] = x[op->rs1] | x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_and: x[op->rd] = x[op->rs1] & x[op->rs2]; cycles += 1; VHP_ISS_NEXT();
-  op_mul: x[op->rd] = x[op->rs1] * x[op->rs2]; cycles += 3; VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kSra);
+  op_or: x[op->rd] = x[op->rs1] | x[op->rs2]; VHP_ISS_NEXT(kOr);
+  op_and: x[op->rd] = x[op->rs1] & x[op->rs2]; VHP_ISS_NEXT(kAnd);
+  op_mul: x[op->rd] = x[op->rs1] * x[op->rs2]; VHP_ISS_NEXT(kMul);
   op_mulh:
     x[op->rd] = static_cast<u32>(
         (static_cast<i64>(static_cast<i32>(x[op->rs1])) *
          static_cast<i64>(static_cast<i32>(x[op->rs2]))) >> 32);
-    cycles += 3;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kMulh);
   op_mulhsu:
     x[op->rd] = static_cast<u32>(
         (static_cast<i64>(static_cast<i32>(x[op->rs1])) *
          static_cast<i64>(static_cast<u64>(x[op->rs2]))) >> 32);
-    cycles += 3;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kMulhsu);
   op_mulhu:
     x[op->rd] = static_cast<u32>(
         (static_cast<u64>(x[op->rs1]) * static_cast<u64>(x[op->rs2])) >> 32);
-    cycles += 3;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kMulhu);
   op_div: {
     const u32 a = x[op->rs1];
     const u32 b = x[op->rs2];
@@ -454,14 +451,12 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
     } else {
       x[op->rd] = static_cast<u32>(static_cast<i32>(a) / static_cast<i32>(b));
     }
-    cycles += 8;  // div slower than mul
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kDiv);
   }
   op_divu: {
     const u32 b = x[op->rs2];
     x[op->rd] = b == 0 ? 0xffffffffu : x[op->rs1] / b;
-    cycles += 8;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kDivu);
   }
   op_rem: {
     const u32 a = x[op->rs1];
@@ -473,52 +468,45 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
     } else {
       x[op->rd] = static_cast<u32>(static_cast<i32>(a) % static_cast<i32>(b));
     }
-    cycles += 8;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kRem);
   }
   op_remu: {
     const u32 a = x[op->rs1];
     const u32 b = x[op->rs2];
     x[op->rd] = b == 0 ? a : a % b;
-    cycles += 8;
-    VHP_ISS_NEXT();
+    VHP_ISS_NEXT(kRemu);
   }
-  op_fence: cycles += 1; VHP_ISS_NEXT();
+  op_fence: VHP_ISS_NEXT(kFence);
 
   // Ops that end the block. A block runs up to its stop op, so an op that
   // ends it is that op and sits at stop_pc.
   op_jal:
     x[op->rd] = stop_pc + 4;
     pc = stop_pc + op->imm;
-    cycles += 2;
+    cycles += op_cycles(OpKind::kJal);
     goto retire_block;
   op_jalr: {
     const u32 target = (x[op->rs1] + op->imm) & ~1u;  // before rd: rd may
     x[op->rd] = stop_pc + 4;                          // be rs1
     pc = target;
-    cycles += 2;
+    cycles += op_cycles(OpKind::kJalr);
     goto retire_block;
   }
-  op_beq: if (x[op->rs1] == x[op->rs2]) goto taken; goto not_taken;
-  op_bne: if (x[op->rs1] != x[op->rs2]) goto taken; goto not_taken;
+  op_beq: VHP_ISS_BRANCH(kBeq, x[op->rs1] == x[op->rs2]);
+  op_bne: VHP_ISS_BRANCH(kBne, x[op->rs1] != x[op->rs2]);
   op_blt:
-    if (static_cast<i32>(x[op->rs1]) < static_cast<i32>(x[op->rs2])) {
-      goto taken;
-    }
-    goto not_taken;
+    VHP_ISS_BRANCH(kBlt,
+                   static_cast<i32>(x[op->rs1]) < static_cast<i32>(x[op->rs2]));
   op_bge:
-    if (static_cast<i32>(x[op->rs1]) >= static_cast<i32>(x[op->rs2])) {
-      goto taken;
-    }
-    goto not_taken;
-  op_bltu: if (x[op->rs1] < x[op->rs2]) goto taken; goto not_taken;
-  op_bgeu: if (x[op->rs1] >= x[op->rs2]) goto taken; goto not_taken;
+    VHP_ISS_BRANCH(kBge, static_cast<i32>(x[op->rs1]) >=
+                             static_cast<i32>(x[op->rs2]));
+  op_bltu: VHP_ISS_BRANCH(kBltu, x[op->rs1] < x[op->rs2]);
+  op_bgeu: VHP_ISS_BRANCH(kBgeu, x[op->rs1] >= x[op->rs2]);
   taken:
     pc = stop_pc + op->imm;
-    cycles += 2;
     goto retire_block;
   not_taken:
-    cycles += 1;
+    cycles += kUntakenCycles;
   fell_through:
     pc = stop_pc + 4;
   retire_block:
@@ -532,19 +520,20 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
     continue;
   op_ecall:
     out.trap = TrapKind::kEcall;
+    cycles += op_cycles(OpKind::kEcall);
     goto trapped;
   op_ebreak:
     out.trap = TrapKind::kEbreak;
+    cycles += op_cycles(OpKind::kEbreak);
   trapped:
     pc = stop_pc + 4;
     retired += last + 1;
-    cycles += 1;
     break;
   op_illegal:  // the pc stays AT the offender, which does not retire
     out.trap = TrapKind::kIllegalInstruction;
     pc = stop_pc;
     retired += last;
-    cycles += 1;
+    cycles += op_cycles(OpKind::kIllegal);
     break;
   }
   pc_ = pc;
@@ -554,8 +543,10 @@ Cpu::DecodedPage* Cpu::decoded_page(u32 pc) {
   return out;
 }
 
+#undef VHP_ISS_BRANCH
 #undef VHP_ISS_NEXT_AFTER_ACCESS
 #undef VHP_ISS_NEXT
+#undef VHP_ISS_ADVANCE
 #undef VHP_ISS_DISPATCH
 
 }  // namespace vhp::iss

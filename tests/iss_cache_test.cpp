@@ -410,16 +410,20 @@ u32 patch_word(u64 seed) {
                      1 + static_cast<u32>((seed >> 20) % 23), 0x13);
 }
 
-/// A seeded random program for the block executor, with the features that
-/// end or cut a block: forward and backward branches, JAL, JALR, stores
-/// into the running code (into slots, nops kept for patching: an earlier
-/// slot of the current block, the op right after the store, or any slot),
-/// MMIO loads, ECALLs and illegal words mid-program. Ends in EBREAK.
+/// A seeded random program for the block executor, with every op kind
+/// (so every handler's cost meets the block builder's) and the features
+/// that end or cut a block: forward and backward branches, JAL, JALR,
+/// stores into the running code (into slots, nops kept for patching: an
+/// earlier slot of the current block, the op right after the store, or
+/// any slot), MMIO loads, ECALLs and illegal words mid-program. Ends in
+/// EBREAK.
 struct BlockProgram {
   Asm code;
   u32 base = 0;
-  std::vector<u32> slots;    // addresses of the patchable nops
-  std::vector<u32> illegal;  // addresses to overwrite with illegal words
+  std::vector<u32> slots;  // addresses of the patchable nops
+  /// Words Asm does not emit (MULHSU, FENCE, FENCE.I, illegal words),
+  /// written over nops at these addresses.
+  std::vector<std::pair<u32, u32>> words;
 };
 
 BlockProgram block_program(Rng& rng, u32 base) {
@@ -436,15 +440,65 @@ BlockProgram block_program(Rng& rng, u32 base) {
   const auto rd = [&] { return static_cast<u32>(rng.below(24)); };
   const auto rs = [&] { return static_cast<u32>(rng.below(32)); };
   const auto imm12 = [&] { return static_cast<i32>(rng.below(4096)) - 2048; };
+  const auto shamt = [&] { return static_cast<u32>(rng.below(32)); };
+  const auto word = [&](u32 w) {
+    p.words.emplace_back(base + a.bytes(), w);
+    a.nop();
+  };
   const auto alu = [&] {
     const u32 d = rd();
-    switch (rng.below(6)) {
+    switch (rng.below(30)) {
       case 0: a.addi(d, rs(), imm12()); break;
-      case 1: a.xor_(d, rs(), rs()); break;
-      case 2: a.mul(d, rs(), rs()); break;
-      case 3: a.divu(d, rs(), rs()); break;
-      case 4: a.sltu(d, rs(), rs()); break;
-      default: a.auipc(d, static_cast<u32>(rng.below(1u << 20))); break;
+      case 1: a.slti(d, rs(), imm12()); break;
+      case 2: a.sltiu(d, rs(), imm12()); break;
+      case 3: a.xori(d, rs(), imm12()); break;
+      case 4: a.ori(d, rs(), imm12()); break;
+      case 5: a.andi(d, rs(), imm12()); break;
+      case 6: a.slli(d, rs(), shamt()); break;
+      case 7: a.srli(d, rs(), shamt()); break;
+      case 8: a.srai(d, rs(), shamt()); break;
+      case 9: a.add(d, rs(), rs()); break;
+      case 10: a.sub(d, rs(), rs()); break;
+      case 11: a.sll(d, rs(), rs()); break;
+      case 12: a.slt(d, rs(), rs()); break;
+      case 13: a.sltu(d, rs(), rs()); break;
+      case 14: a.xor_(d, rs(), rs()); break;
+      case 15: a.srl(d, rs(), rs()); break;
+      case 16: a.sra(d, rs(), rs()); break;
+      case 17: a.or_(d, rs(), rs()); break;
+      case 18: a.and_(d, rs(), rs()); break;
+      case 19: a.mul(d, rs(), rs()); break;
+      case 20: a.mulh(d, rs(), rs()); break;
+      case 21: word(enc::r_type(1, rs(), rs(), 2, d, 0x33)); break;  // mulhsu
+      case 22: a.mulhu(d, rs(), rs()); break;
+      case 23: a.div(d, rs(), rs()); break;
+      case 24: a.divu(d, rs(), rs()); break;
+      case 25: a.rem(d, rs(), rs()); break;
+      case 26: a.remu(d, rs(), rs()); break;
+      case 27: a.lui(d, static_cast<u32>(rng.below(1u << 20))); break;
+      case 28: a.auipc(d, static_cast<u32>(rng.below(1u << 20))); break;
+      default: word(rng.below(2) == 0 ? 0x0ff0000fu : 0x0000100fu); break;
+    }
+  };
+  // Loads and stores of every width, aligned to it, into the data page.
+  const auto offset = [&](u32 width) {
+    return static_cast<i32>(rng.below(2048 / width) * width);
+  };
+  const auto load = [&] {
+    const u32 d = rd();
+    switch (rng.below(5)) {
+      case 0: a.lb(d, kDataBase, offset(1)); break;
+      case 1: a.lh(d, kDataBase, offset(2)); break;
+      case 2: a.lw(d, kDataBase, offset(4)); break;
+      case 3: a.lbu(d, kDataBase, offset(1)); break;
+      default: a.lhu(d, kDataBase, offset(2)); break;
+    }
+  };
+  const auto store = [&] {
+    switch (rng.below(3)) {
+      case 0: a.sb(rs(), kDataBase, offset(1)); break;
+      case 1: a.sh(rs(), kDataBase, offset(2)); break;
+      default: a.sw(rs(), kDataBase, offset(4)); break;
     }
   };
 
@@ -467,8 +521,8 @@ BlockProgram block_program(Rng& rng, u32 base) {
     switch (rng.below(14)) {
       case 0: case 1: case 2: alu(); break;
       case 3: slot(); break;
-      case 4: a.lw(rd(), kDataBase, static_cast<i32>(rng.below(512)) * 4); break;
-      case 5: a.sw(rs(), kDataBase, static_cast<i32>(rng.below(512)) * 4); break;
+      case 4: load(); break;
+      case 5: store(); break;
       case 6: {  // store into the code: li, li, sw, then maybe the target
         a.li(kPatchWord, patch_word(rng.next()));
         const u32 next = base + a.bytes() + 12;  // right after the sw
@@ -486,10 +540,15 @@ BlockProgram block_program(Rng& rng, u32 base) {
       }
       case 7: {  // forward branch over 0-3 items
         const auto skip = a.make_label();
-        if (rng.below(2) == 0) {
-          a.beq(rs(), rs(), skip);
-        } else {
-          a.bltu(rs(), rs(), skip);
+        const u32 r1 = rs();
+        const u32 r2 = rs();
+        switch (rng.below(6)) {
+          case 0: a.beq(r1, r2, skip); break;
+          case 1: a.bne(r1, r2, skip); break;
+          case 2: a.blt(r1, r2, skip); break;
+          case 3: a.bge(r1, r2, skip); break;
+          case 4: a.bltu(r1, r2, skip); break;
+          default: a.bgeu(r1, r2, skip); break;
         }
         transfer();
         pending.emplace_back(skip, static_cast<int>(rng.range(0, 3)));
@@ -529,8 +588,7 @@ BlockProgram block_program(Rng& rng, u32 base) {
       }
       case 12: a.ecall(); transfer(); break;
       default:
-        p.illegal.push_back(base + a.bytes());
-        a.nop();
+        word(0xffffffffu);
         transfer();
         break;
     }
@@ -553,7 +611,7 @@ struct BlockMachine {
 
   explicit BlockMachine(const BlockProgram& p) {
     p.code.load_into(ram, p.base);
-    for (u32 addr : p.illegal) ram.write_u32(addr, 0xffffffffu);
+    for (const auto& [addr, w] : p.words) ram.write_u32(addr, w);
     bus.map_mmio(
         kMmio, 0x100,
         [this, slots = p.slots](u32, unsigned) {
